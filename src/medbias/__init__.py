@@ -41,7 +41,6 @@ from .solver import (
 )
 from .bounds import (
     BERRY_ESSEEN_CONSTANT,
-    BoundReport,
     IdentifiabilityError,
     clt_asymptotic_bound,
     convex_bound,
@@ -74,6 +73,7 @@ from .plm import (
     nuisance_error_moments,
     plm_conditional_bias,
     plm_medbias_bound,
+    plm_medbias_profile,
     plm_split_fit,
     plm_theta,
     simulate_plm,

@@ -8,58 +8,18 @@ the weak-inequality probabilities instead.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MedBiasEstimate, SignProbabilities, freq_std_err
-from .objectives import loglik_ratio_sum
+from .core import SignProbabilities, freq_std_err, med_bias
 
 #: Published universal constant for the iid Berry-Esseen (Lyapunov-ratio)
 #: bound; callers may pass their own.
 BERRY_ESSEEN_CONSTANT = 0.56
 
-BOUND_KINDS = frozenset({
-    "convex_thm1",
-    "nondiff_eps",
-    "nonconvex_delta",
-    "z_exact",
-    "mle_llr",
-    "clt_asymptotic",
-})
-
 
 class IdentifiabilityError(ValueError):
     """The shifted density is not distinguishable from the reference one."""
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One comparison of a Monte-Carlo median bias against a bound.
-
-    ``z_exact`` reports an equality target; every other kind an upper bound.
-    """
-
-    lhs: MedBiasEstimate
-    rhs: float
-    rhs_std_err: float
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in BOUND_KINDS:
-            raise ValueError(f"unknown bound kind {self.kind!r}")
-        if not 0.0 <= self.rhs <= 0.5:
-            raise ValueError(f"rhs={self.rhs!r} outside [0, 1/2]")
-        if self.rhs_std_err < 0.0:
-            raise ValueError("rhs_std_err must be >= 0")
-
-
-def _half_minus_min(p_a: float, p_b: float) -> float:
-    for p in (p_a, p_b):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{p!r} is not a probability in [0, 1]")
-    return max(0.0, 0.5 - min(p_a, p_b))
 
 
 def convex_bound(sp: SignProbabilities) -> float:
@@ -69,7 +29,7 @@ def convex_bound(sp: SignProbabilities) -> float:
     mass of the estimator on the corresponding side of the target; the atom
     P(score = 0) is not redistributed and just loosens the cap.
     """
-    return _half_minus_min(sp.p_neg, sp.p_pos)
+    return med_bias(sp.p_neg, sp.p_pos)
 
 
 def z_exact_medbias(p_weak_le: float, p_weak_ge: float) -> float:
@@ -80,7 +40,7 @@ def z_exact_medbias(p_weak_le: float, p_weak_ge: float) -> float:
     the estimator's side of the target is determined by the score's sign and
     the returned value matches the median bias exactly in distribution.
     """
-    return _half_minus_min(p_weak_le, p_weak_ge)
+    return med_bias(p_weak_le, p_weak_ge)
 
 
 def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
@@ -105,12 +65,11 @@ def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
     for k, e in enumerate(eps):
         p_plus = float(np.count_nonzero(center < plus[k])) / reps
         p_minus = float(np.count_nonzero(center < minus[k])) / reps
-        bound = _half_minus_min(p_plus, p_minus)
         profile.append({
             "eps": float(e),
             "p_plus": p_plus,
             "p_minus": p_minus,
-            "bound": bound,
+            "bound": med_bias(p_plus, p_minus),
             "std_err": freq_std_err(min(p_plus, p_minus), reps),
         })
     return profile
@@ -127,23 +86,26 @@ def nondiff_bound(eps_grid, center_values, plus_values, minus_values) -> float:
     return nondiff_profile(eps_grid, center_values, plus_values, minus_values)[-1]["bound"]
 
 
-def centered_llr_sums(family, data_draws, theta0: float, eps: float) -> np.ndarray:
-    """Per-replication centered log-likelihood-ratio sums for a location shift.
+def llr_sign_indicators(family, data_draws, theta0: float, shift: float):
+    """Per-replication signs of the log-likelihood-ratio sum at one signed shift.
 
-    Centering subtracts n times the per-observation expected log-likelihood
-    ratio under ``theta0``, which must be strictly negative for ``eps != 0``
+    Each row's sum of log p_{theta0+shift} - log p_{theta0} is computed once
+    and two boolean arrays are returned: the sum centered by n times the
+    per-observation expected log-likelihood ratio under ``theta0`` is <= 0,
+    and the raw sum is < 0, i.e. M(theta0) < M(theta0 + shift) for the
+    negative log-likelihood M.  The expected ratio must be strictly negative
     (identifiability); otherwise ``IdentifiabilityError`` is raised.
     """
     draws = np.atleast_2d(np.asarray(data_draws, dtype=float))
-    n = draws.shape[1]
-    expected = family.expected_log_likelihood_ratio(theta0, eps)
+    expected = family.expected_log_likelihood_ratio(theta0, shift)
     if expected >= 0.0:
         raise IdentifiabilityError(
-            f"expected log-likelihood ratio {expected!r} at shift {eps!r} is not "
+            f"expected log-likelihood ratio {expected!r} at shift {shift!r} is not "
             "strictly negative"
         )
-    llr = family.log_density(draws, theta0 + eps) - family.log_density(draws, theta0)
-    return llr.sum(axis=1) - n * expected
+    raw = (family.log_density(draws, theta0 + shift)
+           - family.log_density(draws, theta0)).sum(axis=1)
+    return raw - draws.shape[1] * expected <= 0.0, raw < 0.0
 
 
 def mle_llr_lower_bounds(family, data_draws, theta0: float, eps: float):
@@ -156,41 +118,42 @@ def mle_llr_lower_bounds(family, data_draws, theta0: float, eps: float):
     """
     if eps == 0.0:
         raise IdentifiabilityError("eps must be nonzero")
-    plus = centered_llr_sums(family, data_draws, theta0, abs(eps))
-    minus = centered_llr_sums(family, data_draws, theta0, -abs(eps))
-    reps = plus.size
-    lb_plus = float(np.count_nonzero(plus <= 0.0)) / reps
-    lb_minus = float(np.count_nonzero(minus <= 0.0)) / reps
-    return lb_plus, lb_minus
+    bounds = []
+    for shift in (abs(eps), -abs(eps)):
+        lower, _ = llr_sign_indicators(family, data_draws, theta0, shift)
+        bounds.append(float(np.count_nonzero(lower)) / lower.size)
+    return tuple(bounds)
 
 
-def nonconvex_profile(sp: SignProbabilities, eta_profile) -> dict:
-    """Window-convexity correction of the convex bound over a delta grid.
+def nonconvex_profile(sp: SignProbabilities, eta_profile) -> list:
+    """Window-convexity correction of the convex bound at every delta of a grid.
 
     ``eta_profile`` is a sequence of (delta, eta1, eta2): eta1 is the
     probability the objective fails to be convex on the window of half-width
     delta around the target, eta2 the probability the estimator escapes the
-    window.  Returns the raw and clamped bound plus the minimizing delta.
+    window.  Returns one dict per delta, in grid order, with the convex part,
+    the raw bound ``convex_part + eta1 + eta2`` and that bound clamped to
+    [0, 1/2].
     """
     entries = list(eta_profile)
     if not entries:
         raise ValueError("eta profile must be non-empty")
     base = convex_bound(sp)
-    best = None
+    profile = []
     for delta, eta1, eta2 in entries:
         for name, v in (("eta1", eta1), ("eta2", eta2)):
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v!r} at delta={delta!r} outside [0, 1]")
-        penalty = eta1 + eta2
-        if best is None or penalty < best[1]:
-            best = (delta, penalty)
-    raw = base + best[1]
-    return {
-        "convex_part": base,
-        "best_delta": float(best[0]),
-        "raw": raw,
-        "clamped": min(max(raw, 0.0), 0.5),
-    }
+        raw = base + eta1 + eta2
+        profile.append({
+            "delta": float(delta),
+            "eta1": eta1,
+            "eta2": eta2,
+            "convex_part": base,
+            "raw": raw,
+            "clamped": min(max(raw, 0.0), 0.5),
+        })
+    return profile
 
 
 def nonconvex_bound(sp: SignProbabilities, eta_profile) -> float:
@@ -198,7 +161,7 @@ def nonconvex_bound(sp: SignProbabilities, eta_profile) -> float:
 
     With an all-zero eta profile this reproduces ``convex_bound`` bit for bit.
     """
-    return nonconvex_profile(sp, eta_profile)["clamped"]
+    return min(entry["clamped"] for entry in nonconvex_profile(sp, eta_profile))
 
 
 def clt_asymptotic_bound(mean: float, variance: float, third_abs_moment: float,
@@ -232,10 +195,8 @@ def direct_comparison_probabilities(family, data_draws, theta0: float, eps: floa
     {M(theta0) < M(theta0 +/- eps)} computed from the log-likelihood-ratio
     sums themselves.
     """
-    draws = np.atleast_2d(np.asarray(data_draws, dtype=float))
-    reps = draws.shape[0]
-    sums_plus = np.array([loglik_ratio_sum(family, row, theta0, abs(eps)) for row in draws])
-    sums_minus = np.array([loglik_ratio_sum(family, row, theta0, -abs(eps)) for row in draws])
-    p_plus = float(np.count_nonzero(sums_plus < 0.0)) / reps
-    p_minus = float(np.count_nonzero(sums_minus < 0.0)) / reps
-    return p_plus, p_minus
+    freqs = []
+    for shift in (abs(eps), -abs(eps)):
+        _, direct = llr_sign_indicators(family, data_draws, theta0, shift)
+        freqs.append(float(np.count_nonzero(direct)) / direct.size)
+    return tuple(freqs)

@@ -21,7 +21,8 @@ def med_bias(p_le: float, p_ge: float) -> float:
     ``p_le`` and ``p_ge`` are P(estimate <= target) and P(estimate >= target);
     both are weak inequalities, so the boundary event counts toward each.
     Returns ``max(0, 1/2 - min(p_le, p_ge))``: zero exactly when both sides
-    carry at least probability 1/2.
+    carry at least probability 1/2.  Every bound applies this same functional
+    to the pair of sign or comparison probabilities it controls.
     """
     for name, p in (("p_le", p_le), ("p_ge", p_ge)):
         if not 0.0 <= p <= 1.0:
@@ -101,16 +102,6 @@ class MedBiasEstimate:
             raise ValueError("point does not equal med_bias(p_le, p_ge)")
         if self.p_le + self.p_ge < 1.0 - _PROB_TOL:
             raise ValueError("p_le + p_ge must be >= 1 (ties count on both sides)")
-
-    def as_record(self) -> dict:
-        """Flat record used by the report writers."""
-        return {
-            "point": self.point,
-            "std_err": self.std_err,
-            "reps": self.reps,
-            "p_le": self.p_le,
-            "p_ge": self.p_ge,
-        }
 
 
 @dataclass(frozen=True)

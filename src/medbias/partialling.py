@@ -9,11 +9,12 @@ bound controls through a threshold on the cross term.
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .core import med_bias
 
 _RANK_RTOL = 1e-10
 _IDENTITY_RTOL = 1e-8
@@ -92,20 +93,13 @@ def load_regression_csv(path) -> RegressionData:
 
 @dataclass(frozen=True)
 class PartialledFit:
-    """Partialled least-squares fit.
-
-    ``s_n`` and ``remainder`` are the decomposition pieces against the
-    population targets; they are filled by ``score_decompose`` (targets are
-    only known in simulation) and left as NaN otherwise.
-    """
+    """Partialled least-squares fit: slope, both residual vectors, both projections."""
 
     theta_hat: float
     r_t_hat: np.ndarray
     r_y_hat: np.ndarray
     beta_t_hat: np.ndarray
     beta_y_hat: np.ndarray
-    s_n: float = math.nan
-    remainder: float = math.nan
 
 
 class ScoreDecomposition(NamedTuple):
@@ -115,6 +109,13 @@ class ScoreDecomposition(NamedTuple):
 
 
 def _check_rank(data: RegressionData):
+    if data.d + 1 > data.n:
+        # the SVD of a wide matrix returns only n singular values, so the
+        # ratio test below cannot see the d + 1 - n null directions
+        raise CollinearityError(
+            f"stacked design [t | x] is {data.n} x {data.d + 1}: more columns than "
+            "rows, so it is rank deficient"
+        )
     stacked = np.column_stack([data.t, data.x])
     singular = np.linalg.svd(stacked, compute_uv=False)
     if singular[-1] <= _RANK_RTOL * singular[0]:
@@ -248,13 +249,12 @@ def proposition_profile(s_n_draws, correction_draws, eta_grid):
         p_low = float(np.count_nonzero(s <= -eta)) / reps
         p_high = float(np.count_nonzero(s >= eta)) / reps
         escape = float(np.count_nonzero(np.abs(c) > eta)) / reps
-        value = max(0.0, 0.5 - min(p_low, p_high)) + escape
         rows.append({
             "eta": float(eta),
             "p_low": p_low,
             "p_high": p_high,
             "escape": escape,
-            "value": value,
+            "value": med_bias(p_low, p_high) + escape,
         })
     return rows
 

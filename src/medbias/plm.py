@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import integrate
 
+from .core import med_bias
 from .partialling import RegressionData
 
 # ---------------------------------------------------------------------------
@@ -380,6 +381,12 @@ def plm_theta(d2_data: RegressionData, m_hat, g_hat):
     return level / slope, z_function
 
 
+def _bias_and_product(mom: NuisanceErrorMoments, d2_size: int):
+    # same multiplication order on both sides so the inequality survives
+    # floating point even at the Cauchy-Schwarz equality case
+    return d2_size * mom.inner, d2_size * (mom.norm_g * mom.norm_m)
+
+
 def plm_conditional_bias(dgp: PlmDgp, m_hat, g_hat, d2_size: int,
                          n_mc: int = 100_000, seed: int = 0):
     """Conditional bias of the split score at the target, and its product bound.
@@ -391,14 +398,16 @@ def plm_conditional_bias(dgp: PlmDgp, m_hat, g_hat, d2_size: int,
     if d2_size < 1:
         raise ValueError("d2_size must be >= 1")
     mom = nuisance_error_moments(dgp, m_hat, g_hat, n_mc=n_mc, seed=seed)
-    # same multiplication order on both sides so the inequality survives
-    # floating point even at the Cauchy-Schwarz equality case
-    return d2_size * mom.inner, d2_size * (mom.norm_g * mom.norm_m)
+    return _bias_and_product(mom, d2_size)
 
 
 @dataclass(frozen=True)
 class PlmSplitFit:
-    """State of one sample-split fit: folds, nuisances, score, bias, norms."""
+    """State of one sample-split fit: folds, nuisances, score, bias, norms.
+
+    ``cond_bias`` and ``product_bound`` are the pair ``plm_conditional_bias``
+    returns for the fitted nuisances and the second fold.
+    """
 
     d1_indices: np.ndarray
     d2_indices: np.ndarray
@@ -407,6 +416,7 @@ class PlmSplitFit:
     theta_hat: float
     z_at_theta0: float
     cond_bias: float
+    product_bound: float
     norm_g: float
     norm_m: float
 
@@ -428,8 +438,8 @@ def plm_split_fit(dgp: PlmDgp, data: RegressionData, method: NuisanceMethod,
     d1, d2 = data.subset(idx1), data.subset(idx2)
     m_hat, g_hat = fit_nuisance(d1, method, dgp=dgp)
     theta_hat, z_function = plm_theta(d2, m_hat, g_hat)
-    cond_bias, _ = plm_conditional_bias(dgp, m_hat, g_hat, d2.n)
     mom = nuisance_error_moments(dgp, m_hat, g_hat)
+    cond_bias, product_bound = _bias_and_product(mom, d2.n)
     return PlmSplitFit(
         d1_indices=idx1,
         d2_indices=idx2,
@@ -438,18 +448,19 @@ def plm_split_fit(dgp: PlmDgp, data: RegressionData, method: NuisanceMethod,
         theta_hat=theta_hat,
         z_at_theta0=z_function(dgp.theta0),
         cond_bias=cond_bias,
+        product_bound=product_bound,
         norm_g=mom.norm_g,
         norm_m=mom.norm_m,
     )
 
 
-def plm_medbias_bound(z_centered_draws, cond_bias_draws) -> float:
-    """Median-bias bound for the split estimator from joint replication draws.
+def plm_medbias_profile(z_centered_draws, cond_bias_draws) -> dict:
+    """Joint frequencies behind the split estimator's median-bias bound.
 
     Per replication the centered score is compared against that replication's
-    absolute conditional bias; the bound is built from the two joint
-    frequencies, so a bias that varies with the first fold is handled
-    correctly.
+    absolute conditional bias: ``p_low`` is the frequency of z <= -|bias| and
+    ``p_high`` of z >= |bias|.  Building ``bound`` from these joint
+    frequencies handles a bias that varies with the first fold correctly.
     """
     z = np.asarray(z_centered_draws, dtype=float)
     b = np.abs(np.asarray(cond_bias_draws, dtype=float))
@@ -458,4 +469,9 @@ def plm_medbias_bound(z_centered_draws, cond_bias_draws) -> float:
     reps = z.size
     p_low = float(np.count_nonzero(z <= -b)) / reps
     p_high = float(np.count_nonzero(z >= b)) / reps
-    return max(0.0, 0.5 - min(p_low, p_high))
+    return {"p_low": p_low, "p_high": p_high, "bound": med_bias(p_low, p_high)}
+
+
+def plm_medbias_bound(z_centered_draws, cond_bias_draws) -> float:
+    """Median-bias bound for the split estimator from joint replication draws."""
+    return plm_medbias_profile(z_centered_draws, cond_bias_draws)["bound"]

@@ -34,8 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="worker process count (default: MEDBIAS_WORKERS or 1)")
     run.add_argument("--master-seed", type=int, default=None,
                      help="override the config master seed")
-    run.add_argument("--format", choices=("csv", "json", "both"), default=None,
-                     help="report format (default: config output.format or both)")
+    run.add_argument("--format", choices=("csv", "json", "both"), default="both",
+                     help="report format (default: both)")
 
     val = sub.add_parser("validate", help="validate a config without running it")
     val.add_argument("config", help="path to a JSON experiment config")
@@ -80,18 +80,16 @@ def _cmd_run(args) -> int:
     workers = args.workers if args.workers is not None else _workers_from_env()
     if workers < 1:
         raise ConfigError(f"workers={workers} must be >= 1")
-    output = config.to_dict().get("params", {}).get("output", {})
-    stem = args.output or output.get("stem") or config.experiment
-    fmt = args.format or output.get("format", "both")
+    stem = args.output or config.experiment
 
     result = run_experiment(config, workers=workers)
 
     written = []
-    if fmt in ("csv", "both"):
+    if args.format in ("csv", "both"):
         csv_path = f"{stem}.csv"
         write_csv(csv_path, result.rows)
         written.append(csv_path)
-    if fmt in ("json", "both"):
+    if args.format in ("json", "both"):
         json_path = f"{stem}.json"
         write_json(json_path, result)
         written.append(json_path)

@@ -4,6 +4,7 @@ import json
 from dataclasses import dataclass, field, asdict
 
 from .dgps import DESIGNS, PLM_DGPS, UNIVARIATE_DGPS
+from .hulc import batch_count
 
 
 class ConfigError(ValueError):
@@ -74,6 +75,14 @@ class ExperimentConfig:
         return cls.from_dict(raw)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def validate_config(config: ExperimentConfig):
     """Raise ConfigError listing every violated constraint."""
     problems = []
@@ -83,9 +92,11 @@ def validate_config(config: ExperimentConfig):
         problems.append(
             f"unknown kind {config.kind!r}; known: {sorted(KIND_REQUIREMENTS)}"
         )
-    if config.reps < 100:
+    if not _is_int(config.reps):
+        problems.append(f"reps={config.reps!r} must be an integer")
+    elif config.reps < 100:
         problems.append(f"reps={config.reps} below the minimum of 100")
-    if not isinstance(config.master_seed, int):
+    if not _is_int(config.master_seed):
         problems.append("master_seed must be an integer")
 
     if config.kind in KIND_REQUIREMENTS:
@@ -107,12 +118,31 @@ def validate_config(config: ExperimentConfig):
             problems.append("nonconvex_dominance drives the biweight estimator only")
         if config.kind == "mle_llr_consistency" and est_kind != "neg_loglik":
             problems.append("mle_llr_consistency needs a neg_loglik estimator")
+        est_params = config.estimator.get("params", {})
+        tau = est_params.get("tau")
+        if est_kind == "quantile" and not (_is_real(tau) and 0.0 < tau < 1.0):
+            problems.append(f"quantile estimator needs params.tau in (0, 1), got {tau!r}")
+        power = est_params.get("p")
+        if est_kind == "lp" and not (_is_real(power) and power >= 1.0):
+            problems.append(f"lp estimator needs params.p >= 1, got {power!r}")
+        min_n = 2 if config.kind == "plm_rate_dichotomy" else 1
+        if config.kind == "hulc_coverage":
+            alpha = config.params.get("alpha", 0.05)
+            if not 0.0 < alpha < 1.0:
+                problems.append(f"alpha={alpha} outside (0, 1)")
+            else:
+                min_n = batch_count(alpha)
+        small = [n for n in config.grids.get("n") or () if not _is_int(n) or n < min_n]
+        if small:
+            problems.append(f"grid 'n' needs integers >= {min_n}, got {small}")
         eps = config.grids.get("eps")
         if config.kind == "nondiff_profile" and eps:
             if len(eps) < 2:
                 problems.append("epsilon grid needs at least 2 points")
             if any(e <= 0 for e in eps) or any(b >= a for a, b in zip(eps, eps[1:])):
                 problems.append("epsilon grid must be positive and strictly decreasing")
+        if config.kind == "mle_llr_consistency" and eps and 0 in eps:
+            problems.append("log-likelihood-ratio shifts must be nonzero")
         if config.kind == "dimension_scaling":
             for label in config.grids.get("d_schedules", ()):
                 if label not in D_SCHEDULES:
@@ -121,10 +151,6 @@ def validate_config(config: ExperimentConfig):
             for label in config.grids.get("rate_schedules", ()):
                 if label not in RATE_SCHEDULES:
                     problems.append(f"unknown rate schedule {label!r}; known: {RATE_SCHEDULES}")
-        if config.kind == "hulc_coverage":
-            alpha = config.params.get("alpha", 0.05)
-            if not 0.0 < alpha < 1.0:
-                problems.append(f"alpha={alpha} outside (0, 1)")
 
     if problems:
         raise ConfigError("; ".join(problems))

@@ -14,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from ..bounds import (
-    centered_llr_sums,
     convex_bound,
+    llr_sign_indicators,
     nondiff_profile,
     nonconvex_profile,
     z_exact_medbias,
@@ -29,13 +29,7 @@ from ..objectives import (
     make_objective,
 )
 from ..partialling import fwl_estimate, score_decompose, default_eta_grid, proposition_profile
-from ..plm import (
-    NuisanceMethod,
-    plm_conditional_bias,
-    plm_medbias_bound,
-    plm_split_fit,
-    simulate_plm,
-)
+from ..plm import NuisanceMethod, plm_medbias_profile, plm_split_fit, simulate_plm
 from ..solver import Bracket, minimize_convex, minimize_scan
 from .dgps import make_dgp, make_plm_dgp, sample_design, target_for
 from .hulc import batch_count, hulc_interval
@@ -164,11 +158,16 @@ def _base_row(config, point: dict) -> dict:
     }
 
 
-def _fill_lhs(row: dict, estimate) -> None:
-    row["p_le"] = estimate.p_le
-    row["p_ge"] = estimate.p_ge
-    row["lhs_point"] = estimate.point
-    row["lhs_std_err"] = estimate.std_err
+def _lhs_row(config, point: dict, theta_hat, theta0: float):
+    """Canonical row carrying the Monte-Carlo median bias of ``theta_hat``.
+
+    Returns the row and the estimate; kinds that report several rows per
+    grid point copy the row for each of them.
+    """
+    lhs = mc_med_bias(EstimatorDraws(theta_hat, theta0, config.master_seed))
+    row = _base_row(config, point)
+    row.update(p_le=lhs.p_le, p_ge=lhs.p_ge, lhs_point=lhs.point, lhs_std_err=lhs.std_err)
+    return row, lhs
 
 
 def _univariate_dgp(config):
@@ -207,14 +206,11 @@ def _chunk_convex(config, point, start, stop):
 def _summarize_convex(config, point, arrays):
     dgp = _univariate_dgp(config)
     theta0 = _target(config, dgp)
-    lhs = mc_med_bias(EstimatorDraws(arrays["theta_hat"], theta0, config.master_seed))
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
     tol = score_zero_tol(config.estimator["kind"], arrays["score"])
     sp = sign_probabilities(arrays["score"], zero_tol=tol)
-    rhs = convex_bound(sp)
-    row = _base_row(config, point)
-    _fill_lhs(row, lhs)
     row.update(
-        rhs=rhs,
+        rhs=convex_bound(sp),
         rhs_std_err=freq_std_err(min(sp.p_neg, sp.p_pos), lhs.reps),
         rhs_kind="convex_thm1",
         detail={"theta0": theta0, "p_neg": sp.p_neg, "p_zero": sp.p_zero,
@@ -247,15 +243,13 @@ def _chunk_z_equality(config, point, start, stop):
 def _summarize_z_equality(config, point, arrays):
     dgp = _univariate_dgp(config)
     theta0 = _target(config, dgp)
-    lhs = mc_med_bias(EstimatorDraws(arrays["theta_hat"], theta0, config.master_seed))
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
     score = arrays["score"]
     reps = score.size
     p_weak_le = float(np.count_nonzero(score <= 0.0)) / reps
     p_weak_ge = float(np.count_nonzero(score >= 0.0)) / reps
     rhs = z_exact_medbias(p_weak_le, p_weak_ge)
     rhs_se = freq_std_err(min(p_weak_le, p_weak_ge), reps)
-    row = _base_row(config, point)
-    _fill_lhs(row, lhs)
     row.update(
         rhs=rhs,
         rhs_std_err=rhs_se,
@@ -303,21 +297,20 @@ def _summarize_nondiff(config, point, arrays):
     dgp = _univariate_dgp(config)
     theta0 = _target(config, dgp)
     eps = [float(e) for e in config.grids["eps"]]
-    lhs = mc_med_bias(EstimatorDraws(arrays["theta_hat"], theta0, config.master_seed))
+    row, _ = _lhs_row(config, point, arrays["theta_hat"], theta0)
     profile = nondiff_profile(eps, arrays["center"], arrays["plus"].T, arrays["minus"].T)
-    rows = []
-    for entry in profile:
-        row = _base_row(config, point)
-        _fill_lhs(row, lhs)
-        row["eps"] = entry["eps"]
-        row.update(
+    rows = [
+        dict(
+            row,
+            eps=entry["eps"],
             rhs=entry["bound"],
             rhs_std_err=entry["std_err"],
             rhs_kind="nondiff_eps",
             detail={"theta0": theta0, "p_plus": entry["p_plus"],
                     "p_minus": entry["p_minus"]},
         )
-        rows.append(row)
+        for entry in profile
+    ]
     return rows, {"eps_profile": profile}
 
 
@@ -341,16 +334,10 @@ def _chunk_mle_llr(config, point, start, stop):
         draws[j] = family.sample(rng, theta0, n)
     out = {}
     for k, e in enumerate(eps):
-        centered_plus = centered_llr_sums(family, draws, theta0, e)
-        centered_minus = centered_llr_sums(family, draws, theta0, -e)
-        raw_plus = (family.log_density(draws, theta0 + e)
-                    - family.log_density(draws, theta0)).sum(axis=1)
-        raw_minus = (family.log_density(draws, theta0 - e)
-                     - family.log_density(draws, theta0)).sum(axis=1)
-        out[f"lower_plus_{k}"] = (centered_plus <= 0.0).astype(float)
-        out[f"lower_minus_{k}"] = (centered_minus <= 0.0).astype(float)
-        out[f"direct_plus_{k}"] = (raw_plus < 0.0).astype(float)
-        out[f"direct_minus_{k}"] = (raw_minus < 0.0).astype(float)
+        for side, shift in (("plus", e), ("minus", -e)):
+            lower, direct = llr_sign_indicators(family, draws, theta0, shift)
+            out[f"lower_{side}_{k}"] = lower.astype(float)
+            out[f"direct_{side}_{k}"] = direct.astype(float)
     return out
 
 
@@ -379,7 +366,7 @@ def _summarize_mle_llr(config, point, arrays):
             "lower_minus_std_err": freq_std_err(lb_minus, reps),
             "direct_plus_std_err": freq_std_err(direct_plus, reps),
             "direct_minus_std_err": freq_std_err(direct_minus, reps),
-            "expected_llr_per_obs": family.expected_log_likelihood_ratio(theta0, e) if e else 0.0,
+            "expected_llr_per_obs": family.expected_log_likelihood_ratio(theta0, e),
             "n": n,
         }
         profile.append(entry)
@@ -469,34 +456,36 @@ def _summarize_nonconvex(config, point, arrays):
     dgp = _univariate_dgp(config)
     theta0 = _target(config, dgp)
     deltas = [float(d) for d in config.grids["delta"]]
-    lhs = mc_med_bias(EstimatorDraws(arrays["theta_hat"], theta0, config.master_seed))
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
     sp = sign_probabilities(arrays["score"],
                             zero_tol=score_zero_tol("biweight", arrays["score"]))
-    base = convex_bound(sp)
-    eta_profile = []
+    escape = np.abs(arrays["theta_hat"] - theta0)
+    profile = nonconvex_profile(sp, [
+        (delta, 1.0 - float(arrays[f"convex_{k}"].mean()),
+         float(np.count_nonzero(escape > delta)) / lhs.reps)
+        for k, delta in enumerate(deltas)
+    ])
+    convex_se = freq_std_err(min(sp.p_neg, sp.p_pos), lhs.reps)
     rows = []
-    for k, delta in enumerate(deltas):
-        eta1 = 1.0 - float(arrays[f"convex_{k}"].mean())
-        eta2 = float(np.count_nonzero(np.abs(arrays["theta_hat"] - theta0) > delta)) / lhs.reps
-        eta_profile.append((delta, eta1, eta2))
-        row = _base_row(config, point)
-        _fill_lhs(row, lhs)
-        row["delta"] = delta
-        row.update(
-            rhs=min(0.5, base + eta1 + eta2),
-            rhs_std_err=math.hypot(
-                freq_std_err(min(sp.p_neg, sp.p_pos), lhs.reps),
-                math.hypot(freq_std_err(eta1, lhs.reps), freq_std_err(eta2, lhs.reps)),
-            ),
+    for entry in profile:
+        eta_se = math.hypot(freq_std_err(entry["eta1"], lhs.reps),
+                            freq_std_err(entry["eta2"], lhs.reps))
+        rows.append(dict(
+            row,
+            delta=entry["delta"],
+            rhs=entry["clamped"],
+            rhs_std_err=math.hypot(convex_se, eta_se),
             rhs_kind="nonconvex_delta",
-            detail={"theta0": theta0, "eta1": eta1, "eta2": eta2,
-                    "convex_part": base, "raw": base + eta1 + eta2},
-        )
-        rows.append(row)
-    overall = nonconvex_profile(sp, eta_profile)
-    return rows, {"eta_profile": [
-        {"delta": d, "eta1": e1, "eta2": e2} for d, e1, e2 in eta_profile
-    ], "overall": overall}
+            detail={"theta0": theta0, "eta1": entry["eta1"], "eta2": entry["eta2"],
+                    "convex_part": entry["convex_part"], "raw": entry["raw"]},
+        ))
+    best = min(profile, key=lambda entry: entry["raw"])
+    return rows, {
+        "eta_profile": [{key: entry[key] for key in ("delta", "eta1", "eta2")}
+                        for entry in profile],
+        "overall": {"convex_part": best["convex_part"], "best_delta": best["delta"],
+                    "raw": best["raw"], "clamped": best["clamped"]},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +525,7 @@ def _chunk_partialled(config, point, start, stop, keep_decomposition=True):
 
 def _summarize_partialled(config, point, arrays):
     theta0 = float(config.params.get("theta0", 0.5))
-    lhs = mc_med_bias(EstimatorDraws(arrays["theta_hat"], theta0, config.master_seed))
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
     eta_grid = config.grids.get("eta") or default_eta_grid(arrays["s_n"])
     profile = proposition_profile(arrays["s_n"], arrays["correction"], eta_grid)
     best = min(profile, key=lambda r: r["value"])
@@ -544,8 +533,6 @@ def _summarize_partialled(config, point, arrays):
         freq_std_err(min(best["p_low"], best["p_high"]), lhs.reps),
         freq_std_err(best["escape"], lhs.reps),
     )
-    row = _base_row(config, point)
-    _fill_lhs(row, lhs)
     row.update(
         rhs=min(0.5, best["value"]),
         rhs_std_err=rhs_se,
@@ -592,9 +579,7 @@ def _chunk_dim_scaling(config, point, start, stop):
 
 def _summarize_dim_scaling(config, point, arrays):
     theta0 = float(config.params.get("theta0", 0.5))
-    lhs = mc_med_bias(EstimatorDraws(arrays["theta_hat"], theta0, config.master_seed))
-    row = _base_row(config, point)
-    _fill_lhs(row, lhs)
+    row, _ = _lhs_row(config, point, arrays["theta_hat"], theta0)
     row["d"] = schedule_dimension(point["schedule"], point["n"])
     row["detail"] = {"theta0": theta0}
     return [row], {}
@@ -646,10 +631,8 @@ def _chunk_plm(config, point, start, stop):
                             replication_rng(config.master_seed, i, label + "|split"))
         theta_hat[j] = fit.theta_hat
         z0[j] = fit.z_at_theta0
-        bias, product = plm_conditional_bias(dgp, fit.m_hat, fit.g_hat,
-                                             fit.d2_indices.size)
-        cond_bias[j] = bias
-        cs_ok[j] = 1.0 if abs(bias) <= product else 0.0
+        cond_bias[j] = fit.cond_bias
+        cs_ok[j] = 1.0 if abs(fit.cond_bias) <= fit.product_bound else 0.0
     return {"theta_hat": theta_hat, "z_at_theta0": z0, "cond_bias": cond_bias,
             "cs_ok": cs_ok}
 
@@ -657,18 +640,13 @@ def _chunk_plm(config, point, start, stop):
 def _summarize_plm(config, point, arrays):
     dgp = make_plm_dgp(config.dgp["name"], **config.dgp.get("params", {}))
     rate, target = rate_for(point["schedule"], point["n"])
-    lhs = mc_med_bias(EstimatorDraws(arrays["theta_hat"], dgp.theta0, config.master_seed))
-    z_centered = arrays["z_at_theta0"] - arrays["cond_bias"]
-    rhs = plm_medbias_bound(z_centered, arrays["cond_bias"])
-    bias = np.abs(arrays["cond_bias"])
-    p_low = float(np.count_nonzero(z_centered <= -bias)) / lhs.reps
-    p_high = float(np.count_nonzero(z_centered >= bias)) / lhs.reps
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], dgp.theta0)
+    profile = plm_medbias_profile(arrays["z_at_theta0"] - arrays["cond_bias"],
+                                  arrays["cond_bias"])
     cs_violations = int(lhs.reps - np.count_nonzero(arrays["cs_ok"]))
-    row = _base_row(config, point)
-    _fill_lhs(row, lhs)
     row.update(
-        rhs=rhs,
-        rhs_std_err=freq_std_err(min(p_low, p_high), lhs.reps),
+        rhs=profile["bound"],
+        rhs_std_err=freq_std_err(min(profile["p_low"], profile["p_high"]), lhs.reps),
         # upper bound of the thresholded sign-probability family (it reduces
         # to the exact weak-sign value only when the conditional bias is zero)
         rhs_kind="convex_thm1",

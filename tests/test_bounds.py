@@ -8,7 +8,6 @@ from scipy.stats import binom, norm
 
 from medbias import (
     BERRY_ESSEEN_CONSTANT,
-    BoundReport,
     EstimatorDraws,
     IdentifiabilityError,
     LogisticLocation,
@@ -16,6 +15,7 @@ from medbias import (
     SignProbabilities,
     clt_asymptotic_bound,
     convex_bound,
+    loglik_ratio_sum,
     mc_med_bias,
     mle_llr_lower_bounds,
     nonconvex_bound,
@@ -24,7 +24,7 @@ from medbias import (
     sign_probabilities,
     z_exact_medbias,
 )
-from medbias.bounds import centered_llr_sums, direct_comparison_probabilities, nonconvex_profile
+from medbias.bounds import direct_comparison_probabilities, llr_sign_indicators, nonconvex_profile
 from medbias.core import freq_std_err
 
 
@@ -164,7 +164,7 @@ def test_llr_lower_bounds_reject_zero_shift():
     with pytest.raises(IdentifiabilityError):
         mle_llr_lower_bounds(fam, np.zeros((10, 5)), 0.0, 0.0)
     with pytest.raises(IdentifiabilityError):
-        centered_llr_sums(fam, np.zeros((10, 5)), 0.0, 0.0)
+        llr_sign_indicators(fam, np.zeros((10, 5)), 0.0, 0.0)
 
 
 def test_llr_lower_bounds_logistic_level():
@@ -186,6 +186,10 @@ def test_llr_lower_bounds_consistent_with_direct_probabilities():
     slack = 3 * freq_std_err(0.5, reps)
     assert lb_plus <= direct_plus + slack
     assert lb_minus <= direct_minus + slack
+    # the row-wise sums agree with the one-dataset objective drop
+    for shift, direct in ((0.3, direct_plus), (-0.3, direct_minus)):
+        sums = np.array([loglik_ratio_sum(fam, row, 0.0, shift) for row in draws])
+        assert direct == float(np.count_nonzero(sums < 0.0)) / reps
 
 
 def test_nonconvex_zero_profile_reduces_bit_for_bit():
@@ -202,10 +206,15 @@ def test_nonconvex_vacuous_profile():
 def test_nonconvex_picks_best_delta_and_reports_raw():
     sp = SignProbabilities(0.45, 0.0, 0.55)
     profile = [(0.25, 0.30, 0.01), (0.5, 0.10, 0.05), (1.0, 0.02, 0.20)]
-    detail = nonconvex_profile(sp, profile)
-    assert detail["best_delta"] == 0.5
-    assert detail["raw"] == pytest.approx(convex_bound(sp) + 0.15, abs=1e-15)
-    assert detail["clamped"] == min(0.5, detail["raw"])
+    entries = nonconvex_profile(sp, profile)
+    assert [e["delta"] for e in entries] == [0.25, 0.5, 1.0]
+    for entry, (_, eta1, eta2) in zip(entries, profile):
+        assert entry["raw"] == convex_bound(sp) + eta1 + eta2
+        assert entry["clamped"] == min(0.5, entry["raw"])
+    best = min(entries, key=lambda e: e["raw"])
+    assert best["delta"] == 0.5
+    assert best["raw"] == pytest.approx(convex_bound(sp) + 0.15, abs=1e-15)
+    assert nonconvex_bound(sp, profile) == best["clamped"]
 
 
 def test_nonconvex_rejects_bad_probabilities():
@@ -246,13 +255,3 @@ def test_clt_bound_atom_and_validation():
     custom = clt_asymptotic_bound(0.0, 1.0, 1.0, 100, constant=0.4748)
     assert custom == pytest.approx(0.04748, abs=1e-15)
 
-
-def test_bound_report_validation():
-    lhs = mc_med_bias(EstimatorDraws(np.array([0.1, -0.2, 0.3]), 0.0, 1))
-    report = BoundReport(lhs=lhs, rhs=0.2, rhs_std_err=0.01, kind="convex_thm1",
-                         params={"n": 3})
-    assert report.rhs == 0.2
-    with pytest.raises(ValueError):
-        BoundReport(lhs=lhs, rhs=0.7, rhs_std_err=0.0, kind="convex_thm1")
-    with pytest.raises(ValueError):
-        BoundReport(lhs=lhs, rhs=0.2, rhs_std_err=0.0, kind="mystery")

@@ -180,17 +180,6 @@ def test_med_bias_estimate_validation():
         MedBiasEstimate(point=0.0, std_err=0.01, reps=100, p_le=0.4, p_ge=0.5)
 
 
-def test_estimate_serializes_to_flat_record():
-    est = mc_med_bias(EstimatorDraws(values=np.array([0.5, -0.5, 0.1]), target=0.0, seed=3))
-    assert est.as_record() == {
-        "point": est.point,
-        "std_err": est.std_err,
-        "reps": 3,
-        "p_le": est.p_le,
-        "p_ge": est.p_ge,
-    }
-
-
 def test_estimator_draws_validation():
     with pytest.raises(ValueError):
         EstimatorDraws(values=np.array([]), target=0.0, seed=0)

@@ -88,6 +88,20 @@ def test_fwl_collinearity_error_names_direction():
     assert "null direction" in str(err.value)
 
 
+def test_wide_design_is_rank_deficient():
+    # more columns than rows: the SVD returns only n singular values, all of
+    # them nonzero, yet the design has d + 1 - n null directions
+    rng = np.random.default_rng(4)
+    data = RegressionData(y=rng.standard_normal(10), t=rng.standard_normal(10),
+                          x=rng.standard_normal((10, 12)))
+    for route in (fwl_estimate, joint_theta):
+        with pytest.raises(CollinearityError, match="10 x 13"):
+            route(data)
+    # n == d + 1 is still full rank and fits
+    square = RegressionData(y=data.y, t=data.t, x=data.x[:, :9])
+    assert fwl_estimate(square).theta_hat == pytest.approx(joint_theta(square), rel=1e-8)
+
+
 def test_decompose_exact_identity_random_instances():
     rng = np.random.default_rng(11)
     theta0 = 0.7

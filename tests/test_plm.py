@@ -17,6 +17,7 @@ from medbias import (
     nuisance_error_moments,
     plm_conditional_bias,
     plm_medbias_bound,
+    plm_medbias_profile,
     plm_split_fit,
     plm_theta,
     simulate_plm,
@@ -312,6 +313,10 @@ def test_plm_medbias_bound_cases():
     z = rng.standard_normal(50_000)
     zero_bias = np.zeros_like(z)
     assert plm_medbias_bound(z, zero_bias) <= 3 * math.sqrt(0.25 / z.size)
+    profile = plm_medbias_profile(z, zero_bias)
+    assert profile["p_low"] == float(np.count_nonzero(z <= 0.0)) / z.size
+    assert profile["p_high"] == float(np.count_nonzero(z >= 0.0)) / z.size
+    assert profile["bound"] == plm_medbias_bound(z, zero_bias)
     huge = np.full_like(z, 1e9)
     assert plm_medbias_bound(z, huge) == 0.5
     with pytest.raises(ValueError):
@@ -326,7 +331,8 @@ def test_plm_split_fit_end_to_end():
     assert fit.d1_indices.size == 100 and fit.d2_indices.size == 100
     assert fit.norm_g == 0.1 and fit.norm_m == 0.1
     assert fit.cond_bias == pytest.approx(100 * 0.01, abs=1e-12)
-    _, product = plm_conditional_bias(dgp, fit.m_hat, fit.g_hat, fit.d2_indices.size)
+    bias, product = plm_conditional_bias(dgp, fit.m_hat, fit.g_hat, fit.d2_indices.size)
+    assert (fit.cond_bias, fit.product_bound) == (bias, product)
     assert abs(fit.cond_bias) <= product
     assert isinstance(fit.m_hat, CorruptedFit)
 
@@ -336,5 +342,5 @@ def test_plm_split_fit_validation():
         PlmSplitFit(
             d1_indices=np.array([0, 1]), d2_indices=np.array([1, 2]),
             m_hat=None, g_hat=None, theta_hat=0.0, z_at_theta0=0.0,
-            cond_bias=0.0, norm_g=0.0, norm_m=0.0,
+            cond_bias=0.0, product_bound=0.0, norm_g=0.0, norm_m=0.0,
         )

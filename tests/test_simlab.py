@@ -2,6 +2,7 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,21 +142,50 @@ def test_config_round_trip(tmp_path):
 def test_config_rejects_unknown_kind():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_minimal_config(kind="mystery"))
+    # estimator parameters the estimator kind cannot run without
+    for estimator in ({"kind": "quantile"},
+                      {"kind": "quantile", "params": {"tau": 1.0}},
+                      {"kind": "lp"},
+                      {"kind": "lp", "params": {"p": 0.5}}):
+        with pytest.raises(ConfigError, match=r"params\.(tau|p)"):
+            ExperimentConfig.from_dict(_minimal_config(estimator=estimator))
 
 
 def test_config_rejects_small_reps():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_minimal_config(reps=50))
+    with pytest.raises(ConfigError, match="reps"):
+        ExperimentConfig.from_dict(_minimal_config(reps=True))
+    # every problem is listed in the one error
+    with pytest.raises(ConfigError, match="reps=200.5 must be an integer.*master_seed"):
+        ExperimentConfig.from_dict(_minimal_config(reps=200.5, master_seed=True))
 
 
 def test_config_rejects_missing_grid():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_minimal_config(grids={}))
+    # sample sizes the kind cannot run
+    plm = {"kind": "plm_rate_dichotomy", "dgp": {"name": "smooth_default"}, "estimator": {}}
+    for raw in (_minimal_config(grids={"n": [5, 0]}),
+                _minimal_config(grids={"n": [-3]}),
+                _minimal_config(grids={"n": [5.5]}),
+                _minimal_config(**plm, grids={"n": [1], "rate_schedules": ["constant"]}),
+                _minimal_config(kind="hulc_coverage", grids={"n": [5]})):
+        with pytest.raises(ConfigError, match="grid 'n' needs integers"):
+            ExperimentConfig.from_dict(raw)
+    ExperimentConfig.from_dict(_minimal_config(kind="hulc_coverage", grids={"n": [6]}))
 
 
 def test_config_rejects_bad_eps_grid():
     raw = _minimal_config(kind="nondiff_profile", grids={"n": [5], "eps": [0.25, 0.5]})
     with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict(raw)
+    raw = _minimal_config(
+        kind="mle_llr_consistency",
+        estimator={"kind": "neg_loglik", "params": {"family_name": "normal_location"}},
+        grids={"n": [10], "eps": [0.5, 0.0]},
+    )
+    with pytest.raises(ConfigError, match="nonzero"):
         ExperimentConfig.from_dict(raw)
 
 
@@ -317,6 +347,28 @@ def test_csv_bytes_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
+def test_plm_moments_once_per_replication(monkeypatch):
+    import medbias.plm as plm
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return moments(*args, **kwargs)
+
+    moments = plm.nuisance_error_moments
+    monkeypatch.setattr(plm, "nuisance_error_moments", counted)
+    raw = _minimal_config(
+        kind="plm_rate_dichotomy",
+        dgp={"name": "smooth_default", "params": {"d": 3}},
+        estimator={},
+        grids={"n": [60], "rate_schedules": ["constant", "vanishing"]},
+    )
+    result = run_experiment(ExperimentConfig.from_dict(raw))
+    assert len(result.rows) == 2
+    assert len(calls) == 2 * raw["reps"]
+
+
 def test_mle_llr_kind_matches_bounds_op():
     # the experiment's chunked frequencies equal the one-shot bound call
     raw = _minimal_config(
@@ -345,6 +397,14 @@ def test_mle_llr_kind_matches_bounds_op():
 # CLI.
 
 
+def test_cli_validates_shipped_configs(capsys):
+    shipped = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+    assert shipped
+    for path in shipped:
+        assert cli_main(["validate", str(path)]) == 0, path
+        assert capsys.readouterr().out.startswith("ok: ")
+
+
 def test_cli_validate_and_run(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_minimal_config()))
@@ -356,6 +416,12 @@ def test_cli_validate_and_run(tmp_path, capsys, monkeypatch):
     assert cli_main(["run", str(cfg_path), "--output", "report", "--workers", "2"]) == 0
     assert (tmp_path / "report.csv").is_file()
     assert (tmp_path / "report.json").is_file()
+
+    # defaults: the experiment id as the stem, both formats
+    assert cli_main(["run", str(cfg_path)]) == 0
+    assert (tmp_path / "t.csv").is_file() and (tmp_path / "t.json").is_file()
+    assert cli_main(["run", str(cfg_path), "-o", "only", "--format", "csv"]) == 0
+    assert (tmp_path / "only.csv").is_file() and not (tmp_path / "only.json").exists()
 
 
 def test_cli_master_seed_override_changes_rows(tmp_path, monkeypatch):
