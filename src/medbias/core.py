@@ -110,7 +110,6 @@ class EstimatorDraws:
 
     values: np.ndarray
     target: float
-    seed: int
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

@@ -31,7 +31,7 @@ class UnivariateDgp:
 
     def __post_init__(self):
         if self.name not in UNIVARIATE_DGPS:
-            raise ValueError(f"unknown DGP {self.name!r}")
+            raise ValueError(f"unknown scalar DGP {self.name!r}; known: {UNIVARIATE_DGPS}")
 
     def sample(self, rng, n: int) -> np.ndarray:
         p = self.params
@@ -214,4 +214,4 @@ def make_plm_dgp(name: str, **params) -> PlmDgp:
             noise_v=NoiseSpec("normal", {"sigma": 1.0}),
             x_law=CovariateSpec(dim=1),
         )
-    raise ValueError(f"unknown partial-linear process {name!r}")
+    raise ValueError(f"unknown partial-linear process {name!r}; known: {PLM_DGPS}")

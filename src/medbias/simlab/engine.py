@@ -1,9 +1,10 @@
 """Replication engine: fixed-size chunks over a worker pool.
 
 Chunk boundaries are a fixed constant and every replication seeds its own
-generator, so results are identical for any worker count; rerunning the same
-config and master seed reproduces every row bit for bit.  Aggregation folds
-chunk outputs in replication-index order, never completion order.
+generator (``kinds._replicate`` owns that contract), so results are
+identical for any worker count; rerunning the same config and master seed
+reproduces every row bit for bit.  Aggregation folds chunk outputs in
+replication-index order, never completion order.
 """
 
 import time
@@ -29,9 +30,8 @@ class ExperimentResult:
 
 
 def _chunk_task(payload):
-    config, point, start, stop = payload
-    impl = KINDS[config.kind]
-    return impl.run_chunk(config, point, start, stop)
+    config, prepared, point, start, stop = payload
+    return KINDS[config.kind].run_chunk(config, prepared, point, start, stop)
 
 
 def _merge(chunks):
@@ -39,38 +39,40 @@ def _merge(chunks):
     return {key: np.concatenate([c[key] for c in chunks]) for key in keys}
 
 
-def _run_grid_point(config, point, workers):
-    reps = config.reps
-    payloads = [
-        (config, point, start, min(start + CHUNK_SIZE, reps))
-        for start in range(0, reps, CHUNK_SIZE)
-    ]
-    if workers <= 1 or len(payloads) == 1:
-        chunks = [_chunk_task(p) for p in payloads]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_task, payloads))
-    return _merge(chunks)
+def _fold(result, prepared, points, chunks, per_point):
+    """Summarise each grid point from its ``per_point`` chunks, in grid order."""
+    config = result.config
+    impl = KINDS[config.kind]
+    for point in points:
+        arrays = _merge([next(chunks) for _ in range(per_point)])
+        rows, profile = impl.summarize(config, prepared, point, arrays)
+        result.rows.extend(rows)
+        if profile:
+            result.profiles[grid_label(config.kind, point)] = profile
 
 
 def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run every grid point of an experiment and fold the rows.
 
-    ``workers`` only distributes fixed chunks of replications across
-    processes; it cannot change any reported value.
+    The config is resolved once; every chunk of every grid point goes
+    through one ordered map, in this process at ``workers=1`` and through
+    one process pool otherwise.  ``workers`` only distributes fixed chunks
+    of replications; it cannot change any reported value.
     """
-    validate_config(config)
+    prepared, points = validate_config(config)
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    impl = KINDS[config.kind]
+    spans = [(start, min(start + CHUNK_SIZE, config.reps))
+             for start in range(0, config.reps, CHUNK_SIZE)]
+    payloads = [(config, prepared, point, start, stop)
+                for point in points for start, stop in spans]
     result = ExperimentResult(config=config)
     started = time.perf_counter()
-    for point in impl.grid_points(config):
-        arrays = _run_grid_point(config, point, workers)
-        rows, profile = impl.summarize(config, point, arrays)
-        result.rows.extend(rows)
-        if profile:
-            result.profiles[grid_label(config.kind, point)] = profile
+    if workers == 1:
+        _fold(result, prepared, points, map(_chunk_task, payloads), len(spans))
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            _fold(result, prepared, points, pool.map(_chunk_task, payloads), len(spans))
     result.wall_time_s = time.perf_counter() - started
     return result
 

@@ -1,14 +1,17 @@
 """Experiment kind implementations.
 
-Each kind knows how to expand its grid, simulate one chunk of replications
-(every replication drawing from its own derived seed stream, so chunking and
-worker count can never change a value), and fold the collected arrays into
-report rows.  Rows are plain dicts in the canonical report schema; anything
-kind-specific goes into the ``detail`` map.
+Each kind is described once, by its ``KindImpl``: how it resolves its config
+(rejecting what cannot run), expands its grid, simulates one chunk of
+replications, and folds the collected arrays into report rows.  Every
+replication draws from its own derived seed stream through ``_replicate``,
+so chunking and worker count can never change a value.  Rows are plain dicts
+in the canonical report schema; anything kind-specific goes into ``detail``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -31,8 +34,9 @@ from ..objectives import (
 from ..partialling import fwl_estimate, score_decompose, default_eta_grid, proposition_profile
 from ..plm import NuisanceMethod, plm_medbias_profile, plm_split_fit, simulate_plm
 from ..solver import Bracket, minimize_convex, minimize_scan
-from .dgps import make_dgp, make_plm_dgp, sample_design, target_for
+from .dgps import DESIGNS, make_dgp, make_plm_dgp, sample_design, target_for
 from .hulc import batch_count, hulc_interval
+from .reports import CSV_COLUMNS
 from .seeds import replication_rng
 
 
@@ -82,25 +86,23 @@ def estimate_location(estimator: dict, data) -> float:
     """Compute the estimator, using closed forms where they exist.
 
     Closed forms share the solver's midpoint tie-break, and the two routes
-    are cross-checked in the test suite.  ``method: "solver"`` forces the
-    subgradient bisection path.
+    are cross-checked in the test suite.
     """
     data = np.asarray(data, dtype=float)
     kind = estimator["kind"]
     params = estimator.get("params", {})
-    if estimator.get("method", "auto") == "auto":
-        if kind == "abs_dev":
-            return _sample_median(data)
-        if kind == "quantile":
-            return _check_loss_argmin(data, float(params["tau"]))
-        if kind == "lp":
-            p = float(params["p"])
-            if p == 2.0:
-                return float(np.mean(data))
-            if p == 1.0:
-                return _sample_median(data)
-        if kind == "neg_loglik" and params.get("family_name", "normal_location") == "normal_location":
+    if kind == "abs_dev":
+        return _sample_median(data)
+    if kind == "quantile":
+        return _check_loss_argmin(data, float(params["tau"]))
+    if kind == "lp":
+        p = float(params["p"])
+        if p == 2.0:
             return float(np.mean(data))
+        if p == 1.0:
+            return _sample_median(data)
+    if kind == "neg_loglik" and params.get("family_name", "normal_location") == "normal_location":
+        return float(np.mean(data))
     obj = build_objective(estimator, data)
     if not obj.is_convex:
         return minimize_scan(obj, default_bracket(data))
@@ -134,28 +136,21 @@ def grid_label(kind: str, point: dict) -> str:
 
 
 def _base_row(config, point: dict) -> dict:
-    return {
-        "experiment": config.experiment,
-        "kind": config.kind,
-        "dgp": config.dgp.get("name", ""),
-        "estimator": estimator_label(config.estimator) if config.estimator else "",
-        "n": point.get("n", ""),
-        "d": point.get("d", ""),
-        "eps": "",
-        "delta": "",
-        "schedule": point.get("schedule", ""),
-        "seed_label": point.get("seed_label", ""),
-        "reps": config.reps,
-        "p_le": "",
-        "p_ge": "",
-        "lhs_point": "",
-        "lhs_std_err": "",
-        "rhs": "",
-        "rhs_std_err": "",
-        "rhs_kind": "",
-        "detail": {},
-        "master_seed": config.master_seed,
-    }
+    row = dict.fromkeys(CSV_COLUMNS, "")
+    row.update(
+        experiment=config.experiment,
+        kind=config.kind,
+        dgp=config.dgp.get("name", ""),
+        estimator=estimator_label(config.estimator) if config.estimator else "",
+        n=point.get("n", ""),
+        d=point.get("d", ""),
+        schedule=point.get("schedule", ""),
+        seed_label=point.get("seed_label", ""),
+        reps=config.reps,
+        detail={},
+        master_seed=config.master_seed,
+    )
+    return row
 
 
 def _lhs_row(config, point: dict, theta_hat, theta0: float):
@@ -164,18 +159,89 @@ def _lhs_row(config, point: dict, theta_hat, theta0: float):
     Returns the row and the estimate; kinds that report several rows per
     grid point copy the row for each of them.
     """
-    lhs = mc_med_bias(EstimatorDraws(theta_hat, theta0, config.master_seed))
+    lhs = mc_med_bias(EstimatorDraws(theta_hat, theta0))
     row = _base_row(config, point)
     row.update(p_le=lhs.p_le, p_ge=lhs.p_ge, lhs_point=lhs.point, lhs_std_err=lhs.std_err)
     return row, lhs
 
 
-def _univariate_dgp(config):
-    return make_dgp(config.dgp["name"], **config.dgp.get("params", {}))
+# ---------------------------------------------------------------------------
+# Replication and config resolution shared by every kind.
 
 
-def _target(config, dgp) -> float:
-    return target_for(dgp, config.estimator["kind"], config.estimator.get("params", {}))
+def _replicate(config, point: dict, start: int, stop: int, body: Callable,
+               streams=("data",)) -> dict:
+    """Run ``body`` for replications ``start..stop`` of a grid point and stack its outputs.
+
+    The one owner of the seeding contract: stream ``s`` of replication ``i``
+    draws from ``replication_rng(master_seed, i, f"{grid_label}|{s}")``, so a
+    value depends only on (master seed, grid point, index, stream), never on
+    chunking, worker count or order.  ``body`` takes one generator per stream
+    and returns a dict of scalars or equal-shape arrays, stacked key by key.
+    """
+    labels = [f"{grid_label(config.kind, point)}|{stream}" for stream in streams]
+    outputs = [
+        body(*[replication_rng(config.master_seed, i, label) for label in labels])
+        for i in range(start, stop)
+    ]
+    return {key: np.array([out[key] for out in outputs]) for key in outputs[0]}
+
+
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ValueError(message)
+
+
+def _read_params(config, **defaults) -> dict:
+    """The kind's ``params`` scalars with defaults filled in.
+
+    Other keys are rejected; a value must be an integer where its default is
+    one, and a number otherwise.
+    """
+    unknown = sorted(set(config.params) - set(defaults))
+    _require(not unknown, f"params {unknown} are not read by kind {config.kind!r}; "
+                          f"it reads {sorted(defaults)}")
+    for key, value in config.params.items():
+        if is_int(defaults[key]):
+            _require(is_int(value), f"params.{key} must be an integer, got {value!r}")
+        else:
+            _require(is_real(value), f"params.{key} must be a number, got {value!r}")
+    return {**defaults, **config.params}
+
+
+def _int_grid(config, key: str, least: int):
+    bad = [v for v in config.grids[key] if not is_int(v) or v < least]
+    _require(not bad, f"grid {key!r} needs integers >= {least}, got {bad}")
+
+
+def _prepare_univariate(config, convex: bool, **defaults) -> SimpleNamespace:
+    """The kind's ``params`` scalars, its scalar DGP and the estimator's target.
+
+    ``convex`` kinds certify bounds that need a convex objective (a monotone
+    score), so they reject the redescending biweight.
+    """
+    prep = SimpleNamespace(**_read_params(config, **defaults))
+    _int_grid(config, "n", 1)
+    kind = config.estimator.get("kind")
+    params = config.estimator.get("params", {})
+    tau, power = params.get("tau"), params.get("p")
+    _require(kind != "quantile" or (is_real(tau) and 0.0 < tau < 1.0),
+             f"quantile estimator needs params.tau in (0, 1), got {tau!r}")
+    _require(kind != "lp" or (is_real(power) and power >= 1.0),
+             f"lp estimator needs params.p >= 1, got {power!r}")
+    _require(not (convex and kind == "biweight"),
+             f"{config.kind} needs a convex estimator; biweight is not convex")
+    prep.dgp = make_dgp(config.dgp.get("name"), **config.dgp.get("params", {}))
+    prep.theta0 = target_for(prep.dgp, kind, params)
+    return prep
 
 
 # ---------------------------------------------------------------------------
@@ -187,33 +253,24 @@ def _points_per_n(config):
     return [{"n": int(n)} for n in config.grids["n"]]
 
 
-def _chunk_convex(config, point, start, stop):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    n = point["n"]
-    label = grid_label(config.kind, point)
-    count = stop - start
-    theta_hat = np.empty(count)
-    score = np.empty(count)
-    for j, i in enumerate(range(start, stop)):
-        rng = replication_rng(config.master_seed, i, label + "|data")
-        data = dgp.sample(rng, n)
-        theta_hat[j] = estimate_location(config.estimator, data)
-        score[j] = score_at(config.estimator, data, theta0)
-    return {"theta_hat": theta_hat, "score": score}
+def _chunk_convex(config, prep, point, start, stop):
+    def body(rng):
+        data = prep.dgp.sample(rng, point["n"])
+        return {"theta_hat": estimate_location(config.estimator, data),
+                "score": score_at(config.estimator, data, prep.theta0)}
+
+    return _replicate(config, point, start, stop, body)
 
 
-def _summarize_convex(config, point, arrays):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
+def _summarize_convex(config, prep, point, arrays):
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
     tol = score_zero_tol(config.estimator["kind"], arrays["score"])
     sp = sign_probabilities(arrays["score"], zero_tol=tol)
     row.update(
         rhs=convex_bound(sp),
         rhs_std_err=freq_std_err(min(sp.p_neg, sp.p_pos), lhs.reps),
         rhs_kind="convex_thm1",
-        detail={"theta0": theta0, "p_neg": sp.p_neg, "p_zero": sp.p_zero,
+        detail={"theta0": prep.theta0, "p_neg": sp.p_neg, "p_zero": sp.p_zero,
                 "p_pos": sp.p_pos, "zero_tol": tol},
     )
     return [row], {}
@@ -224,26 +281,18 @@ def _summarize_convex(config, point, arrays):
 # estimated from independent replication streams.
 
 
-def _chunk_z_equality(config, point, start, stop):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
+def _chunk_z_equality(config, prep, point, start, stop):
     n = point["n"]
-    label = grid_label(config.kind, point)
-    count = stop - start
-    theta_hat = np.empty(count)
-    score = np.empty(count)
-    for j, i in enumerate(range(start, stop)):
-        rng_lhs = replication_rng(config.master_seed, i, label + "|lhs")
-        theta_hat[j] = estimate_location(config.estimator, dgp.sample(rng_lhs, n))
-        rng_rhs = replication_rng(config.master_seed, i, label + "|rhs")
-        score[j] = score_at(config.estimator, dgp.sample(rng_rhs, n), theta0)
-    return {"theta_hat": theta_hat, "score": score}
+
+    def body(rng_lhs, rng_rhs):
+        return {"theta_hat": estimate_location(config.estimator, prep.dgp.sample(rng_lhs, n)),
+                "score": score_at(config.estimator, prep.dgp.sample(rng_rhs, n), prep.theta0)}
+
+    return _replicate(config, point, start, stop, body, streams=("lhs", "rhs"))
 
 
-def _summarize_z_equality(config, point, arrays):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
+def _summarize_z_equality(config, prep, point, arrays):
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
     score = arrays["score"]
     reps = score.size
     p_weak_le = float(np.count_nonzero(score <= 0.0)) / reps
@@ -255,7 +304,7 @@ def _summarize_z_equality(config, point, arrays):
         rhs_std_err=rhs_se,
         rhs_kind="z_exact",
         detail={
-            "theta0": theta0,
+            "theta0": prep.theta0,
             "p_weak_le": p_weak_le,
             "p_weak_ge": p_weak_ge,
             "abs_diff": abs(lhs.point - rhs),
@@ -270,35 +319,32 @@ def _summarize_z_equality(config, point, arrays):
 # grid, no derivatives involved.
 
 
-def _chunk_nondiff(config, point, start, stop):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    n = point["n"]
-    eps = [float(e) for e in config.grids["eps"]]
-    label = grid_label(config.kind, point)
-    count = stop - start
-    theta_hat = np.empty(count)
-    center = np.empty(count)
-    plus = np.empty((count, len(eps)))
-    minus = np.empty((count, len(eps)))
-    for j, i in enumerate(range(start, stop)):
-        rng = replication_rng(config.master_seed, i, label + "|data")
-        data = dgp.sample(rng, n)
-        theta_hat[j] = estimate_location(config.estimator, data)
+def _prepare_nondiff(config):
+    prep = _prepare_univariate(config, convex=True)
+    prep.eps = [float(e) for e in config.grids["eps"]]
+    _require(len(prep.eps) >= 2, "epsilon grid needs at least 2 points")
+    _require(all(e > 0 for e in prep.eps) and all(b < a for a, b in zip(prep.eps, prep.eps[1:])),
+             "epsilon grid must be positive and strictly decreasing")
+    return prep
+
+
+def _chunk_nondiff(config, prep, point, start, stop):
+    theta0 = prep.theta0
+
+    def body(rng):
+        data = prep.dgp.sample(rng, point["n"])
         obj = build_objective(config.estimator, data)
-        center[j] = obj.value(theta0)
-        for k, e in enumerate(eps):
-            plus[j, k] = obj.value(theta0 + e)
-            minus[j, k] = obj.value(theta0 - e)
-    return {"theta_hat": theta_hat, "center": center, "plus": plus, "minus": minus}
+        return {"theta_hat": estimate_location(config.estimator, data),
+                "center": obj.value(theta0),
+                "plus": [obj.value(theta0 + e) for e in prep.eps],
+                "minus": [obj.value(theta0 - e) for e in prep.eps]}
+
+    return _replicate(config, point, start, stop, body)
 
 
-def _summarize_nondiff(config, point, arrays):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    eps = [float(e) for e in config.grids["eps"]]
-    row, _ = _lhs_row(config, point, arrays["theta_hat"], theta0)
-    profile = nondiff_profile(eps, arrays["center"], arrays["plus"].T, arrays["minus"].T)
+def _summarize_nondiff(config, prep, point, arrays):
+    row, _ = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
+    profile = nondiff_profile(prep.eps, arrays["center"], arrays["plus"].T, arrays["minus"].T)
     rows = [
         dict(
             row,
@@ -306,7 +352,7 @@ def _summarize_nondiff(config, point, arrays):
             rhs=entry["bound"],
             rhs_std_err=entry["std_err"],
             rhs_kind="nondiff_eps",
-            detail={"theta0": theta0, "p_plus": entry["p_plus"],
+            detail={"theta0": prep.theta0, "p_plus": entry["p_plus"],
                     "p_minus": entry["p_minus"]},
         )
         for entry in profile
@@ -319,38 +365,35 @@ def _summarize_nondiff(config, point, arrays):
 # against the directly measured comparison probabilities.
 
 
-def _chunk_mle_llr(config, point, start, stop):
-    params = config.estimator.get("params", {})
-    family = make_family(params.get("family_name", "normal_location"),
-                         **params.get("family_params", {}))
-    theta0 = float(config.params.get("theta0", 0.0))
-    n = point["n"]
+def _prepare_mle_llr(config):
+    params = _read_params(config, theta0=0.0)
+    _int_grid(config, "n", 1)
+    _require(config.estimator.get("kind") == "neg_loglik",
+             "mle_llr_consistency needs a neg_loglik estimator")
     eps = [float(e) for e in config.grids["eps"]]
-    label = grid_label(config.kind, point)
-    count = stop - start
-    draws = np.empty((count, n))
-    for j, i in enumerate(range(start, stop)):
-        rng = replication_rng(config.master_seed, i, label + "|data")
-        draws[j] = family.sample(rng, theta0, n)
+    _require(0.0 not in eps, "log-likelihood-ratio shifts must be nonzero")
+    est_params = config.estimator.get("params", {})
+    family = make_family(est_params.get("family_name", "normal_location"),
+                         **est_params.get("family_params", {}))
+    return SimpleNamespace(family=family, theta0=float(params["theta0"]), eps=eps)
+
+
+def _chunk_mle_llr(config, prep, point, start, stop):
+    draws = _replicate(config, point, start, stop, lambda rng: {
+        "draws": prep.family.sample(rng, prep.theta0, point["n"])})["draws"]
     out = {}
-    for k, e in enumerate(eps):
+    for k, e in enumerate(prep.eps):
         for side, shift in (("plus", e), ("minus", -e)):
-            lower, direct = llr_sign_indicators(family, draws, theta0, shift)
+            lower, direct = llr_sign_indicators(prep.family, draws, prep.theta0, shift)
             out[f"lower_{side}_{k}"] = lower.astype(float)
             out[f"direct_{side}_{k}"] = direct.astype(float)
     return out
 
 
-def _summarize_mle_llr(config, point, arrays):
-    params = config.estimator.get("params", {})
-    family = make_family(params.get("family_name", "normal_location"),
-                         **params.get("family_params", {}))
-    theta0 = float(config.params.get("theta0", 0.0))
-    n = point["n"]
-    eps = [float(e) for e in config.grids["eps"]]
+def _summarize_mle_llr(config, prep, point, arrays):
     rows = []
     profile = []
-    for k, e in enumerate(eps):
+    for k, e in enumerate(prep.eps):
         reps = arrays[f"lower_plus_{k}"].size
         lb_plus = float(arrays[f"lower_plus_{k}"].mean())
         lb_minus = float(arrays[f"lower_minus_{k}"].mean())
@@ -366,8 +409,8 @@ def _summarize_mle_llr(config, point, arrays):
             "lower_minus_std_err": freq_std_err(lb_minus, reps),
             "direct_plus_std_err": freq_std_err(direct_plus, reps),
             "direct_minus_std_err": freq_std_err(direct_minus, reps),
-            "expected_llr_per_obs": family.expected_log_likelihood_ratio(theta0, e),
-            "n": n,
+            "expected_llr_per_obs": prep.family.expected_log_likelihood_ratio(prep.theta0, e),
+            "n": point["n"],
         }
         profile.append(entry)
         row = _base_row(config, point)
@@ -387,30 +430,39 @@ def _summarize_mle_llr(config, point, arrays):
 # bound plus window-convexity and escape penalties over a delta grid.
 
 
-def _chunk_nonconvex(config, point, start, stop):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    n = point["n"]
-    c_tune = float(config.estimator.get("params", {}).get("c", 2.0))
-    deltas = [float(d) for d in config.grids["delta"]]
-    scan_lo = float(config.params.get("scan_lo", theta0 - 3.0))
-    scan_hi = float(config.params.get("scan_hi", theta0 + 3.0))
-    scan_points = int(config.params.get("scan_points", 1201))
-    window_points = int(config.params.get("window_points", 33))
-    label = grid_label(config.kind, point)
+def _prepare_nonconvex(config):
+    _require(config.estimator.get("kind") == "biweight",
+             "nonconvex_dominance drives the biweight estimator only")
+    prep = _prepare_univariate(config, convex=False, scan_lo=None, scan_hi=None,
+                               scan_points=1201, window_points=33)
+    theta0 = prep.theta0
+    scan_lo = theta0 - 3.0 if prep.scan_lo is None else float(prep.scan_lo)
+    scan_hi = theta0 + 3.0 if prep.scan_hi is None else float(prep.scan_hi)
+    _require(scan_lo < scan_hi, f"params.scan_lo={scan_lo} must be below scan_hi={scan_hi}")
+    _require(prep.scan_points >= 3,
+             f"params.scan_points must be an integer >= 3, got {prep.scan_points!r}")
+    _require(prep.window_points >= 2,
+             f"params.window_points must be an integer >= 2, got {prep.window_points!r}")
+    prep.c = float(config.estimator.get("params", {}).get("c", 2.0))
+    prep.deltas = [float(d) for d in config.grids["delta"]]
+    prep.scan_grid = np.linspace(scan_lo, scan_hi, prep.scan_points)
+    prep.windows = [theta0 + np.linspace(-delta, delta, prep.window_points)
+                    for delta in prep.deltas]
+    return prep
+
+
+def _chunk_nonconvex(config, prep, point, start, stop):
+    c_tune = prep.c
+    data = _replicate(config, point, start, stop,
+                      lambda rng: {"data": prep.dgp.sample(rng, point["n"])})["data"]
     count = stop - start
 
-    data = np.empty((count, n))
-    for j, i in enumerate(range(start, stop)):
-        rng = replication_rng(config.master_seed, i, label + "|data")
-        data[j] = dgp.sample(rng, n)
-
     # global scan over a dense grid, vectorized over the chunk
-    grid = np.linspace(scan_lo, scan_hi, scan_points)
+    grid = prep.scan_grid
     best_val = np.full(count, np.inf)
     best_theta = np.full(count, grid[0])
     block = 64
-    for b in range(0, scan_points, block):
+    for b in range(0, grid.size, block):
         thetas = grid[b:b + block]
         vals = biweight_rho(data[:, None, :] - thetas[None, :, None], c_tune).sum(axis=2)
         idx = np.argmin(vals, axis=1)
@@ -439,11 +491,10 @@ def _chunk_nonconvex(config, point, start, stop):
     keep = active & (refined_val <= best_val)
     theta_hat = np.where(keep, refined, best_theta)
 
-    score = -biweight_drho(data - theta0, c_tune).sum(axis=1)
+    score = -biweight_drho(data - prep.theta0, c_tune).sum(axis=1)
 
     out = {"theta_hat": theta_hat, "score": score}
-    for k, delta in enumerate(deltas):
-        window = theta0 + np.linspace(-delta, delta, window_points)
+    for k, window in enumerate(prep.windows):
         curv_min = np.full(count, np.inf)
         for w in window:
             curv = biweight_ddrho(data - w, c_tune).sum(axis=1)
@@ -452,10 +503,8 @@ def _chunk_nonconvex(config, point, start, stop):
     return out
 
 
-def _summarize_nonconvex(config, point, arrays):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    deltas = [float(d) for d in config.grids["delta"]]
+def _summarize_nonconvex(config, prep, point, arrays):
+    theta0 = prep.theta0
     row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
     sp = sign_probabilities(arrays["score"],
                             zero_tol=score_zero_tol("biweight", arrays["score"]))
@@ -463,7 +512,7 @@ def _summarize_nonconvex(config, point, arrays):
     profile = nonconvex_profile(sp, [
         (delta, 1.0 - float(arrays[f"convex_{k}"].mean()),
          float(np.count_nonzero(escape > delta)) / lhs.reps)
-        for k, delta in enumerate(deltas)
+        for k, delta in enumerate(prep.deltas)
     ])
     convex_se = freq_std_err(min(sp.p_neg, sp.p_pos), lhs.reps)
     rows = []
@@ -493,40 +542,46 @@ def _summarize_nonconvex(config, point, arrays):
 # coefficient against the threshold bound built from the score decomposition.
 
 
+def _prepare_design(config, decompose: bool):
+    """Regression design and true coefficient; ``decompose`` keeps the score decomposition."""
+    params = _read_params(config, theta0=0.5)
+    _int_grid(config, "n", 1)
+    name = config.dgp.get("name")
+    _require(name in DESIGNS, f"unknown design {name!r}; known: {sorted(DESIGNS)}")
+    return SimpleNamespace(design=name, design_params=config.dgp.get("params", {}),
+                           theta0=float(params["theta0"]), decompose=decompose,
+                           eta=config.grids.get("eta"))
+
+
+def _full_rank(points):
+    """``points``, once every design [t | x] has at least as many rows as columns."""
+    wide = [(point["n"], point["d"]) for point in points if point["d"] + 1 > point["n"]]
+    _require(not wide, f"grid points (n, d) = {wide} have d + 1 > n, so the design "
+                       "[t | x] is rank deficient")
+    return points
+
+
 def _points_partialled(config):
-    return [{"n": int(n), "d": int(d)} for n in config.grids["n"] for d in config.grids["d"]]
+    return _full_rank([{"n": int(n), "d": int(d)}
+                       for n in config.grids["n"] for d in config.grids["d"]])
 
 
-def _chunk_partialled(config, point, start, stop, keep_decomposition=True):
-    theta0 = float(config.params.get("theta0", 0.5))
-    design = config.dgp.get("name", "gaussian")
-    design_params = config.dgp.get("params", {})
-    n, d = point["n"], point["d"]
-    label = grid_label(config.kind, point)
-    count = stop - start
-    theta_hat = np.empty(count)
-    s_n = np.empty(count)
-    correction = np.empty(count)
-    for j, i in enumerate(range(start, stop)):
-        rng = replication_rng(config.master_seed, i, label + "|data")
-        data, beta_t, beta_y = sample_design(design, rng, n, d, theta0, **design_params)
+def _chunk_partialled(config, prep, point, start, stop):
+    def body(rng):
+        data, beta_t, beta_y = sample_design(prep.design, rng, point["n"], point["d"],
+                                             prep.theta0, **prep.design_params)
         fit = fwl_estimate(data)
-        theta_hat[j] = fit.theta_hat
-        if keep_decomposition:
-            dec = score_decompose(data, fit, theta0, beta_t, beta_y)
-            s_n[j] = dec.s_n
-            correction[j] = dec.correction
-    out = {"theta_hat": theta_hat}
-    if keep_decomposition:
-        out["s_n"] = s_n
-        out["correction"] = correction
-    return out
+        if not prep.decompose:
+            return {"theta_hat": fit.theta_hat}
+        dec = score_decompose(data, fit, prep.theta0, beta_t, beta_y)
+        return {"theta_hat": fit.theta_hat, "s_n": dec.s_n, "correction": dec.correction}
+
+    return _replicate(config, point, start, stop, body)
 
 
-def _summarize_partialled(config, point, arrays):
-    theta0 = float(config.params.get("theta0", 0.5))
-    row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
-    eta_grid = config.grids.get("eta") or default_eta_grid(arrays["s_n"])
+def _summarize_partialled(config, prep, point, arrays):
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
+    eta_grid = prep.eta or default_eta_grid(arrays["s_n"])
     profile = proposition_profile(arrays["s_n"], arrays["correction"], eta_grid)
     best = min(profile, key=lambda r: r["value"])
     rhs_se = math.hypot(
@@ -538,7 +593,7 @@ def _summarize_partialled(config, point, arrays):
         rhs_std_err=rhs_se,
         rhs_kind="convex_thm1",
         detail={
-            "theta0": theta0,
+            "theta0": prep.theta0,
             "eta_star": best["eta"],
             "raw": best["value"],
             "p_low": best["p_low"],
@@ -563,25 +618,19 @@ def schedule_dimension(schedule: str, n: int) -> int:
 
 
 def _points_dim_scaling(config):
-    return [
-        {"schedule": schedule, "n": int(n), "seed_label": int(s)}
+    # the derived d is a coordinate, so it is part of the seed label
+    return _full_rank([
+        {"schedule": schedule, "n": int(n), "d": schedule_dimension(schedule, int(n)),
+         "seed_label": int(s)}
         for schedule in config.grids["d_schedules"]
         for n in config.grids["n"]
         for s in config.grids["seed_labels"]
-    ]
+    ])
 
 
-def _chunk_dim_scaling(config, point, start, stop):
-    inner = dict(point)
-    inner["d"] = schedule_dimension(point["schedule"], point["n"])
-    return _chunk_partialled(config, inner, start, stop, keep_decomposition=False)
-
-
-def _summarize_dim_scaling(config, point, arrays):
-    theta0 = float(config.params.get("theta0", 0.5))
-    row, _ = _lhs_row(config, point, arrays["theta_hat"], theta0)
-    row["d"] = schedule_dimension(point["schedule"], point["n"])
-    row["detail"] = {"theta0": theta0}
+def _summarize_dim_scaling(config, prep, point, arrays):
+    row, _ = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
+    row["detail"] = {"theta0": prep.theta0}
     return [row], {}
 
 
@@ -610,37 +659,39 @@ def _points_plm(config):
     ]
 
 
-def _chunk_plm(config, point, start, stop):
-    dgp = make_plm_dgp(config.dgp["name"], **config.dgp.get("params", {}))
+def _prepare_plm(config):
+    params = _read_params(config, overlap=1.0, corrupt_seed=0)
+    _int_grid(config, "n", 2)
+    overlap = params["overlap"]
+    _require(-1.0 <= overlap <= 1.0, f"params.overlap must be in [-1, 1], got {overlap!r}")
+    return SimpleNamespace(
+        dgp=make_plm_dgp(config.dgp.get("name"), **config.dgp.get("params", {})),
+        overlap=float(overlap),
+        corrupt_seed=params["corrupt_seed"],
+        rates={(schedule, n): rate_for(schedule, n)
+               for schedule in config.grids["rate_schedules"] for n in config.grids["n"]},
+    )
+
+
+def _chunk_plm(config, prep, point, start, stop):
     n = point["n"]
-    rate, _ = rate_for(point["schedule"], n)
+    rate, _ = prep.rates[point["schedule"], n]
     method = NuisanceMethod("corrupted", {
-        "rate": rate,
-        "overlap": float(config.params.get("overlap", 1.0)),
-        "seed": int(config.params.get("corrupt_seed", 0)),
+        "rate": rate, "overlap": prep.overlap, "seed": prep.corrupt_seed,
     })
-    label = grid_label(config.kind, point)
-    count = stop - start
-    theta_hat = np.empty(count)
-    z0 = np.empty(count)
-    cond_bias = np.empty(count)
-    cs_ok = np.empty(count)
-    for j, i in enumerate(range(start, stop)):
-        data = simulate_plm(dgp, n, replication_rng(config.master_seed, i, label + "|data"))
-        fit = plm_split_fit(dgp, data, method,
-                            replication_rng(config.master_seed, i, label + "|split"))
-        theta_hat[j] = fit.theta_hat
-        z0[j] = fit.z_at_theta0
-        cond_bias[j] = fit.cond_bias
-        cs_ok[j] = 1.0 if abs(fit.cond_bias) <= fit.product_bound else 0.0
-    return {"theta_hat": theta_hat, "z_at_theta0": z0, "cond_bias": cond_bias,
-            "cs_ok": cs_ok}
+
+    def body(rng_data, rng_split):
+        fit = plm_split_fit(prep.dgp, simulate_plm(prep.dgp, n, rng_data), method, rng_split)
+        return {"theta_hat": fit.theta_hat, "z_at_theta0": fit.z_at_theta0,
+                "cond_bias": fit.cond_bias,
+                "cs_ok": 1.0 if abs(fit.cond_bias) <= fit.product_bound else 0.0}
+
+    return _replicate(config, point, start, stop, body, streams=("data", "split"))
 
 
-def _summarize_plm(config, point, arrays):
-    dgp = make_plm_dgp(config.dgp["name"], **config.dgp.get("params", {}))
-    rate, target = rate_for(point["schedule"], point["n"])
-    row, lhs = _lhs_row(config, point, arrays["theta_hat"], dgp.theta0)
+def _summarize_plm(config, prep, point, arrays):
+    rate, target = prep.rates[point["schedule"], point["n"]]
+    row, lhs = _lhs_row(config, point, arrays["theta_hat"], prep.dgp.theta0)
     profile = plm_medbias_profile(arrays["z_at_theta0"] - arrays["cond_bias"],
                                   arrays["cond_bias"])
     cs_violations = int(lhs.reps - np.count_nonzero(arrays["cs_ok"]))
@@ -651,7 +702,7 @@ def _summarize_plm(config, point, arrays):
         # to the exact weak-sign value only when the conditional bias is zero)
         rhs_kind="convex_thm1",
         detail={
-            "theta0": dgp.theta0,
+            "theta0": prep.dgp.theta0,
             "rate": rate,
             "rate_target": target,
             "mean_cond_bias": float(np.mean(arrays["cond_bias"])),
@@ -665,41 +716,36 @@ def _summarize_plm(config, point, arrays):
 # Kind: hulc_coverage -- empirical coverage of the min-max batch interval.
 
 
-def _chunk_hulc(config, point, start, stop):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    alpha = float(config.params.get("alpha", 0.05))
-    n = point["n"]
-    label = grid_label(config.kind, point)
-    count = stop - start
-    covered = np.empty(count)
-
-    def batch_estimator(batch):
-        return estimate_location(config.estimator, batch)
-
-    for j, i in enumerate(range(start, stop)):
-        rng = replication_rng(config.master_seed, i, label + "|data")
-        lo, hi = hulc_interval(dgp.sample(rng, n), alpha, batch_estimator)
-        covered[j] = 1.0 if lo <= theta0 <= hi else 0.0
-    return {"covered": covered}
+def _prepare_hulc(config):
+    prep = _prepare_univariate(config, convex=False, alpha=0.05)
+    _require(0.0 < prep.alpha < 1.0, f"params.alpha must be in (0, 1), got {prep.alpha!r}")
+    prep.batches = batch_count(prep.alpha)
+    _int_grid(config, "n", prep.batches)
+    return prep
 
 
-def _summarize_hulc(config, point, arrays):
-    dgp = _univariate_dgp(config)
-    theta0 = _target(config, dgp)
-    alpha = float(config.params.get("alpha", 0.05))
-    b = batch_count(alpha)
+def _chunk_hulc(config, prep, point, start, stop):
+    batch_estimator = functools.partial(estimate_location, config.estimator)
+
+    def body(rng):
+        lo, hi = hulc_interval(prep.dgp.sample(rng, point["n"]), prep.alpha, batch_estimator)
+        return {"covered": 1.0 if lo <= prep.theta0 <= hi else 0.0}
+
+    return _replicate(config, point, start, stop, body)
+
+
+def _summarize_hulc(config, prep, point, arrays):
     reps = arrays["covered"].size
     coverage = float(arrays["covered"].mean())
     row = _base_row(config, point)
     row["detail"] = {
-        "theta0": theta0,
-        "alpha": alpha,
-        "batches": b,
-        "batch_size": point["n"] // b,
+        "theta0": prep.theta0,
+        "alpha": prep.alpha,
+        "batches": prep.batches,
+        "batch_size": point["n"] // prep.batches,
         "coverage": coverage,
         "coverage_std_err": freq_std_err(coverage, reps),
-        "miss_target": 2.0 * 2.0 ** (-b),
+        "miss_target": 2.0 * 2.0 ** (-prep.batches),
     }
     return [row], {}
 
@@ -710,8 +756,20 @@ def _summarize_hulc(config, point, arrays):
 
 @dataclass(frozen=True)
 class KindImpl:
+    """Everything the lab knows about one experiment kind.
+
+    ``grids`` must be non-empty.  ``prepare(config)`` resolves what the kind
+    reads from the config, raising ValueError or TypeError on what cannot
+    run; validation and the run share its result as ``prepared``.
+    ``run_chunk(config, prepared, point, start, stop)`` simulates
+    replications of a grid point into arrays, and ``summarize(config,
+    prepared, point, arrays)`` folds all of them into ``(rows, profile)``.
+    """
+
     name: str
     description: str
+    grids: tuple
+    prepare: Callable
     grid_points: Callable
     run_chunk: Callable
     summarize: Callable
@@ -723,47 +781,53 @@ KINDS = {
         KindImpl(
             "convex_dominance",
             "median bias of a convex M-estimator vs the strict-sign score bound",
-            _points_per_n, _chunk_convex, _summarize_convex,
+            ("n",), functools.partial(_prepare_univariate, convex=True), _points_per_n,
+            _chunk_convex, _summarize_convex,
         ),
         KindImpl(
             "z_estimator_equality",
             "Z-estimator median bias vs the weak-sign score value, independent streams",
-            _points_per_n, _chunk_z_equality, _summarize_z_equality,
+            ("n",), functools.partial(_prepare_univariate, convex=True), _points_per_n,
+            _chunk_z_equality, _summarize_z_equality,
         ),
         KindImpl(
             "nondiff_profile",
             "objective-comparison bound over a decreasing epsilon grid",
-            _points_per_n, _chunk_nondiff, _summarize_nondiff,
+            ("n", "eps"), _prepare_nondiff, _points_per_n, _chunk_nondiff, _summarize_nondiff,
         ),
         KindImpl(
             "mle_llr_consistency",
             "centered log-likelihood-ratio lower bounds vs direct comparison frequencies",
-            _points_per_n, _chunk_mle_llr, _summarize_mle_llr,
+            ("n", "eps"), _prepare_mle_llr, _points_per_n, _chunk_mle_llr, _summarize_mle_llr,
         ),
         KindImpl(
             "nonconvex_dominance",
             "redescending location objective vs the window-convexity corrected bound",
-            _points_per_n, _chunk_nonconvex, _summarize_nonconvex,
+            ("n", "delta"), _prepare_nonconvex, _points_per_n, _chunk_nonconvex,
+            _summarize_nonconvex,
         ),
         KindImpl(
             "partialled_dominance",
             "partialled least-squares median bias vs the threshold bound",
+            ("n", "d"), functools.partial(_prepare_design, decompose=True),
             _points_partialled, _chunk_partialled, _summarize_partialled,
         ),
         KindImpl(
             "dimension_scaling",
             "median-bias trajectories under two covariate-dimension schedules",
-            _points_dim_scaling, _chunk_dim_scaling, _summarize_dim_scaling,
+            ("n", "d_schedules", "seed_labels"),
+            functools.partial(_prepare_design, decompose=False), _points_dim_scaling,
+            _chunk_partialled, _summarize_dim_scaling,
         ),
         KindImpl(
             "plm_rate_dichotomy",
             "sample-split partial-linear estimator with pinned nuisance error rates",
-            _points_plm, _chunk_plm, _summarize_plm,
+            ("n", "rate_schedules"), _prepare_plm, _points_plm, _chunk_plm, _summarize_plm,
         ),
         KindImpl(
             "hulc_coverage",
             "coverage of the min-max batch interval driven by a location estimator",
-            _points_per_n, _chunk_hulc, _summarize_hulc,
+            ("n",), _prepare_hulc, _points_per_n, _chunk_hulc, _summarize_hulc,
         ),
     )
 }

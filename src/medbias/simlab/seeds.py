@@ -3,7 +3,8 @@
 Every replication draws from its own generator, seeded by hashing the master
 seed with the replication index and a stream label.  Values therefore depend
 only on (master seed, index, label), never on chunking, worker count, or
-execution order.
+execution order.  The experiment kinds draw every replication through
+``kinds._replicate``, which fixes the label as ``<grid label>|<stream>``.
 """
 
 import hashlib

@@ -56,7 +56,7 @@ def test_convex_bound_dominates_even_median_mc():
     draws = rng.standard_normal((reps, n))
     medians = np.median(draws, axis=1)
     score = (2 * (draws <= 0.0).sum(axis=1) - n).astype(float)
-    lhs = mc_med_bias(EstimatorDraws(medians, 0.0, 55))
+    lhs = mc_med_bias(EstimatorDraws(medians, 0.0))
     rhs = convex_bound(sign_probabilities(score, zero_tol=0.0))
     assert lhs.point <= rhs + 3 * lhs.std_err
 
@@ -73,7 +73,7 @@ def test_z_exact_symmetric_errors_near_zero():
     n, reps = 10, 30_000
     rng = np.random.default_rng(321)
     means = rng.standard_normal((reps, n)).mean(axis=1)
-    lhs = mc_med_bias(EstimatorDraws(means, 0.0, 321))
+    lhs = mc_med_bias(EstimatorDraws(means, 0.0))
     score = -np.random.default_rng(654).standard_normal((reps, n)).sum(axis=1)
     p_le = float(np.count_nonzero(score <= 0.0)) / reps
     p_ge = float(np.count_nonzero(score >= 0.0)) / reps
@@ -92,7 +92,7 @@ def test_z_exact_identity_skewed_errors():
     n, reps = 10, 60_000
     rng_lhs = np.random.default_rng(1234)
     means = (rng_lhs.exponential(1.0, (reps, n)) - 1.0).mean(axis=1)
-    lhs = mc_med_bias(EstimatorDraws(means, 0.0, 1234))
+    lhs = mc_med_bias(EstimatorDraws(means, 0.0))
     rng_rhs = np.random.default_rng(5678)
     score = -(rng_rhs.exponential(1.0, (reps, n)) - 1.0).sum(axis=1)
     p_le = float(np.count_nonzero(score <= 0.0)) / reps

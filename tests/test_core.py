@@ -95,7 +95,7 @@ def test_sign_probabilities_invariant_fields():
 
 
 def test_mc_med_bias_degenerate():
-    draws = EstimatorDraws(values=np.full(100, 1.25), target=1.25, seed=0)
+    draws = EstimatorDraws(values=np.full(100, 1.25), target=1.25)
     est = mc_med_bias(draws)
     assert est.point == 0.0
     assert est.p_le == 1.0 and est.p_ge == 1.0
@@ -107,7 +107,7 @@ def test_mc_med_bias_sample_median_n5():
     rng = np.random.default_rng(7)
     reps = 100_000
     medians = np.median(rng.standard_normal((reps, 5)), axis=1)
-    est = mc_med_bias(EstimatorDraws(values=medians, target=0.0, seed=7))
+    est = mc_med_bias(EstimatorDraws(values=medians, target=0.0))
     assert est.point <= 0.005
 
 
@@ -134,7 +134,7 @@ def test_mc_med_bias_matches_enumeration_oracle():
     reps = 100_000
     samples = rng.choice([-1.0, 0.0, 2.0], size=(reps, 4))
     means = samples.mean(axis=1)
-    est = mc_med_bias(EstimatorDraws(values=means, target=target, seed=2024))
+    est = mc_med_bias(EstimatorDraws(values=means, target=target))
     assert abs(est.point - exact) <= 3 * max(est.std_err, 1e-4)
     assert abs(est.p_le - p_le) <= 3 * math.sqrt(p_le * (1 - p_le) / reps) + 1e-9
     assert abs(est.p_ge - p_ge) <= 3 * math.sqrt(p_ge * (1 - p_ge) / reps) + 1e-9
@@ -146,13 +146,13 @@ def test_mc_med_bias_monotone_transform_invariance(seed):
     rng = np.random.default_rng(seed)
     values = rng.standard_normal(500)
     target = float(rng.standard_normal())
-    base = mc_med_bias(EstimatorDraws(values=values, target=target, seed=seed))
+    base = mc_med_bias(EstimatorDraws(values=values, target=target))
 
     def transform(z):
         return np.expm1(2.0 * z) + 0.3 * z  # strictly increasing
 
     moved = mc_med_bias(EstimatorDraws(
-        values=transform(values), target=float(transform(np.array(target))), seed=seed
+        values=transform(values), target=float(transform(np.array(target)))
     ))
     assert moved.point == base.point
     assert moved.p_le == base.p_le and moved.p_ge == base.p_ge
@@ -167,7 +167,7 @@ def test_mc_med_bias_enumeration_within_error_bars_across_seeds():
     for seed in range(runs):
         rng = np.random.default_rng(seed)
         means = rng.choice([-1.0, 0.0, 2.0], size=(4000, 4)).mean(axis=1)
-        est = mc_med_bias(EstimatorDraws(values=means, target=target, seed=seed))
+        est = mc_med_bias(EstimatorDraws(values=means, target=target))
         if abs(est.point - exact) <= 3 * max(est.std_err, 1e-4):
             hits += 1
     assert hits >= 99
@@ -182,6 +182,6 @@ def test_med_bias_estimate_validation():
 
 def test_estimator_draws_validation():
     with pytest.raises(ValueError):
-        EstimatorDraws(values=np.array([]), target=0.0, seed=0)
+        EstimatorDraws(values=np.array([]), target=0.0)
     with pytest.raises(ValueError):
-        EstimatorDraws(values=np.array([1.0, math.inf]), target=0.0, seed=0)
+        EstimatorDraws(values=np.array([1.0, math.inf]), target=0.0)

@@ -1,5 +1,6 @@
 """Tests for the experiment lab: seeds, config, engine, reports, CLI, HulC."""
 
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -26,7 +27,8 @@ from medbias.simlab import (
     write_json,
 )
 from medbias.simlab.cli import main as cli_main
-from medbias.simlab.kinds import KINDS, _check_loss_argmin
+from medbias.simlab import kinds
+from medbias.simlab.kinds import KINDS, _check_loss_argmin, build_objective, default_bracket
 from medbias import Bracket, CheckLoss, minimize_convex
 
 
@@ -149,6 +151,37 @@ def test_config_rejects_unknown_kind():
                       {"kind": "lp", "params": {"p": 0.5}}):
         with pytest.raises(ConfigError, match=r"params\.(tau|p)"):
             ExperimentConfig.from_dict(_minimal_config(estimator=estimator))
+    # names the kind's resolution cannot build, and targets with no closed form
+    plm = {"kind": "plm_rate_dichotomy", "estimator": {},
+           "grids": {"n": [50], "rate_schedules": ["constant"]}}
+    biweight = {"kind": "biweight", "params": {"c": 2.0}}
+    for raw, cause in (
+        (_minimal_config(dgp={"name": "cauchy"}), "unknown scalar DGP 'cauchy'"),
+        (_minimal_config(estimator={"kind": "huber"}), "unknown estimator kind 'huber'"),
+        (_minimal_config(kind="partialled_dominance", dgp={"name": "wide"}, estimator={},
+                         grids={"n": [50], "d": [2]}), "unknown design 'wide'"),
+        (_minimal_config(kind="dimension_scaling", dgp={}, estimator={},
+                         grids={"n": [100], "d_schedules": ["half_sqrt"], "seed_labels": [0]}),
+         "unknown design None"),
+        (_minimal_config(**plm, dgp={"name": "rough"}), "unknown partial-linear process 'rough'"),
+        (_minimal_config(dgp={"name": "exp_centered"},
+                         estimator={"kind": "lp", "params": {"p": 1.5}}),
+         "no closed-form target for lp under asymmetric exp_centered"),
+        (_minimal_config(kind="nonconvex_dominance", dgp={"name": "exp_centered"},
+                         estimator=biweight, grids={"n": [20], "delta": [0.5]}),
+         "no closed-form target for biweight under asymmetric exp_centered"),
+        # the convex bound and the Z identity need a convex objective
+        (_minimal_config(estimator=biweight), "convex_dominance needs a convex estimator"),
+        (_minimal_config(kind="z_estimator_equality", estimator=biweight),
+         "z_estimator_equality needs a convex estimator"),
+        (_minimal_config(kind="nondiff_profile", estimator=biweight,
+                         grids={"n": [5], "eps": [1.0, 0.5]}),
+         "nondiff_profile needs a convex estimator"),
+    ):
+        with pytest.raises(ConfigError, match=cause):
+            ExperimentConfig.from_dict(raw)
+    ExperimentConfig.from_dict(_minimal_config(kind="hulc_coverage", estimator=biweight,
+                                               grids={"n": [12]}))
 
 
 def test_config_rejects_small_reps():
@@ -174,6 +207,11 @@ def test_config_rejects_missing_grid():
         with pytest.raises(ConfigError, match="grid 'n' needs integers"):
             ExperimentConfig.from_dict(raw)
     ExperimentConfig.from_dict(_minimal_config(kind="hulc_coverage", grids={"n": [6]}))
+    # more covariates than observations: the stacked design is rank deficient
+    wide = _minimal_config(kind="partialled_dominance", dgp={"name": "gaussian"}, estimator={},
+                           grids={"n": [10], "d": [12]})
+    with pytest.raises(ConfigError, match=r"\(n, d\) = \[\(10, 12\)\] have d \+ 1 > n"):
+        ExperimentConfig.from_dict(wide)
 
 
 def test_config_rejects_bad_eps_grid():
@@ -194,13 +232,49 @@ def test_config_rejects_unknown_schedule():
         kind="dimension_scaling",
         grids={"n": [100], "d_schedules": ["mystery"], "seed_labels": [0]},
     )
-    with pytest.raises(ConfigError):
+    # every problem is listed: the scalar DGP is no design, and the schedule is unknown
+    with pytest.raises(ConfigError, match="unknown design 'standard_normal'.*unknown d schedule"):
+        ExperimentConfig.from_dict(raw)
+    with pytest.raises(ConfigError, match="^unknown d schedule 'mystery'$"):
+        ExperimentConfig.from_dict({**raw, "dgp": {"name": "leverage_mix"}, "estimator": {}})
+    raw = _minimal_config(
+        kind="plm_rate_dichotomy", dgp={"name": "smooth_default"}, estimator={},
+        grids={"n": [100], "rate_schedules": ["mystery"]},
+    )
+    with pytest.raises(ConfigError, match="unknown rate schedule 'mystery'"):
         ExperimentConfig.from_dict(raw)
 
 
 def test_config_rejects_unknown_field():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_minimal_config(bogus=1))
+    # params keys the kind does not read, and scalars it cannot run with
+    nonconvex = _minimal_config(kind="nonconvex_dominance",
+                                estimator={"kind": "biweight", "params": {"c": 2.0}},
+                                grids={"n": [10], "delta": [1.0]})
+    for params, cause in (
+        ({"scan_point": 301}, r"params \['scan_point'\] are not read by kind"),
+        ({"window_points": 0}, "params.window_points must be an integer >= 2, got 0"),
+        ({"window_points": 2.5}, "params.window_points must be an integer, got 2.5"),
+        ({"scan_points": 1}, "params.scan_points must be an integer >= 3, got 1"),
+        ({"scan_lo": 1.0, "scan_hi": -1.0}, "params.scan_lo=1.0 must be below scan_hi=-1.0"),
+        ({"scan_lo": "low"}, "params.scan_lo must be a number"),
+    ):
+        with pytest.raises(ConfigError, match=cause):
+            ExperimentConfig.from_dict({**nonconvex, "params": params})
+    for raw, cause in (
+        (_minimal_config(params={"alpha": 0.05}), r"params \['alpha'\] are not read"),
+        (_minimal_config(kind="hulc_coverage", grids={"n": [60]}, params={"alpha": 1.5}),
+         "params.alpha must be in"),
+        (_minimal_config(kind="plm_rate_dichotomy", dgp={"name": "smooth_default"},
+                         estimator={}, grids={"n": [60], "rate_schedules": ["constant"]},
+                         params={"overlap": 2.0}), "params.overlap must be in"),
+        (_minimal_config(kind="partialled_dominance", dgp={"name": "gaussian"}, estimator={},
+                         grids={"n": [50], "d": [2]}, params={"theta0": None}),
+         "params.theta0 must be a number"),
+    ):
+        with pytest.raises(ConfigError, match=cause):
+            ExperimentConfig.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +295,8 @@ def test_closed_forms_match_solver(seed):
     ]
     for est in cases:
         fast = estimate_location(est, data)
-        forced = estimate_location({**est, "method": "solver"}, data)
-        assert fast == pytest.approx(forced, abs=1e-6), est
+        oracle = minimize_convex(build_objective(est, data), default_bracket(data))
+        assert fast == pytest.approx(oracle, abs=1e-6), est
 
 
 def test_check_loss_argmin_flat_segment_midpoint():
@@ -255,6 +329,30 @@ def test_run_experiment_reproducible_across_workers():
     assert serial.rows == parallel.rows
     again = run_experiment(config, workers=1)
     assert serial.rows == again.rows
+
+
+def test_prepare_runs_once_per_run(monkeypatch):
+    config = ExperimentConfig.from_dict(_minimal_config(reps=3 * CHUNK_SIZE // 2,
+                                                        grids={"n": [5, 7]}))
+    impl = KINDS[config.kind]
+    prepared, seen = [], []
+
+    def prepare(cfg):
+        prepared.append(impl.prepare(cfg))
+        return prepared[-1]
+
+    def run_chunk(cfg, prep, point, start, stop):
+        seen.append(prep)
+        return impl.run_chunk(cfg, prep, point, start, stop)
+
+    monkeypatch.setitem(KINDS, config.kind,
+                        dataclasses.replace(impl, prepare=prepare, run_chunk=run_chunk))
+    rows = run_experiment(config).rows
+    # two grid points of two chunks each, all reading the one resolution
+    assert len(prepared) == 1 and len(seen) == 4
+    assert all(prep is prepared[0] for prep in seen)
+    assert run_experiment(config, workers=2).rows == rows
+    assert len(prepared) == 2
 
 
 def test_run_experiment_minimal_reps():
@@ -403,6 +501,23 @@ def test_cli_validates_shipped_configs(capsys):
     for path in shipped:
         assert cli_main(["validate", str(path)]) == 0, path
         assert capsys.readouterr().out.startswith("ok: ")
+
+
+def test_benchmark_workload_configs_validate(monkeypatch):
+    # validation resolves every config without running a replication
+    def no_replication(*args):
+        raise AssertionError("validation drew a replication")
+
+    monkeypatch.setattr(kinds, "replication_rng", no_replication)
+    root = Path(__file__).resolve().parents[1]
+    spec = json.loads((root / "perfbench" / "workloads.json").read_text())
+    entries = [entry for workload in spec["workloads"].values() for entry in workload["configs"]]
+    assert entries
+    for entry in entries:
+        if "cli" in entry:
+            ExperimentConfig.from_json(root / entry["cli"])
+        else:
+            ExperimentConfig.from_dict(entry["config"])
 
 
 def test_cli_validate_and_run(tmp_path, capsys, monkeypatch):
