@@ -173,10 +173,10 @@ class CheckLoss(LocationObjective):
 
     kind = "quantile"
 
-    def __init__(self, data, tau: float):
+    def __init__(self, data, tau: float | None = None):
         super().__init__(data)
-        if not 0.0 < tau < 1.0:
-            raise ValueError("tau must be in (0, 1)")
+        if tau is None or not 0.0 < tau < 1.0:
+            raise ValueError(f"quantile needs params.tau in (0, 1), got {tau!r}")
         self.tau = float(tau)
 
     def value(self, theta):
@@ -196,10 +196,10 @@ class PowerLoss(LocationObjective):
 
     kind = "lp"
 
-    def __init__(self, data, p: float):
+    def __init__(self, data, p: float | None = None):
         super().__init__(data)
-        if p < 1.0:
-            raise ValueError(f"p={p} < 1 gives a non-convex objective")
+        if p is None or not p >= 1.0:
+            raise ValueError(f"lp needs params.p >= 1 (p < 1 is non-convex), got {p!r}")
         self.p = float(p)
 
     def value(self, theta):
@@ -275,8 +275,8 @@ class BiweightLocation(LocationObjective):
 
     def __init__(self, data, c: float = 2.0):
         super().__init__(data)
-        if c <= 0.0:
-            raise ValueError("c must be positive")
+        if not 0.0 < c < math.inf:
+            raise ValueError(f"biweight needs a finite params.c > 0, got {c!r}")
         self.c = float(c)
 
     def value(self, theta):
@@ -294,28 +294,24 @@ class BiweightLocation(LocationObjective):
 # Factory and convexity probe.
 
 
+_OBJECTIVES = {
+    cls.kind: cls
+    for cls in (AbsoluteDeviation, CheckLoss, PowerLoss, NegativeLogLikelihood, BiweightLocation)
+}
+
+
 def make_objective(kind: str, data, **params) -> LocationObjective:
     """Build an objective from its kind name and parameter map.
 
     ``neg_loglik`` takes either a prebuilt ``family`` or ``family_name`` plus
     ``family_params``.
     """
-    if kind == AbsoluteDeviation.kind:
-        return AbsoluteDeviation(data, **params)
-    if kind == CheckLoss.kind:
-        return CheckLoss(data, **params)
-    if kind == PowerLoss.kind:
-        return PowerLoss(data, **params)
-    if kind == BiweightLocation.kind:
-        return BiweightLocation(data, **params)
-    if kind == NegativeLogLikelihood.kind:
-        family = params.pop("family", None)
-        if family is None:
-            family = make_family(params.pop("family_name"), **params.pop("family_params", {}))
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)} for neg_loglik")
-        return NegativeLogLikelihood(data, family)
-    raise ValueError(f"unknown objective kind {kind!r}")
+    if kind not in _OBJECTIVES:
+        raise ValueError(f"unknown estimator kind {kind!r}; known: {sorted(_OBJECTIVES)}")
+    if kind == NegativeLogLikelihood.kind and "family" not in params:
+        params["family"] = make_family(params.pop("family_name"),
+                                       **params.pop("family_params", {}))
+    return _OBJECTIVES[kind](data, **params)
 
 
 def is_convex_on(obj: LocationObjective, lo: float, hi: float, num: int = 65) -> bool:

@@ -421,11 +421,10 @@ class PlmSplitFit:
     norm_m: float
 
     def __post_init__(self):
-        d1 = set(np.asarray(self.d1_indices).tolist())
-        d2 = set(np.asarray(self.d2_indices).tolist())
-        if d1 & d2:
-            raise ValueError("folds must be disjoint")
-        if d1 | d2 != set(range(len(d1) + len(d2))):
+        both = np.concatenate((np.ravel(self.d1_indices), np.ravel(self.d2_indices)))
+        if not np.array_equal(np.sort(both), np.arange(both.size)):
+            if np.intersect1d(self.d1_indices, self.d2_indices).size:
+                raise ValueError("folds must be disjoint")
             raise ValueError("folds must partition the observation indices")
         if self.norm_g < 0.0 or self.norm_m < 0.0:
             raise ValueError("error norms must be >= 0")

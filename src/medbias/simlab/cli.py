@@ -8,6 +8,7 @@ environment variable overrides the default worker count; an explicit
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -69,9 +70,8 @@ def _load_config(path: str, master_seed: int | None) -> ExperimentConfig:
         raise FileNotFoundError(f"config file not found: {path}")
     config = ExperimentConfig.from_json(raw_path)
     if master_seed is not None:
-        config = ExperimentConfig.from_dict(
-            {**config.to_dict(), "master_seed": master_seed}
-        )
+        # the run validates the config again, seed included
+        config = dataclasses.replace(config, master_seed=master_seed)
     return config
 
 

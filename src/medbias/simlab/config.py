@@ -3,7 +3,8 @@
 import json
 from dataclasses import dataclass, field, asdict
 
-from .kinds import KINDS, is_int
+from .dgps import is_int
+from .kinds import KINDS
 
 
 class ConfigError(ValueError):

@@ -9,6 +9,7 @@ term a conditional mean that grows with the covariate dimension -- the
 regime where dimension scaling becomes visible.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 
@@ -18,50 +19,89 @@ from ..partialling import RegressionData
 from ..plm import CovariateSpec, FunctionSpec, NoiseSpec, PlmDgp
 
 
-UNIVARIATE_DGPS = ("standard_normal", "uniform", "logistic", "laplace", "exp_centered")
-PLM_DGPS = ("smooth_default", "linear_1d", "smooth_1d")
+def is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_params(params: dict, defaults: dict, owner: str) -> dict:
+    """``params`` over ``defaults``, which name every key ``owner`` reads.
+
+    Other keys are rejected; a value must be an integer where its default is
+    one, and a number otherwise.
+    """
+    unknown = sorted(set(params) - set(defaults))
+    if unknown:
+        raise ValueError(f"params {unknown} are not read by {owner}; it reads {sorted(defaults)}")
+    for key, value in params.items():
+        if is_int(defaults[key]) and not is_int(value):
+            raise ValueError(f"{owner}: params.{key} must be an integer, got {value!r}")
+        if not is_real(value):
+            raise ValueError(f"{owner}: params.{key} must be a number, got {value!r}")
+    return {**defaults, **params}
+
+
+#: The params each scalar law reads, with their defaults.
+UNIVARIATE_DGPS = {
+    "standard_normal": {},
+    "uniform": {"lo": -1.0, "hi": 1.0},
+    "logistic": {"scale": 1.0},
+    "laplace": {"scale": 1.0},
+    "exp_centered": {"scale": 1.0},
+}
 
 
 @dataclass(frozen=True)
 class UnivariateDgp:
-    """Scalar iid law with exact target functionals."""
+    """Scalar iid law with exact target functionals.
+
+    ``params`` are checked against the law's entry in ``UNIVARIATE_DGPS`` and
+    stored with its defaults filled in.
+    """
 
     name: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.name not in UNIVARIATE_DGPS:
-            raise ValueError(f"unknown scalar DGP {self.name!r}; known: {UNIVARIATE_DGPS}")
+            raise ValueError(f"unknown scalar DGP {self.name!r}; known: {sorted(UNIVARIATE_DGPS)}")
+        owner = f"scalar DGP {self.name!r}"
+        p = {key: float(value) for key, value in
+             read_params(self.params, UNIVARIATE_DGPS[self.name], owner).items()}
+        if "scale" in p and not p["scale"] > 0.0:
+            raise ValueError(f"{owner} needs params.scale > 0, got {p['scale']!r}")
+        if "lo" in p and not p["lo"] < p["hi"]:
+            raise ValueError(f"{owner} needs params.lo < params.hi, got lo={p['lo']!r}, "
+                             f"hi={p['hi']!r}")
+        object.__setattr__(self, "params", p)
 
     def sample(self, rng, n: int) -> np.ndarray:
         p = self.params
         if self.name == "standard_normal":
             return rng.standard_normal(n)
         if self.name == "uniform":
-            return rng.uniform(float(p.get("lo", -1.0)), float(p.get("hi", 1.0)), n)
+            return rng.uniform(p["lo"], p["hi"], n)
         if self.name == "logistic":
-            return rng.logistic(0.0, float(p.get("scale", 1.0)), n)
+            return rng.logistic(0.0, p["scale"], n)
         if self.name == "laplace":
-            return rng.laplace(0.0, float(p.get("scale", 1.0)), n)
-        scale = float(p.get("scale", 1.0))
-        return rng.exponential(scale, n) - scale
+            return rng.laplace(0.0, p["scale"], n)
+        return rng.exponential(p["scale"], n) - p["scale"]
 
     @property
     def center(self) -> float | None:
         """Point of symmetry, when the law has one."""
         if self.name == "uniform":
-            return 0.5 * (float(self.params.get("lo", -1.0)) + float(self.params.get("hi", 1.0)))
+            return 0.5 * (self.params["lo"] + self.params["hi"])
         if self.name in ("standard_normal", "logistic", "laplace"):
             return 0.0
         return None
 
     @property
     def mean(self) -> float:
-        if self.name == "exp_centered":
-            return 0.0
-        center = self.center
-        assert center is not None
-        return center
+        return 0.0 if self.name == "exp_centered" else self.center
 
     def quantile(self, q: float) -> float:
         """Exact quantile function."""
@@ -74,47 +114,18 @@ class UnivariateDgp:
             from scipy.stats import norm
             return float(norm.ppf(q))
         if self.name == "uniform":
-            lo, hi = float(p.get("lo", -1.0)), float(p.get("hi", 1.0))
-            return lo + q * (hi - lo)
+            return p["lo"] + q * (p["hi"] - p["lo"])
         if self.name == "logistic":
-            return float(p.get("scale", 1.0)) * math.log(q / (1.0 - q))
+            return p["scale"] * math.log(q / (1.0 - q))
         if self.name == "laplace":
-            scale = float(p.get("scale", 1.0))
             if q < 0.5:
-                return scale * math.log(2.0 * q)
-            return -scale * math.log(2.0 * (1.0 - q))
-        scale = float(p.get("scale", 1.0))
-        return -scale * math.log(1.0 - q) - scale
+                return p["scale"] * math.log(2.0 * q)
+            return -p["scale"] * math.log(2.0 * (1.0 - q))
+        return -p["scale"] * math.log(1.0 - q) - p["scale"]
 
 
 def make_dgp(name: str, **params) -> UnivariateDgp:
     return UnivariateDgp(name=name, params=params)
-
-
-def target_for(dgp: UnivariateDgp, estimator_kind: str, estimator_params: dict) -> float:
-    """Population target of an estimator under a DGP, in closed form."""
-    if estimator_kind == "abs_dev":
-        return dgp.quantile(0.5)
-    if estimator_kind == "quantile":
-        return dgp.quantile(float(estimator_params["tau"]))
-    if estimator_kind in ("lp", "biweight"):
-        center = dgp.center
-        if estimator_kind == "lp" and float(estimator_params["p"]) == 2.0:
-            return dgp.mean
-        if center is None:
-            raise ValueError(
-                f"no closed-form target for {estimator_kind} under asymmetric {dgp.name}"
-            )
-        return center
-    if estimator_kind == "neg_loglik":
-        family = estimator_params.get("family_name", "normal_location")
-        if family == "normal_location":
-            return dgp.mean
-        center = dgp.center
-        if center is None:
-            raise ValueError(f"no closed-form target for logistic MLE under {dgp.name}")
-        return center
-    raise ValueError(f"unknown estimator kind {estimator_kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,9 +158,8 @@ def sample_leverage_mix_design(rng, n: int, d: int, theta0: float,
     target (the score sum and the covariate moment conditions stay centered),
     but leverage concentrates on the high-scale half, so the conditional mean
     of the nuisance cross term grows linearly in the covariate dimension.
+    ``design_params`` checks the params before any draw.
     """
-    if not 0.0 <= rho < 1.0:
-        raise ValueError("rho must be in [0, 1)")
     half = n // 2
     x = rng.standard_normal((n, d))
     x[:half] *= scale_hi
@@ -171,47 +181,60 @@ DESIGNS = {
 }
 
 
-def sample_design(name: str, rng, n: int, d: int, theta0: float, **params):
+def design_params(name: str, params: dict) -> dict:
+    """A design's params with its sampler's defaults filled in, checked before any draw."""
     try:
         sampler = DESIGNS[name]
     except KeyError:
         raise ValueError(f"unknown design {name!r}; known: {sorted(DESIGNS)}") from None
-    return sampler(rng, n, d, theta0, **params)
+    defaults = {key: arg.default for key, arg in inspect.signature(sampler).parameters.items()
+                if arg.default is not arg.empty}
+    owner = f"design {name!r}"
+    params = read_params(params, defaults, owner)
+    if not 0.0 <= params.get("rho", 0.0) < 1.0:
+        raise ValueError(f"{owner} needs params.rho in [0, 1), got {params['rho']!r}")
+    return params
+
+
+def sample_design(name: str, rng, n: int, d: int, theta0: float, **params):
+    """One draw of a design, with ``params`` as ``design_params`` returns them."""
+    return DESIGNS[name](rng, n, d, theta0, **params)
 
 
 # ---------------------------------------------------------------------------
 # Partial-linear processes by name.
 
 
+#: The params each partial-linear process reads, with their defaults.
+PLM_DGPS = {
+    "smooth_default": {"d": 3, "theta0": 1.0, "sigma_u": 1.0, "sigma_v": 1.0},
+    "linear_1d": {"theta0": 1.0},
+    "smooth_1d": {"theta0": 1.0},
+}
+
+
 def make_plm_dgp(name: str, **params) -> PlmDgp:
     """Named partial-linear processes used by the rate experiments."""
+    if name not in PLM_DGPS:
+        raise ValueError(f"unknown partial-linear process {name!r}; known: {sorted(PLM_DGPS)}")
+    p = read_params(params, PLM_DGPS[name], f"partial-linear process {name!r}")
     if name == "smooth_default":
-        d = int(params.get("d", 3))
+        d = p["d"]
         return PlmDgp(
-            theta0=float(params.get("theta0", 1.0)),
+            theta0=float(p["theta0"]),
             g0=FunctionSpec("sine", {"amplitude": 1.0, "frequency": 1.0, "coord": 0}),
             m0=FunctionSpec("linear", {"weights": [0.5] + [0.0] * (d - 2) + [-0.25]
                                        if d >= 2 else [0.5]}),
-            noise_u=NoiseSpec("normal", {"sigma": float(params.get("sigma_u", 1.0))}),
-            noise_v=NoiseSpec("normal", {"sigma": float(params.get("sigma_v", 1.0))}),
+            noise_u=NoiseSpec("normal", {"sigma": float(p["sigma_u"])}),
+            noise_v=NoiseSpec("normal", {"sigma": float(p["sigma_v"])}),
             x_law=CovariateSpec(dim=d),
         )
     if name == "linear_1d":
-        return PlmDgp(
-            theta0=float(params.get("theta0", 1.0)),
-            g0=FunctionSpec("linear", {"weights": [1.0]}),
-            m0=FunctionSpec("linear", {"weights": [0.5]}),
-            noise_u=NoiseSpec("normal", {"sigma": 1.0}),
-            noise_v=NoiseSpec("normal", {"sigma": 1.0}),
-            x_law=CovariateSpec(dim=1),
-        )
-    if name == "smooth_1d":
-        return PlmDgp(
-            theta0=float(params.get("theta0", 1.0)),
-            g0=FunctionSpec("sine", {"amplitude": 1.0, "frequency": 1.5}),
-            m0=FunctionSpec("sine", {"amplitude": 0.8, "frequency": 0.7}),
-            noise_u=NoiseSpec("normal", {"sigma": 1.0}),
-            noise_v=NoiseSpec("normal", {"sigma": 1.0}),
-            x_law=CovariateSpec(dim=1),
-        )
-    raise ValueError(f"unknown partial-linear process {name!r}; known: {PLM_DGPS}")
+        g0 = FunctionSpec("linear", {"weights": [1.0]})
+        m0 = FunctionSpec("linear", {"weights": [0.5]})
+    else:
+        g0 = FunctionSpec("sine", {"amplitude": 1.0, "frequency": 1.5})
+        m0 = FunctionSpec("sine", {"amplitude": 0.8, "frequency": 0.7})
+    unit = NoiseSpec("normal", {"sigma": 1.0})
+    return PlmDgp(theta0=float(p["theta0"]), g0=g0, m0=m0, noise_u=unit, noise_v=unit,
+                  x_law=CovariateSpec(dim=1))

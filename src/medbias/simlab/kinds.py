@@ -10,6 +10,7 @@ in the canonical report schema; anything kind-specific goes into ``detail``.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable
@@ -25,6 +26,10 @@ from ..bounds import (
 )
 from ..core import EstimatorDraws, freq_std_err, mc_med_bias, sign_probabilities
 from ..objectives import (
+    BiweightLocation,
+    LocationObjective,
+    NegativeLogLikelihood,
+    NormalLocation,
     biweight_ddrho,
     biweight_drho,
     biweight_rho,
@@ -34,20 +39,14 @@ from ..objectives import (
 from ..partialling import fwl_estimate, score_decompose, default_eta_grid, proposition_profile
 from ..plm import NuisanceMethod, plm_medbias_profile, plm_split_fit, simulate_plm
 from ..solver import Bracket, minimize_convex, minimize_scan
-from .dgps import DESIGNS, make_dgp, make_plm_dgp, sample_design, target_for
+from .dgps import design_params, is_int, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval
 from .reports import CSV_COLUMNS
 from .seeds import replication_rng
 
 
 # ---------------------------------------------------------------------------
-# Estimator plumbing shared by the univariate kinds.
-
-
-def build_objective(estimator: dict, data):
-    kind = estimator["kind"]
-    params = dict(estimator.get("params", {}))
-    return make_objective(kind, data, **params)
+# Estimators: resolved once per run, read by every replication.
 
 
 def default_bracket(data) -> Bracket:
@@ -57,67 +56,106 @@ def default_bracket(data) -> Bracket:
     return Bracket(lo - span, hi + span)
 
 
-def _check_loss_argmin(data, tau: float) -> float:
-    """Argmin of the check loss, midpoint tie-break on flat segments."""
-    s = np.sort(np.asarray(data, dtype=float))
-    n = s.size
+@functools.lru_cache(maxsize=256)
+def _check_loss_ranks(n: int, tau: float) -> tuple[int, int]:
+    """0-based order statistics whose midpoint minimises the check loss at ``tau``."""
     k = n * tau
     k_round = round(k)
     if abs(k - k_round) < 1e-9 * n and 1 <= k_round <= n - 1:
-        return 0.5 * (float(s[k_round - 1]) + float(s[k_round]))
-    idx = min(max(math.ceil(k), 1), n)
-    return float(s[idx - 1])
+        return k_round - 1, k_round
+    idx = min(max(math.ceil(k), 1), n) - 1
+    return idx, idx
 
 
-def _sample_median(data) -> float:
-    """Sample median, midpoint of the two middle order statistics for even n.
-
-    Same value as the general median routine, without its per-call overhead
-    (the replication loops call this millions of times on tiny arrays).
-    """
+def _check_loss_argmin(data, tau: float) -> float:
+    """Argmin of the check loss, midpoint tie-break on flat segments."""
     s = np.sort(data)
-    half = s.size // 2
-    if s.size % 2:
-        return float(s[half])
-    return 0.5 * (float(s[half - 1]) + float(s[half]))
+    lo, hi = _check_loss_ranks(s.size, tau)
+    if lo == hi:
+        return float(s[lo])
+    return 0.5 * (float(s[lo]) + float(s[hi]))
 
 
-def estimate_location(estimator: dict, data) -> float:
-    """Compute the estimator, using closed forms where they exist.
+def _mean(data) -> float:
+    return float(np.mean(data))
+
+
+def _symmetry_center(estimator_kind: str, dgp) -> float:
+    if dgp.center is None:
+        raise ValueError(
+            f"no closed-form target for {estimator_kind} under asymmetric {dgp.name}"
+        )
+    return dgp.center
+
+
+@dataclass(frozen=True)
+class Estimator:
+    """An estimator as a run uses it, resolved once from ``config.estimator``.
+
+    ``params`` are the keyword arguments of ``make_objective`` (a
+    ``neg_loglik`` carries its built family), ``probe`` is the objective built
+    from them on one point, ``closed_form`` maps data to the argmin where one
+    exists, ``target`` maps a scalar DGP to the population target, and
+    ``exact_score`` marks integer-valued scores, whose signs count exactly.
+    """
+
+    kind: str
+    params: dict
+    probe: LocationObjective
+    closed_form: Callable | None
+    target: Callable
+    exact_score: bool = False
+
+    def objective(self, data) -> LocationObjective:
+        return make_objective(self.kind, data, **self.params)
+
+
+def resolve_estimator(estimator: dict) -> Estimator:
+    """Resolve ``config.estimator``, rejecting what the objective cannot be built from."""
+    kind = estimator.get("kind")
+    try:
+        params = dict(estimator.get("params", {}))
+        if kind == "neg_loglik":
+            params["family"] = make_family(params.pop("family_name", "normal_location"),
+                                           **params.pop("family_params", {}))
+        probe = make_objective(kind, [0.0], **params)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"estimator {kind!r} with params {estimator.get('params', {})}: "
+                         f"{exc}") from None
+    if kind in ("abs_dev", "quantile"):
+        tau = getattr(probe, "tau", 0.5)
+        return Estimator(kind, params, probe, functools.partial(_check_loss_argmin, tau=tau),
+                         operator.methodcaller("quantile", tau), exact_score=True)
+    power = getattr(probe, "p", None)
+    if power == 2.0 or isinstance(getattr(probe, "family", None), NormalLocation):
+        return Estimator(kind, params, probe, _mean, operator.attrgetter("mean"))
+    closed_form = functools.partial(_check_loss_argmin, tau=0.5) if power == 1.0 else None
+    return Estimator(kind, params, probe, closed_form,
+                     functools.partial(_symmetry_center, kind))
+
+
+def estimate_location(estimator: Estimator, data) -> float:
+    """Compute the estimator, using its closed form where it has one.
 
     Closed forms share the solver's midpoint tie-break, and the two routes
     are cross-checked in the test suite.
     """
     data = np.asarray(data, dtype=float)
-    kind = estimator["kind"]
-    params = estimator.get("params", {})
-    if kind == "abs_dev":
-        return _sample_median(data)
-    if kind == "quantile":
-        return _check_loss_argmin(data, float(params["tau"]))
-    if kind == "lp":
-        p = float(params["p"])
-        if p == 2.0:
-            return float(np.mean(data))
-        if p == 1.0:
-            return _sample_median(data)
-    if kind == "neg_loglik" and params.get("family_name", "normal_location") == "normal_location":
-        return float(np.mean(data))
-    obj = build_objective(estimator, data)
-    if not obj.is_convex:
-        return minimize_scan(obj, default_bracket(data))
-    return minimize_convex(obj, default_bracket(data))
+    if estimator.closed_form is not None:
+        return estimator.closed_form(data)
+    solve = minimize_convex if estimator.probe.is_convex else minimize_scan
+    return solve(estimator.objective(data), default_bracket(data))
 
 
-def score_at(estimator: dict, data, theta0: float) -> float:
+def score_at(estimator: Estimator, data, theta0: float) -> float:
     """Score statistic at the target: midpoint of the subgradient interval."""
-    left, right = build_objective(estimator, data).subgradient(theta0)
+    left, right = estimator.objective(data).subgradient(theta0)
     return 0.5 * (left + right)
 
 
-def score_zero_tol(estimator_kind: str, scores: np.ndarray) -> float:
+def score_zero_tol(estimator: Estimator, scores: np.ndarray) -> float:
     """Deadband for sign counting: 0 for exact counting scores, tiny for float ones."""
-    if estimator_kind in ("abs_dev", "quantile"):
+    if estimator.exact_score:
         return 0.0
     return 1e-12 * (1.0 + float(np.max(np.abs(scores))))
 
@@ -187,34 +225,14 @@ def _replicate(config, point: dict, start: int, stop: int, body: Callable,
     return {key: np.array([out[key] for out in outputs]) for key in outputs[0]}
 
 
-def is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _require(ok: bool, message: str):
     if not ok:
         raise ValueError(message)
 
 
 def _read_params(config, **defaults) -> dict:
-    """The kind's ``params`` scalars with defaults filled in.
-
-    Other keys are rejected; a value must be an integer where its default is
-    one, and a number otherwise.
-    """
-    unknown = sorted(set(config.params) - set(defaults))
-    _require(not unknown, f"params {unknown} are not read by kind {config.kind!r}; "
-                          f"it reads {sorted(defaults)}")
-    for key, value in config.params.items():
-        if is_int(defaults[key]):
-            _require(is_int(value), f"params.{key} must be an integer, got {value!r}")
-        else:
-            _require(is_real(value), f"params.{key} must be a number, got {value!r}")
-    return {**defaults, **config.params}
+    """The kind's ``params`` scalars with defaults filled in."""
+    return read_params(config.params, defaults, f"kind {config.kind!r}")
 
 
 def _int_grid(config, key: str, least: int):
@@ -223,24 +241,18 @@ def _int_grid(config, key: str, least: int):
 
 
 def _prepare_univariate(config, convex: bool, **defaults) -> SimpleNamespace:
-    """The kind's ``params`` scalars, its scalar DGP and the estimator's target.
+    """The kind's ``params`` scalars, its estimator, scalar DGP and target.
 
     ``convex`` kinds certify bounds that need a convex objective (a monotone
     score), so they reject the redescending biweight.
     """
     prep = SimpleNamespace(**_read_params(config, **defaults))
     _int_grid(config, "n", 1)
-    kind = config.estimator.get("kind")
-    params = config.estimator.get("params", {})
-    tau, power = params.get("tau"), params.get("p")
-    _require(kind != "quantile" or (is_real(tau) and 0.0 < tau < 1.0),
-             f"quantile estimator needs params.tau in (0, 1), got {tau!r}")
-    _require(kind != "lp" or (is_real(power) and power >= 1.0),
-             f"lp estimator needs params.p >= 1, got {power!r}")
-    _require(not (convex and kind == "biweight"),
-             f"{config.kind} needs a convex estimator; biweight is not convex")
+    prep.estimator = resolve_estimator(config.estimator)
+    _require(not convex or prep.estimator.probe.is_convex,
+             f"{config.kind} needs a convex estimator; {prep.estimator.kind} is not convex")
     prep.dgp = make_dgp(config.dgp.get("name"), **config.dgp.get("params", {}))
-    prep.theta0 = target_for(prep.dgp, kind, params)
+    prep.theta0 = prep.estimator.target(prep.dgp)
     return prep
 
 
@@ -256,15 +268,15 @@ def _points_per_n(config):
 def _chunk_convex(config, prep, point, start, stop):
     def body(rng):
         data = prep.dgp.sample(rng, point["n"])
-        return {"theta_hat": estimate_location(config.estimator, data),
-                "score": score_at(config.estimator, data, prep.theta0)}
+        return {"theta_hat": estimate_location(prep.estimator, data),
+                "score": score_at(prep.estimator, data, prep.theta0)}
 
     return _replicate(config, point, start, stop, body)
 
 
 def _summarize_convex(config, prep, point, arrays):
     row, lhs = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
-    tol = score_zero_tol(config.estimator["kind"], arrays["score"])
+    tol = score_zero_tol(prep.estimator, arrays["score"])
     sp = sign_probabilities(arrays["score"], zero_tol=tol)
     row.update(
         rhs=convex_bound(sp),
@@ -285,8 +297,8 @@ def _chunk_z_equality(config, prep, point, start, stop):
     n = point["n"]
 
     def body(rng_lhs, rng_rhs):
-        return {"theta_hat": estimate_location(config.estimator, prep.dgp.sample(rng_lhs, n)),
-                "score": score_at(config.estimator, prep.dgp.sample(rng_rhs, n), prep.theta0)}
+        return {"theta_hat": estimate_location(prep.estimator, prep.dgp.sample(rng_lhs, n)),
+                "score": score_at(prep.estimator, prep.dgp.sample(rng_rhs, n), prep.theta0)}
 
     return _replicate(config, point, start, stop, body, streams=("lhs", "rhs"))
 
@@ -333,8 +345,8 @@ def _chunk_nondiff(config, prep, point, start, stop):
 
     def body(rng):
         data = prep.dgp.sample(rng, point["n"])
-        obj = build_objective(config.estimator, data)
-        return {"theta_hat": estimate_location(config.estimator, data),
+        obj = prep.estimator.objective(data)
+        return {"theta_hat": estimate_location(prep.estimator, data),
                 "center": obj.value(theta0),
                 "plus": [obj.value(theta0 + e) for e in prep.eps],
                 "minus": [obj.value(theta0 - e) for e in prep.eps]}
@@ -368,14 +380,13 @@ def _summarize_nondiff(config, prep, point, arrays):
 def _prepare_mle_llr(config):
     params = _read_params(config, theta0=0.0)
     _int_grid(config, "n", 1)
-    _require(config.estimator.get("kind") == "neg_loglik",
+    estimator = resolve_estimator(config.estimator)
+    _require(isinstance(estimator.probe, NegativeLogLikelihood),
              "mle_llr_consistency needs a neg_loglik estimator")
     eps = [float(e) for e in config.grids["eps"]]
     _require(0.0 not in eps, "log-likelihood-ratio shifts must be nonzero")
-    est_params = config.estimator.get("params", {})
-    family = make_family(est_params.get("family_name", "normal_location"),
-                         **est_params.get("family_params", {}))
-    return SimpleNamespace(family=family, theta0=float(params["theta0"]), eps=eps)
+    return SimpleNamespace(family=estimator.probe.family, theta0=float(params["theta0"]),
+                           eps=eps)
 
 
 def _chunk_mle_llr(config, prep, point, start, stop):
@@ -431,10 +442,10 @@ def _summarize_mle_llr(config, prep, point, arrays):
 
 
 def _prepare_nonconvex(config):
-    _require(config.estimator.get("kind") == "biweight",
-             "nonconvex_dominance drives the biweight estimator only")
     prep = _prepare_univariate(config, convex=False, scan_lo=None, scan_hi=None,
                                scan_points=1201, window_points=33)
+    _require(isinstance(prep.estimator.probe, BiweightLocation),
+             "nonconvex_dominance drives the biweight estimator only")
     theta0 = prep.theta0
     scan_lo = theta0 - 3.0 if prep.scan_lo is None else float(prep.scan_lo)
     scan_hi = theta0 + 3.0 if prep.scan_hi is None else float(prep.scan_hi)
@@ -443,7 +454,7 @@ def _prepare_nonconvex(config):
              f"params.scan_points must be an integer >= 3, got {prep.scan_points!r}")
     _require(prep.window_points >= 2,
              f"params.window_points must be an integer >= 2, got {prep.window_points!r}")
-    prep.c = float(config.estimator.get("params", {}).get("c", 2.0))
+    prep.c = prep.estimator.probe.c
     prep.deltas = [float(d) for d in config.grids["delta"]]
     prep.scan_grid = np.linspace(scan_lo, scan_hi, prep.scan_points)
     prep.windows = [theta0 + np.linspace(-delta, delta, prep.window_points)
@@ -507,7 +518,7 @@ def _summarize_nonconvex(config, prep, point, arrays):
     theta0 = prep.theta0
     row, lhs = _lhs_row(config, point, arrays["theta_hat"], theta0)
     sp = sign_probabilities(arrays["score"],
-                            zero_tol=score_zero_tol("biweight", arrays["score"]))
+                            zero_tol=score_zero_tol(prep.estimator, arrays["score"]))
     escape = np.abs(arrays["theta_hat"] - theta0)
     profile = nonconvex_profile(sp, [
         (delta, 1.0 - float(arrays[f"convex_{k}"].mean()),
@@ -547,8 +558,8 @@ def _prepare_design(config, decompose: bool):
     params = _read_params(config, theta0=0.5)
     _int_grid(config, "n", 1)
     name = config.dgp.get("name")
-    _require(name in DESIGNS, f"unknown design {name!r}; known: {sorted(DESIGNS)}")
-    return SimpleNamespace(design=name, design_params=config.dgp.get("params", {}),
+    return SimpleNamespace(design=name,
+                           design_params=design_params(name, config.dgp.get("params", {})),
                            theta0=float(params["theta0"]), decompose=decompose,
                            eta=config.grids.get("eta"))
 
@@ -725,7 +736,7 @@ def _prepare_hulc(config):
 
 
 def _chunk_hulc(config, prep, point, start, stop):
-    batch_estimator = functools.partial(estimate_location, config.estimator)
+    batch_estimator = functools.partial(estimate_location, prep.estimator)
 
     def body(rng):
         lo, hi = hulc_interval(prep.dgp.sample(rng, point["n"]), prep.alpha, batch_estimator)

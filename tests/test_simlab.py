@@ -28,7 +28,7 @@ from medbias.simlab import (
 )
 from medbias.simlab.cli import main as cli_main
 from medbias.simlab import kinds
-from medbias.simlab.kinds import KINDS, _check_loss_argmin, build_objective, default_bracket
+from medbias.simlab.kinds import KINDS, _check_loss_argmin, default_bracket, resolve_estimator
 from medbias import Bracket, CheckLoss, minimize_convex
 
 
@@ -151,6 +151,28 @@ def test_config_rejects_unknown_kind():
                       {"kind": "lp", "params": {"p": 0.5}}):
         with pytest.raises(ConfigError, match=r"params\.(tau|p)"):
             ExperimentConfig.from_dict(_minimal_config(estimator=estimator))
+    # params the objective does not take or cannot be built from
+    for raw, cause in (
+        (_minimal_config(estimator={"kind": "abs_dev", "params": {"tau": 0.5}}),
+         "estimator 'abs_dev' .*unexpected keyword argument 'tau'"),
+        (_minimal_config(estimator={"kind": "lp", "params": {"p": 2.0, "q": 1.0}}),
+         "estimator 'lp' .*unexpected keyword argument 'q'"),
+        (_minimal_config(estimator={"kind": "neg_loglik",
+                                    "params": {"family_name": "cauchy_location"}}),
+         "estimator 'neg_loglik' .*unknown family 'cauchy_location'"),
+        (_minimal_config(estimator={"kind": "neg_loglik",
+                                    "params": {"family_name": "logistic_location",
+                                               "family_params": {"sigma": 1}}}),
+         "estimator 'neg_loglik' .*unexpected keyword argument 'sigma'"),
+        (_minimal_config(kind="hulc_coverage", grids={"n": [12]},
+                         estimator={"kind": "biweight", "params": {"c": -1}}),
+         r"estimator 'biweight' .*params\.c > 0, got -1"),
+        (_minimal_config(kind="nonconvex_dominance", grids={"n": [20], "delta": [0.5]},
+                         estimator={"kind": "biweight", "params": {"c": 0}}),
+         r"estimator 'biweight' .*params\.c > 0, got 0"),
+    ):
+        with pytest.raises(ConfigError, match=cause):
+            ExperimentConfig.from_dict(raw)
     # names the kind's resolution cannot build, and targets with no closed form
     plm = {"kind": "plm_rate_dichotomy", "estimator": {},
            "grids": {"n": [50], "rate_schedules": ["constant"]}}
@@ -262,7 +284,29 @@ def test_config_rejects_unknown_field():
     ):
         with pytest.raises(ConfigError, match=cause):
             ExperimentConfig.from_dict({**nonconvex, "params": params})
+    # DGP params the process does not read, and values it cannot run with
+    design = {"kind": "partialled_dominance", "estimator": {}, "grids": {"n": [50], "d": [2]}}
+    for dgp, cause in (
+        ({"name": "standard_normal", "params": {"sigma": 3.0}},
+         r"params \['sigma'\] are not read by scalar DGP 'standard_normal'"),
+        ({"name": "uniform", "params": {"lo": 1.0, "hi": -1.0}},
+         r"scalar DGP 'uniform' needs params\.lo < params\.hi, got lo=1\.0, hi=-1\.0"),
+        ({"name": "laplace", "params": {"scale": -1}},
+         r"scalar DGP 'laplace' needs params\.scale > 0, got -1\.0"),
+        ({"name": "logistic", "params": {"scale": "wide"}},
+         r"scalar DGP 'logistic': params\.scale must be a number"),
+    ):
+        with pytest.raises(ConfigError, match=cause):
+            ExperimentConfig.from_dict(_minimal_config(dgp=dgp))
     for raw, cause in (
+        (_minimal_config(**design, dgp={"name": "leverage_mix", "params": {"rho": 1.5}}),
+         r"design 'leverage_mix' needs params\.rho in \[0, 1\), got 1\.5"),
+        (_minimal_config(**design, dgp={"name": "gaussian", "params": {"foo": 1}}),
+         r"params \['foo'\] are not read by design 'gaussian'"),
+        (_minimal_config(kind="plm_rate_dichotomy", estimator={},
+                         dgp={"name": "linear_1d", "params": {"d": 5}},
+                         grids={"n": [60], "rate_schedules": ["constant"]}),
+         r"params \['d'\] are not read by partial-linear process 'linear_1d'"),
         (_minimal_config(params={"alpha": 0.05}), r"params \['alpha'\] are not read"),
         (_minimal_config(kind="hulc_coverage", grids={"n": [60]}, params={"alpha": 1.5}),
          "params.alpha must be in"),
@@ -290,13 +334,19 @@ def test_closed_forms_match_solver(seed):
         {"kind": "quantile", "params": {"tau": 0.25}},
         {"kind": "quantile", "params": {"tau": 0.5}},
         {"kind": "lp", "params": {"p": 2.0}},
+        {"kind": "lp", "params": {"p": 1.0}},
         {"kind": "neg_loglik", "params": {"family_name": "normal_location",
                                           "family_params": {"sigma": 1.0}}},
+        {"kind": "neg_loglik"},
     ]
-    for est in cases:
+    for raw in cases:
+        est = resolve_estimator(raw)
+        assert est.closed_form is not None, raw
         fast = estimate_location(est, data)
-        oracle = minimize_convex(build_objective(est, data), default_bracket(data))
-        assert fast == pytest.approx(oracle, abs=1e-6), est
+        oracle = minimize_convex(est.objective(data), default_bracket(data))
+        assert fast == pytest.approx(oracle, abs=1e-6), raw
+    # a neg_loglik without a family name is the normal-location MLE
+    assert isinstance(resolve_estimator({"kind": "neg_loglik"}).probe.family, NormalLocation)
 
 
 def test_check_loss_argmin_flat_segment_midpoint():
