@@ -286,9 +286,6 @@ class BiweightLocation(LocationObjective):
         g = float(-np.sum(biweight_drho(self.data - theta, self.c)))
         return SubgradientInterval(g, g)
 
-    def second_derivative(self, theta):
-        return float(np.sum(biweight_ddrho(self.data - theta, self.c)))
-
 
 # ---------------------------------------------------------------------------
 # Factory and convexity probe.

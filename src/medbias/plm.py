@@ -238,26 +238,18 @@ class KnnFit:
         return self.target[nearest].mean(axis=1)
 
 
-def fit_nuisance(d1_data: RegressionData, method: NuisanceMethod,
-                 dgp: PlmDgp | None = None):
+def fit_nuisance(d1_data: RegressionData, method: NuisanceMethod, dgp: PlmDgp):
     """Fit (m_hat, g_hat) on the first data fold.
 
     ``g_hat`` targets the covariate component of the response net of the
     treatment term (the object the residual score centers on).  The oracle
     and corrupted methods perturb that truth directly.  The data-driven
-    methods regress ``y - theta0 * t`` on the covariates when the process is
-    supplied (simulation mode, same target); without it they fall back to
-    regressing ``y`` itself, which targets the full conditional mean of the
-    response instead and shifts the centering of the split score.
+    methods regress ``y - theta0 * t`` on the covariates, the same target.
     """
     p = method.params
     if method.kind == "oracle":
-        if dgp is None:
-            raise ValueError("oracle nuisances need the data-generating process")
         return OracleFit(dgp.m0), OracleFit(dgp.g0)
     if method.kind == "corrupted":
-        if dgp is None:
-            raise ValueError("corrupted nuisances need the data-generating process")
         if dgp.x_law.name != "normal":
             raise ValueError(
                 "corrupted nuisances require the normal covariate law "
@@ -277,7 +269,7 @@ def fit_nuisance(d1_data: RegressionData, method: NuisanceMethod,
         return m_hat, g_hat
 
     t = d1_data.t
-    y_net = d1_data.y - dgp.theta0 * t if dgp is not None else d1_data.y
+    y_net = d1_data.y - dgp.theta0 * t
     if method.kind == "series":
         k = int(p["basis_size"])
         return (

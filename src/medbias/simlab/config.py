@@ -69,8 +69,13 @@ def validate_config(config: ExperimentConfig):
     if not is_int(config.master_seed):
         problems.append("master_seed must be an integer")
 
+    not_objects = [name for name in ("dgp", "estimator", "grids", "params")
+                   if not isinstance(getattr(config, name), dict)]
+    for name in not_objects:
+        problems.append(f"{name} must be a JSON object, got {getattr(config, name)!r}")
+
     prepared = points = None
-    if impl is not None:
+    if impl is not None and not not_objects:
         missing = [key for key in impl.grids if not config.grids.get(key)]
         for key in missing:
             problems.append(f"kind {config.kind!r} needs a non-empty grid {key!r}")

@@ -32,14 +32,13 @@ from ..objectives import (
     NormalLocation,
     biweight_ddrho,
     biweight_drho,
-    biweight_rho,
     make_family,
     make_objective,
 )
 from ..partialling import fwl_estimate, score_decompose, default_eta_grid, proposition_profile
 from ..plm import NuisanceMethod, plm_medbias_profile, plm_split_fit, simulate_plm
 from ..solver import Bracket, minimize_convex, minimize_scan
-from .dgps import design_params, is_int, make_dgp, make_plm_dgp, read_params, sample_design
+from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval
 from .reports import CSV_COLUMNS
 from .seeds import replication_rng
@@ -143,8 +142,11 @@ def estimate_location(estimator: Estimator, data) -> float:
     data = np.asarray(data, dtype=float)
     if estimator.closed_form is not None:
         return estimator.closed_form(data)
-    solve = minimize_convex if estimator.probe.is_convex else minimize_scan
-    return solve(estimator.objective(data), default_bracket(data))
+    bracket = default_bracket(data)
+    if estimator.probe.is_convex:
+        return minimize_convex(estimator.objective(data), bracket)
+    return float(minimize_scan(data, estimator.probe.c,
+                               np.linspace(bracket.lo, bracket.hi, 2001))[0])
 
 
 def score_at(estimator: Estimator, data, theta0: float) -> float:
@@ -235,9 +237,15 @@ def _read_params(config, **defaults) -> dict:
     return read_params(config.params, defaults, f"kind {config.kind!r}")
 
 
-def _int_grid(config, key: str, least: int):
-    bad = [v for v in config.grids[key] if not is_int(v) or v < least]
-    _require(not bad, f"grid {key!r} needs integers >= {least}, got {bad}")
+def _int_grid(config, key: str, least: int | None = None):
+    bad = [v for v in config.grids[key] if not is_int(v) or (least is not None and v < least)]
+    bound = "" if least is None else f" >= {least}"
+    _require(not bad, f"grid {key!r} needs integers{bound}, got {bad}")
+
+
+def _positive_grid(config, key: str):
+    bad = [v for v in config.grids[key] if not is_real(v) or not 0.0 < v < math.inf]
+    _require(not bad, f"grid {key!r} needs finite numbers > 0, got {bad}")
 
 
 def _prepare_univariate(config, convex: bool, **defaults) -> SimpleNamespace:
@@ -455,6 +463,7 @@ def _prepare_nonconvex(config):
     _require(prep.window_points >= 2,
              f"params.window_points must be an integer >= 2, got {prep.window_points!r}")
     prep.c = prep.estimator.probe.c
+    _positive_grid(config, "delta")
     prep.deltas = [float(d) for d in config.grids["delta"]]
     prep.scan_grid = np.linspace(scan_lo, scan_hi, prep.scan_points)
     prep.windows = [theta0 + np.linspace(-delta, delta, prep.window_points)
@@ -467,41 +476,7 @@ def _chunk_nonconvex(config, prep, point, start, stop):
     data = _replicate(config, point, start, stop,
                       lambda rng: {"data": prep.dgp.sample(rng, point["n"])})["data"]
     count = stop - start
-
-    # global scan over a dense grid, vectorized over the chunk
-    grid = prep.scan_grid
-    best_val = np.full(count, np.inf)
-    best_theta = np.full(count, grid[0])
-    block = 64
-    for b in range(0, grid.size, block):
-        thetas = grid[b:b + block]
-        vals = biweight_rho(data[:, None, :] - thetas[None, :, None], c_tune).sum(axis=2)
-        idx = np.argmin(vals, axis=1)
-        cand = vals[np.arange(count), idx]
-        better = cand < best_val
-        best_val = np.where(better, cand, best_val)
-        best_theta = np.where(better, thetas[idx], best_theta)
-
-    # polish inside the winning cell by bisection on the derivative
-    step = grid[1] - grid[0]
-    lo = best_theta - step
-    hi = best_theta + step
-
-    def slope(at):
-        return -biweight_drho(data - at[:, None], c_tune).sum(axis=1)
-
-    active = (slope(lo) < 0.0) & (slope(hi) > 0.0)
-    lo_a, hi_a = lo.copy(), hi.copy()
-    for _ in range(50):
-        mid = 0.5 * (lo_a + hi_a)
-        up = slope(mid) >= 0.0
-        hi_a = np.where(active & up, mid, hi_a)
-        lo_a = np.where(active & ~up, mid, lo_a)
-    refined = 0.5 * (lo_a + hi_a)
-    refined_val = biweight_rho(data - refined[:, None], c_tune).sum(axis=1)
-    keep = active & (refined_val <= best_val)
-    theta_hat = np.where(keep, refined, best_theta)
-
+    theta_hat = minimize_scan(data, c_tune, prep.scan_grid)
     score = -biweight_drho(data - prep.theta0, c_tune).sum(axis=1)
 
     out = {"theta_hat": theta_hat, "score": score}
@@ -557,6 +532,8 @@ def _prepare_design(config, decompose: bool):
     """Regression design and true coefficient; ``decompose`` keeps the score decomposition."""
     params = _read_params(config, theta0=0.5)
     _int_grid(config, "n", 1)
+    if config.grids.get("eta"):
+        _positive_grid(config, "eta")
     name = config.dgp.get("name")
     return SimpleNamespace(design=name,
                            design_params=design_params(name, config.dgp.get("params", {})),
@@ -573,6 +550,7 @@ def _full_rank(points):
 
 
 def _points_partialled(config):
+    _int_grid(config, "d", 0)
     return _full_rank([{"n": int(n), "d": int(d)}
                        for n in config.grids["n"] for d in config.grids["d"]])
 
@@ -630,6 +608,7 @@ def schedule_dimension(schedule: str, n: int) -> int:
 
 def _points_dim_scaling(config):
     # the derived d is a coordinate, so it is part of the seed label
+    _int_grid(config, "seed_labels")
     return _full_rank([
         {"schedule": schedule, "n": int(n), "d": schedule_dimension(schedule, int(n)),
          "seed_label": int(s)}

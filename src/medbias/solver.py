@@ -1,4 +1,4 @@
-"""Univariate convex minimization by bisection on the subgradient sign.
+"""Univariate minimization: bisection on the subgradient sign, and a biweight scan.
 
 Bisection on the sign (rather than golden section on values) is deliberate:
 it certifies by construction the implications that drive the sign-probability
@@ -12,9 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import LocationObjective
+from .objectives import LocationObjective, biweight_drho, biweight_rho
 
 _MAX_ITER = 200
+_SCAN_BLOCK = 64  # grid points per vectorised block of the biweight scan
 
 
 class NonConvexityError(RuntimeError):
@@ -171,35 +172,45 @@ def solve_z(obj: LocationObjective, bracket: Bracket) -> float:
     )
 
 
-def minimize_scan(obj: LocationObjective, bracket: Bracket, num: int = 2001,
-                  refine: bool = True) -> float:
-    """Global minimization by dense grid scan, for non-convex objectives.
+def minimize_scan(data, c: float, grid) -> np.ndarray:
+    """Global minimizer of the biweight objective, row by row, by scan and polish.
 
-    Scans ``num`` equally spaced points, then (optionally) polishes the best
-    cell by bisection on the derivative sign when the objective is smooth
-    there.  This is the honest reference path for redescending objectives,
-    where subgradient bisection is not applicable.
+    ``data`` is a ``(rows, n)`` matrix (a 1-d array is one row) and ``grid``
+    an equally spaced increasing grid.  The summed loss is scanned over the
+    grid in blocks, and the first minimum wins.  When the slope goes from
+    negative at best - step to positive at best + step (a grid endpoint
+    included), 50 halvings of that cell polish the point, which is kept only
+    if its value is no larger.  Subgradient bisection does not apply to this
+    redescending objective; the scan is its one estimation path.
     """
-    if num < 3:
-        raise ValueError("num must be >= 3")
-    grid = np.linspace(bracket.lo, bracket.hi, num)
-    values = np.array([obj.value(float(t)) for t in grid])
-    k = int(np.argmin(values))
-    best = float(grid[k])
-    if not refine or k == 0 or k == num - 1:
-        return best
-    lo, hi = float(grid[k - 1]), float(grid[k + 1])
-    g_lo = obj.subgradient(lo).right
-    g_hi = obj.subgradient(hi).left
-    if not (g_lo < 0.0 < g_hi):  # derivative does not cross in the cell
-        return best
-    for _ in range(60):
+    data = np.atleast_2d(np.asarray(data, dtype=float))
+    grid = np.asarray(grid, dtype=float)
+    if grid.size < 2:
+        raise ValueError(f"scan grid needs at least 2 points, got {grid.size}")
+    rows = data.shape[0]
+    best_val = np.full(rows, np.inf)
+    best_theta = np.full(rows, grid[0])
+    for b in range(0, grid.size, _SCAN_BLOCK):
+        thetas = grid[b:b + _SCAN_BLOCK]
+        vals = biweight_rho(data[:, None, :] - thetas[None, :, None], c).sum(axis=2)
+        idx = np.argmin(vals, axis=1)
+        cand = vals[np.arange(rows), idx]
+        better = cand < best_val
+        best_val = np.where(better, cand, best_val)
+        best_theta = np.where(better, thetas[idx], best_theta)
+
+    def slope(at):
+        return -biweight_drho(data - at[:, None], c).sum(axis=1)
+
+    step = grid[1] - grid[0]
+    lo = best_theta - step
+    hi = best_theta + step
+    active = (slope(lo) < 0.0) & (slope(hi) > 0.0)
+    for _ in range(50):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= bracket.tol or mid <= lo or mid >= hi:
-            break
-        if obj.subgradient(mid).right >= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    candidate = 0.5 * (lo + hi)
-    return candidate if obj.value(candidate) <= values[k] else best
+        up = slope(mid) >= 0.0
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
+    polished = 0.5 * (lo + hi)
+    keep = active & (biweight_rho(data - polished[:, None], c).sum(axis=1) <= best_val)
+    return np.where(keep, polished, best_theta)

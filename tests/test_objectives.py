@@ -246,14 +246,18 @@ def test_biweight_curvature_agrees_with_monotonicity_probe():
 
 
 def test_biweight_second_derivative_matches_difference_quotient():
+    # the row-wise summed curvature the window-convexity check computes
+    from medbias.objectives import biweight_ddrho
+
     rng = np.random.default_rng(3)
-    obj = BiweightLocation(rng.standard_normal(20), c=2.0)
+    data = rng.standard_normal((4, 20))
+    h = 1e-5
     for theta in (-0.7, 0.0, 0.4):
-        h = 1e-5
-        left, _ = obj.subgradient(theta - h)
-        right, _ = obj.subgradient(theta + h)
-        numeric = (right - left) / (2 * h)
-        assert numeric == pytest.approx(obj.second_derivative(theta), abs=1e-3)
+        curv = biweight_ddrho(data - theta, 2.0).sum(axis=1)
+        for row, expected in zip(data, curv):
+            obj = BiweightLocation(row, c=2.0)
+            numeric = (obj.subgradient(theta + h).left - obj.subgradient(theta - h).left) / (2 * h)
+            assert numeric == pytest.approx(expected, abs=1e-3)
 
 
 def test_lp_open_question_tie_interval_at_p1():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medbias import NormalLocation, mle_llr_lower_bounds
+from medbias import EstimatorDraws, NormalLocation, mc_med_bias, minimize_scan, mle_llr_lower_bounds
 from medbias.simlab import (
     CHUNK_SIZE,
     CSV_COLUMNS,
@@ -206,6 +206,17 @@ def test_config_rejects_unknown_kind():
                                                grids={"n": [12]}))
 
 
+def test_hulc_coverage_runs_biweight():
+    # the biweight batch estimates come from the one scan; under a symmetric
+    # law they are median unbiased, so coverage meets the batch-count target
+    raw = _minimal_config(kind="hulc_coverage", estimator={"kind": "biweight"},
+                          grids={"n": [60]})
+    detail = run_experiment(ExperimentConfig.from_dict(raw)).rows[0]["detail"]
+    target = 1.0 - detail["miss_target"]
+    assert detail["batches"] == 6
+    assert detail["coverage"] >= target - 3 * math.sqrt(target * (1 - target) / raw["reps"])
+
+
 def test_config_rejects_small_reps():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_minimal_config(reps=50))
@@ -234,6 +245,16 @@ def test_config_rejects_missing_grid():
                            grids={"n": [10], "d": [12]})
     with pytest.raises(ConfigError, match=r"\(n, d\) = \[\(10, 12\)\] have d \+ 1 > n"):
         ExperimentConfig.from_dict(wide)
+    # covariate dimensions and seed labels are integer coordinates
+    for grids, cause in (({"n": [50], "d": [-1]}, r"grid 'd' needs integers >= 0, got \[-1\]"),
+                         ({"n": [50], "d": [2.5]}, r"grid 'd' needs integers >= 0, got \[2\.5\]")):
+        with pytest.raises(ConfigError, match=cause):
+            ExperimentConfig.from_dict({**wide, "grids": grids})
+    scaling = _minimal_config(kind="dimension_scaling", dgp={"name": "leverage_mix"}, estimator={},
+                              grids={"n": [100], "d_schedules": ["half_sqrt"],
+                                     "seed_labels": [0, 0.5]})
+    with pytest.raises(ConfigError, match=r"grid 'seed_labels' needs integers, got \[0\.5\]"):
+        ExperimentConfig.from_dict(scaling)
 
 
 def test_config_rejects_bad_eps_grid():
@@ -247,6 +268,20 @@ def test_config_rejects_bad_eps_grid():
     )
     with pytest.raises(ConfigError, match="nonzero"):
         ExperimentConfig.from_dict(raw)
+    # window half-widths and thresholds must be finite and positive
+    nonconvex = _minimal_config(kind="nonconvex_dominance", estimator={"kind": "biweight"})
+    partialled = _minimal_config(kind="partialled_dominance", dgp={"name": "gaussian"},
+                                 estimator={})
+    for raw, cause in (
+        ({**nonconvex, "grids": {"n": [10], "delta": [0.5, -1.0]}}, r"\[-1\.0\]"),
+        ({**nonconvex, "grids": {"n": [10], "delta": [math.inf]}}, r"\[inf\]"),
+        ({**nonconvex, "grids": {"n": [10], "delta": [0, "a"]}}, r"\[0, 'a'\]"),
+        ({**partialled, "grids": {"n": [50], "d": [2], "eta": [-1.0]}}, r"\[-1\.0\]"),
+        ({**partialled, "grids": {"n": [50], "d": [2], "eta": ["a"]}}, r"\['a'\]"),
+    ):
+        key = "delta" if "delta" in raw["grids"] else "eta"
+        with pytest.raises(ConfigError, match=f"grid '{key}' needs finite numbers > 0, got {cause}"):
+            ExperimentConfig.from_dict(raw)
 
 
 def test_config_rejects_unknown_schedule():
@@ -270,6 +305,13 @@ def test_config_rejects_unknown_schedule():
 def test_config_rejects_unknown_field():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_minimal_config(bogus=1))
+    # fields that must be JSON objects, all listed before the kind resolves them
+    for field, value in (("dgp", None), ("estimator", "abs_dev"), ("grids", "n"),
+                         ("params", [1])):
+        with pytest.raises(ConfigError, match=f"^{field} must be a JSON object, got"):
+            ExperimentConfig.from_dict(_minimal_config(**{field: value}))
+    with pytest.raises(ConfigError, match="estimator must be .*; params must be"):
+        ExperimentConfig.from_dict(_minimal_config(estimator="abs_dev", params=[1]))
     # params keys the kind does not read, and scalars it cannot run with
     nonconvex = _minimal_config(kind="nonconvex_dominance",
                                 estimator={"kind": "biweight", "params": {"c": 2.0}},
@@ -539,6 +581,30 @@ def test_mle_llr_kind_matches_bounds_op():
     lb_plus, lb_minus = mle_llr_lower_bounds(family, draws, 0.0, 0.5)
     assert row["detail"]["lower_plus"] == lb_plus
     assert row["detail"]["lower_minus"] == lb_minus
+
+
+def test_nonconvex_kind_matches_minimize_scan():
+    # the kind's estimates are the one scan on the same derived draws
+    raw = _minimal_config(
+        kind="nonconvex_dominance",
+        estimator={"kind": "biweight", "params": {"c": 2.0}},
+        grids={"n": [20], "delta": [0.5]},
+        params={"scan_points": 301},
+    )
+    config = ExperimentConfig.from_dict(raw)
+    from medbias.simlab.config import validate_config
+    from medbias.simlab.kinds import grid_label
+    from medbias.simlab.seeds import replication_rng as rrng
+    label = grid_label(config.kind, {"n": 20})
+    draws = np.stack([rrng(config.master_seed, i, label + "|data").standard_normal(20)
+                      for i in range(config.reps)])
+    theta_hat = minimize_scan(draws, 2.0, np.linspace(-3.0, 3.0, 301))
+    prepared, points = validate_config(config)
+    arrays = KINDS[config.kind].run_chunk(config, prepared, points[0], 0, config.reps)
+    assert np.array_equal(arrays["theta_hat"], theta_hat)
+    row = run_experiment(config).rows[0]
+    assert row["lhs_point"] == mc_med_bias(EstimatorDraws(theta_hat, 0.0)).point
+    assert row["detail"]["eta2"] == np.count_nonzero(np.abs(theta_hat) > 0.5) / config.reps
 
 
 # ---------------------------------------------------------------------------

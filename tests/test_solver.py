@@ -172,16 +172,27 @@ def test_nonconvex_detection_names_probes():
 
 def test_minimize_scan_finds_global_minimum():
     data = np.array([-5.0, -4.9, -5.1, 4.0, 5.0])
-    obj = BiweightLocation(data, c=2.0)
-    theta = minimize_scan(obj, Bracket(-8, 8), num=4001)
-    oracle = grid_argmin(obj, -6.0, -4.0, step=1e-5)
-    assert theta == pytest.approx(oracle, abs=1e-4)
+    grid = np.linspace(-8, 8, 4001)
+    theta = minimize_scan(data, 2.0, grid)
+    oracle = grid_argmin(BiweightLocation(data, c=2.0), -6.0, -4.0, step=1e-5)
+    assert theta.shape == (1,)
+    assert theta[0] == pytest.approx(oracle, abs=1e-4)
+    # rows are independent: a batch returns each row's own minimizer
+    batch = minimize_scan(np.stack([data, -data]), 2.0, grid)
+    assert batch[0] == theta[0]
+    assert batch[1] == minimize_scan(-data, 2.0, grid)[0]
+    # on a flat stretch the first minimum wins: data farther than c from
+    # every grid point leave the objective constant, and no polish applies
+    assert minimize_scan(data + 100.0, 2.0, grid)[0] == grid[0]
 
 
 def test_minimize_scan_agrees_with_bisection_on_convex():
+    # tightly clustered data keep every biweight row convex on the bracket,
+    # where sign bisection is the oracle
     rng = np.random.default_rng(17)
-    data = rng.standard_normal(10)
-    obj = PowerLoss(data, p=2.0)
-    scan = minimize_scan(obj, Bracket(-5, 5), num=2001)
-    exact = minimize_convex(obj, Bracket(-5, 5))
-    assert scan == pytest.approx(exact, abs=1e-5)
+    data = 0.3 * rng.standard_normal((8, 10))
+    bracket = Bracket(-1.0, 1.0)
+    scan = minimize_scan(data, 4.0, np.linspace(bracket.lo, bracket.hi, 2001))
+    for row, theta in zip(data, scan):
+        exact = minimize_convex(BiweightLocation(row, c=4.0), bracket)
+        assert theta == pytest.approx(exact, abs=1e-9)
