@@ -66,13 +66,10 @@ from .plm import (
     CovariateSpec,
     FunctionSpec,
     NoiseSpec,
-    NuisanceMethod,
     PlmDgp,
     PlmSplitFit,
-    fit_nuisance,
+    corrupted_nuisances,
     nuisance_error_moments,
-    plm_conditional_bias,
-    plm_medbias_bound,
     plm_medbias_profile,
     plm_split_fit,
     plm_theta,

@@ -2,25 +2,24 @@
 
 The response is linear in the treatment plus a smooth function of the
 covariates; the treatment is a smooth function of the covariates plus noise.
-Nuisances are fitted on one half of the data and the treatment coefficient
-solved from a residual score on the other half.  The ``corrupted`` nuisance
-method perturbs the truth by a fixed-norm direction, pinning the nuisance
-error norms exactly so the product-of-rates behaviour of the conditional
-bias becomes a deterministic experiment.
+Nuisances stand for fits on one half of the data, and the treatment
+coefficient is solved from a residual score on the other half.  The one
+nuisance pair is ``corrupted_nuisances``: the truth plus a fixed direction
+of known norm, so the nuisance error norms are exact, do not depend on the
+data, and the product-of-rates behaviour of the conditional bias becomes a
+deterministic experiment.
 """
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .core import med_bias
 from .partialling import RegressionData
 
 # ---------------------------------------------------------------------------
-# Named smooth functions, noise laws, and covariate laws (config-addressable).
+# Named smooth functions, noise laws, and the covariate law (config-addressable).
 
 
 @dataclass(frozen=True)
@@ -72,33 +71,16 @@ class NoiseSpec:
 
 @dataclass(frozen=True)
 class CovariateSpec:
-    """Law of the covariate vector; iid across observations."""
+    """Standard normal covariate vector; iid across observations."""
 
     dim: int
-    name: str = "normal"
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.name not in ("normal", "uniform"):
-            raise ValueError(f"unknown covariate law {self.name!r}")
 
     def sample(self, rng, n: int) -> np.ndarray:
-        if self.name == "normal":
-            return rng.standard_normal((n, self.dim))
-        return rng.uniform(-1.0, 1.0, (n, self.dim))
-
-    def pdf_1d(self, x):
-        """Marginal density when dim == 1 (used by the quadrature path)."""
-        if self.dim != 1:
-            raise ValueError("pdf_1d only defined for dim == 1")
-        if self.name == "normal":
-            return np.exp(-0.5 * np.square(x)) / math.sqrt(2.0 * math.pi)
-        return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
-
-    @property
-    def quad_support(self):
-        return (-12.0, 12.0) if self.name == "normal" else (-1.0, 1.0)
+        return rng.standard_normal((n, self.dim))
 
 
 @dataclass(frozen=True)
@@ -135,36 +117,8 @@ def split_indices(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Nuisance estimators.  Each fit is a callable x -> prediction; the corrupted
-# fit additionally carries closed-form error norms.
-
-
-@dataclass(frozen=True)
-class NuisanceMethod:
-    """Nuisance estimation recipe: series(k), knn(k), oracle, or corrupted.
-
-    ``corrupted`` takes ``rate`` (the exact error norm of both fits),
-    ``overlap`` in [-1, 1] (the cosine between the two perturbation
-    directions: 1 aligns them, 0 makes them orthogonal) and ``seed`` (rotates
-    the fixed direction pair inside its two-dimensional span).
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in ("series", "knn", "oracle", "corrupted"):
-            raise ValueError(f"unknown nuisance method {self.kind!r}")
-
-
-class OracleFit:
-    """Returns the true nuisance function."""
-
-    def __init__(self, truth: FunctionSpec):
-        self.truth = truth
-
-    def __call__(self, x):
-        return self.truth(x)
+# The corrupted nuisance pair: callables x -> prediction with closed-form
+# error norms.
 
 
 class CorruptedFit:
@@ -200,84 +154,26 @@ class CorruptedFit:
         return self.truth(x) + self.perturbation(x)
 
 
-class SeriesFit:
-    """Polynomial least-squares fit on a one-dimensional covariate."""
+def corrupted_nuisances(dgp: PlmDgp, rate: float, overlap: float = 1.0,
+                        seed: int = 0) -> tuple[CorruptedFit, CorruptedFit]:
+    """The pair (m_hat, g_hat): both truths perturbed with error norm ``rate``.
 
-    def __init__(self, x_train: np.ndarray, target: np.ndarray, basis_size: int):
-        if x_train.shape[1] != 1:
-            raise ValueError("series fit supports one-dimensional covariates only")
-        if basis_size < 1:
-            raise ValueError("basis size must be >= 1")
-        if basis_size > x_train.shape[0]:
-            raise ValueError(
-                f"basis size {basis_size} exceeds the training size {x_train.shape[0]}"
-            )
-        design = np.vander(x_train[:, 0], basis_size, increasing=True)
-        self.coeffs, *_ = np.linalg.lstsq(design, target, rcond=None)
-
-    def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        design = np.vander(x[:, 0], self.coeffs.size, increasing=True)
-        return design @ self.coeffs
-
-
-class KnnFit:
-    """k-nearest-neighbour regression under the Euclidean metric."""
-
-    def __init__(self, x_train: np.ndarray, target: np.ndarray, k: int):
-        if not 1 <= k <= x_train.shape[0]:
-            raise ValueError(f"k={k} outside [1, {x_train.shape[0]}]")
-        self.x_train = np.asarray(x_train, dtype=float)
-        self.target = np.asarray(target, dtype=float)
-        self.k = int(k)
-
-    def __call__(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        d2 = np.square(x[:, None, :] - self.x_train[None, :, :]).sum(axis=2)
-        nearest = np.argpartition(d2, self.k - 1, axis=1)[:, :self.k]
-        return self.target[nearest].mean(axis=1)
-
-
-def fit_nuisance(d1_data: RegressionData, method: NuisanceMethod, dgp: PlmDgp):
-    """Fit (m_hat, g_hat) on the first data fold.
-
-    ``g_hat`` targets the covariate component of the response net of the
-    treatment term (the object the residual score centers on).  The oracle
-    and corrupted methods perturb that truth directly.  The data-driven
-    methods regress ``y - theta0 * t`` on the covariates, the same target.
+    ``overlap`` in [-1, 1] is the cosine between the two perturbation
+    directions (1 aligns them, 0 makes them orthogonal); ``seed`` rotates
+    the fixed direction pair inside its two-dimensional span.  ``g_hat``
+    perturbs the covariate component of the response net of the treatment
+    term, the object the residual score centers on.
     """
-    p = method.params
-    if method.kind == "oracle":
-        return OracleFit(dgp.m0), OracleFit(dgp.g0)
-    if method.kind == "corrupted":
-        if dgp.x_law.name != "normal":
-            raise ValueError(
-                "corrupted nuisances require the normal covariate law "
-                "(the perturbation basis is orthonormal under it)"
-            )
-        rate = float(p["rate"])
-        overlap = float(p.get("overlap", 1.0))
-        seed = int(p.get("seed", 0))
-        phi = 2.0 * math.pi * np.random.default_rng(seed).random()
-        ortho = math.sqrt(max(0.0, 1.0 - overlap * overlap))
-        # g direction at angle phi; m direction rotated to have cosine = overlap
-        a_g, b_g = math.cos(phi), math.sin(phi)
-        a_m = overlap * a_g - ortho * b_g
-        b_m = overlap * b_g + ortho * a_g
-        m_hat = CorruptedFit(dgp.m0, rate, a_m, b_m, overlap)
-        g_hat = CorruptedFit(dgp.g0, rate, a_g, b_g, overlap)
-        return m_hat, g_hat
-
-    t = d1_data.t
-    y_net = d1_data.y - dgp.theta0 * t
-    if method.kind == "series":
-        k = int(p["basis_size"])
-        return (
-            SeriesFit(d1_data.x, t, k),
-            SeriesFit(d1_data.x, y_net, k),
-        )
-    k = int(p["k"])
-    return KnnFit(d1_data.x, t, k), KnnFit(d1_data.x, y_net, k)
+    overlap = float(overlap)
+    phi = 2.0 * math.pi * np.random.default_rng(int(seed)).random()
+    ortho = math.sqrt(max(0.0, 1.0 - overlap * overlap))
+    # g direction at angle phi; m direction rotated to have cosine = overlap
+    a_g, b_g = math.cos(phi), math.sin(phi)
+    a_m = overlap * a_g - ortho * b_g
+    b_m = overlap * b_g + ortho * a_g
+    m_hat = CorruptedFit(dgp.m0, rate, a_m, b_m, overlap)
+    g_hat = CorruptedFit(dgp.g0, rate, a_g, b_g, overlap)
+    return m_hat, g_hat
 
 
 # ---------------------------------------------------------------------------
@@ -286,71 +182,17 @@ def fit_nuisance(d1_data: RegressionData, method: NuisanceMethod, dgp: PlmDgp):
 
 @dataclass(frozen=True)
 class NuisanceErrorMoments:
-    """L2(P_X) moments of the nuisance errors: norms, inner product, MC error."""
+    """L2(P_X) moments of the nuisance errors: the two norms and their inner product."""
 
     norm_m: float
     norm_g: float
     inner: float
-    mc_std_err: float  # 0 for closed-form and quadrature paths
 
 
-def nuisance_error_moments(dgp: PlmDgp, m_hat, g_hat, n_mc: int = 100_000,
-                           seed: int = 0) -> NuisanceErrorMoments:
-    """Norms and inner product of (m_hat - m0, g_hat - g0) under the covariate law.
-
-    Corrupted pairs report their stored closed-form values; a one-dimensional
-    covariate law with known density is integrated by quadrature; anything
-    else falls back to a large plug-in Monte-Carlo sample.
-    """
-    if isinstance(m_hat, CorruptedFit) and isinstance(g_hat, CorruptedFit):
-        inner = g_hat.rate * m_hat.rate * g_hat.pair_overlap
-        return NuisanceErrorMoments(
-            norm_m=m_hat.rate, norm_g=g_hat.rate, inner=inner, mc_std_err=0.0
-        )
-
-    def dm(x):
-        return np.asarray(m_hat(x)) - dgp.m0(x)
-
-    def dg(x):
-        return np.asarray(g_hat(x)) - dgp.g0(x)
-
-    if dgp.x_law.dim == 1:
-        lo, hi = dgp.x_law.quad_support
-
-        def moment(f):
-            value, _ = integrate.quad(
-                lambda s: float(f(np.array([[s]]))[0] * dgp.x_law.pdf_1d(s)),
-                lo, hi, limit=200,
-            )
-            return value
-
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", integrate.IntegrationWarning)
-                mm = moment(lambda x: dm(x) ** 2)
-                gg = moment(lambda x: dg(x) ** 2)
-                gm = moment(lambda x: dg(x) * dm(x))
-        except integrate.IntegrationWarning:
-            pass  # rough predictor (piecewise constant): use the plug-in path
-        else:
-            return NuisanceErrorMoments(
-                norm_m=math.sqrt(max(mm, 0.0)),
-                norm_g=math.sqrt(max(gg, 0.0)),
-                inner=gm,
-                mc_std_err=0.0,
-            )
-
-    rng = np.random.default_rng(seed)
-    x = dgp.x_law.sample(rng, n_mc)
-    a, b = dg(x), dm(x)
-    prod = a * b
-    inner = float(prod.mean())
-    return NuisanceErrorMoments(
-        norm_m=float(np.sqrt(np.mean(b * b))),
-        norm_g=float(np.sqrt(np.mean(a * a))),
-        inner=inner,
-        mc_std_err=float(np.std(prod) / math.sqrt(n_mc)),
-    )
+def nuisance_error_moments(m_hat: CorruptedFit, g_hat: CorruptedFit) -> NuisanceErrorMoments:
+    """Norms and inner product of (m_hat - m0, g_hat - g0), from the stored rate and overlap."""
+    inner = g_hat.rate * m_hat.rate * g_hat.pair_overlap
+    return NuisanceErrorMoments(norm_m=m_hat.rate, norm_g=g_hat.rate, inner=inner)
 
 
 def plm_theta(d2_data: RegressionData, m_hat, g_hat):
@@ -379,26 +221,14 @@ def _bias_and_product(mom: NuisanceErrorMoments, d2_size: int):
     return d2_size * mom.inner, d2_size * (mom.norm_g * mom.norm_m)
 
 
-def plm_conditional_bias(dgp: PlmDgp, m_hat, g_hat, d2_size: int,
-                         n_mc: int = 100_000, seed: int = 0):
-    """Conditional bias of the split score at the target, and its product bound.
-
-    The bias is the fold-2 sum of the expected product of the two nuisance
-    errors; the bound is ``d2_size * norm_g * norm_m`` (Cauchy-Schwarz), so
-    ``|cond_bias| <= product_bound`` always.
-    """
-    if d2_size < 1:
-        raise ValueError("d2_size must be >= 1")
-    mom = nuisance_error_moments(dgp, m_hat, g_hat, n_mc=n_mc, seed=seed)
-    return _bias_and_product(mom, d2_size)
-
-
 @dataclass(frozen=True)
 class PlmSplitFit:
     """State of one sample-split fit: folds, nuisances, score, bias, norms.
 
-    ``cond_bias`` and ``product_bound`` are the pair ``plm_conditional_bias``
-    returns for the fitted nuisances and the second fold.
+    ``cond_bias`` is the conditional bias of the split score at the target,
+    the fold-2 size times the inner product of the two nuisance errors;
+    ``product_bound`` is the fold-2 size times the product of their norms
+    (Cauchy-Schwarz), so ``|cond_bias| <= product_bound`` always.
     """
 
     d1_indices: np.ndarray
@@ -422,14 +252,17 @@ class PlmSplitFit:
             raise ValueError("error norms must be >= 0")
 
 
-def plm_split_fit(dgp: PlmDgp, data: RegressionData, method: NuisanceMethod,
-                  split_seed) -> PlmSplitFit:
-    """One full sample-split pass: split, fit nuisances on fold 1, solve on fold 2."""
+def plm_split_fit(dgp: PlmDgp, data: RegressionData, m_hat: CorruptedFit,
+                  g_hat: CorruptedFit, split_seed) -> PlmSplitFit:
+    """One sample-split pass: split, then solve on fold 2 with the given nuisances.
+
+    The corrupted pair does not depend on the data, so it stands for the
+    fold-1 fit without reading fold 1.
+    """
     idx1, idx2 = split_indices(data.n, split_seed)
-    d1, d2 = data.subset(idx1), data.subset(idx2)
-    m_hat, g_hat = fit_nuisance(d1, method, dgp=dgp)
+    d2 = data.subset(idx2)
     theta_hat, z_function = plm_theta(d2, m_hat, g_hat)
-    mom = nuisance_error_moments(dgp, m_hat, g_hat)
+    mom = nuisance_error_moments(m_hat, g_hat)
     cond_bias, product_bound = _bias_and_product(mom, d2.n)
     return PlmSplitFit(
         d1_indices=idx1,
@@ -461,8 +294,3 @@ def plm_medbias_profile(z_centered_draws, cond_bias_draws) -> dict:
     p_low = float(np.count_nonzero(z <= -b)) / reps
     p_high = float(np.count_nonzero(z >= b)) / reps
     return {"p_low": p_low, "p_high": p_high, "bound": med_bias(p_low, p_high)}
-
-
-def plm_medbias_bound(z_centered_draws, cond_bias_draws) -> float:
-    """Median-bias bound for the split estimator from joint replication draws."""
-    return plm_medbias_profile(z_centered_draws, cond_bias_draws)["bound"]

@@ -36,7 +36,7 @@ from ..objectives import (
     make_objective,
 )
 from ..partialling import fwl_estimate, score_decompose, default_eta_grid, proposition_profile
-from ..plm import NuisanceMethod, plm_medbias_profile, plm_split_fit, simulate_plm
+from ..plm import corrupted_nuisances, plm_medbias_profile, plm_split_fit, simulate_plm
 from ..solver import Bracket, minimize_convex, minimize_scan
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval
@@ -341,10 +341,11 @@ def _summarize_z_equality(config, prep, point, arrays):
 
 def _prepare_nondiff(config):
     prep = _prepare_univariate(config, convex=True)
+    _positive_grid(config, "eps")
     prep.eps = [float(e) for e in config.grids["eps"]]
     _require(len(prep.eps) >= 2, "epsilon grid needs at least 2 points")
-    _require(all(e > 0 for e in prep.eps) and all(b < a for a, b in zip(prep.eps, prep.eps[1:])),
-             "epsilon grid must be positive and strictly decreasing")
+    _require(all(b < a for a, b in zip(prep.eps, prep.eps[1:])),
+             "epsilon grid must be strictly decreasing")
     return prep
 
 
@@ -391,10 +392,10 @@ def _prepare_mle_llr(config):
     estimator = resolve_estimator(config.estimator)
     _require(isinstance(estimator.probe, NegativeLogLikelihood),
              "mle_llr_consistency needs a neg_loglik estimator")
-    eps = [float(e) for e in config.grids["eps"]]
-    _require(0.0 not in eps, "log-likelihood-ratio shifts must be nonzero")
+    bad = [e for e in config.grids["eps"] if not is_real(e) or not math.isfinite(e) or e == 0]
+    _require(not bad, f"grid 'eps' needs finite nonzero numbers, got {bad}")
     return SimpleNamespace(family=estimator.probe.family, theta0=float(params["theta0"]),
-                           eps=eps)
+                           eps=[float(e) for e in config.grids["eps"]])
 
 
 def _chunk_mle_llr(config, prep, point, start, stop):
@@ -650,28 +651,30 @@ def _points_plm(config):
 
 
 def _prepare_plm(config):
+    """The process, and per (schedule, n) the rate pair and the corrupted nuisance pair."""
     params = _read_params(config, overlap=1.0, corrupt_seed=0)
     _int_grid(config, "n", 2)
-    overlap = params["overlap"]
+    overlap, seed = params["overlap"], params["corrupt_seed"]
     _require(-1.0 <= overlap <= 1.0, f"params.overlap must be in [-1, 1], got {overlap!r}")
+    _require(seed >= 0, f"params.corrupt_seed must be a non-negative integer, got {seed!r}")
+    dgp = make_plm_dgp(config.dgp.get("name"), **config.dgp.get("params", {}))
+    rates = {(schedule, n): rate_for(schedule, n)
+             for schedule in config.grids["rate_schedules"] for n in config.grids["n"]}
     return SimpleNamespace(
-        dgp=make_plm_dgp(config.dgp.get("name"), **config.dgp.get("params", {})),
-        overlap=float(overlap),
-        corrupt_seed=params["corrupt_seed"],
-        rates={(schedule, n): rate_for(schedule, n)
-               for schedule in config.grids["rate_schedules"] for n in config.grids["n"]},
+        dgp=dgp,
+        rates=rates,
+        nuisances={key: corrupted_nuisances(dgp, rate, overlap, seed)
+                   for key, (rate, _) in rates.items()},
     )
 
 
 def _chunk_plm(config, prep, point, start, stop):
     n = point["n"]
-    rate, _ = prep.rates[point["schedule"], n]
-    method = NuisanceMethod("corrupted", {
-        "rate": rate, "overlap": prep.overlap, "seed": prep.corrupt_seed,
-    })
+    m_hat, g_hat = prep.nuisances[point["schedule"], n]
 
     def body(rng_data, rng_split):
-        fit = plm_split_fit(prep.dgp, simulate_plm(prep.dgp, n, rng_data), method, rng_split)
+        data = simulate_plm(prep.dgp, n, rng_data)
+        fit = plm_split_fit(prep.dgp, data, m_hat, g_hat, rng_split)
         return {"theta_hat": fit.theta_hat, "z_at_theta0": fit.z_at_theta0,
                 "cond_bias": fit.cond_bias,
                 "cs_ok": 1.0 if abs(fit.cond_bias) <= fit.product_bound else 0.0}

@@ -9,21 +9,18 @@ from medbias import (
     CovariateSpec,
     FunctionSpec,
     NoiseSpec,
-    NuisanceMethod,
     PlmDgp,
     PlmSplitFit,
-    fit_nuisance,
+    corrupted_nuisances,
     fwl_estimate,
     nuisance_error_moments,
-    plm_conditional_bias,
-    plm_medbias_bound,
     plm_medbias_profile,
     plm_split_fit,
     plm_theta,
     simulate_plm,
     split_indices,
 )
-from medbias.plm import CorruptedFit
+from medbias.plm import CorruptedFit, _bias_and_product
 
 
 def _dgp_1d(theta0=1.0, sigma_u=1.0, sigma_v=1.0):
@@ -35,6 +32,10 @@ def _dgp_1d(theta0=1.0, sigma_u=1.0, sigma_v=1.0):
         noise_v=NoiseSpec("normal", {"sigma": sigma_v}),
         x_law=CovariateSpec(dim=1),
     )
+
+
+def _normal_pdf(s):
+    return math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi)
 
 
 def _dgp_3d(theta0=1.0):
@@ -112,10 +113,13 @@ def test_split_indices_partition_and_determinism():
 
 
 def test_oracle_nuisances_have_zero_error():
+    # rate 0 is exactly the truth
     dgp = _dgp_1d()
     data = simulate_plm(dgp, 100, seed=3)
-    m_hat, g_hat = fit_nuisance(data, NuisanceMethod("oracle"), dgp=dgp)
-    mom = nuisance_error_moments(dgp, m_hat, g_hat)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.0)
+    assert np.array_equal(m_hat(data.x), dgp.m0(data.x))
+    assert np.array_equal(g_hat(data.x), dgp.g0(data.x))
+    mom = nuisance_error_moments(m_hat, g_hat)
     assert mom.norm_m == pytest.approx(0.0, abs=1e-9)
     assert mom.norm_g == pytest.approx(0.0, abs=1e-9)
     assert mom.inner == pytest.approx(0.0, abs=1e-9)
@@ -123,28 +127,22 @@ def test_oracle_nuisances_have_zero_error():
 
 def test_corrupted_nuisances_have_exact_norms():
     dgp = _dgp_3d()
-    data = simulate_plm(dgp, 100, seed=4)
-    method = NuisanceMethod("corrupted", {"rate": 0.1, "overlap": 1.0, "seed": 9})
-    m_hat, g_hat = fit_nuisance(data, method, dgp=dgp)
-    mom = nuisance_error_moments(dgp, m_hat, g_hat)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.1, overlap=1.0, seed=9)
+    mom = nuisance_error_moments(m_hat, g_hat)
     assert mom.norm_m == 0.1 and mom.norm_g == 0.1
     assert mom.inner == pytest.approx(0.01, abs=1e-15)
-    assert mom.mc_std_err == 0.0
 
 
 def test_corrupted_norms_match_quadrature():
     # the closed-form rate must agree with integrating the realized
     # perturbation against the covariate density
     dgp = _dgp_1d()
-    data = simulate_plm(dgp, 50, seed=5)
-    method = NuisanceMethod("corrupted", {"rate": 0.3, "overlap": 0.25, "seed": 2})
-    m_hat, g_hat = fit_nuisance(data, method, dgp=dgp)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.3, overlap=0.25, seed=2)
     from scipy import integrate
 
     def norm_sq(fit):
         value, _ = integrate.quad(
-            lambda s: float(fit.perturbation(np.array([[s]]))[0] ** 2
-                            * dgp.x_law.pdf_1d(s)),
+            lambda s: float(fit.perturbation(np.array([[s]]))[0] ** 2 * _normal_pdf(s)),
             -12, 12, limit=200,
         )
         return value
@@ -155,22 +153,19 @@ def test_corrupted_norms_match_quadrature():
 
 def test_conditional_bias_oracle_and_aligned_and_orthogonal():
     dgp = _dgp_3d()
-    data = simulate_plm(dgp, 60, seed=6)
     d2 = 200
 
-    m_hat, g_hat = fit_nuisance(data, NuisanceMethod("oracle"), dgp=dgp)
-    bias, bound = plm_conditional_bias(dgp, m_hat, g_hat, d2)
+    def conditional_bias(m_hat, g_hat):
+        return _bias_and_product(nuisance_error_moments(m_hat, g_hat), d2)
+
+    bias, bound = conditional_bias(*corrupted_nuisances(dgp, rate=0.0))
     assert bias == pytest.approx(0.0, abs=1e-9) and bound == pytest.approx(0.0, abs=1e-9)
 
-    aligned = NuisanceMethod("corrupted", {"rate": 0.2, "overlap": 1.0})
-    m_hat, g_hat = fit_nuisance(data, aligned, dgp=dgp)
-    bias, bound = plm_conditional_bias(dgp, m_hat, g_hat, d2)
+    bias, bound = conditional_bias(*corrupted_nuisances(dgp, rate=0.2, overlap=1.0))
     assert bias == bound  # Cauchy-Schwarz equality for identical directions
     assert bias == pytest.approx(d2 * 0.04, abs=1e-12)
 
-    orthogonal = NuisanceMethod("corrupted", {"rate": 0.2, "overlap": 0.0})
-    m_hat, g_hat = fit_nuisance(data, orthogonal, dgp=dgp)
-    bias, bound = plm_conditional_bias(dgp, m_hat, g_hat, d2)
+    bias, bound = conditional_bias(*corrupted_nuisances(dgp, rate=0.2, overlap=0.0))
     assert bias == 0.0
     assert bound == pytest.approx(d2 * 0.04, abs=1e-12)
 
@@ -178,64 +173,15 @@ def test_conditional_bias_oracle_and_aligned_and_orthogonal():
 def test_orthogonal_corruption_integrates_to_zero():
     # quadrature confirms the stored zero inner product
     dgp = _dgp_1d()
-    data = simulate_plm(dgp, 50, seed=7)
-    method = NuisanceMethod("corrupted", {"rate": 0.2, "overlap": 0.0, "seed": 4})
-    m_hat, g_hat = fit_nuisance(data, method, dgp=dgp)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.2, overlap=0.0, seed=4)
     from scipy import integrate
     value, _ = integrate.quad(
         lambda s: float(m_hat.perturbation(np.array([[s]]))[0]
                         * g_hat.perturbation(np.array([[s]]))[0]
-                        * dgp.x_law.pdf_1d(s)),
+                        * _normal_pdf(s)),
         -12, 12, limit=200,
     )
     assert value == pytest.approx(0.0, abs=1e-8)
-
-
-def test_cauchy_schwarz_holds_for_fitted_nuisances():
-    dgp = _dgp_1d()
-    data = simulate_plm(dgp, 300, seed=8)
-    for method in [NuisanceMethod("series", {"basis_size": 4}),
-                   NuisanceMethod("knn", {"k": 15})]:
-        m_hat, g_hat = fit_nuisance(data, method, dgp=dgp)
-        bias, bound = plm_conditional_bias(dgp, m_hat, g_hat, 150)
-        assert abs(bias) <= bound
-
-
-def test_series_error_decreases_with_basis_size():
-    dgp = _dgp_1d(sigma_u=0.3)
-    data = simulate_plm(dgp, 500, seed=9)
-    norms = []
-    for k in (2, 4, 6):
-        _, g_hat = fit_nuisance(data, NuisanceMethod("series", {"basis_size": k}), dgp=dgp)
-        mom = nuisance_error_moments(dgp, Oracleish(dgp.m0), g_hat)
-        norms.append(mom.norm_g)
-    assert norms[0] > norms[1] > norms[2]
-
-
-class Oracleish:
-    """Zero-error stand-in for the side of the pair not under test."""
-
-    def __init__(self, truth):
-        self.truth = truth
-
-    def __call__(self, x):
-        return self.truth(x)
-
-
-def test_series_rejects_basis_larger_than_fold():
-    dgp = _dgp_1d()
-    data = simulate_plm(dgp, 20, seed=10)
-    with pytest.raises(ValueError):
-        fit_nuisance(data, NuisanceMethod("series", {"basis_size": 21}), dgp=dgp)
-
-
-def test_knn_validation():
-    dgp = _dgp_1d()
-    data = simulate_plm(dgp, 20, seed=11)
-    with pytest.raises(ValueError):
-        fit_nuisance(data, NuisanceMethod("knn", {"k": 0}), dgp=dgp)
-    with pytest.raises(ValueError):
-        NuisanceMethod("mystery")
 
 
 def test_plm_theta_exact_with_oracle_and_no_response_noise():
@@ -247,7 +193,7 @@ def test_plm_theta_exact_with_oracle_and_no_response_noise():
         x_law=dgp.x_law,
     )
     data = simulate_plm(silent, 80, seed=12)
-    m_hat, g_hat = fit_nuisance(data, NuisanceMethod("oracle"), dgp=silent)
+    m_hat, g_hat = corrupted_nuisances(silent, rate=0.0)
     theta_hat, z = plm_theta(data, m_hat, g_hat)
     assert theta_hat == pytest.approx(dgp.theta0, abs=1e-12)
     assert abs(z(theta_hat)) <= 1e-10 * (1.0 + abs(z(0.0)))
@@ -256,8 +202,7 @@ def test_plm_theta_exact_with_oracle_and_no_response_noise():
 def test_plm_theta_root_matches_grid_search():
     dgp = _dgp_3d()
     data = simulate_plm(dgp, 120, seed=13)
-    method = NuisanceMethod("corrupted", {"rate": 0.15})
-    m_hat, g_hat = fit_nuisance(data, method, dgp=dgp)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.15)
     theta_hat, z = plm_theta(data, m_hat, g_hat)
     fine = np.linspace(theta_hat - 0.01, theta_hat + 0.01, 20_001)
     fine_vals = np.abs([z(float(g)) for g in fine])
@@ -269,8 +214,7 @@ def test_plm_score_decomposition_four_terms():
     # the split score at the target equals its four-term expansion exactly
     dgp = _dgp_3d()
     data = simulate_plm(dgp, 100, seed=14)
-    method = NuisanceMethod("corrupted", {"rate": 0.2, "overlap": 0.3, "seed": 1})
-    m_hat, g_hat = fit_nuisance(data, method, dgp=dgp)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.2, overlap=0.3, seed=1)
     theta0 = dgp.theta0
     r_t_pop = data.t - dgp.m0(data.x)
     r_y_pop = data.y - dgp.g0(data.x)
@@ -291,9 +235,7 @@ def test_plm_conditional_centering_of_mean_zero_terms():
     # conditional on the nuisances, the three noise-bearing expansion terms
     # average to zero over fresh second-fold draws
     dgp = _dgp_3d()
-    method = NuisanceMethod("corrupted", {"rate": 0.2, "overlap": 1.0, "seed": 3})
-    base = simulate_plm(dgp, 50, seed=15)
-    m_hat, g_hat = fit_nuisance(base, method, dgp=dgp)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.2, overlap=1.0, seed=3)
     reps, n2 = 4000, 100
     terms = np.empty((reps, 3))
     for r in range(reps):
@@ -312,26 +254,26 @@ def test_plm_medbias_bound_cases():
     rng = np.random.default_rng(16)
     z = rng.standard_normal(50_000)
     zero_bias = np.zeros_like(z)
-    assert plm_medbias_bound(z, zero_bias) <= 3 * math.sqrt(0.25 / z.size)
     profile = plm_medbias_profile(z, zero_bias)
+    assert profile["bound"] <= 3 * math.sqrt(0.25 / z.size)
     assert profile["p_low"] == float(np.count_nonzero(z <= 0.0)) / z.size
     assert profile["p_high"] == float(np.count_nonzero(z >= 0.0)) / z.size
-    assert profile["bound"] == plm_medbias_bound(z, zero_bias)
     huge = np.full_like(z, 1e9)
-    assert plm_medbias_bound(z, huge) == 0.5
+    assert plm_medbias_profile(z, huge)["bound"] == 0.5
     with pytest.raises(ValueError):
-        plm_medbias_bound(z, huge[:-1])
+        plm_medbias_profile(z, huge[:-1])
 
 
 def test_plm_split_fit_end_to_end():
     dgp = _dgp_3d()
     data = simulate_plm(dgp, 200, seed=17)
-    method = NuisanceMethod("corrupted", {"rate": 0.1, "overlap": 1.0})
-    fit = plm_split_fit(dgp, data, method, split_seed=17)
+    m_hat, g_hat = corrupted_nuisances(dgp, rate=0.1, overlap=1.0)
+    fit = plm_split_fit(dgp, data, m_hat, g_hat, split_seed=17)
     assert fit.d1_indices.size == 100 and fit.d2_indices.size == 100
     assert fit.norm_g == 0.1 and fit.norm_m == 0.1
     assert fit.cond_bias == pytest.approx(100 * 0.01, abs=1e-12)
-    bias, product = plm_conditional_bias(dgp, fit.m_hat, fit.g_hat, fit.d2_indices.size)
+    mom = nuisance_error_moments(fit.m_hat, fit.g_hat)
+    bias, product = _bias_and_product(mom, fit.d2_indices.size)
     assert (fit.cond_bias, fit.product_bound) == (bias, product)
     assert abs(fit.cond_bias) <= product
     assert isinstance(fit.m_hat, CorruptedFit)

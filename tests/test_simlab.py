@@ -1,6 +1,7 @@
 """Tests for the experiment lab: seeds, config, engine, reports, CLI, HulC."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -268,6 +269,15 @@ def test_config_rejects_bad_eps_grid():
     )
     with pytest.raises(ConfigError, match="nonzero"):
         ExperimentConfig.from_dict(raw)
+    # shifts and epsilons must be finite numbers, named by their grid
+    for eps, cause in (([math.inf], r"\[inf\]"), ([math.nan], r"\[nan\]")):
+        with pytest.raises(ConfigError,
+                           match=f"grid 'eps' needs finite nonzero numbers, got {cause}"):
+            ExperimentConfig.from_dict({**raw, "grids": {"n": [10], "eps": eps}})
+    nondiff = _minimal_config(kind="nondiff_profile")
+    for eps, cause in ((["a"], r"\['a'\]"), ([math.inf, 0.1], r"\[inf\]")):
+        with pytest.raises(ConfigError, match=f"grid 'eps' needs finite numbers > 0, got {cause}"):
+            ExperimentConfig.from_dict({**nondiff, "grids": {"n": [5], "eps": eps}})
     # window half-widths and thresholds must be finite and positive
     nonconvex = _minimal_config(kind="nonconvex_dominance", estimator={"kind": "biweight"})
     partialled = _minimal_config(kind="partialled_dominance", dgp={"name": "gaussian"},
@@ -355,6 +365,10 @@ def test_config_rejects_unknown_field():
         (_minimal_config(kind="plm_rate_dichotomy", dgp={"name": "smooth_default"},
                          estimator={}, grids={"n": [60], "rate_schedules": ["constant"]},
                          params={"overlap": 2.0}), "params.overlap must be in"),
+        (_minimal_config(kind="plm_rate_dichotomy", dgp={"name": "smooth_default"},
+                         estimator={}, grids={"n": [60], "rate_schedules": ["constant"]},
+                         params={"corrupt_seed": -1}),
+         "params.corrupt_seed must be a non-negative integer, got -1"),
         (_minimal_config(kind="partialled_dominance", dgp={"name": "gaussian"}, estimator={},
                          grids={"n": [50], "d": [2]}, params={"theta0": None}),
          "params.theta0 must be a number"),
@@ -535,6 +549,25 @@ def test_csv_bytes_stable(tmp_path):
     write_csv(first, run_experiment(config, workers=1).rows)
     write_csv(second, run_experiment(config, workers=3).rows)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_plm_csv_bytes_pinned(tmp_path):
+    # a small split-fit run; the digest was recorded when the nuisance pair
+    # was still built on every replication, so building it once per grid
+    # point must give the same bytes, at workers 1 and 2
+    raw = _minimal_config(
+        kind="plm_rate_dichotomy",
+        dgp={"name": "smooth_default"},
+        estimator={},
+        grids={"n": [20, 60], "rate_schedules": ["vanishing", "constant"]},
+        params={"overlap": 0.3, "corrupt_seed": 5},
+    )
+    config = ExperimentConfig.from_dict(raw)
+    for workers in (1, 2):
+        path = tmp_path / f"plm-{workers}.csv"
+        write_csv(path, run_experiment(config, workers=workers).rows)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "e724337e6e3aa8bdd5933292ea33fa51f01e09b25536c66a7831b213112452b4")
 
 
 def test_plm_moments_once_per_replication(monkeypatch):
