@@ -7,8 +7,14 @@ location family) expose the left/right subgradient at every point, which is
 what the sign-probability bounds consume.  A redescending bounded-influence
 objective is included as the non-convex test case; it is smooth, so its
 subgradient interval collapses to the derivative.
+
+An objective holds one sample (1-d data, evaluated at a scalar theta to
+Python floats) or a ``(rows, n)`` matrix of samples, evaluated row by row at
+a scalar or per-row theta to per-row arrays.  Both shapes run the same code,
+and each row's value equals, bit for bit, the 1-d objective on that row.
 """
 
+import copy
 import math
 from typing import NamedTuple
 
@@ -136,20 +142,39 @@ class LocationObjective:
 
     def __init__(self, data):
         x = np.asarray(data, dtype=float)
-        if x.ndim != 1 or x.size == 0:
-            raise ValueError("data must be a non-empty 1-d sequence")
+        if x.ndim not in (1, 2) or x.size == 0:
+            raise ValueError("data must be a non-empty 1-d sequence or (rows, n) matrix")
         if not np.all(np.isfinite(x)):
             raise ValueError("data must be finite")
         self.data = x
 
-    def scale_at(self, theta: float) -> float:
-        """Affine-invariant tolerance anchor: 1 + max|x| + |theta|."""
-        return 1.0 + float(np.max(np.abs(self.data))) + abs(theta)
+    def take(self, rows) -> "LocationObjective":
+        """The same objective on the given rows of its ``(rows, n)`` matrix."""
+        sub = copy.copy(self)
+        sub.data = self.data[rows]
+        return sub
 
-    def value(self, theta: float) -> float:
+    def _per_row(self, theta):
+        """The data as ``(rows, n)``, and theta as a column: one value per row, or one for all."""
+        return (self.data.reshape(-1, self.data.shape[-1]),
+                np.asarray(theta, dtype=float).reshape(-1, 1))
+
+    def _result(self, per_row):
+        """Per-row values, or a Python float for a 1-d objective."""
+        return per_row.item() if self.data.ndim == 1 else per_row
+
+    def _interval(self, left, right) -> SubgradientInterval:
+        return SubgradientInterval(self._result(left), self._result(right))
+
+    def scale_at(self, theta):
+        """Affine-invariant tolerance anchor: 1 + max|x| + |theta|."""
+        x, t = self._per_row(theta)
+        return self._result(1.0 + np.abs(x).max(axis=1) + np.abs(t[:, 0]))
+
+    def value(self, theta):
         raise NotImplementedError
 
-    def subgradient(self, theta: float) -> SubgradientInterval:
+    def subgradient(self, theta) -> SubgradientInterval:
         raise NotImplementedError
 
 
@@ -159,13 +184,15 @@ class AbsoluteDeviation(LocationObjective):
     kind = "abs_dev"
 
     def value(self, theta):
-        return float(np.sum(np.abs(self.data - theta)))
+        x, t = self._per_row(theta)
+        return self._result(np.abs(x - t).sum(axis=1))
 
     def subgradient(self, theta):
-        n_le = int(np.count_nonzero(self.data <= theta))
-        n_eq = int(np.count_nonzero(self.data == theta))
-        right = float(2 * n_le - self.data.size)
-        return SubgradientInterval(right - 2.0 * n_eq, right)
+        x, t = self._per_row(theta)
+        n_le = np.count_nonzero(x <= t, axis=1)
+        n_eq = np.count_nonzero(x == t, axis=1)
+        right = (2 * n_le - x.shape[1]).astype(float)
+        return self._interval(right - 2.0 * n_eq, right)
 
 
 class CheckLoss(LocationObjective):
@@ -180,15 +207,16 @@ class CheckLoss(LocationObjective):
         self.tau = float(tau)
 
     def value(self, theta):
-        resid = self.data - theta
-        weight = np.where(self.data <= theta, self.tau - 1.0, self.tau)
-        return float(np.sum(weight * resid))
+        x, t = self._per_row(theta)
+        weight = np.where(x <= t, self.tau - 1.0, self.tau)
+        return self._result((weight * (x - t)).sum(axis=1))
 
     def subgradient(self, theta):
-        n_le = int(np.count_nonzero(self.data <= theta))
-        n_eq = int(np.count_nonzero(self.data == theta))
-        right = float(n_le - self.data.size * self.tau)
-        return SubgradientInterval(right - n_eq, right)
+        x, t = self._per_row(theta)
+        n_le = np.count_nonzero(x <= t, axis=1)
+        n_eq = np.count_nonzero(x == t, axis=1)
+        right = n_le - x.shape[1] * self.tau
+        return self._interval(right - n_eq, right)
 
 
 class PowerLoss(LocationObjective):
@@ -203,18 +231,25 @@ class PowerLoss(LocationObjective):
         self.p = float(p)
 
     def value(self, theta):
-        return float(np.sum(np.abs(self.data - theta) ** self.p))
+        x, t = self._per_row(theta)
+        return self._result((np.abs(x - t) ** self.p).sum(axis=1))
 
     def subgradient(self, theta):
-        diff = theta - self.data
+        x, t = self._per_row(theta)
+        diff = t - x
+        terms = np.abs(diff) ** (self.p - 1.0) * np.sign(diff)
+        g = terms.sum(axis=1)
         away = diff != 0.0
-        g = self.p * float(np.sum(np.abs(diff[away]) ** (self.p - 1.0) * np.sign(diff[away])))
-        n_eq = int(np.count_nonzero(~away))
-        if n_eq == 0 or self.p > 1.0:
-            # for p > 1 the per-term derivative at a data point is 0
-            return SubgradientInterval(g, g)
+        n_eq = x.shape[1] - np.count_nonzero(away, axis=1)
+        for i in np.flatnonzero(n_eq):
+            # a row with ties sums its nonzero terms only: the zero terms
+            # would shift the pairwise-summation blocks, and so the rounding
+            g[i] = terms[i][away[i]].sum()
+        g = self.p * g
+        if self.p > 1.0:  # the per-term derivative at a data point is 0
+            return self._interval(g, g)
         # p == 1: each tied point contributes the full slope interval [-1, 1]
-        return SubgradientInterval(g - n_eq, g + n_eq)
+        return self._interval(g - n_eq, g + n_eq)
 
 
 class NegativeLogLikelihood(LocationObjective):
@@ -231,11 +266,13 @@ class NegativeLogLikelihood(LocationObjective):
         self.family = family
 
     def value(self, theta):
-        return float(-np.sum(self.family.log_density(self.data, theta)))
+        x, t = self._per_row(theta)
+        return self._result(-self.family.log_density(x, t).sum(axis=1))
 
     def subgradient(self, theta):
-        g = float(-np.sum(self.family.score(self.data, theta)))
-        return SubgradientInterval(g, g)
+        x, t = self._per_row(theta)
+        g = -self.family.score(x, t).sum(axis=1)
+        return self._interval(g, g)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +317,13 @@ class BiweightLocation(LocationObjective):
         self.c = float(c)
 
     def value(self, theta):
-        return float(np.sum(biweight_rho(self.data - theta, self.c)))
+        x, t = self._per_row(theta)
+        return self._result(biweight_rho(x - t, self.c).sum(axis=1))
 
     def subgradient(self, theta):
-        g = float(-np.sum(biweight_drho(self.data - theta, self.c)))
-        return SubgradientInterval(g, g)
+        x, t = self._per_row(theta)
+        g = -biweight_drho(x - t, self.c).sum(axis=1)
+        return self._interval(g, g)
 
 
 # ---------------------------------------------------------------------------

@@ -19,20 +19,24 @@ def batch_count(alpha: float) -> int:
     return math.ceil(math.log2(2.0 / alpha))
 
 
-def hulc_interval(values, alpha: float, estimator) -> tuple[float, float]:
+def hulc_interval(values, alpha: float, estimator):
     """Interval [min, max] of the estimator over B disjoint equal-size batches.
 
-    Batches are consecutive runs of the input order; with n not divisible by
-    B the trailing remainder observations are dropped.  ``estimator`` maps a
-    1-d array to a scalar.
+    ``values`` is one sample, or a ``(rows, n)`` matrix holding one sample
+    per row.  Batches are consecutive runs of each sample; with n not
+    divisible by B the trailing remainder observations are dropped.
+    ``estimator`` maps a matrix of batches, one per row, to one estimate per
+    row, and is called once for all the batches.  Returns two floats for one
+    sample and two per-row arrays for a matrix.
     """
     data = np.asarray(values, dtype=float)
-    if data.ndim != 1:
-        raise ValueError("values must be 1-d")
+    if data.ndim not in (1, 2):
+        raise ValueError("values must be one sample or a (rows, n) matrix of samples")
     b = batch_count(alpha)
-    size = data.size // b
+    size = data.shape[-1] // b
     if size < 1:
-        raise ValueError(f"need at least {b} observations for alpha={alpha}, got {data.size}")
-    batches = data[: size * b].reshape(b, size)
-    estimates = [float(estimator(batch)) for batch in batches]
-    return min(estimates), max(estimates)
+        raise ValueError(f"need at least {b} observations for alpha={alpha}, got {data.shape[-1]}")
+    batches = data[..., : size * b].reshape(-1, size)
+    estimates = np.asarray(estimator(batches), dtype=float).reshape(data.shape[:-1] + (b,))
+    lo, hi = estimates.min(axis=-1), estimates.max(axis=-1)
+    return (float(lo), float(hi)) if data.ndim == 1 else (lo, hi)

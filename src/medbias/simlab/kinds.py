@@ -4,8 +4,10 @@ Each kind is described once, by its ``KindImpl``: how it resolves its config
 (rejecting what cannot run), expands its grid, simulates one chunk of
 replications, and folds the collected arrays into report rows.  Every
 replication draws from its own derived seed stream through ``_replicate``,
-so chunking and worker count can never change a value.  Rows are plain dicts
-in the canonical report schema; anything kind-specific goes into ``detail``.
+so chunking and worker count can never change a value.  The univariate
+kinds draw a chunk as one ``(count, n)`` matrix and estimate, score and
+evaluate it row by row.  Rows are plain dicts in the canonical report
+schema; anything kind-specific goes into ``detail``.
 """
 
 import functools
@@ -49,8 +51,9 @@ from .seeds import replication_rng
 
 
 def default_bracket(data) -> Bracket:
+    """The data range widened by its width plus one on each side, per row of a matrix."""
     data = np.asarray(data, dtype=float)
-    lo, hi = float(np.min(data)), float(np.max(data))
+    lo, hi = data.min(axis=-1), data.max(axis=-1)
     span = hi - lo + 1.0
     return Bracket(lo - span, hi + span)
 
@@ -66,17 +69,13 @@ def _check_loss_ranks(n: int, tau: float) -> tuple[int, int]:
     return idx, idx
 
 
-def _check_loss_argmin(data, tau: float) -> float:
-    """Argmin of the check loss, midpoint tie-break on flat segments."""
-    s = np.sort(data)
-    lo, hi = _check_loss_ranks(s.size, tau)
+def _check_loss_argmin(data, tau: float):
+    """Argmin of the check loss per row, midpoint tie-break on flat segments."""
+    s = np.sort(data, axis=-1)
+    lo, hi = _check_loss_ranks(s.shape[-1], tau)
     if lo == hi:
-        return float(s[lo])
-    return 0.5 * (float(s[lo]) + float(s[hi]))
-
-
-def _mean(data) -> float:
-    return float(np.mean(data))
+        return s[..., lo]
+    return 0.5 * (s[..., lo] + s[..., hi])
 
 
 def _symmetry_center(estimator_kind: str, dgp) -> float:
@@ -93,9 +92,10 @@ class Estimator:
 
     ``params`` are the keyword arguments of ``make_objective`` (a
     ``neg_loglik`` carries its built family), ``probe`` is the objective built
-    from them on one point, ``closed_form`` maps data to the argmin where one
-    exists, ``target`` maps a scalar DGP to the population target, and
-    ``exact_score`` marks integer-valued scores, whose signs count exactly.
+    from them on one point, ``closed_form`` maps each row of a data matrix to
+    its argmin where one exists, ``target`` maps a scalar DGP to the
+    population target, and ``exact_score`` marks integer-valued scores, whose
+    signs count exactly.
     """
 
     kind: str
@@ -127,31 +127,34 @@ def resolve_estimator(estimator: dict) -> Estimator:
                          operator.methodcaller("quantile", tau), exact_score=True)
     power = getattr(probe, "p", None)
     if power == 2.0 or isinstance(getattr(probe, "family", None), NormalLocation):
-        return Estimator(kind, params, probe, _mean, operator.attrgetter("mean"))
+        return Estimator(kind, params, probe, functools.partial(np.mean, axis=-1),
+                         operator.attrgetter("mean"))
     closed_form = functools.partial(_check_loss_argmin, tau=0.5) if power == 1.0 else None
     return Estimator(kind, params, probe, closed_form,
                      functools.partial(_symmetry_center, kind))
 
 
-def estimate_location(estimator: Estimator, data) -> float:
-    """Compute the estimator, using its closed form where it has one.
+def estimate_location(estimator: Estimator, data) -> np.ndarray:
+    """The estimate on each row of a ``(rows, n)`` matrix (a 1-d array is one row).
 
-    Closed forms share the solver's midpoint tie-break, and the two routes
-    are cross-checked in the test suite.
+    The closed form where the estimator has one, else the batched convex
+    solver, else the biweight scan over 2001 points of each row's bracket.
+    Closed forms share the solver's midpoint tie-break, and the routes are
+    cross-checked in the test suite.
     """
-    data = np.asarray(data, dtype=float)
+    data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
     if estimator.closed_form is not None:
         return estimator.closed_form(data)
     bracket = default_bracket(data)
     if estimator.probe.is_convex:
         return minimize_convex(estimator.objective(data), bracket)
-    return float(minimize_scan(data, estimator.probe.c,
-                               np.linspace(bracket.lo, bracket.hi, 2001))[0])
+    return minimize_scan(data, estimator.probe.c,
+                         np.linspace(bracket.lo, bracket.hi, 2001, axis=-1))
 
 
-def score_at(estimator: Estimator, data, theta0: float) -> float:
-    """Score statistic at the target: midpoint of the subgradient interval."""
-    left, right = estimator.objective(data).subgradient(theta0)
+def score_at(estimator: Estimator, data, theta0: float) -> np.ndarray:
+    """Score statistic at the target per row: midpoint of the subgradient interval."""
+    left, right = estimator.objective(np.atleast_2d(data)).subgradient(theta0)
     return 0.5 * (left + right)
 
 
@@ -248,6 +251,15 @@ def _positive_grid(config, key: str):
     _require(not bad, f"grid {key!r} needs finite numbers > 0, got {bad}")
 
 
+def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
+    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream."""
+    def body(*rngs):
+        return {stream: prep.dgp.sample(rng, point["n"]) for stream, rng in zip(streams, rngs)}
+
+    out = _replicate(config, point, start, stop, body, streams)
+    return [out[stream] for stream in streams]
+
+
 def _prepare_univariate(config, convex: bool, **defaults) -> SimpleNamespace:
     """The kind's ``params`` scalars, its estimator, scalar DGP and target.
 
@@ -274,12 +286,9 @@ def _points_per_n(config):
 
 
 def _chunk_convex(config, prep, point, start, stop):
-    def body(rng):
-        data = prep.dgp.sample(rng, point["n"])
-        return {"theta_hat": estimate_location(prep.estimator, data),
-                "score": score_at(prep.estimator, data, prep.theta0)}
-
-    return _replicate(config, point, start, stop, body)
+    data, = _sample(config, prep, point, start, stop)
+    return {"theta_hat": estimate_location(prep.estimator, data),
+            "score": score_at(prep.estimator, data, prep.theta0)}
 
 
 def _summarize_convex(config, prep, point, arrays):
@@ -302,13 +311,9 @@ def _summarize_convex(config, prep, point, arrays):
 
 
 def _chunk_z_equality(config, prep, point, start, stop):
-    n = point["n"]
-
-    def body(rng_lhs, rng_rhs):
-        return {"theta_hat": estimate_location(prep.estimator, prep.dgp.sample(rng_lhs, n)),
-                "score": score_at(prep.estimator, prep.dgp.sample(rng_rhs, n), prep.theta0)}
-
-    return _replicate(config, point, start, stop, body, streams=("lhs", "rhs"))
+    lhs, rhs = _sample(config, prep, point, start, stop, streams=("lhs", "rhs"))
+    return {"theta_hat": estimate_location(prep.estimator, lhs),
+            "score": score_at(prep.estimator, rhs, prep.theta0)}
 
 
 def _summarize_z_equality(config, prep, point, arrays):
@@ -350,17 +355,13 @@ def _prepare_nondiff(config):
 
 
 def _chunk_nondiff(config, prep, point, start, stop):
+    data, = _sample(config, prep, point, start, stop)
+    obj = prep.estimator.objective(data)
     theta0 = prep.theta0
-
-    def body(rng):
-        data = prep.dgp.sample(rng, point["n"])
-        obj = prep.estimator.objective(data)
-        return {"theta_hat": estimate_location(prep.estimator, data),
-                "center": obj.value(theta0),
-                "plus": [obj.value(theta0 + e) for e in prep.eps],
-                "minus": [obj.value(theta0 - e) for e in prep.eps]}
-
-    return _replicate(config, point, start, stop, body)
+    return {"theta_hat": estimate_location(prep.estimator, data),
+            "center": obj.value(theta0),
+            "plus": np.stack([obj.value(theta0 + e) for e in prep.eps], axis=1),
+            "minus": np.stack([obj.value(theta0 - e) for e in prep.eps], axis=1)}
 
 
 def _summarize_nondiff(config, prep, point, arrays):
@@ -394,8 +395,20 @@ def _prepare_mle_llr(config):
              "mle_llr_consistency needs a neg_loglik estimator")
     bad = [e for e in config.grids["eps"] if not is_real(e) or not math.isfinite(e) or e == 0]
     _require(not bad, f"grid 'eps' needs finite nonzero numbers, got {bad}")
-    return SimpleNamespace(family=estimator.probe.family, theta0=float(params["theta0"]),
+    prep = SimpleNamespace(family=estimator.probe.family, theta0=float(params["theta0"]),
                            eps=[float(e) for e in config.grids["eps"]])
+    bad = [e for e in prep.eps if not _identifiable_shift(prep.family, prep.theta0, e)]
+    _require(not bad, f"grid 'eps' values {bad} give no finite negative expected "
+                      f"log-likelihood ratio under {prep.family.name}")
+    return prep
+
+
+def _identifiable_shift(family, theta0: float, shift: float) -> bool:
+    """Whether the per-observation expected log-likelihood ratio at ``shift`` is finite and < 0."""
+    try:
+        return -math.inf < family.expected_log_likelihood_ratio(theta0, shift) < 0.0
+    except OverflowError:
+        return False
 
 
 def _chunk_mle_llr(config, prep, point, start, stop):
@@ -474,8 +487,7 @@ def _prepare_nonconvex(config):
 
 def _chunk_nonconvex(config, prep, point, start, stop):
     c_tune = prep.c
-    data = _replicate(config, point, start, stop,
-                      lambda rng: {"data": prep.dgp.sample(rng, point["n"])})["data"]
+    data, = _sample(config, prep, point, start, stop)
     count = stop - start
     theta_hat = minimize_scan(data, c_tune, prep.scan_grid)
     score = -biweight_drho(data - prep.theta0, c_tune).sum(axis=1)
@@ -718,13 +730,9 @@ def _prepare_hulc(config):
 
 
 def _chunk_hulc(config, prep, point, start, stop):
-    batch_estimator = functools.partial(estimate_location, prep.estimator)
-
-    def body(rng):
-        lo, hi = hulc_interval(prep.dgp.sample(rng, point["n"]), prep.alpha, batch_estimator)
-        return {"covered": 1.0 if lo <= prep.theta0 <= hi else 0.0}
-
-    return _replicate(config, point, start, stop, body)
+    data, = _sample(config, prep, point, start, stop)
+    lo, hi = hulc_interval(data, prep.alpha, functools.partial(estimate_location, prep.estimator))
+    return {"covered": ((lo <= prep.theta0) & (prep.theta0 <= hi)).astype(float)}
 
 
 def _summarize_hulc(config, prep, point, arrays):

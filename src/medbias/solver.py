@@ -6,6 +6,14 @@ bound -- a negative right subgradient at a probe point forces the minimizer
 to its right, and symmetrically.  When the minimizer is an interval (sample
 median with even n, for example) the midpoint of the interval is returned,
 so tie-breaking is fixed and reproducible.
+
+``minimize_convex`` on an objective over a ``(rows, n)`` matrix runs the
+batched solver: every row takes the probes, stop rules and checks of the
+scalar path in lockstep, one objective call per probe for all rows still
+searching, and gets the scalar result bit for bit.  The experiment kinds
+estimate through it; ``minimize_convex`` on one sample and ``solve_z`` are
+the scalar library API and the reference the batched solver is tested
+against.
 """
 
 from dataclasses import dataclass
@@ -32,20 +40,23 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Bracket:
-    """Search interval with an absolute tolerance on the returned point."""
+    """Search interval with an absolute tolerance on the returned point.
+
+    The fields may be per-row arrays, for the batched solver.
+    """
 
     lo: float
     hi: float
     tol: float | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+        if not (np.all(np.isfinite(self.lo)) and np.all(np.isfinite(self.hi))):
             raise ValueError("bracket endpoints must be finite")
-        if not self.lo < self.hi:
+        if not np.all(self.lo < self.hi):
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.tol is None:
             object.__setattr__(self, "tol", 1e-10 * (1.0 + abs(self.lo) + abs(self.hi)))
-        if self.tol <= 0.0:
+        if np.any(self.tol <= 0.0):
             raise ValueError("tol must be positive")
 
 
@@ -142,14 +153,114 @@ def _argmin_interval(obj: LocationObjective, bracket: Bracket, negate: bool) -> 
     return 0.5 * (lower + upper)
 
 
-def minimize_convex(obj: LocationObjective, bracket: Bracket) -> float:
+class _RowProber:
+    """``_Prober`` for the rows of a matrix objective, each row with its own probes."""
+
+    def __init__(self, obj: LocationObjective, lo, hi):
+        self.obj = obj
+        self.slack = 1e-9 * np.maximum(obj.scale_at(lo), obj.scale_at(hi))
+        self.probes = []  # (rows, theta, g_left, g_right) arrays, in evaluation order
+
+    def __call__(self, rows, theta):
+        left, right = self.obj.take(rows).subgradient(theta)
+        flipped = np.flatnonzero(left > right + self.slack[rows])
+        if flipped.size:
+            i = flipped[0]
+            raise NonConvexityError(
+                f"row {rows[i]}: subgradient interval reversed at theta={theta[i]}: "
+                f"left={left[i]} > right={right[i]}"
+            )
+        self.probes.append((rows, theta, left, right))
+        return left, right
+
+    def check_monotone(self):
+        """``_Prober.check_monotone`` over each row's own probes, which it consumes."""
+        rows, theta, left, right = (np.concatenate(col) for col in zip(*self.probes))
+        # one sorted copy at a time: this is the peak memory of a solve
+        self.probes = []
+        order = np.lexsort((theta, rows))
+        rows = rows[order]
+        theta = theta[order]
+        left = left[order]
+        right = right[order]
+        bad = np.flatnonzero((rows[1:] == rows[:-1]) & (theta[1:] > theta[:-1])
+                             & (right[:-1] > left[1:] + self.slack[rows[1:]]))
+        if bad.size:
+            i = bad[0]
+            raise NonConvexityError(
+                f"row {rows[i]}: subgradient sign not monotone: "
+                f"g_right({theta[i]})={right[i]} > g_left({theta[i + 1]})={left[i + 1]}"
+            )
+
+
+def _bisect_rows(predicate, rows, lo, hi, tol):
+    """``_bisect`` for each of ``rows``, all still-open rows probed by one predicate call."""
+    lo, hi = lo.copy(), hi.copy()
+    live = np.arange(rows.size)
+    for _ in range(_MAX_ITER):
+        mid = 0.5 * (lo[live] + hi[live])
+        go = (hi[live] - lo[live] > tol[live]) & (mid > lo[live]) & (mid < hi[live])
+        live, mid = live[go], mid[go]
+        if not live.size:
+            return lo, hi
+        up = predicate(rows[live], mid)
+        hi[live[up]] = mid[up]
+        lo[live[~up]] = mid[~up]
+    i = live[0]
+    raise ConvergenceError(
+        f"bisection did not converge within {_MAX_ITER} iterations in row {rows[i]} "
+        f"on [{lo[i]}, {hi[i]}]"
+    )
+
+
+def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
+    """``_argmin_interval`` (not negated) for every row of a matrix objective."""
+    count = obj.data.shape[0]
+    lo, hi, tol = (np.broadcast_to(np.asarray(f, dtype=float), count)
+                   for f in (bracket.lo, bracket.hi, bracket.tol))
+    probe = _RowProber(obj, lo, hi)
+    every = np.arange(count)
+
+    left_lo, right_lo = probe(every, lo)
+    left_hi, right_hi = probe(every, hi)
+    for t in np.linspace(lo, hi, 9)[1:-1]:
+        probe(every, t)
+
+    at_hi = right_hi < 0.0
+    at_lo = ~at_hi & (left_lo > 0.0)
+    inside = ~(at_hi | at_lo)
+
+    lower = lo.copy()
+    rows = np.flatnonzero(inside & (right_lo < 0.0))
+    lower[rows] = _bisect_rows(lambda r, t: probe(r, t)[1] >= 0.0,
+                               rows, lo[rows], hi[rows], tol[rows])[1]
+    upper = hi.copy()
+    rows = np.flatnonzero(inside & (left_hi > 0.0))
+    upper[rows] = _bisect_rows(lambda r, t: probe(r, t)[0] > 0.0,
+                               rows, lo[rows], hi[rows], tol[rows])[0]
+
+    probe.check_monotone()
+    bad = np.flatnonzero(inside & (lower > upper + 2.0 * tol))
+    if bad.size:
+        i = bad[0]
+        raise NonConvexityError(
+            f"row {i}: inconsistent minimizer interval [{lower[i]}, {upper[i]}]"
+        )
+    return np.where(at_hi, hi, np.where(at_lo, lo, 0.5 * (lower + upper)))
+
+
+def minimize_convex(obj: LocationObjective, bracket: Bracket):
     """Minimize a convex objective over the bracket.
 
     Returns a point where zero lies in the subgradient interval (up to the
     bracket tolerance), or a bracket endpoint when the minimum sits there.
     Non-convexity observed along the way raises ``NonConvexityError`` naming
-    the offending probe points.
+    the offending probe points.  An objective over a ``(rows, n)`` matrix,
+    with a scalar or per-row bracket, is minimized row by row into an array
+    whose entries equal the scalar results; an error names the row.
     """
+    if obj.data.ndim == 2:
+        return _argmin_rows(obj, bracket)
     return _argmin_interval(obj, bracket, negate=False)
 
 
@@ -176,33 +287,36 @@ def minimize_scan(data, c: float, grid) -> np.ndarray:
     """Global minimizer of the biweight objective, row by row, by scan and polish.
 
     ``data`` is a ``(rows, n)`` matrix (a 1-d array is one row) and ``grid``
-    an equally spaced increasing grid.  The summed loss is scanned over the
-    grid in blocks, and the first minimum wins.  When the slope goes from
-    negative at best - step to positive at best + step (a grid endpoint
-    included), 50 halvings of that cell polish the point, which is kept only
-    if its value is no larger.  Subgradient bisection does not apply to this
-    redescending objective; the scan is its one estimation path.
+    an equally spaced increasing grid, shared by every row (1-d) or one per
+    row (``(rows, points)``).  The summed loss is scanned over the grid in
+    blocks, and the first minimum wins.  When the slope goes from negative at
+    best - step to positive at best + step (a grid endpoint included), 50
+    halvings of that cell polish the point, which is kept only if its value
+    is no larger.  Subgradient bisection does not apply to this redescending
+    objective; the scan is its one estimation path.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 2:
-        raise ValueError(f"scan grid needs at least 2 points, got {grid.size}")
     rows = data.shape[0]
+    grid = np.asarray(grid, dtype=float)
+    if grid.shape[-1] < 2:
+        raise ValueError(f"scan grid needs at least 2 points, got {grid.shape[-1]}")
+    grid = np.broadcast_to(grid, (rows, grid.shape[-1]))
+    every = np.arange(rows)
     best_val = np.full(rows, np.inf)
-    best_theta = np.full(rows, grid[0])
-    for b in range(0, grid.size, _SCAN_BLOCK):
-        thetas = grid[b:b + _SCAN_BLOCK]
-        vals = biweight_rho(data[:, None, :] - thetas[None, :, None], c).sum(axis=2)
+    best_theta = grid[:, 0].copy()
+    for b in range(0, grid.shape[1], _SCAN_BLOCK):
+        thetas = grid[:, b:b + _SCAN_BLOCK]
+        vals = biweight_rho(data[:, None, :] - thetas[:, :, None], c).sum(axis=2)
         idx = np.argmin(vals, axis=1)
-        cand = vals[np.arange(rows), idx]
+        cand = vals[every, idx]
         better = cand < best_val
         best_val = np.where(better, cand, best_val)
-        best_theta = np.where(better, thetas[idx], best_theta)
+        best_theta = np.where(better, thetas[every, idx], best_theta)
 
     def slope(at):
         return -biweight_drho(data - at[:, None], c).sum(axis=1)
 
-    step = grid[1] - grid[0]
+    step = grid[:, 1] - grid[:, 0]
     lo = best_theta - step
     hi = best_theta + step
     active = (slope(lo) < 0.0) & (slope(hi) > 0.0)

@@ -1,9 +1,11 @@
 """Tests for the experiment lab: seeds, config, engine, reports, CLI, HulC."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -88,19 +90,19 @@ def test_batch_count_values():
 
 def test_hulc_degenerate_estimator_always_covers():
     data = np.arange(60, dtype=float)
-    lo, hi = hulc_interval(data, 0.05, lambda batch: 1.7)
+    lo, hi = hulc_interval(data, 0.05, lambda batches: np.full(len(batches), 1.7))
     assert lo == hi == 1.7
 
 
 def test_hulc_interval_is_batch_range():
     data = np.arange(12, dtype=float)
-    lo, hi = hulc_interval(data, 0.25, lambda b: float(b.mean()))
+    lo, hi = hulc_interval(data, 0.25, lambda b: b.mean(axis=1))
     assert lo == pytest.approx(1.5) and hi == pytest.approx(9.5)
 
 
 def test_hulc_needs_enough_data():
     with pytest.raises(ValueError):
-        hulc_interval(np.arange(4, dtype=float), 0.05, np.median)
+        hulc_interval(np.arange(4, dtype=float), 0.05, functools.partial(np.median, axis=1))
 
 
 def test_hulc_coverage_small_run():
@@ -108,7 +110,7 @@ def test_hulc_coverage_small_run():
     hits = 0
     runs = 2000
     for _ in range(runs):
-        lo, hi = hulc_interval(rng.standard_normal(60), 0.05, np.median)
+        lo, hi = hulc_interval(rng.standard_normal(60), 0.05, functools.partial(np.median, axis=1))
         hits += lo <= 0.0 <= hi
     coverage = hits / runs
     target = 1.0 - 2.0 ** -5
@@ -292,6 +294,28 @@ def test_config_rejects_bad_eps_grid():
         key = "delta" if "delta" in raw["grids"] else "eta"
         with pytest.raises(ConfigError, match=f"grid '{key}' needs finite numbers > 0, got {cause}"):
             ExperimentConfig.from_dict(raw)
+
+
+def test_validate_lists_llr_shift_without_finite_expected_ratio(tmp_path, capsys):
+    # a finite but huge shift overflows the normal family's expected
+    # log-likelihood ratio; validation names the grid and the value next to
+    # the config's other problems, instead of the run stopping mid-chunk
+    from medbias.simlab.config import validate_config
+    raw = _minimal_config(
+        kind="mle_llr_consistency",
+        estimator={"kind": "neg_loglik", "params": {"family_name": "normal_location"}},
+        grids={"n": [5], "eps": [0.5, 1e200]},
+        reps=50,
+    )
+    cause = r"grid 'eps' values \[1e\+200\] give no finite negative expected"
+    with pytest.raises(ConfigError, match=f"reps=50 below the minimum.*{cause}"):
+        validate_config(ExperimentConfig(**raw))
+    path = tmp_path / "llr.json"
+    path.write_text(json.dumps(raw))
+    assert cli_main(["validate", str(path)]) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert re.search(cause, record["message"])
 
 
 def test_config_rejects_unknown_schedule():

@@ -161,6 +161,9 @@ def test_iteration_cap_raises(monkeypatch):
     from medbias import ConvergenceError
     with pytest.raises(ConvergenceError):
         minimize_convex(PowerLoss([0.0, 1.0, 5.0], p=2), Bracket(-1e6, 1e6, tol=1e-12))
+    rows = np.array([[0.0, 1.0, 5.0], [2.0, 2.5, 3.0]])
+    with pytest.raises(ConvergenceError, match="in row 0 "):
+        minimize_convex(PowerLoss(rows, p=2), Bracket(-1e6, 1e6, tol=1e-12))
 
 
 def test_nonconvex_detection_names_probes():
@@ -168,6 +171,76 @@ def test_nonconvex_detection_names_probes():
     with pytest.raises(NonConvexityError) as err:
         minimize_convex(obj, Bracket(-8, 8))
     assert "g_right(" in str(err.value) and "g_left(" in str(err.value)
+
+
+def test_batched_solver_names_the_nonconvex_row():
+    # row 0 is clustered, so convex on the bracket; row 1 puts four points
+    # where the biweight loss is concave, and the scalar path rejects it
+    rng = np.random.default_rng(17)
+    rows = np.stack([0.3 * rng.standard_normal(5), [-3.0, 3.0, -3.2, 3.2, 0.0]])
+    bracket = Bracket(-1.0, 1.0)
+    minimize_convex(BiweightLocation(rows[0], c=4.0), bracket)
+    with pytest.raises(NonConvexityError, match=r"g_right\(.*g_left\("):
+        minimize_convex(BiweightLocation(rows[1], c=4.0), bracket)
+    with pytest.raises(NonConvexityError, match=r"^row 1: .*g_right\(.*g_left\("):
+        minimize_convex(BiweightLocation(rows, c=4.0), bracket)
+
+
+CONVEX_KINDS = {
+    "abs_dev": AbsoluteDeviation,
+    "quantile(0.25)": lambda d: CheckLoss(d, tau=0.25),
+    "lp(1)": lambda d: PowerLoss(d, p=1.0),
+    "lp(1.5)": lambda d: PowerLoss(d, p=1.5),
+    "lp(2)": lambda d: PowerLoss(d, p=2.0),
+    "lp(4)": lambda d: PowerLoss(d, p=4.0),
+    "neg_loglik(normal)": lambda d: NegativeLogLikelihood(d, NormalLocation(1.0)),
+    "neg_loglik(logistic)": lambda d: NegativeLogLikelihood(d, LogisticLocation(1.0)),
+}
+
+
+@pytest.mark.parametrize("kind", CONVEX_KINDS)
+def test_batched_solver_matches_scalar_bit_for_bit(kind):
+    # the scalar path is the oracle for every row of a batched solve, at
+    # n >= 8 and on the inputs where float summation order could differ:
+    # integer-valued rows put probes exactly on data points, and doubled
+    # values at even n give flat segments; the shifted brackets hold no
+    # minimizer, so alternate rows return their lower or upper endpoint
+    factory = CONVEX_KINDS[kind]
+    rng = np.random.default_rng(29)
+    base = rng.integers(-3, 4, size=(30, 12)).astype(float)
+    matrices = [
+        rng.integers(-3, 4, size=(30, 9)).astype(float),
+        np.repeat(rng.integers(-4, 5, size=(30, 4)), 2, axis=1).astype(float),
+        base + rng.standard_normal(base.shape) * (rng.random(base.shape) < 0.5),
+        rng.standard_normal((30, 16)),
+    ]
+    for data in matrices:
+        lo, hi = data.min(axis=1) - 2.0, data.max(axis=1) + 2.0
+        shift = (hi - lo) * np.resize([1.0, -1.0], len(data))
+        batched = factory(data)
+        probes = np.round(data[:, 0]) + 0.5 * rng.integers(-1, 2, len(data))
+        left, right = batched.subgradient(probes)
+        for a, b in ((lo, hi), (lo + shift, hi + shift)):
+            theta = minimize_convex(batched, Bracket(a, b))
+            for i, row in enumerate(data):
+                assert theta[i] == minimize_convex(factory(row), Bracket(a[i], b[i])), (kind, i)
+        for i, row in enumerate(data):
+            assert (left[i], right[i]) == factory(row).subgradient(float(probes[i])), (kind, i)
+
+
+def test_power_loss_sums_only_nonzero_terms_at_a_tie():
+    # dropping the exact-zero terms changes the pairwise-summation blocks;
+    # both the 1-d and the row-wise subgradient sum the nonzero terms only
+    rng = np.random.default_rng(3)
+    data = rng.integers(-3, 4, size=(200, 17)).astype(float)
+    data += rng.standard_normal(data.shape) * (rng.random(data.shape) < 0.5)
+    for p in (1.5, 4.0):
+        terms = np.abs(data) ** (p - 1.0) * np.sign(-data)
+        masked = np.array([p * row[row != 0.0].sum() for row in terms])
+        assert np.any(masked != p * terms.sum(axis=1))
+        left, right = PowerLoss(data, p=p).subgradient(0.0)
+        assert np.array_equal(left, masked) and np.array_equal(right, masked)
+        assert [PowerLoss(row, p=p).subgradient(0.0).left for row in data] == list(masked)
 
 
 def test_minimize_scan_finds_global_minimum():
@@ -196,3 +269,13 @@ def test_minimize_scan_agrees_with_bisection_on_convex():
     for row, theta in zip(data, scan):
         exact = minimize_convex(BiweightLocation(row, c=4.0), bracket)
         assert theta == pytest.approx(exact, abs=1e-9)
+
+
+def test_minimize_scan_per_row_grid_matches_row_scans():
+    # a (rows, points) grid scans each row over its own grid, bit for bit
+    rng = np.random.default_rng(41)
+    data = rng.standard_normal((6, 10))
+    grids = np.linspace(data.min(axis=1) - 1.0, data.max(axis=1) + 1.0, 301, axis=-1)
+    batch = minimize_scan(data, 2.0, grids)
+    assert [float(t) for t in batch] == [minimize_scan(row, 2.0, grid)[0]
+                                         for row, grid in zip(data, grids)]
