@@ -43,7 +43,7 @@ from ..solver import Bracket, minimize_convex, minimize_scan
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval
 from .reports import CSV_COLUMNS
-from .seeds import replication_rng
+from .seeds import chunk_generators
 
 
 # ---------------------------------------------------------------------------
@@ -217,16 +217,15 @@ def _replicate(config, point: dict, start: int, stop: int, body: Callable,
     """Run ``body`` for replications ``start..stop`` of a grid point and stack its outputs.
 
     The one owner of the seeding contract: stream ``s`` of replication ``i``
-    draws from ``replication_rng(master_seed, i, f"{grid_label}|{s}")``, so a
-    value depends only on (master seed, grid point, index, stream), never on
-    chunking, worker count or order.  ``body`` takes one generator per stream
+    draws the stream of ``replication_rng(master_seed, i, f"{grid_label}|{s}")``,
+    so a value depends only on (master seed, grid point, index, stream), never
+    on chunking, worker count or order.  ``body`` takes one generator per stream
     and returns a dict of scalars or equal-shape arrays, stacked key by key.
+    The chunk is seeded in one pass by ``chunk_generators``, which reuses each
+    stream's generator: a body must not keep a generator after it returns.
     """
     labels = [f"{grid_label(config.kind, point)}|{stream}" for stream in streams]
-    outputs = [
-        body(*[replication_rng(config.master_seed, i, label) for label in labels])
-        for i in range(start, stop)
-    ]
+    outputs = [body(*rngs) for rngs in chunk_generators(config.master_seed, start, stop, labels)]
     return {key: np.array([out[key] for out in outputs]) for key in outputs[0]}
 
 

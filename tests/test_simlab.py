@@ -30,7 +30,8 @@ from medbias.simlab import (
     write_json,
 )
 from medbias.simlab.cli import main as cli_main
-from medbias.simlab import kinds
+from medbias.simlab import kinds, seeds
+from medbias.simlab.seeds import chunk_generators
 from medbias.simlab.kinds import KINDS, _check_loss_argmin, default_bracket, resolve_estimator
 from medbias import Bracket, CheckLoss, minimize_convex
 
@@ -69,11 +70,75 @@ def test_derive_seed_type_errors():
         derive_seed("5", 0, "x")
     with pytest.raises(TypeError):
         derive_seed(5, 0, 7)
+    with pytest.raises(TypeError):
+        derive_seed(True, 0, "x")
+    with pytest.raises(TypeError):
+        derive_seed(1, False, "x")
+    assert derive_seed(1, 0, "x") == derive_seed(int("1"), 0, "x")
 
 
 def test_replication_rng_reproduces():
     assert (replication_rng(3, 4, "a").standard_normal(5)
             == replication_rng(3, 4, "a").standard_normal(5)).all()
+
+
+# Every draw method the lab's DGPs and fits use.
+_DRAW_METHODS = [
+    lambda rng: rng.standard_normal(7),
+    lambda rng: rng.standard_normal((5, 3)),
+    lambda rng: rng.uniform(-1.0, 2.0, size=4),
+    lambda rng: rng.logistic(0.5, 2.0, size=6),
+    lambda rng: rng.laplace(0.0, 1.5, size=5),
+    lambda rng: rng.exponential(2.0, size=3),
+    lambda rng: rng.permutation(11),
+]
+
+
+def test_chunk_generators_match_replication_rng():
+    # the batched seeding gives default_rng(derive_seed(...))'s streams, draw for draw
+    labels = ["g=1|data", "g=1|split"]
+    chunks = [(0, 1100), (1100, 2000)]
+    for start, stop in chunks:
+        for i, rngs in zip(range(start, stop), chunk_generators(17, start, stop, labels)):
+            assert len(rngs) == len(labels)
+            k = i % len(_DRAW_METHODS)
+            for label, rng in zip(labels, rngs):
+                reference = replication_rng(17, i, label)
+                for draw in _DRAW_METHODS[k:] + _DRAW_METHODS[:k]:
+                    assert np.array_equal(draw(rng), draw(reference)), (i, label)
+
+
+def test_batched_seeding_matches_seed_sequence_on_raw_seeds():
+    raw = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    for seed, state in zip(raw, seeds._pcg64_states(raw)):
+        assert seeds._pcg64_state(*state) == np.random.default_rng(seed).bit_generator.state
+
+
+def test_chunk_generators_drop_a_buffered_half():
+    # a body that leaves half of a 64-bit output buffered must not leak it
+    # into the next replication's draws
+    buffered = 0
+    for i, (rng,) in enumerate(chunk_generators(5, 0, 40, ["g|data"])):
+        reference = replication_rng(5, i, "g|data")
+        if i % 2 == 0:
+            assert np.array_equal(rng.integers(0, 10, size=3, dtype=np.uint32),
+                                  reference.integers(0, 10, size=3, dtype=np.uint32))
+            buffered += reference.bit_generator.state["has_uint32"]
+        else:
+            assert np.array_equal(rng.standard_normal(4), reference.standard_normal(4))
+            assert np.array_equal(rng.integers(0, 10, size=2, dtype=np.uint32),
+                                  reference.integers(0, 10, size=2, dtype=np.uint32))
+    assert buffered > 0
+
+
+def test_batched_seeding_self_check_raises_on_drift(monkeypatch):
+    monkeypatch.setattr(seeds, "_MULT_B", seeds._MULT_B ^ 1)
+    seeds._check_against_reference.cache_clear()
+    with pytest.raises(RuntimeError, match=re.escape(np.__version__)):
+        next(chunk_generators(0, 0, 1, ["x"]))
+    monkeypatch.undo()
+    seeds._check_against_reference.cache_clear()
+    next(chunk_generators(0, 0, 1, ["x"]))
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +746,7 @@ def test_benchmark_workload_configs_validate(monkeypatch):
     def no_replication(*args):
         raise AssertionError("validation drew a replication")
 
-    monkeypatch.setattr(kinds, "replication_rng", no_replication)
+    monkeypatch.setattr(kinds, "chunk_generators", no_replication)
     root = Path(__file__).resolve().parents[1]
     spec = json.loads((root / "perfbench" / "workloads.json").read_text())
     entries = [entry for workload in spec["workloads"].values() for entry in workload["configs"]]
