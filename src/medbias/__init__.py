@@ -32,21 +32,15 @@ from .objectives import (
 )
 from .solver import (
     Bracket,
-    BracketingError,
     ConvergenceError,
     NonConvexityError,
     minimize_convex,
     minimize_scan,
-    solve_z,
 )
 from .bounds import (
-    BERRY_ESSEEN_CONSTANT,
     IdentifiabilityError,
-    clt_asymptotic_bound,
     convex_bound,
     mle_llr_lower_bounds,
-    nonconvex_bound,
-    nondiff_bound,
     nondiff_profile,
     z_exact_medbias,
 )
@@ -58,8 +52,6 @@ from .partialling import (
     default_eta_grid,
     fwl_estimate,
     joint_theta,
-    load_regression_csv,
-    proposition_bound,
     score_decompose,
 )
 from .plm import (

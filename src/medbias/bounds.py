@@ -7,15 +7,9 @@ weakens it.  The Z-estimator version is an equality in distribution and uses
 the weak-inequality probabilities instead.
 """
 
-import math
-
 import numpy as np
 
 from .core import SignProbabilities, freq_std_err, med_bias
-
-#: Published universal constant for the iid Berry-Esseen (Lyapunov-ratio)
-#: bound; callers may pass their own.
-BERRY_ESSEEN_CONSTANT = 0.56
 
 
 class IdentifiabilityError(ValueError):
@@ -73,17 +67,6 @@ def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
             "std_err": freq_std_err(min(p_plus, p_minus), reps),
         })
     return profile
-
-
-def nondiff_bound(eps_grid, center_values, plus_values, minus_values) -> float:
-    """Comparison bound evaluated at the finest epsilon of the grid.
-
-    The limit as epsilon drops to zero is approached from below; the finest
-    grid point is reported as-is, without extrapolation, so the bound stays
-    an honestly measured quantity.  Use ``nondiff_profile`` for the full
-    profile.
-    """
-    return nondiff_profile(eps_grid, center_values, plus_values, minus_values)[-1]["bound"]
 
 
 def llr_sign_indicators(family, data_draws, theta0: float, shift: float):
@@ -154,38 +137,6 @@ def nonconvex_profile(sp: SignProbabilities, eta_profile) -> list:
             "clamped": min(max(raw, 0.0), 0.5),
         })
     return profile
-
-
-def nonconvex_bound(sp: SignProbabilities, eta_profile) -> float:
-    """Convex bound plus the best window-convexity penalty, clamped to [0, 1/2].
-
-    With an all-zero eta profile this reproduces ``convex_bound`` bit for bit.
-    """
-    return min(entry["clamped"] for entry in nonconvex_profile(sp, eta_profile))
-
-
-def clt_asymptotic_bound(mean: float, variance: float, third_abs_moment: float,
-                         n: int, atom_prob: float = 0.0,
-                         constant: float = BERRY_ESSEEN_CONSTANT) -> float:
-    """Normal-approximation estimate of the sign-probability gap for an iid sum.
-
-    Returns ``constant * rho / (sigma^3 sqrt(n)) + atom_prob / 2`` where the
-    moments are per-summand; the summands must be centered.  This is an
-    asymptotic estimate, not a certified bound: the constant is a published
-    universal value and the caller supplies any atom probability at zero.
-    """
-    if variance <= 0.0:
-        raise ValueError("variance must be positive")
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if not math.isfinite(third_abs_moment) or third_abs_moment < 0.0:
-        raise ValueError("third absolute moment must be finite and >= 0")
-    if not 0.0 <= atom_prob <= 1.0:
-        raise ValueError("atom_prob must be a probability")
-    sigma = math.sqrt(variance)
-    if abs(mean) > 1e-8 * sigma:
-        raise ValueError(f"summands are not centered: mean={mean!r}")
-    return constant * third_abs_moment / (sigma**3 * math.sqrt(n)) + 0.5 * atom_prob
 
 
 def direct_comparison_probabilities(family, data_draws, theta0: float, eps: float):

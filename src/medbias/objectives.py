@@ -57,9 +57,6 @@ class NormalLocation:
         """Per-observation E[log p_{theta0+shift}(X) - log p_{theta0}(X)] under theta0."""
         return -0.5 * (shift / self.sigma) ** 2
 
-    def params(self) -> dict:
-        return {"sigma": self.sigma}
-
 
 class LogisticLocation:
     """Logistic location family with known scale."""
@@ -87,7 +84,12 @@ class LogisticLocation:
         """Per-observation expected log-likelihood ratio, by quadrature.
 
         Location invariance makes the value independent of ``theta0``; it is
-        minus the KL divergence from the centered density to its shift.
+        minus the KL divergence from the centered density to its shift.  The
+        quadrature is checked against the closed form ``2 - u / tanh(u / 2)``
+        with ``u = |shift| / scale``, and a shift where the two disagree
+        raises ``ValueError``: from a few thousand scales up the integrator
+        misses the mass near the shift and returns about 0, and near 1e-5
+        scales it is off by more than the value itself.
         """
         if shift == 0.0:
             return 0.0
@@ -98,10 +100,20 @@ class LogisticLocation:
 
         span = 40.0 * self.scale + 4.0 * abs(shift)
         value, _ = integrate.quad(integrand, -span, span, limit=200)
+        u = abs(shift) / self.scale
+        closed = 2.0 - u / math.tanh(u / 2.0)
+        # the 1e-14 absolute term: at |shift| <= 1e-3 scales either value may be
+        # about 2e-15 from the truth (the closed form cancels against 2), which
+        # the relative term alone would reject
+        if not abs(value - closed) <= 1e-9 * abs(closed) + 1e-14:
+            raise ValueError(
+                f"quadrature of the {self.name} expected log-likelihood ratio at shift "
+                f"{shift!r} gives {value!r}, the closed form {closed!r}"
+            )
+        # the quadrature value is returned, not the closed form: the two differ
+        # in the last digits, and the lab's log-likelihood-ratio CSVs are
+        # centered by the quadrature value
         return value
-
-    def params(self) -> dict:
-        return {"scale": self.scale}
 
 
 _FAMILIES = {

@@ -8,7 +8,6 @@ nuisance-estimation cross term, which is what the corresponding median-bias
 bound controls through a threshold on the cross term.
 """
 
-import csv
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -67,39 +66,13 @@ class RegressionData:
         return RegressionData(y=self.y[idx], t=self.t[idx], x=self.x[idx])
 
 
-def load_regression_csv(path) -> RegressionData:
-    """Read a dataset from CSV with header columns y, t, x1..xd (d may be 0)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file, header row required") from None
-        header = [h.strip() for h in header]
-        d = len(header) - 2
-        expected = ["y", "t"] + [f"x{j}" for j in range(1, d + 1)]
-        if d < 0 or header != expected:
-            raise ValueError(
-                f"{path}: header must be y,t,x1..xd in order, got {header!r}"
-            )
-        rows = [[float(v) for v in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    table = np.asarray(rows, dtype=float)
-    if table.shape[1] != d + 2:
-        raise ValueError(f"{path}: inconsistent row widths")
-    return RegressionData(y=table[:, 0], t=table[:, 1], x=table[:, 2:])
-
-
 @dataclass(frozen=True)
 class PartialledFit:
-    """Partialled least-squares fit: slope, both residual vectors, both projections."""
+    """Partialled least-squares fit: slope and both residual vectors."""
 
     theta_hat: float
     r_t_hat: np.ndarray
     r_y_hat: np.ndarray
-    beta_t_hat: np.ndarray
-    beta_y_hat: np.ndarray
 
 
 class ScoreDecomposition(NamedTuple):
@@ -128,11 +101,11 @@ def _check_rank(data: RegressionData):
         )
 
 
-def _residualize(x: np.ndarray, v: np.ndarray):
+def _residualize(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     if x.shape[1] == 0:
-        return np.zeros(0), v.copy()
+        return v.copy()
     beta, *_ = np.linalg.lstsq(x, v, rcond=None)
-    return beta, v - x @ beta
+    return v - x @ beta
 
 
 def fwl_estimate(data: RegressionData) -> PartialledFit:
@@ -145,8 +118,8 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     the offending direction.
     """
     _check_rank(data)
-    beta_t, r_t = _residualize(data.x, data.t)
-    beta_y, r_y = _residualize(data.x, data.y)
+    r_t = _residualize(data.x, data.t)
+    r_y = _residualize(data.x, data.y)
     denom = float(r_t @ r_t)
     if denom <= 0.0:
         raise CollinearityError("treatment residuals are identically zero")
@@ -162,13 +135,7 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
                 f"treatment residuals not orthogonal to covariates (max {worst:.3e}); "
                 "design too ill-conditioned for the partialled solve"
             )
-    return PartialledFit(
-        theta_hat=theta_hat,
-        r_t_hat=r_t,
-        r_y_hat=r_y,
-        beta_t_hat=beta_t,
-        beta_y_hat=beta_y,
-    )
+    return PartialledFit(theta_hat=theta_hat, r_t_hat=r_t, r_y_hat=r_y)
 
 
 def joint_theta(data: RegressionData) -> float:
@@ -257,9 +224,3 @@ def proposition_profile(s_n_draws, correction_draws, eta_grid):
             "value": med_bias(p_low, p_high) + escape,
         })
     return rows
-
-
-def proposition_bound(s_n_draws, correction_draws, eta_grid) -> float:
-    """Partialled median-bias bound: best threshold over the supplied grid."""
-    rows = proposition_profile(s_n_draws, correction_draws, eta_grid)
-    return min(row["value"] for row in rows)

@@ -32,8 +32,6 @@ class FunctionSpec:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         p = self.params
-        if self.name == "zero":
-            return np.zeros(x.shape[0])
         if self.name == "linear":
             weights = np.broadcast_to(
                 np.asarray(p.get("weights", 1.0), dtype=float), (x.shape[1],)
@@ -58,14 +56,6 @@ class NoiseSpec:
         p = self.params
         if self.name == "normal":
             return float(p.get("sigma", 1.0)) * rng.standard_normal(n)
-        if self.name == "laplace":
-            return rng.laplace(0.0, float(p.get("scale", 1.0)), n)
-        if self.name == "exp_centered":
-            scale = float(p.get("scale", 1.0))
-            return rng.exponential(scale, n) - scale
-        if self.name == "uniform":
-            hw = float(p.get("half_width", 1.0))
-            return rng.uniform(-hw, hw, n)
         raise ValueError(f"unknown noise law {self.name!r}")
 
 
@@ -223,7 +213,7 @@ def _bias_and_product(mom: NuisanceErrorMoments, d2_size: int):
 
 @dataclass(frozen=True)
 class PlmSplitFit:
-    """State of one sample-split fit: folds, nuisances, score, bias, norms.
+    """State of one sample-split fit: folds, estimate, score, bias and its bound.
 
     ``cond_bias`` is the conditional bias of the split score at the target,
     the fold-2 size times the inner product of the two nuisance errors;
@@ -233,14 +223,10 @@ class PlmSplitFit:
 
     d1_indices: np.ndarray
     d2_indices: np.ndarray
-    m_hat: object
-    g_hat: object
     theta_hat: float
     z_at_theta0: float
     cond_bias: float
     product_bound: float
-    norm_g: float
-    norm_m: float
 
     def __post_init__(self):
         both = np.concatenate((np.ravel(self.d1_indices), np.ravel(self.d2_indices)))
@@ -248,8 +234,6 @@ class PlmSplitFit:
             if np.intersect1d(self.d1_indices, self.d2_indices).size:
                 raise ValueError("folds must be disjoint")
             raise ValueError("folds must partition the observation indices")
-        if self.norm_g < 0.0 or self.norm_m < 0.0:
-            raise ValueError("error norms must be >= 0")
 
 
 def plm_split_fit(dgp: PlmDgp, data: RegressionData, m_hat: CorruptedFit,
@@ -267,14 +251,10 @@ def plm_split_fit(dgp: PlmDgp, data: RegressionData, m_hat: CorruptedFit,
     return PlmSplitFit(
         d1_indices=idx1,
         d2_indices=idx2,
-        m_hat=m_hat,
-        g_hat=g_hat,
         theta_hat=theta_hat,
         z_at_theta0=z_function(dgp.theta0),
         cond_bias=cond_bias,
         product_bound=product_bound,
-        norm_g=mom.norm_g,
-        norm_m=mom.norm_m,
     )
 
 

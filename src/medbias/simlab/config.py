@@ -29,6 +29,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(f"config must be a JSON object, got {raw!r}")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(raw) - known
         if extra:

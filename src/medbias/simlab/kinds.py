@@ -33,7 +33,6 @@ from ..objectives import (
     NegativeLogLikelihood,
     NormalLocation,
     biweight_ddrho,
-    biweight_drho,
     make_family,
     make_objective,
 )
@@ -403,10 +402,10 @@ def _prepare_mle_llr(config):
 
 
 def _identifiable_shift(family, theta0: float, shift: float) -> bool:
-    """Whether the per-observation expected log-likelihood ratio at ``shift`` is finite and < 0."""
+    """Whether the family computes a finite, negative expected log-likelihood ratio at ``shift``."""
     try:
         return -math.inf < family.expected_log_likelihood_ratio(theta0, shift) < 0.0
-    except OverflowError:
+    except (OverflowError, ValueError):
         return False
 
 
@@ -489,7 +488,7 @@ def _chunk_nonconvex(config, prep, point, start, stop):
     data, = _sample(config, prep, point, start, stop)
     count = stop - start
     theta_hat = minimize_scan(data, c_tune, prep.scan_grid)
-    score = -biweight_drho(data - prep.theta0, c_tune).sum(axis=1)
+    score = score_at(prep.estimator, data, prep.theta0)
 
     out = {"theta_hat": theta_hat, "score": score}
     for k, window in enumerate(prep.windows):

@@ -11,9 +11,8 @@ so tie-breaking is fixed and reproducible.
 batched solver: every row takes the probes, stop rules and checks of the
 scalar path in lockstep, one objective call per probe for all rows still
 searching, and gets the scalar result bit for bit.  The experiment kinds
-estimate through it; ``minimize_convex`` on one sample and ``solve_z`` are
-the scalar library API and the reference the batched solver is tested
-against.
+estimate through it; ``minimize_convex`` on one sample is the scalar library
+API and the reference the batched solver is tested against.
 """
 
 from dataclasses import dataclass
@@ -28,10 +27,6 @@ _SCAN_BLOCK = 64  # grid points per vectorised block of the biweight scan
 
 class NonConvexityError(RuntimeError):
     """Subgradient monotonicity violated at named probe points."""
-
-
-class BracketingError(ValueError):
-    """The requested root is not bracketed by the interval endpoints."""
 
 
 class ConvergenceError(RuntimeError):
@@ -63,16 +58,13 @@ class Bracket:
 class _Prober:
     """Evaluates subgradients, recording probes and checking convexity."""
 
-    def __init__(self, obj: LocationObjective, bracket: Bracket, negate: bool):
+    def __init__(self, obj: LocationObjective, bracket: Bracket):
         self.obj = obj
-        self.negate = negate
         self.slack = 1e-9 * max(obj.scale_at(bracket.lo), obj.scale_at(bracket.hi))
         self.probes = []  # (theta, g_left, g_right), in evaluation order
 
     def __call__(self, theta: float):
         left, right = self.obj.subgradient(theta)
-        if self.negate:
-            left, right = -right, -left
         if left > right + self.slack:
             raise NonConvexityError(
                 f"subgradient interval reversed at theta={theta!r}: "
@@ -109,9 +101,9 @@ def _bisect(predicate, lo: float, hi: float, tol: float) -> tuple[float, float]:
     )
 
 
-def _argmin_interval(obj: LocationObjective, bracket: Bracket, negate: bool) -> float:
-    """Midpoint of the set where the (possibly negated) subgradient straddles zero."""
-    probe = _Prober(obj, bracket, negate)
+def _argmin_interval(obj: LocationObjective, bracket: Bracket) -> float:
+    """Midpoint of the set where the subgradient straddles zero."""
+    probe = _Prober(obj, bracket)
     lo, hi, tol = bracket.lo, bracket.hi, bracket.tol
 
     _, right_lo = probe(lo)
@@ -214,7 +206,7 @@ def _bisect_rows(predicate, rows, lo, hi, tol):
 
 
 def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
-    """``_argmin_interval`` (not negated) for every row of a matrix objective."""
+    """``_argmin_interval`` for every row of a matrix objective."""
     count = obj.data.shape[0]
     lo, hi, tol = (np.broadcast_to(np.asarray(f, dtype=float), count)
                    for f in (bracket.lo, bracket.hi, bracket.tol))
@@ -261,26 +253,7 @@ def minimize_convex(obj: LocationObjective, bracket: Bracket):
     """
     if obj.data.ndim == 2:
         return _argmin_rows(obj, bracket)
-    return _argmin_interval(obj, bracket, negate=False)
-
-
-def solve_z(obj: LocationObjective, bracket: Bracket) -> float:
-    """Root of the subgradient (a Z-estimator), by monotone bisection.
-
-    Requires the root to be bracketed: the subgradient must change sign
-    between the endpoints (either orientation).  Agrees with
-    ``minimize_convex`` on every convex objective.
-    """
-    g_lo = obj.subgradient(bracket.lo)
-    g_hi = obj.subgradient(bracket.hi)
-    if g_lo.right <= 0.0 <= g_hi.left:
-        return _argmin_interval(obj, bracket, negate=False)
-    if g_lo.left >= 0.0 >= g_hi.right:
-        return _argmin_interval(obj, bracket, negate=True)
-    raise BracketingError(
-        "no bracketed root: subgradient is "
-        f"{tuple(g_lo)} at lo={bracket.lo} and {tuple(g_hi)} at hi={bracket.hi}"
-    )
+    return _argmin_interval(obj, bracket)
 
 
 def minimize_scan(data, c: float, grid) -> np.ndarray:

@@ -17,10 +17,9 @@ from medbias import (
     fwl_estimate,
     joint_theta,
     mle_llr_lower_bounds,
-    nonconvex_bound,
     score_decompose,
 )
-from medbias.bounds import direct_comparison_probabilities
+from medbias.bounds import direct_comparison_probabilities, nonconvex_profile
 from medbias.objectives import make_family
 from medbias.partialling import RegressionData
 from medbias.simlab import ExperimentConfig, run_experiment, write_csv
@@ -182,7 +181,8 @@ def test_criterion_04_nondiff_profile_and_llr_bounds():
 def test_criterion_05_nonconvex_reduction_and_dominance():
     # zero-penalty profile reproduces the convex bound bit for bit
     sp = SignProbabilities(0.437, 0.051, 0.512)
-    exact = nonconvex_bound(sp, [(0.5, 0.0, 0.0), (2.0, 0.0, 0.0)]) == convex_bound(sp)
+    exact = all(entry["clamped"] == convex_bound(sp)
+                for entry in nonconvex_profile(sp, [(0.5, 0.0, 0.0), (2.0, 0.0, 0.0)]))
 
     # redescending location objective, n = 50, 1e4 replications: the
     # penalty-corrected bound dominates at every window half-width

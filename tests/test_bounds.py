@@ -7,19 +7,15 @@ import pytest
 from scipy.stats import binom, norm
 
 from medbias import (
-    BERRY_ESSEEN_CONSTANT,
     EstimatorDraws,
     IdentifiabilityError,
     LogisticLocation,
     NormalLocation,
     SignProbabilities,
-    clt_asymptotic_bound,
     convex_bound,
     loglik_ratio_sum,
     mc_med_bias,
     mle_llr_lower_bounds,
-    nonconvex_bound,
-    nondiff_bound,
     nondiff_profile,
     sign_probabilities,
     z_exact_medbias,
@@ -124,7 +120,6 @@ def test_nondiff_one_point_geometry_oracle():
     # bound clamps to zero; the empirical one can only exceed it by noise
     assert 0.5 - float(norm.cdf(0.125 / 2)) < 0.0
     assert finest["bound"] == pytest.approx(0.0, abs=3 * freq_std_err(0.5, reps))
-    assert nondiff_bound(eps_grid, center, plus, minus) == finest["bound"]
 
 
 def test_nondiff_degenerate_objective_is_vacuous():
@@ -133,7 +128,7 @@ def test_nondiff_degenerate_objective_is_vacuous():
     center = np.ones(reps)
     grid = [0.5, 0.25]
     flat = np.ones((2, reps))
-    assert nondiff_bound(grid, center, flat, flat) == 0.5
+    assert [entry["bound"] for entry in nondiff_profile(grid, center, flat, flat)] == [0.5, 0.5]
 
 
 def test_nondiff_validation():
@@ -195,12 +190,12 @@ def test_llr_lower_bounds_consistent_with_direct_probabilities():
 def test_nonconvex_zero_profile_reduces_bit_for_bit():
     sp = SignProbabilities(0.41, 0.05, 0.54)
     profile = [(0.5, 0.0, 0.0), (1.0, 0.0, 0.0)]
-    assert nonconvex_bound(sp, profile) == convex_bound(sp)
+    assert [e["clamped"] for e in nonconvex_profile(sp, profile)] == [convex_bound(sp)] * 2
 
 
 def test_nonconvex_vacuous_profile():
     sp = SignProbabilities(0.5, 0.0, 0.5)
-    assert nonconvex_bound(sp, [(0.5, 1.0, 1.0)]) == 0.5
+    assert nonconvex_profile(sp, [(0.5, 1.0, 1.0)])[0]["clamped"] == 0.5
 
 
 def test_nonconvex_picks_best_delta_and_reports_raw():
@@ -214,44 +209,11 @@ def test_nonconvex_picks_best_delta_and_reports_raw():
     best = min(entries, key=lambda e: e["raw"])
     assert best["delta"] == 0.5
     assert best["raw"] == pytest.approx(convex_bound(sp) + 0.15, abs=1e-15)
-    assert nonconvex_bound(sp, profile) == best["clamped"]
 
 
 def test_nonconvex_rejects_bad_probabilities():
     sp = SignProbabilities(0.5, 0.0, 0.5)
     with pytest.raises(ValueError):
-        nonconvex_bound(sp, [(0.5, -0.1, 0.0)])
+        nonconvex_profile(sp, [(0.5, -0.1, 0.0)])
     with pytest.raises(ValueError):
-        nonconvex_bound(sp, [])
-
-
-def test_clt_bound_two_point_summands():
-    # symmetric +-1 summands: variance 1, third absolute moment 1
-    value = clt_asymptotic_bound(0.0, 1.0, 1.0, 100)
-    assert value == pytest.approx(0.56 / 10.0, abs=1e-15)
-    assert BERRY_ESSEEN_CONSTANT == 0.56
-
-
-def test_clt_bound_monotone_in_n():
-    values = [clt_asymptotic_bound(0.0, 1.0, 1.0, n) for n in (10, 100, 1000, 10_000)]
-    assert all(a > b for a, b in zip(values, values[1:]))
-
-
-def test_clt_bound_dominates_median_binomial_gap():
-    # sign-probability gap of the median score at n = 100, exact binomial:
-    # 1/2 - P(B_100 <= 49); the normal-approximation value must dominate it
-    gap = 0.5 - float(binom.cdf(49, 100, 0.5))
-    assert clt_asymptotic_bound(0.0, 1.0, 1.0, 100) >= gap
-
-
-def test_clt_bound_atom_and_validation():
-    base = clt_asymptotic_bound(0.0, 1.0, 1.0, 25)
-    with_atom = clt_asymptotic_bound(0.0, 1.0, 1.0, 25, atom_prob=0.2)
-    assert with_atom == pytest.approx(base + 0.1, abs=1e-15)
-    with pytest.raises(ValueError):
-        clt_asymptotic_bound(0.0, 0.0, 1.0, 25)
-    with pytest.raises(ValueError):
-        clt_asymptotic_bound(0.5, 1.0, 1.0, 25)
-    custom = clt_asymptotic_bound(0.0, 1.0, 1.0, 100, constant=0.4748)
-    assert custom == pytest.approx(0.04748, abs=1e-15)
-
+        nonconvex_profile(sp, [])

@@ -194,6 +194,18 @@ def test_logistic_expected_llr_negative_and_symmetricish():
         assert value == pytest.approx(fam.expected_log_likelihood_ratio(0.0, -eps), rel=1e-8)
 
 
+def test_logistic_expected_llr_rejects_failed_quadrature():
+    # the quadrature value is returned unchanged where it agrees with the
+    # closed form 2 - u / tanh(u / 2); where it misses the mass, it raises
+    fam = LogisticLocation(1.0)
+    for shift, value in ((0.2, -0.006662226450797908), (1.0, -0.16395341373865288),
+                         (10.0, -8.000908039820194), (100.0, -98.0),
+                         (1e3, -998.0000000000002)):
+        assert fam.expected_log_likelihood_ratio(0.0, shift) == value
+    with pytest.raises(ValueError, match=r"at shift 10000\.0 gives .*closed form -9998\.0"):
+        fam.expected_log_likelihood_ratio(0.0, 1e4)
+
+
 def test_logistic_density_integrates_to_one():
     from scipy import integrate
     fam = LogisticLocation(0.8)

@@ -12,8 +12,6 @@ from medbias import (
     default_eta_grid,
     fwl_estimate,
     joint_theta,
-    load_regression_csv,
-    proposition_bound,
     score_decompose,
 )
 from medbias.partialling import proposition_profile
@@ -46,7 +44,7 @@ def test_fwl_no_covariates_is_regression_through_origin():
     data = RegressionData(y=y, t=t, x=np.zeros((3, 0)))
     fit = fwl_estimate(data)
     assert fit.theta_hat == pytest.approx(float(t @ y / (t @ t)), abs=1e-14)
-    assert fit.beta_t_hat.size == 0
+    assert np.array_equal(fit.r_t_hat, t) and np.array_equal(fit.r_y_hat, y)
 
 
 def test_fwl_constant_column_noise_free():
@@ -118,7 +116,8 @@ def test_decompose_exact_identity_random_instances():
 
 
 def test_decompose_noise_orthogonal_to_design_gives_zero_correction():
-    # noises projected off the covariates make the fitted coefficients exact
+    # noises projected off the covariates make the fitted coefficients exact,
+    # so the treatment residuals are the treatment noise
     rng = np.random.default_rng(5)
     n, d, theta0 = 60, 4, 1.3
     x = rng.standard_normal((n, d))
@@ -134,7 +133,7 @@ def test_decompose_noise_orthogonal_to_design_gives_zero_correction():
     beta_y = theta0 * beta_t + beta_extra
     data = RegressionData(y=y, t=t, x=x)
     fit = fwl_estimate(data)
-    assert np.allclose(fit.beta_t_hat, beta_t, atol=1e-10)
+    assert np.allclose(fit.r_t_hat, v, atol=1e-10)
     dec = score_decompose(data, fit, theta0, beta_t, beta_y)
     assert dec.correction == pytest.approx(0.0, abs=1e-8)
 
@@ -175,7 +174,7 @@ def test_proposition_zero_correction_reduces_to_sign_bound():
     s = rng.standard_normal(50_000)
     corr = np.zeros_like(s)
     eta = np.array([1e-9])
-    value = proposition_bound(s, corr, eta)
+    value = proposition_profile(s, corr, eta)[0]["value"]
     p_low = float(np.mean(s <= -1e-9))
     p_high = float(np.mean(s >= 1e-9))
     assert value == pytest.approx(max(0.0, 0.5 - min(p_low, p_high)), abs=1e-15)
@@ -201,16 +200,16 @@ def test_proposition_vacuous_when_corrections_huge():
     s = rng.standard_normal(5000)
     corr = np.full(5000, 1e6)
     grid = default_eta_grid(s)
-    assert proposition_bound(s, corr, grid) >= 0.5
+    assert min(row["value"] for row in proposition_profile(s, corr, grid)) >= 0.5
 
 
 def test_proposition_validation():
     with pytest.raises(ValueError):
-        proposition_bound([], [], [1.0])
+        proposition_profile([], [], [1.0])
     with pytest.raises(ValueError):
-        proposition_bound([1.0], [1.0], [])
+        proposition_profile([1.0], [1.0], [])
     with pytest.raises(ValueError):
-        proposition_bound([1.0], [1.0], [-0.5])
+        proposition_profile([1.0], [1.0], [-0.5])
 
 
 def test_default_eta_grid_shape():
@@ -223,27 +222,3 @@ def test_default_eta_grid_shape():
     assert grid[-1] == pytest.approx(1e3 * spread, rel=1e-12)
     ratios = grid[1:] / grid[:-1]
     assert np.allclose(ratios, ratios[0])
-
-
-def test_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(19)
-    data, _, _ = _random_instance(rng, 25, 3)
-    path = tmp_path / "design.csv"
-    header = "y,t,x1,x2,x3"
-    rows = np.column_stack([data.y, data.t, data.x])
-    np.savetxt(path, rows, delimiter=",", header=header, comments="")
-    loaded = load_regression_csv(path)
-    assert np.allclose(loaded.y, data.y)
-    assert np.allclose(loaded.t, data.t)
-    assert np.allclose(loaded.x, data.x)
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError):
-        load_regression_csv(path)
-    empty = tmp_path / "empty.csv"
-    empty.write_text("")
-    with pytest.raises(ValueError):
-        load_regression_csv(empty)

@@ -381,6 +381,15 @@ def test_validate_lists_llr_shift_without_finite_expected_ratio(tmp_path, capsys
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert re.search(cause, record["message"])
+    # a logistic shift whose expected ratio the quadrature gets wrong
+    logistic = {**raw, "reps": 100,
+                "estimator": {"kind": "neg_loglik",
+                              "params": {"family_name": "logistic_location"}},
+                "grids": {"n": [5], "eps": [0.2, 10000]}}
+    with pytest.raises(ConfigError, match=r"^grid 'eps' values \[10000\.0\] give no finite "
+                                          "negative expected log-likelihood ratio under "
+                                          "logistic_location$"):
+        validate_config(ExperimentConfig(**logistic))
 
 
 def test_config_rejects_unknown_schedule():
@@ -411,6 +420,10 @@ def test_config_rejects_unknown_field():
             ExperimentConfig.from_dict(_minimal_config(**{field: value}))
     with pytest.raises(ConfigError, match="estimator must be .*; params must be"):
         ExperimentConfig.from_dict(_minimal_config(estimator="abs_dev", params=[1]))
+    # and so must the config itself
+    for root in (5, None, "abc", [_minimal_config()]):
+        with pytest.raises(ConfigError, match="^config must be a JSON object, got "):
+            ExperimentConfig.from_dict(root)
     # params keys the kind does not read, and scalars it cannot run with
     nonconvex = _minimal_config(kind="nonconvex_dominance",
                                 estimator={"kind": "biweight", "params": {"c": 2.0}},
@@ -657,6 +670,17 @@ def test_plm_csv_bytes_pinned(tmp_path):
         write_csv(path, run_experiment(config, workers=workers).rows)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "e724337e6e3aa8bdd5933292ea33fa51f01e09b25536c66a7831b213112452b4")
+
+
+def test_median_config_csv_bytes_pinned(tmp_path):
+    # the shipped median config, run as the CLI runs it, at workers 1 and 2
+    path = Path(__file__).resolve().parents[1] / "configs" / "median_unbiasedness.json"
+    config = ExperimentConfig.from_json(path)
+    for workers in (1, 2):
+        out = tmp_path / f"median-{workers}.csv"
+        write_csv(out, run_experiment(config, workers=workers).rows)
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "dd01c89f51b4c53555cfe8e1689990527c445c3732df343449c33038acd2d6c2")
 
 
 def test_plm_moments_once_per_replication(monkeypatch):

@@ -7,7 +7,6 @@ from medbias import (
     AbsoluteDeviation,
     BiweightLocation,
     Bracket,
-    BracketingError,
     CheckLoss,
     LogisticLocation,
     NegativeLogLikelihood,
@@ -16,7 +15,6 @@ from medbias import (
     PowerLoss,
     minimize_convex,
     minimize_scan,
-    solve_z,
 )
 
 
@@ -59,13 +57,19 @@ def test_minimize_even_median_midpoint_tiebreak():
 def test_minimize_mean_case():
     theta = minimize_convex(PowerLoss([0, 1, 5], p=2), Bracket(-10, 10))
     assert theta == pytest.approx(2.0, abs=1e-8)
+    # the normal-location MLE is the mean too
+    theta = minimize_convex(NegativeLogLikelihood([-1, 0, 4], NormalLocation(1.0)),
+                            Bracket(-10, 10))
+    assert theta == pytest.approx(1.0, abs=1e-8)
 
 
 def test_minimize_lp4_matches_grid_oracle():
-    obj = PowerLoss([0, 1, 5], p=4)
-    theta = minimize_convex(obj, Bracket(-10, 10))
-    oracle = grid_argmin(obj, 2.0, 3.0, step=1e-6)
-    assert theta == pytest.approx(oracle, abs=2e-6)
+    # and the logistic-location MLE, which has no closed form either
+    for obj, lo, hi in ((PowerLoss([0, 1, 5], p=4), 2.0, 3.0),
+                        (NegativeLogLikelihood([-2, 0, 1], LogisticLocation(1.0)), -1.0, 0.5)):
+        theta = minimize_convex(obj, Bracket(-10, 10))
+        oracle = grid_argmin(obj, lo, hi, step=1e-6)
+        assert theta == pytest.approx(oracle, abs=2e-6)
 
 
 def test_minimize_at_bracket_endpoint():
@@ -73,24 +77,6 @@ def test_minimize_at_bracket_endpoint():
     obj = PowerLoss([5.0, 6.0], p=2)
     assert minimize_convex(obj, Bracket(-1.0, 1.0)) == 1.0
     assert minimize_convex(obj, Bracket(9.0, 12.0)) == 9.0
-
-
-def test_solve_z_examples():
-    assert solve_z(AbsoluteDeviation([1, 2, 3]), Bracket(0, 10)) == pytest.approx(2.0, abs=1e-8)
-    theta = solve_z(NegativeLogLikelihood([-1, 0, 4], NormalLocation(1.0)), Bracket(-10, 10))
-    assert theta == pytest.approx(1.0, abs=1e-8)
-
-
-def test_solve_z_logistic_matches_grid_oracle():
-    obj = NegativeLogLikelihood([-2, 0, 1], LogisticLocation(1.0))
-    theta = solve_z(obj, Bracket(-10, 10))
-    oracle = grid_argmin(obj, -1.0, 0.5, step=1e-6)
-    assert theta == pytest.approx(oracle, abs=2e-6)
-
-
-def test_solve_z_requires_bracketed_root():
-    with pytest.raises(BracketingError):
-        solve_z(PowerLoss([5.0, 6.0], p=2), Bracket(-1.0, 1.0))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -135,24 +121,6 @@ def test_translation_equivariance(seed):
         base = minimize_convex(factory(data), Bracket(-12, 12))
         moved = minimize_convex(factory(data + shift), Bracket(-12 + shift, 12 + shift))
         assert moved == pytest.approx(base + shift, abs=1e-6)
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_solve_z_agrees_with_minimize(seed):
-    rng = np.random.default_rng(200 + seed)
-    data = rng.standard_normal(11)
-    bracket = Bracket(-9, 9)
-    factories = [
-        lambda d: AbsoluteDeviation(d),
-        lambda d: PowerLoss(d, p=2.0),
-        lambda d: PowerLoss(d, p=1.0),
-        lambda d: NegativeLogLikelihood(d, NormalLocation(1.0)),
-        lambda d: NegativeLogLikelihood(d, LogisticLocation(1.0)),
-    ]
-    for factory in factories:
-        a = minimize_convex(factory(data), bracket)
-        b = solve_z(factory(data), bracket)
-        assert abs(a - b) <= 2 * bracket.tol
 
 
 def test_iteration_cap_raises(monkeypatch):
