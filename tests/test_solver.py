@@ -57,19 +57,13 @@ def test_minimize_even_median_midpoint_tiebreak():
 def test_minimize_mean_case():
     theta = minimize_convex(PowerLoss([0, 1, 5], p=2), Bracket(-10, 10))
     assert theta == pytest.approx(2.0, abs=1e-8)
-    # the normal-location MLE is the mean too
-    theta = minimize_convex(NegativeLogLikelihood([-1, 0, 4], NormalLocation(1.0)),
-                            Bracket(-10, 10))
-    assert theta == pytest.approx(1.0, abs=1e-8)
 
 
 def test_minimize_lp4_matches_grid_oracle():
-    # and the logistic-location MLE, which has no closed form either
-    for obj, lo, hi in ((PowerLoss([0, 1, 5], p=4), 2.0, 3.0),
-                        (NegativeLogLikelihood([-2, 0, 1], LogisticLocation(1.0)), -1.0, 0.5)):
-        theta = minimize_convex(obj, Bracket(-10, 10))
-        oracle = grid_argmin(obj, lo, hi, step=1e-6)
-        assert theta == pytest.approx(oracle, abs=2e-6)
+    obj = PowerLoss([0, 1, 5], p=4)
+    theta = minimize_convex(obj, Bracket(-10, 10))
+    oracle = grid_argmin(obj, 2.0, 3.0, step=1e-6)
+    assert theta == pytest.approx(oracle, abs=2e-6)
 
 
 def test_minimize_at_bracket_endpoint():
@@ -77,6 +71,32 @@ def test_minimize_at_bracket_endpoint():
     obj = PowerLoss([5.0, 6.0], p=2)
     assert minimize_convex(obj, Bracket(-1.0, 1.0)) == 1.0
     assert minimize_convex(obj, Bracket(9.0, 12.0)) == 9.0
+
+
+def assert_score_root(obj, theta, tol):
+    """The score (subgradient) changes sign across theta: a Z-estimate."""
+    assert obj.subgradient(theta - tol).right <= 0.0
+    assert obj.subgradient(theta + tol).left >= 0.0
+
+
+def test_solve_z_examples():
+    # the convex solver's answer is the root of the estimating equation
+    obj = AbsoluteDeviation([1, 2, 3])
+    theta = minimize_convex(obj, Bracket(0, 10))
+    assert theta == pytest.approx(2.0, abs=1e-8)
+    assert_score_root(obj, theta, 1e-8)
+    obj = NegativeLogLikelihood([-1, 0, 4], NormalLocation(1.0))
+    theta = minimize_convex(obj, Bracket(-10, 10))
+    assert theta == pytest.approx(1.0, abs=1e-8)
+    assert_score_root(obj, theta, 1e-8)
+
+
+def test_solve_z_logistic_matches_grid_oracle():
+    obj = NegativeLogLikelihood([-2, 0, 1], LogisticLocation(1.0))
+    theta = minimize_convex(obj, Bracket(-10, 10))
+    oracle = grid_argmin(obj, -1.0, 0.5, step=1e-6)
+    assert theta == pytest.approx(oracle, abs=2e-6)
+    assert_score_root(obj, theta, 1e-6)
 
 
 @pytest.mark.parametrize("seed", range(10))
