@@ -6,6 +6,13 @@ covariates out of both the response and the treatment; the score of that
 reduced problem at the target decomposes into a centered sum plus a
 nuisance-estimation cross term, which is what the corresponding median-bias
 bound controls through a threshold on the cross term.
+
+A partialled fit factorises ``[x | t | y]`` once, by QR.  The leading
+(d+1)-square block of the R factor has the singular values of ``[x | t]``,
+so the rank test runs on that block; the covariate coefficients of t and y
+solve one system in ``R[:d, :d]``, and the residuals are t and y minus x
+times them.  ``joint_theta``, the companion solve on ``[t | x]`` kept as a
+reference, shares only the rank test.
 """
 
 from dataclasses import dataclass
@@ -81,51 +88,61 @@ class ScoreDecomposition(NamedTuple):
     remainder: float
 
 
-def _check_rank(data: RegressionData):
+def _check_rank(data: RegressionData) -> np.ndarray:
+    """R factor of ``[x | t | y]``, once the design ``[t | x]`` has full column rank.
+
+    The leading (d+1)-square block of R has the singular values of ``[x | t]``,
+    so the ratio test runs on that small block instead of the n-row design.
+    """
     if data.d + 1 > data.n:
-        # the SVD of a wide matrix returns only n singular values, so the
-        # ratio test below cannot see the d + 1 - n null directions
+        # R of a wide matrix has only n rows, so the ratio test below
+        # cannot see the d + 1 - n null directions
         raise CollinearityError(
             f"stacked design [t | x] is {data.n} x {data.d + 1}: more columns than "
             "rows, so it is rank deficient"
         )
-    stacked = np.column_stack([data.t, data.x])
-    singular = np.linalg.svd(stacked, compute_uv=False)
+    r = np.linalg.qr(np.column_stack([data.x, data.t, data.y]), mode="r")
+    block = r[:data.d + 1, :data.d + 1]
+    singular = np.linalg.svd(block, compute_uv=False)
     if singular[-1] <= _RANK_RTOL * singular[0]:
-        _, _, vt = np.linalg.svd(stacked)
-        direction = vt[-1]
+        _, _, vt = np.linalg.svd(block)
+        # the block's columns are (x1..xd, t); move t to the front
+        direction = np.roll(vt[-1], 1)
         raise CollinearityError(
             "stacked design [t | x] is numerically rank deficient "
             f"(smallest/largest singular value = {singular[-1] / singular[0]:.3e}); "
             f"null direction over (t, x1..xd): {np.round(direction, 6).tolist()}"
         )
-
-
-def _residualize(x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    if x.shape[1] == 0:
-        return v.copy()
-    beta, *_ = np.linalg.lstsq(x, v, rcond=None)
-    return v - x @ beta
+    return r
 
 
 def fwl_estimate(data: RegressionData) -> PartialledFit:
     """Partialled least-squares estimate of the treatment coefficient.
 
     Regresses the covariates out of both the treatment and the response and
-    fits the residual-on-residual slope.  Identical to the treatment
-    coordinate of the joint least-squares solve whenever the stacked design
-    has full column rank; rank deficiency raises ``CollinearityError`` naming
-    the offending direction.
+    fits the residual-on-residual slope.  One QR factorisation of
+    ``[x | t | y]`` serves the whole fit: the rank test runs on the leading
+    (d+1)-square block of R, one solve with ``R[:d, :d]`` gives the covariate
+    coefficients of t and y together, and the residuals are t and y minus x
+    times those coefficients.  Identical to the treatment coordinate of the
+    joint least-squares solve whenever the stacked design has full column
+    rank; rank deficiency raises ``CollinearityError`` naming the offending
+    direction.
     """
-    _check_rank(data)
-    r_t = _residualize(data.x, data.t)
-    r_y = _residualize(data.x, data.y)
+    r = _check_rank(data)
+    d = data.d
+    if d:
+        coef = np.linalg.solve(r[:d, :d], r[:d, d:])
+        r_t = data.t - data.x @ coef[:, 0]
+        r_y = data.y - data.x @ coef[:, 1]
+    else:
+        r_t, r_y = data.t.copy(), data.y.copy()
     denom = float(r_t @ r_t)
     if denom <= 0.0:
         raise CollinearityError("treatment residuals are identically zero")
     theta_hat = float(r_t @ r_y) / denom
 
-    if data.d > 0:
+    if d > 0:
         # normal equations: residuals orthogonal to every covariate column
         gram = np.abs(data.x.T @ r_t)
         scale = 1.0 + np.linalg.norm(data.x, axis=0) * np.linalg.norm(r_t)

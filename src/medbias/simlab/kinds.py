@@ -395,18 +395,28 @@ def _prepare_mle_llr(config):
     _require(not bad, f"grid 'eps' needs finite nonzero numbers, got {bad}")
     prep = SimpleNamespace(family=estimator.probe.family, theta0=float(params["theta0"]),
                            eps=[float(e) for e in config.grids["eps"]])
-    bad = [e for e in prep.eps if not _identifiable_shift(prep.family, prep.theta0, e)]
-    _require(not bad, f"grid 'eps' values {bad} give no finite negative expected "
-                      f"log-likelihood ratio under {prep.family.name}")
+    problems = _unidentified_shifts(prep)
+    _require(not problems, "; ".join(problems))
     return prep
 
 
-def _identifiable_shift(family, theta0: float, shift: float) -> bool:
-    """Whether the family computes a finite, negative expected log-likelihood ratio at ``shift``."""
-    try:
-        return -math.inf < family.expected_log_likelihood_ratio(theta0, shift) < 0.0
-    except (OverflowError, ValueError):
-        return False
+def _unidentified_shifts(prep) -> list:
+    """Problems with ``prep.eps``: shifts without a finite negative expected
+    log-likelihood ratio, then each shift the family cannot compute, in its words."""
+    unfit, failed = [], []
+    for e in prep.eps:
+        try:
+            value = prep.family.expected_log_likelihood_ratio(prep.theta0, e)
+        except OverflowError:
+            value = math.nan
+        except ValueError as err:
+            failed.append(f"grid 'eps': {err}")
+            continue
+        if not -math.inf < value < 0.0:
+            unfit.append(e)
+    head = [f"grid 'eps' values {unfit} give no finite negative expected "
+            f"log-likelihood ratio under {prep.family.name}"] if unfit else []
+    return head + failed
 
 
 def _chunk_mle_llr(config, prep, point, start, stop):

@@ -1,6 +1,8 @@
 """Tests for the partialled least-squares reduction and its score pieces."""
 
+import ast
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +70,26 @@ def test_fwl_matches_joint_solve(seed):
     assert abs(fit.theta_hat - joint) <= 1e-8 * max(1.0, abs(joint))
 
 
+def test_fwl_factorises_once(monkeypatch):
+    # one QR of [x | t | y] per fit; the only SVD is of R's (d+1)-square block,
+    # values only, and no least-squares solve runs
+    calls = []
+
+    def counted(name):
+        real = getattr(np.linalg, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a), kwargs))
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("qr", "svd", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    data, _, _ = _random_instance(np.random.default_rng(8), 80, 6)
+    fwl_estimate(data)
+    assert calls == [("qr", (80, 8), {"mode": "r"}), ("svd", (7, 7), {"compute_uv": False})]
+
+
 def test_fwl_residuals_orthogonal_to_covariates():
     rng = np.random.default_rng(42)
     data, _, _ = _random_instance(rng, 120, 8)
@@ -83,7 +105,27 @@ def test_fwl_collinearity_error_names_direction():
     x = np.column_stack([t, rng.standard_normal(30)])  # first column duplicates t
     with pytest.raises(CollinearityError) as err:
         fwl_estimate(RegressionData(y=rng.standard_normal(30), t=t, x=x))
-    assert "null direction" in str(err.value)
+    found = re.search(r"null direction over \(t, x1\.\.xd\): (\[.*\])", str(err.value))
+    direction = np.array(ast.literal_eval(found.group(1)))
+    expected = np.array([0.707107, -0.707107, 0.0])
+    assert min(np.max(np.abs(direction - expected)), np.max(np.abs(direction + expected))) <= 1e-6
+
+
+def test_fwl_rank_threshold():
+    # a covariate 1e-13 away from t is below the singular-value ratio 1e-10;
+    # one 1e-6 away is ill-conditioned but full rank, and both routes agree
+    rng = np.random.default_rng(6)
+    n = 50
+    t = rng.standard_normal(n)
+    z = rng.standard_normal(n)
+    w = rng.standard_normal(n)
+    y = 0.7 * t + 0.3 * w + rng.standard_normal(n)
+    with pytest.raises(CollinearityError, match="null direction"):
+        fwl_estimate(RegressionData(y=y, t=t, x=np.column_stack([t + 1e-13 * z, w])))
+    data = RegressionData(y=y, t=t, x=np.column_stack([t + 1e-6 * z, w]))
+    fit = fwl_estimate(data)
+    joint = joint_theta(data)
+    assert abs(fit.theta_hat - joint) <= 1e-8 * max(1.0, abs(joint))
 
 
 def test_wide_design_is_rank_deficient():

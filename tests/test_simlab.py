@@ -381,14 +381,15 @@ def test_validate_lists_llr_shift_without_finite_expected_ratio(tmp_path, capsys
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert re.search(cause, record["message"])
-    # a logistic shift whose expected ratio the quadrature gets wrong
+    # a logistic shift whose expected ratio (-9998) is finite and negative but
+    # which the quadrature gets wrong is listed with the family's reason
     logistic = {**raw, "reps": 100,
                 "estimator": {"kind": "neg_loglik",
                               "params": {"family_name": "logistic_location"}},
                 "grids": {"n": [5], "eps": [0.2, 10000]}}
-    with pytest.raises(ConfigError, match=r"^grid 'eps' values \[10000\.0\] give no finite "
-                                          "negative expected log-likelihood ratio under "
-                                          "logistic_location$"):
+    with pytest.raises(ConfigError, match=r"^grid 'eps': quadrature of the logistic_location "
+                                          r"expected log-likelihood ratio at shift 10000\.0 "
+                                          r"gives .*, the closed form -9998\.0$"):
         validate_config(ExperimentConfig(**logistic))
 
 
@@ -670,6 +671,32 @@ def test_plm_csv_bytes_pinned(tmp_path):
         write_csv(path, run_experiment(config, workers=workers).rows)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "e724337e6e3aa8bdd5933292ea33fa51f01e09b25536c66a7831b213112452b4")
+
+
+def test_partialled_csv_bytes_pinned(tmp_path):
+    # small partialled (both designs, d = 0 and d > 0) and dimension-scaling
+    # runs; the digests were recorded when each fit ran an SVD rank check and
+    # two lstsq residualisations, so the one-QR fit must give the same bytes,
+    # at workers 1 and 2
+    base = _minimal_config(estimator={}, params={"theta0": 0.5}, reps=600)
+    configs = [
+        ({**base, "kind": "partialled_dominance", "dgp": {"name": "gaussian"},
+          "grids": {"n": [40, 120], "d": [0, 3]}},
+         "580361591859c3898b9617b3d45d448d6852d3c64f960b96a0caf7e68dbf9005"),
+        ({**base, "kind": "partialled_dominance", "dgp": {"name": "leverage_mix"},
+          "grids": {"n": [40, 120], "d": [0, 3]}},
+         "51e10dea8cb7d3cd8d23724f086d2b16a679e903b5289f6dbbb1a8c038f375df"),
+        ({**base, "kind": "dimension_scaling", "dgp": {"name": "leverage_mix"},
+          "grids": {"n": [64, 256], "d_schedules": ["quarter_pow", "half_sqrt"],
+                    "seed_labels": [0, 1]}},
+         "0fb81a787bbab1b79da8b677632fb3850dd1f28dd2b62d590320f4a0bdc50867"),
+    ]
+    for k, (raw, digest) in enumerate(configs):
+        config = ExperimentConfig.from_dict(raw)
+        for workers in (1, 2):
+            path = tmp_path / f"partialled-{k}-{workers}.csv"
+            write_csv(path, run_experiment(config, workers=workers).rows)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_median_config_csv_bytes_pinned(tmp_path):
