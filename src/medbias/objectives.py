@@ -16,6 +16,7 @@ and each row's value equals, bit for bit, the 1-d objective on that row.
 
 import copy
 import math
+import warnings
 from typing import NamedTuple
 
 import numpy as np
@@ -89,7 +90,9 @@ class LogisticLocation:
         with ``u = |shift| / scale``, and a shift where the two disagree
         raises ``ValueError``: from a few thousand scales up the integrator
         misses the mass near the shift and returns about 0, and near 1e-5
-        scales it is off by more than the value itself.
+        scales it is off by more than the value itself.  Warnings from the
+        integrator are kept off stderr; the first line of each is added to
+        that error's message.
         """
         if shift == 0.0:
             return 0.0
@@ -99,16 +102,20 @@ class LogisticLocation:
             return float(delta * math.exp(self.log_density(x, 0.0)))
 
         span = 40.0 * self.scale + 4.0 * abs(shift)
-        value, _ = integrate.quad(integrand, -span, span, limit=200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            value, _ = integrate.quad(integrand, -span, span, limit=200)
         u = abs(shift) / self.scale
         closed = 2.0 - u / math.tanh(u / 2.0)
         # the 1e-14 absolute term: at |shift| <= 1e-3 scales either value may be
         # about 2e-15 from the truth (the closed form cancels against 2), which
         # the relative term alone would reject
         if not abs(value - closed) <= 1e-9 * abs(closed) + 1e-14:
+            warned = "".join(f"; {w.category.__name__}: {str(w.message).splitlines()[0]}"
+                           for w in caught)
             raise ValueError(
                 f"quadrature of the {self.name} expected log-likelihood ratio at shift "
-                f"{shift!r} gives {value!r}, the closed form {closed!r}"
+                f"{shift!r} gives {value!r}, the closed form {closed!r}{warned}"
             )
         # the quadrature value is returned, not the closed form: the two differ
         # in the last digits, and the lab's log-likelihood-ratio CSVs are

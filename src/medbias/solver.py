@@ -7,12 +7,11 @@ to its right, and symmetrically.  When the minimizer is an interval (sample
 median with even n, for example) the midpoint of the interval is returned,
 so tie-breaking is fixed and reproducible.
 
-``minimize_convex`` on an objective over a ``(rows, n)`` matrix runs the
-batched solver: every row takes the probes, stop rules and checks of the
-scalar path in lockstep, one objective call per probe for all rows still
-searching, and gets the scalar result bit for bit.  The experiment kinds
-estimate through it; ``minimize_convex`` on one sample is the scalar library
-API and the reference the batched solver is tested against.
+There is one bisection, over the rows of a ``(rows, n)`` data matrix; one
+sample is a 1-row matrix.  All rows still searching share one objective call
+per probe, and a row's result depends only on its own data and bracket.
+Every probe is checked for convexity, so a failure names its probe points,
+and also its row when the caller passed a matrix.
 """
 
 from dataclasses import dataclass
@@ -37,7 +36,7 @@ class ConvergenceError(RuntimeError):
 class Bracket:
     """Search interval with an absolute tolerance on the returned point.
 
-    The fields may be per-row arrays, for the batched solver.
+    The fields may be per-row arrays, for an objective over a matrix.
     """
 
     lo: float
@@ -55,118 +54,30 @@ class Bracket:
             raise ValueError("tol must be positive")
 
 
-class _Prober:
-    """Evaluates subgradients, recording probes and checking convexity."""
-
-    def __init__(self, obj: LocationObjective, bracket: Bracket):
-        self.obj = obj
-        self.slack = 1e-9 * max(obj.scale_at(bracket.lo), obj.scale_at(bracket.hi))
-        self.probes = []  # (theta, g_left, g_right), in evaluation order
-
-    def __call__(self, theta: float):
-        left, right = self.obj.subgradient(theta)
-        if left > right + self.slack:
-            raise NonConvexityError(
-                f"subgradient interval reversed at theta={theta!r}: "
-                f"left={left!r} > right={right!r}"
-            )
-        self.probes.append((theta, left, right))
-        return left, right
-
-    def check_monotone(self):
-        """Subgradients along a convex function are monotone across probes."""
-        ordered = sorted(self.probes)
-        for (t1, _, r1), (t2, l2, _) in zip(ordered, ordered[1:]):
-            if t2 > t1 and r1 > l2 + self.slack:
-                raise NonConvexityError(
-                    "subgradient sign not monotone: "
-                    f"g_right({t1!r})={r1!r} > g_left({t2!r})={l2!r}"
-                )
-
-
-def _bisect(predicate, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Shrink [lo, hi] to width <= tol keeping predicate False at lo, True at hi."""
-    for _ in range(_MAX_ITER):
-        if hi - lo <= tol:
-            return lo, hi
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # bracket below float resolution
-            return lo, hi
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    raise ConvergenceError(
-        f"bisection did not converge within {_MAX_ITER} iterations on [{lo}, {hi}]"
-    )
-
-
-def _argmin_interval(obj: LocationObjective, bracket: Bracket) -> float:
-    """Midpoint of the set where the subgradient straddles zero."""
-    probe = _Prober(obj, bracket)
-    lo, hi, tol = bracket.lo, bracket.hi, bracket.tol
-
-    _, right_lo = probe(lo)
-    left_hi, _ = probe(hi)
-    left_lo = probe.probes[0][1]
-    right_hi = probe.probes[1][2]
-
-    # Coarse interior scan: costs a few evaluations and lets the final
-    # monotonicity check see sign reversals that bisection alone would skip
-    # (redescending objectives are flat at distant endpoints).
-    for t in np.linspace(lo, hi, 9)[1:-1]:
-        probe(float(t))
-
-    if right_hi < 0.0:  # decreasing throughout: minimizer at the upper endpoint
-        probe.check_monotone()
-        return hi
-    if left_lo > 0.0:  # increasing throughout: minimizer at the lower endpoint
-        probe.check_monotone()
-        return lo
-
-    # Leftmost point where the right subgradient turns >= 0.
-    if right_lo >= 0.0:
-        lower = lo
-    else:
-        _, lower = _bisect(lambda t: probe(t)[1] >= 0.0, lo, hi, tol)
-
-    # Rightmost point where the left subgradient is still <= 0.
-    if left_hi <= 0.0:
-        upper = hi
-    else:
-        upper, _ = _bisect(lambda t: probe(t)[0] > 0.0, lo, hi, tol)
-
-    probe.check_monotone()
-    if lower > upper + 2.0 * tol:
-        raise NonConvexityError(
-            f"inconsistent minimizer interval [{lower!r}, {upper!r}] "
-            f"from probes {probe.probes[:4]}..."
-        )
-    return 0.5 * (lower + upper)
-
-
 class _RowProber:
-    """``_Prober`` for the rows of a matrix objective, each row with its own probes."""
+    """Subgradients of chosen rows, with each row's probes recorded and checked for convexity."""
 
-    def __init__(self, obj: LocationObjective, lo, hi):
+    def __init__(self, obj: LocationObjective, lo, hi, name_rows: bool):
         self.obj = obj
         self.slack = 1e-9 * np.maximum(obj.scale_at(lo), obj.scale_at(hi))
+        self.name_rows = name_rows
         self.probes = []  # (rows, theta, g_left, g_right) arrays, in evaluation order
+
+    def error(self, row, message) -> NonConvexityError:
+        return NonConvexityError(f"row {row}: {message}" if self.name_rows else message)
 
     def __call__(self, rows, theta):
         left, right = self.obj.take(rows).subgradient(theta)
         flipped = np.flatnonzero(left > right + self.slack[rows])
         if flipped.size:
             i = flipped[0]
-            raise NonConvexityError(
-                f"row {rows[i]}: subgradient interval reversed at theta={theta[i]}: "
-                f"left={left[i]} > right={right[i]}"
-            )
+            raise self.error(rows[i], f"subgradient interval reversed at theta={theta[i]}: "
+                                      f"left={left[i]} > right={right[i]}")
         self.probes.append((rows, theta, left, right))
         return left, right
 
     def check_monotone(self):
-        """``_Prober.check_monotone`` over each row's own probes, which it consumes."""
+        """Consume the probes, checking each row's subgradients are monotone across its probes."""
         rows, theta, left, right = (np.concatenate(col) for col in zip(*self.probes))
         # one sorted copy at a time: this is the peak memory of a solve
         self.probes = []
@@ -179,14 +90,16 @@ class _RowProber:
                              & (right[:-1] > left[1:] + self.slack[rows[1:]]))
         if bad.size:
             i = bad[0]
-            raise NonConvexityError(
-                f"row {rows[i]}: subgradient sign not monotone: "
-                f"g_right({theta[i]})={right[i]} > g_left({theta[i + 1]})={left[i + 1]}"
-            )
+            raise self.error(rows[i], f"subgradient sign not monotone: g_right({theta[i]})="
+                             f"{right[i]} > g_left({theta[i + 1]})={left[i + 1]}")
 
 
-def _bisect_rows(predicate, rows, lo, hi, tol):
-    """``_bisect`` for each of ``rows``, all still-open rows probed by one predicate call."""
+def _bisect_rows(predicate, rows, lo, hi, tol, name_rows: bool):
+    """Shrink each row's [lo, hi] to width <= tol, keeping predicate False at lo, True at hi.
+
+    A row also stops when its midpoint is not strictly inside (the bracket is
+    below float resolution).  All open rows share one predicate call a step.
+    """
     lo, hi = lo.copy(), hi.copy()
     live = np.arange(rows.size)
     for _ in range(_MAX_ITER):
@@ -199,18 +112,28 @@ def _bisect_rows(predicate, rows, lo, hi, tol):
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up]
     i = live[0]
+    where = f" in row {rows[i]}" if name_rows else ""
     raise ConvergenceError(
-        f"bisection did not converge within {_MAX_ITER} iterations in row {rows[i]} "
+        f"bisection did not converge within {_MAX_ITER} iterations{where} "
         f"on [{lo[i]}, {hi[i]}]"
     )
 
 
-def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
-    """``_argmin_interval`` for every row of a matrix objective."""
+def _argmin_rows(obj: LocationObjective, bracket: Bracket, name_rows: bool) -> np.ndarray:
+    """Midpoint of the set where each row's subgradient straddles zero.
+
+    That set runs from the leftmost point where the right subgradient is
+    >= 0 to the rightmost point where the left subgradient is <= 0.  A row
+    whose right subgradient is negative at hi returns hi; else one whose
+    left subgradient is positive at lo returns lo.  The seven interior
+    probes cost a few evaluations and let the monotonicity check see sign
+    reversals that bisection alone would skip (redescending objectives are
+    flat at distant endpoints).
+    """
     count = obj.data.shape[0]
     lo, hi, tol = (np.broadcast_to(np.asarray(f, dtype=float), count)
                    for f in (bracket.lo, bracket.hi, bracket.tol))
-    probe = _RowProber(obj, lo, hi)
+    probe = _RowProber(obj, lo, hi, name_rows)
     every = np.arange(count)
 
     left_lo, right_lo = probe(every, lo)
@@ -225,19 +148,17 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
     lower = lo.copy()
     rows = np.flatnonzero(inside & (right_lo < 0.0))
     lower[rows] = _bisect_rows(lambda r, t: probe(r, t)[1] >= 0.0,
-                               rows, lo[rows], hi[rows], tol[rows])[1]
+                               rows, lo[rows], hi[rows], tol[rows], name_rows)[1]
     upper = hi.copy()
     rows = np.flatnonzero(inside & (left_hi > 0.0))
     upper[rows] = _bisect_rows(lambda r, t: probe(r, t)[0] > 0.0,
-                               rows, lo[rows], hi[rows], tol[rows])[0]
+                               rows, lo[rows], hi[rows], tol[rows], name_rows)[0]
 
     probe.check_monotone()
     bad = np.flatnonzero(inside & (lower > upper + 2.0 * tol))
     if bad.size:
         i = bad[0]
-        raise NonConvexityError(
-            f"row {i}: inconsistent minimizer interval [{lower[i]}, {upper[i]}]"
-        )
+        raise probe.error(i, f"inconsistent minimizer interval [{lower[i]}, {upper[i]}]")
     return np.where(at_hi, hi, np.where(at_lo, lo, 0.5 * (lower + upper)))
 
 
@@ -247,13 +168,15 @@ def minimize_convex(obj: LocationObjective, bracket: Bracket):
     Returns a point where zero lies in the subgradient interval (up to the
     bracket tolerance), or a bracket endpoint when the minimum sits there.
     Non-convexity observed along the way raises ``NonConvexityError`` naming
-    the offending probe points.  An objective over a ``(rows, n)`` matrix,
-    with a scalar or per-row bracket, is minimized row by row into an array
-    whose entries equal the scalar results; an error names the row.
+    the offending probe points.  One sample gives a Python float.  An
+    objective over a ``(rows, n)`` matrix, with a scalar or per-row bracket,
+    gives an array with each row's minimizer, the float its row alone would
+    give; an error also names the row.
     """
     if obj.data.ndim == 2:
-        return _argmin_rows(obj, bracket)
-    return _argmin_interval(obj, bracket)
+        return _argmin_rows(obj, bracket, name_rows=True)
+    # one sample is a 1-row matrix, with no row to name
+    return float(_argmin_rows(obj.take(np.newaxis), bracket, name_rows=False)[0])
 
 
 def minimize_scan(data, c: float, grid) -> np.ndarray:

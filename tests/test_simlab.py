@@ -5,7 +5,10 @@ import functools
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +394,27 @@ def test_validate_lists_llr_shift_without_finite_expected_ratio(tmp_path, capsys
                                           r"expected log-likelihood ratio at shift 10000\.0 "
                                           r"gives .*, the closed form -9998\.0$"):
         validate_config(ExperimentConfig(**logistic))
+
+
+def test_validate_stderr_is_one_record_when_quadrature_warns(tmp_path):
+    # at a logistic shift of 1e200 scipy's quad warns as well as missing the
+    # closed form; run in a fresh interpreter, where warnings reach stderr,
+    # the CLI still writes nothing there but its one JSON error record
+    raw = _minimal_config(
+        kind="mle_llr_consistency", dgp={"name": "logistic_location"},
+        estimator={"kind": "neg_loglik", "params": {"family_name": "logistic_location"}},
+        grids={"n": [5], "eps": [1e200]}, reps=100,
+    )
+    path = tmp_path / "llr.json"
+    path.write_text(json.dumps(raw))
+    env = {**os.environ, "PYTHONPATH": str(Path(kinds.__file__).parents[2])}
+    done = subprocess.run([sys.executable, "-m", "medbias.simlab.cli", "validate", str(path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 1
+    record = json.loads(done.stderr)
+    assert record["error"] == "ConfigError"
+    assert re.search(r"at shift 1e\+200 gives nan, the closed form -1e\+200; "
+                     r"IntegrationWarning: ", record["message"])
 
 
 def test_config_rejects_unknown_schedule():

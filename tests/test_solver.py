@@ -8,6 +8,7 @@ from medbias import (
     BiweightLocation,
     Bracket,
     CheckLoss,
+    ConvergenceError,
     LogisticLocation,
     NegativeLogLikelihood,
     NonConvexityError,
@@ -16,6 +17,8 @@ from medbias import (
     minimize_convex,
     minimize_scan,
 )
+from medbias.objectives import LocationObjective
+from medbias.solver import _MAX_ITER
 
 
 def grid_argmin(obj, lo, hi, step=1e-6):
@@ -146,9 +149,10 @@ def test_translation_equivariance(seed):
 def test_iteration_cap_raises(monkeypatch):
     import medbias.solver as solver_module
     monkeypatch.setattr(solver_module, "_MAX_ITER", 3)
-    from medbias import ConvergenceError
-    with pytest.raises(ConvergenceError):
+    # one sample: the message names the last bracket, and no row
+    with pytest.raises(ConvergenceError, match=r"^bisection did not converge .* on \[") as err:
         minimize_convex(PowerLoss([0.0, 1.0, 5.0], p=2), Bracket(-1e6, 1e6, tol=1e-12))
+    assert "row" not in str(err.value)
     rows = np.array([[0.0, 1.0, 5.0], [2.0, 2.5, 3.0]])
     with pytest.raises(ConvergenceError, match="in row 0 "):
         minimize_convex(PowerLoss(rows, p=2), Bracket(-1e6, 1e6, tol=1e-12))
@@ -159,19 +163,119 @@ def test_nonconvex_detection_names_probes():
     with pytest.raises(NonConvexityError) as err:
         minimize_convex(obj, Bracket(-8, 8))
     assert "g_right(" in str(err.value) and "g_left(" in str(err.value)
+    # one sample has no row to name
+    assert str(err.value).startswith("subgradient sign not monotone")
+    assert "row" not in str(err.value)
 
 
 def test_batched_solver_names_the_nonconvex_row():
     # row 0 is clustered, so convex on the bracket; row 1 puts four points
-    # where the biweight loss is concave, and the scalar path rejects it
+    # where the biweight loss is concave, and a one-sample solve rejects it
+    # without naming a row
     rng = np.random.default_rng(17)
     rows = np.stack([0.3 * rng.standard_normal(5), [-3.0, 3.0, -3.2, 3.2, 0.0]])
     bracket = Bracket(-1.0, 1.0)
     minimize_convex(BiweightLocation(rows[0], c=4.0), bracket)
-    with pytest.raises(NonConvexityError, match=r"g_right\(.*g_left\("):
+    with pytest.raises(NonConvexityError,
+                       match=r"^subgradient sign not monotone: g_right\(.*g_left\(") as err:
         minimize_convex(BiweightLocation(rows[1], c=4.0), bracket)
+    assert "row" not in str(err.value)
     with pytest.raises(NonConvexityError, match=r"^row 1: .*g_right\(.*g_left\("):
         minimize_convex(BiweightLocation(rows, c=4.0), bracket)
+
+
+# A one-sample sign bisection written with Python floats, probe by probe:
+# the reference that every row of the batched solver must reproduce.
+
+
+class _Prober:
+    """Evaluates subgradients, recording probes and checking convexity."""
+
+    def __init__(self, obj: LocationObjective, bracket: Bracket):
+        self.obj = obj
+        self.slack = 1e-9 * max(obj.scale_at(bracket.lo), obj.scale_at(bracket.hi))
+        self.probes = []  # (theta, g_left, g_right), in evaluation order
+
+    def __call__(self, theta: float):
+        left, right = self.obj.subgradient(theta)
+        if left > right + self.slack:
+            raise NonConvexityError(
+                f"subgradient interval reversed at theta={theta!r}: "
+                f"left={left!r} > right={right!r}"
+            )
+        self.probes.append((theta, left, right))
+        return left, right
+
+    def check_monotone(self):
+        """Subgradients along a convex function are monotone across probes."""
+        ordered = sorted(self.probes)
+        for (t1, _, r1), (t2, l2, _) in zip(ordered, ordered[1:]):
+            if t2 > t1 and r1 > l2 + self.slack:
+                raise NonConvexityError(
+                    "subgradient sign not monotone: "
+                    f"g_right({t1!r})={r1!r} > g_left({t2!r})={l2!r}"
+                )
+
+
+def _bisect(predicate, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Shrink [lo, hi] to width <= tol keeping predicate False at lo, True at hi."""
+    for _ in range(_MAX_ITER):
+        if hi - lo <= tol:
+            return lo, hi
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # bracket below float resolution
+            return lo, hi
+        if predicate(mid):
+            hi = mid
+        else:
+            lo = mid
+    raise ConvergenceError(
+        f"bisection did not converge within {_MAX_ITER} iterations on [{lo}, {hi}]"
+    )
+
+
+def _argmin_interval(obj: LocationObjective, bracket: Bracket) -> float:
+    """Midpoint of the set where the subgradient straddles zero."""
+    probe = _Prober(obj, bracket)
+    lo, hi, tol = bracket.lo, bracket.hi, bracket.tol
+
+    _, right_lo = probe(lo)
+    left_hi, _ = probe(hi)
+    left_lo = probe.probes[0][1]
+    right_hi = probe.probes[1][2]
+
+    # Coarse interior scan: costs a few evaluations and lets the final
+    # monotonicity check see sign reversals that bisection alone would skip
+    # (redescending objectives are flat at distant endpoints).
+    for t in np.linspace(lo, hi, 9)[1:-1]:
+        probe(float(t))
+
+    if right_hi < 0.0:  # decreasing throughout: minimizer at the upper endpoint
+        probe.check_monotone()
+        return hi
+    if left_lo > 0.0:  # increasing throughout: minimizer at the lower endpoint
+        probe.check_monotone()
+        return lo
+
+    # Leftmost point where the right subgradient turns >= 0.
+    if right_lo >= 0.0:
+        lower = lo
+    else:
+        _, lower = _bisect(lambda t: probe(t)[1] >= 0.0, lo, hi, tol)
+
+    # Rightmost point where the left subgradient is still <= 0.
+    if left_hi <= 0.0:
+        upper = hi
+    else:
+        upper, _ = _bisect(lambda t: probe(t)[0] > 0.0, lo, hi, tol)
+
+    probe.check_monotone()
+    if lower > upper + 2.0 * tol:
+        raise NonConvexityError(
+            f"inconsistent minimizer interval [{lower!r}, {upper!r}] "
+            f"from probes {probe.probes[:4]}..."
+        )
+    return 0.5 * (lower + upper)
 
 
 CONVEX_KINDS = {
@@ -188,11 +292,13 @@ CONVEX_KINDS = {
 
 @pytest.mark.parametrize("kind", CONVEX_KINDS)
 def test_batched_solver_matches_scalar_bit_for_bit(kind):
-    # the scalar path is the oracle for every row of a batched solve, at
-    # n >= 8 and on the inputs where float summation order could differ:
-    # integer-valued rows put probes exactly on data points, and doubled
-    # values at even n give flat segments; the shifted brackets hold no
-    # minimizer, so alternate rows return their lower or upper endpoint
+    # the one-sample reference above is the oracle for every row of a
+    # batched solve and for the same row solved alone, on the inputs where
+    # float summation order could differ: integer-valued rows put probes
+    # exactly on data points, doubled values at even n give flat segments,
+    # and n = 1, 2 and 3 with an all-tied row are the smallest samples; the
+    # shifted brackets hold no minimizer, so alternate rows return their
+    # lower or upper endpoint
     factory = CONVEX_KINDS[kind]
     rng = np.random.default_rng(29)
     base = rng.integers(-3, 4, size=(30, 12)).astype(float)
@@ -202,6 +308,10 @@ def test_batched_solver_matches_scalar_bit_for_bit(kind):
         base + rng.standard_normal(base.shape) * (rng.random(base.shape) < 0.5),
         rng.standard_normal((30, 16)),
     ]
+    for n in (1, 2, 3):
+        small = rng.integers(-3, 4, size=(30, n)).astype(float)
+        small[0] = 2.0  # all tied
+        matrices.append(small)
     for data in matrices:
         lo, hi = data.min(axis=1) - 2.0, data.max(axis=1) + 2.0
         shift = (hi - lo) * np.resize([1.0, -1.0], len(data))
@@ -211,7 +321,10 @@ def test_batched_solver_matches_scalar_bit_for_bit(kind):
         for a, b in ((lo, hi), (lo + shift, hi + shift)):
             theta = minimize_convex(batched, Bracket(a, b))
             for i, row in enumerate(data):
-                assert theta[i] == minimize_convex(factory(row), Bracket(a[i], b[i])), (kind, i)
+                bracket = Bracket(a[i], b[i])
+                alone = minimize_convex(factory(row), bracket)
+                assert type(alone) is float, (kind, i)
+                assert theta[i] == alone == _argmin_interval(factory(row), bracket), (kind, i)
         for i, row in enumerate(data):
             assert (left[i], right[i]) == factory(row).subgradient(float(probes[i])), (kind, i)
 
