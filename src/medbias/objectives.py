@@ -165,7 +165,8 @@ class LocationObjective:
             raise ValueError("data must be a non-empty 1-d sequence or (rows, n) matrix")
         if not np.all(np.isfinite(x)):
             raise ValueError("data must be finite")
-        self.data = x
+        # row sums in C order, as on the contiguous copies ``take`` makes
+        self.data = np.ascontiguousarray(x)
 
     def take(self, rows) -> "LocationObjective":
         """The same objective on the given rows of its ``(rows, n)`` matrix."""

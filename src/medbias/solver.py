@@ -12,6 +12,9 @@ sample is a 1-row matrix.  All rows still searching share one objective call
 per probe, and a row's result depends only on its own data and bracket.
 Every probe is checked for convexity, so a failure names its probe points,
 and also its row when the caller passed a matrix.
+
+The redescending biweight objective is minimized by a grid scan that skips
+blocks of the grid whose lower bound shows they cannot hold the minimum.
 """
 
 from dataclasses import dataclass
@@ -21,7 +24,7 @@ import numpy as np
 from .objectives import LocationObjective, biweight_drho, biweight_rho
 
 _MAX_ITER = 200
-_SCAN_BLOCK = 64  # grid points per vectorised block of the biweight scan
+_SCAN_BLOCK = 64  # grid points per block of the biweight scan
 
 
 class NonConvexityError(RuntimeError):
@@ -67,7 +70,9 @@ class _RowProber:
         return NonConvexityError(f"row {row}: {message}" if self.name_rows else message)
 
     def __call__(self, rows, theta):
-        left, right = self.obj.take(rows).subgradient(theta)
+        # rows are increasing, so as many rows as the matrix has are all of them
+        obj = self.obj if rows.size == self.obj.data.shape[0] else self.obj.take(rows)
+        left, right = obj.subgradient(theta)
         flipped = np.flatnonzero(left > right + self.slack[rows])
         if flipped.size:
             i = flipped[0]
@@ -179,35 +184,77 @@ def minimize_convex(obj: LocationObjective, bracket: Bracket):
     return float(_argmin_rows(obj.take(np.newaxis), bracket, name_rows=False)[0])
 
 
+def _block_bounds(data, c: float, grid) -> np.ndarray:
+    """A lower bound on the summed biweight loss over each ``_SCAN_BLOCK`` of each row's grid.
+
+    The loss is non-decreasing in |u|, so over a block [a, b] of grid points
+    no value is below the sum over the data of rho(max(a - x, x - b, 0)):
+    one loss per observation, however many points the block holds.
+    """
+    points = grid.shape[1]
+    starts = np.arange(0, points, _SCAN_BLOCK)
+    lo = grid[:, starts, None]
+    hi = grid[:, np.minimum(starts + _SCAN_BLOCK, points) - 1, None]
+    x = data[:, None, :]
+    return biweight_rho(np.maximum(np.maximum(lo - x, x - hi), 0.0), c).sum(axis=2)
+
+
 def minimize_scan(data, c: float, grid) -> np.ndarray:
     """Global minimizer of the biweight objective, row by row, by scan and polish.
 
-    ``data`` is a ``(rows, n)`` matrix (a 1-d array is one row) and ``grid``
-    an equally spaced increasing grid, shared by every row (1-d) or one per
-    row (``(rows, points)``).  The summed loss is scanned over the grid in
-    blocks, and the first minimum wins.  When the slope goes from negative at
+    ``data`` is a finite ``(rows, n)`` matrix (a 1-d array is one row) and
+    ``grid`` an equally spaced, strictly increasing grid, shared by every row
+    (1-d) or one per row (``(rows, points)``); anything else raises
+    ``ValueError``.  The grid is cut into blocks of ``_SCAN_BLOCK`` points,
+    and each block's summed loss is bounded below by ``_block_bounds``.  Each
+    row visits its blocks in increasing order of their bound and evaluates
+    every point of a visited block; it skips the rest once a block's bound,
+    less a rounding slack of ``1e-9 * n * c**2 / 6``, exceeds the row's best
+    value so far, since no point there can reach it.  A value replaces the
+    best when it is smaller, or equal at a smaller theta, so the first
+    minimum along the grid wins, and values and minimizer are those of
+    evaluating every point.  When the slope goes from negative at
     best - step to positive at best + step (a grid endpoint included), 50
     halvings of that cell polish the point, which is kept only if its value
     is no larger.  Subgradient bisection does not apply to this redescending
     objective; the scan is its one estimation path.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
-    rows = data.shape[0]
+    rows, n = data.shape
     grid = np.asarray(grid, dtype=float)
-    if grid.shape[-1] < 2:
-        raise ValueError(f"scan grid needs at least 2 points, got {grid.shape[-1]}")
-    grid = np.broadcast_to(grid, (rows, grid.shape[-1]))
-    every = np.arange(rows)
+    points = grid.shape[-1]
+    if points < 2:
+        raise ValueError(f"scan grid needs at least 2 points, got {points}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid, axis=-1) > 0.0)):
+        raise ValueError("scan grid must be finite and strictly increasing along each row")
+    if not np.all(np.isfinite(data)):
+        raise ValueError("scan data must be finite")
+    grid = np.broadcast_to(grid, (rows, points))
+
+    bounds = _block_bounds(data, c, grid)
+    order = np.argsort(bounds, axis=1, kind="stable")
+    bounds = np.take_along_axis(bounds, order, axis=1) - 1e-9 * n * c * c / 6.0
     best_val = np.full(rows, np.inf)
     best_theta = grid[:, 0].copy()
-    for b in range(0, grid.shape[1], _SCAN_BLOCK):
-        thetas = grid[:, b:b + _SCAN_BLOCK]
-        vals = biweight_rho(data[:, None, :] - thetas[:, :, None], c).sum(axis=2)
+    offsets = np.arange(_SCAN_BLOCK)
+    live = np.arange(rows)
+    for k in range(order.shape[1]):
+        # bounds rise along k and best values only fall, so a row once
+        # skipped stays skipped
+        live = live[bounds[live, k] <= best_val[live]]
+        if not live.size:
+            break
+        cols = order[live, k, None] * _SCAN_BLOCK + offsets
+        thetas = grid[live[:, None], np.minimum(cols, points - 1)]
+        vals = biweight_rho(data[live, None, :] - thetas[:, :, None], c).sum(axis=2)
+        vals[cols >= points] = np.inf
         idx = np.argmin(vals, axis=1)
-        cand = vals[every, idx]
-        better = cand < best_val
-        best_val = np.where(better, cand, best_val)
-        best_theta = np.where(better, thetas[every, idx], best_theta)
+        at = np.arange(live.size)
+        cand, cand_theta = vals[at, idx], thetas[at, idx]
+        better = (cand < best_val[live]) | ((cand == best_val[live])
+                                            & (cand_theta < best_theta[live]))
+        best_val[live[better]] = cand[better]
+        best_theta[live[better]] = cand_theta[better]
 
     def slope(at):
         return -biweight_drho(data - at[:, None], c).sum(axis=1)

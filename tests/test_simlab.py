@@ -723,6 +723,29 @@ def test_partialled_csv_bytes_pinned(tmp_path):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_biweight_csv_bytes_pinned(tmp_path):
+    # a small nonconvex run (one shared 1201-point grid) and a biweight HulC
+    # run (per-row 2001-point grids); the digests were recorded when the scan
+    # evaluated every grid point of every row, so a scan that skips blocks
+    # must give the same bytes, at workers 1 and 2
+    biweight = {"kind": "biweight", "params": {"c": 2.0}}
+    configs = [
+        (_minimal_config(kind="nonconvex_dominance", dgp={"name": "laplace"},
+                         estimator=biweight, grids={"n": [10, 40], "delta": [0.25, 1.0]},
+                         reps=600),
+         "755d5862bafb5eed9ca0da8eafe722da82fbb039c2a4d6d32afff1fdd1045401"),
+        (_minimal_config(kind="hulc_coverage", dgp={"name": "logistic"},
+                         estimator=biweight, grids={"n": [24, 60]}, reps=520),
+         "c216eab91a966e0c4b48cbeb2a3cdd5ee45d32ef00f5c75e14af7a1b761d673d"),
+    ]
+    for k, (raw, digest) in enumerate(configs):
+        config = ExperimentConfig.from_dict(raw)
+        for workers in (1, 2):
+            path = tmp_path / f"biweight-{k}-{workers}.csv"
+            write_csv(path, run_experiment(config, workers=workers).rows)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_median_config_csv_bytes_pinned(tmp_path):
     # the shipped median config, run as the CLI runs it, at workers 1 and 2
     path = Path(__file__).resolve().parents[1] / "configs" / "median_unbiasedness.json"
