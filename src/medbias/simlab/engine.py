@@ -1,7 +1,7 @@
 """Replication engine: fixed-size chunks over a worker pool.
 
 Chunk boundaries are a fixed constant and every replication seeds its own
-generator (``kinds._replicate`` owns that contract), so results are
+generator (``kinds._replications`` owns that contract), so results are
 identical for any worker count; rerunning the same config and master seed
 reproduces every row bit for bit.  Aggregation folds chunk outputs in
 replication-index order, never completion order.

@@ -3,11 +3,12 @@
 Each kind is described once, by its ``KindImpl``: how it resolves its config
 (rejecting what cannot run), expands its grid, simulates one chunk of
 replications, and folds the collected arrays into report rows.  Every
-replication draws from its own derived seed stream through ``_replicate``,
+replication draws from its own derived seed stream through ``_replications``,
 so chunking and worker count can never change a value.  The univariate
 kinds draw a chunk as one ``(count, n)`` matrix and estimate, score and
-evaluate it row by row.  Rows are plain dicts in the canonical report
-schema; anything kind-specific goes into ``detail``.
+evaluate it row by row; the partialled kinds fit a chunk's regressions in
+cache-sized stacks.  Rows are plain dicts in the canonical report schema;
+anything kind-specific goes into ``detail``.
 """
 
 import functools
@@ -36,7 +37,13 @@ from ..objectives import (
     make_family,
     make_objective,
 )
-from ..partialling import fwl_estimate, score_decompose, default_eta_grid, proposition_profile
+from ..partialling import (
+    RegressionData,
+    default_eta_grid,
+    fwl_estimate,
+    proposition_profile,
+    score_decompose,
+)
 from ..plm import corrupted_nuisances, plm_medbias_profile, plm_split_fit, simulate_plm
 from ..solver import Bracket, minimize_convex, minimize_scan
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
@@ -211,20 +218,28 @@ def _lhs_row(config, point: dict, theta_hat, theta0: float):
 # Replication and config resolution shared by every kind.
 
 
-def _replicate(config, point: dict, start: int, stop: int, body: Callable,
-               streams=("data",)) -> dict:
-    """Run ``body`` for replications ``start..stop`` of a grid point and stack its outputs.
+def _replications(config, point: dict, start: int, stop: int, streams=("data",)):
+    """Yield one generator per stream for each replication ``start..stop`` of a grid point.
 
     The one owner of the seeding contract: stream ``s`` of replication ``i``
     draws the stream of ``replication_rng(master_seed, i, f"{grid_label}|{s}")``,
     so a value depends only on (master seed, grid point, index, stream), never
-    on chunking, worker count or order.  ``body`` takes one generator per stream
-    and returns a dict of scalars or equal-shape arrays, stacked key by key.
-    The chunk is seeded in one pass by ``chunk_generators``, which reuses each
-    stream's generator: a body must not keep a generator after it returns.
+    on chunking, worker count or order.  The chunk is seeded in one pass by
+    ``chunk_generators``, which reuses each stream's generator: a replication
+    must not keep a generator after the next one is yielded.
     """
     labels = [f"{grid_label(config.kind, point)}|{stream}" for stream in streams]
-    outputs = [body(*rngs) for rngs in chunk_generators(config.master_seed, start, stop, labels)]
+    return chunk_generators(config.master_seed, start, stop, labels)
+
+
+def _replicate(config, point: dict, start: int, stop: int, body: Callable,
+               streams=("data",)) -> dict:
+    """Run ``body`` for replications ``start..stop`` of a grid point and stack its outputs.
+
+    ``body`` takes one generator per stream of ``_replications`` and returns
+    a dict of scalars or equal-shape arrays, stacked key by key.
+    """
+    outputs = [body(*rngs) for rngs in _replications(config, point, start, stop, streams)]
     return {key: np.array([out[key] for out in outputs]) for key in outputs[0]}
 
 
@@ -576,17 +591,39 @@ def _points_partialled(config):
                        for n in config.grids["n"] for d in config.grids["d"]])
 
 
-def _chunk_partialled(config, prep, point, start, stop):
-    def body(rng):
-        data, beta_t, beta_y = sample_design(prep.design, rng, point["n"], point["d"],
-                                             prep.theta0, **prep.design_params)
-        fit = fwl_estimate(data)
-        if not prep.decompose:
-            return {"theta_hat": fit.theta_hat}
-        dec = score_decompose(data, fit, prep.theta0, beta_t, beta_y)
-        return {"theta_hat": fit.theta_hat, "s_n": dec.s_n, "correction": dec.correction}
+#: Bytes of ``[x | t | y]`` stack per block of partialled fits: small enough
+#: to stay in cache, large enough to share each LAPACK call among many rows.
+_FIT_BLOCK_BYTES = 1 << 18
 
-    return _replicate(config, point, start, stop, body)
+
+def _chunk_partialled(config, prep, point, start, stop):
+    """Draw the chunk's designs into block stacks and fit each block at once.
+
+    A block holds as many replications as fit in ``_FIT_BLOCK_BYTES`` of
+    ``[x | t | y]`` stack (at least one); a row's fit does not depend on its
+    block, so the values do not depend on the block size or on chunking.
+    """
+    n, d, count = point["n"], point["d"], stop - start
+    block = min(count, max(1, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
+    y, t, x = np.empty((block, n)), np.empty((block, n)), np.empty((block, n, d))
+    beta_t, beta_y = np.empty((block, d)), np.empty((block, d))
+    keys = ("theta_hat", "s_n", "correction") if prep.decompose else ("theta_hat",)
+    out = {key: np.empty(count) for key in keys}
+    for i, (rng,) in enumerate(_replications(config, point, start, stop)):
+        k = i % block
+        data, beta_t[k], beta_y[k] = sample_design(prep.design, rng, n, d, prep.theta0,
+                                                   **prep.design_params)
+        y[k], t[k], x[k] = data.y, data.t, data.x
+        if k + 1 < block and i + 1 < count:
+            continue
+        rows = slice(i - k, i + 1)
+        stack = RegressionData(y=y[:k + 1], t=t[:k + 1], x=x[:k + 1])
+        fit = fwl_estimate(stack)
+        out["theta_hat"][rows] = fit.theta_hat
+        if prep.decompose:
+            dec = score_decompose(stack, fit, prep.theta0, beta_t[:k + 1], beta_y[:k + 1])
+            out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
+    return out
 
 
 def _summarize_partialled(config, prep, point, arrays):

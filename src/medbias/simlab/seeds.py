@@ -6,10 +6,10 @@ replication ``i`` is ``replication_rng(master_seed, i, label)``, that is
 ``np.random.default_rng(derive_seed(master_seed, i, label))``.  Values
 therefore depend only on (master seed, index, label), never on chunking,
 worker count, or execution order.  The experiment kinds draw every
-replication through ``kinds._replicate``, which fixes the label as
+replication through ``kinds._replications``, which fixes the label as
 ``<grid label>|<stream>``.
 
-``_replicate`` seeds a whole chunk in one pass with ``chunk_generators``.
+``_replications`` seeds a whole chunk in one pass with ``chunk_generators``.
 It hashes the chunk's ``SeedSequence`` states together in numpy ``uint32``
 arithmetic, runs PCG64's 128-bit seeding step on Python ints, and resets the
 state of one reused ``Generator`` per stream before each replication.  The

@@ -16,7 +16,88 @@ from medbias import (
     joint_theta,
     score_decompose,
 )
-from medbias.partialling import proposition_profile
+from medbias.partialling import (
+    _IDENTITY_RTOL,
+    _RANK_RTOL,
+    DecompositionError,
+    PartialledFit,
+    ScoreDecomposition,
+    proposition_profile,
+)
+from medbias.simlab import kinds, replication_rng, sample_design
+from medbias.simlab.config import ExperimentConfig, validate_config
+
+
+# The one-sample fit and decomposition as they were before fits were stacked,
+# kept verbatim as the bit-for-bit reference of every row of a stacked fit.
+
+def _oracle_check_rank(data: RegressionData) -> np.ndarray:
+    if data.d + 1 > data.n:
+        raise CollinearityError(
+            f"stacked design [t | x] is {data.n} x {data.d + 1}: more columns than "
+            "rows, so it is rank deficient"
+        )
+    r = np.linalg.qr(np.column_stack([data.x, data.t, data.y]), mode="r")
+    block = r[:data.d + 1, :data.d + 1]
+    singular = np.linalg.svd(block, compute_uv=False)
+    if singular[-1] <= _RANK_RTOL * singular[0]:
+        _, _, vt = np.linalg.svd(block)
+        direction = np.roll(vt[-1], 1)
+        raise CollinearityError(
+            "stacked design [t | x] is numerically rank deficient "
+            f"(smallest/largest singular value = {singular[-1] / singular[0]:.3e}); "
+            f"null direction over (t, x1..xd): {np.round(direction, 6).tolist()}"
+        )
+    return r
+
+
+def _oracle_fwl(data: RegressionData) -> PartialledFit:
+    r = _oracle_check_rank(data)
+    d = data.d
+    if d:
+        coef = np.linalg.solve(r[:d, :d], r[:d, d:])
+        r_t = data.t - data.x @ coef[:, 0]
+        r_y = data.y - data.x @ coef[:, 1]
+    else:
+        r_t, r_y = data.t.copy(), data.y.copy()
+    denom = float(r_t @ r_t)
+    if denom <= 0.0:
+        raise CollinearityError("treatment residuals are identically zero")
+    theta_hat = float(r_t @ r_y) / denom
+
+    if d > 0:
+        gram = np.abs(data.x.T @ r_t)
+        scale = 1.0 + np.linalg.norm(data.x, axis=0) * np.linalg.norm(r_t)
+        worst = float(np.max(gram / scale))
+        if worst > _IDENTITY_RTOL:
+            raise CollinearityError(
+                f"treatment residuals not orthogonal to covariates (max {worst:.3e}); "
+                "design too ill-conditioned for the partialled solve"
+            )
+    return PartialledFit(theta_hat=theta_hat, r_t_hat=r_t, r_y_hat=r_y)
+
+
+def _oracle_decompose(data: RegressionData, fit: PartialledFit, theta0: float,
+                      beta_t, beta_y) -> ScoreDecomposition:
+    beta_t = np.asarray(beta_t, dtype=float).reshape(data.d)
+    beta_y = np.asarray(beta_y, dtype=float).reshape(data.d)
+    r_t = data.t - data.x @ beta_t if data.d else data.t.copy()
+    r_y = data.y - data.x @ beta_y if data.d else data.y.copy()
+    resid0 = r_y - theta0 * r_t
+
+    s_n = float(r_t @ resid0)
+    correction = float((fit.r_t_hat - r_t) @ resid0)
+    remainder = float(fit.r_t_hat @ ((fit.r_y_hat - r_y) - theta0 * (fit.r_t_hat - r_t)))
+
+    total = float(fit.r_t_hat @ (fit.r_y_hat - theta0 * fit.r_t_hat))
+    scale = 1.0 + float(np.sum(np.abs(fit.r_t_hat * (fit.r_y_hat - theta0 * fit.r_t_hat))))
+    gap = abs(total - (s_n + correction + remainder))
+    if gap > _IDENTITY_RTOL * scale:
+        raise DecompositionError(
+            f"decomposition identity off by {gap:.3e} (scale {scale:.3e}); "
+            "check the numerical rank of the design"
+        )
+    return ScoreDecomposition(s_n=s_n, correction=correction, remainder=remainder)
 
 
 def _random_instance(rng, n, d, theta0=0.7):
@@ -31,6 +112,15 @@ def _random_instance(rng, n, d, theta0=0.7):
     return RegressionData(y=y, t=t, x=x), beta_t, beta_y
 
 
+def _stack(instances):
+    """One stacked ``RegressionData`` and its ``(rows, d)`` coefficients from one-sample draws."""
+    datas, beta_t, beta_y = zip(*instances)
+    stack = RegressionData(y=np.stack([data.y for data in datas]),
+                           t=np.stack([data.t for data in datas]),
+                           x=np.stack([data.x for data in datas]))
+    return stack, np.stack(beta_t), np.stack(beta_y)
+
+
 def test_regression_data_validation():
     with pytest.raises(ValueError):
         RegressionData(y=np.ones(3), t=np.ones(2), x=np.ones((3, 1)))
@@ -38,6 +128,89 @@ def test_regression_data_validation():
         RegressionData(y=np.ones(3), t=np.ones(3), x=np.ones((3,)))
     with pytest.raises(ValueError):
         RegressionData(y=np.array([1.0, np.nan]), t=np.ones(2), x=np.ones((2, 0)))
+
+
+def test_stacked_regression_data_rejects_non_finite_entries_by_name():
+    y, t, x = np.ones((4, 6)), np.ones((4, 6)), np.ones((4, 6, 2))
+    x[2, 5, 1] = np.inf
+    with pytest.raises(ValueError, match=r"^row 2: x must be finite$"):
+        RegressionData(y=y, t=t, x=x)
+    t[1, 0] = np.nan
+    with pytest.raises(ValueError, match=r"^row 1: t must be finite$"):
+        RegressionData(y=y, t=t, x=x)
+
+
+def test_stacked_regression_data_rejects_mismatched_shapes():
+    y, t, x = np.ones((4, 6)), np.ones((4, 6)), np.ones((4, 6, 2))
+    for bad in ({"t": np.ones((3, 6))}, {"t": np.ones(6)}, {"x": np.ones((4, 5, 2))},
+                {"x": np.ones((4, 6))}, {"x": np.ones((6, 2))},
+                {"y": np.ones((0, 6)), "t": np.ones((0, 6)), "x": np.ones((0, 6, 2))}):
+        arrays = {"y": y, "t": t, "x": x, **bad}
+        with pytest.raises(ValueError, match="shape|1-d|2-d"):
+            RegressionData(**arrays)
+
+
+def _values(fit, dec, row=None):
+    """A fit's slope and residuals and its decomposition, of one row of a stack or of one sample."""
+    values = [fit.theta_hat, fit.r_t_hat, fit.r_y_hat, *dec]
+    return values if row is None else [value[row] for value in values]
+
+
+def _assert_rows_match_oracle(stack, beta_t, beta_y, theta0):
+    fit = fwl_estimate(stack)
+    dec = score_decompose(stack, fit, theta0, beta_t, beta_y)
+    assert fit.theta_hat.shape == (stack.y.shape[0],) and fit.r_t_hat.shape == stack.t.shape
+    for i in range(stack.y.shape[0]):
+        sample = RegressionData(y=stack.y[i], t=stack.t[i], x=stack.x[i])
+        expected = _oracle_fwl(sample)
+        expected = _values(expected, _oracle_decompose(sample, expected, theta0,
+                                                       beta_t[i], beta_y[i]))
+        one_row = RegressionData(y=stack.y[i:i + 1], t=stack.t[i:i + 1], x=stack.x[i:i + 1])
+        single = fwl_estimate(one_row)
+        single = _values(single, score_decompose(one_row, single, theta0,
+                                                 beta_t[i:i + 1], beta_y[i:i + 1]), 0)
+        alone = fwl_estimate(sample)
+        alone = _values(alone, score_decompose(sample, alone, theta0, beta_t[i], beta_y[i]))
+        assert all(isinstance(value, float) for value in alone[:1] + alone[3:])
+        for got in (_values(fit, dec, i), single, alone):
+            assert all(np.array_equal(a, b) for a, b in zip(got, expected, strict=True))
+
+
+def test_stacked_fit_matches_oracle_bit_for_bit():
+    # every row of a stacked fit and decomposition has the bits of the
+    # one-sample fit on that row, and of a 1-row stack of it
+    rng = np.random.default_rng(2024)
+    theta0 = 0.7
+    for n, d, rows in ((30, 0, 5), (12, 11, 6), (40, 3, 9), (100, 5, 46), (200, 20, 7),
+                       (257, 8, 3), (1600, 20, 2)):
+        # nonzero coefficients, and both lab designs (zero coefficients)
+        _assert_rows_match_oracle(*_stack([_random_instance(rng, n, d, theta0)
+                                           for _ in range(rows)]), theta0)
+        for design in ("gaussian", "leverage_mix"):
+            _assert_rows_match_oracle(*_stack([sample_design(design, rng, n, d, theta0)
+                                               for _ in range(rows)]), theta0)
+
+    # a chunk whose replication count is not a multiple of its block rows:
+    # the last, short block has the bits of each replication fitted alone
+    theta0 = 0.5
+    for design in ("gaussian", "leverage_mix"):
+        config = ExperimentConfig.from_dict({
+            "experiment": "oracle", "kind": "partialled_dominance", "dgp": {"name": design},
+            "estimator": {}, "grids": {"n": [60], "d": [4]}, "params": {"theta0": theta0},
+            "reps": 200, "master_seed": 3})
+        prepared, (point,) = validate_config(config)
+        block = kinds._FIT_BLOCK_BYTES // (8 * 60 * 6)
+        assert 1 < block < 200 and 200 % block
+        arrays = kinds.KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
+        label = f"{kinds.grid_label(config.kind, point)}|data"
+        for i in range(200):
+            data, beta_t, beta_y = sample_design(
+                design, replication_rng(config.master_seed, i, label), 60, 4, theta0)
+            fit = _oracle_fwl(data)
+            dec = _oracle_decompose(data, fit, theta0, beta_t, beta_y)
+            assert np.array_equal(arrays["theta_hat"][i], fit.theta_hat)
+            assert np.array_equal(arrays["s_n"][i], dec.s_n)
+            assert np.array_equal(arrays["correction"][i], dec.correction)
 
 
 def test_fwl_no_covariates_is_regression_through_origin():
@@ -85,9 +258,15 @@ def test_fwl_factorises_once(monkeypatch):
 
     for name in ("qr", "svd", "lstsq"):
         monkeypatch.setattr(np.linalg, name, counted(name))
-    data, _, _ = _random_instance(np.random.default_rng(8), 80, 6)
+    rng = np.random.default_rng(8)
+    data, _, _ = _random_instance(rng, 80, 6)
     fwl_estimate(data)
-    assert calls == [("qr", (80, 8), {"mode": "r"}), ("svd", (7, 7), {"compute_uv": False})]
+    assert calls == [("qr", (1, 80, 8), {"mode": "r"}), ("svd", (1, 7, 7), {"compute_uv": False})]
+    # a stack is one QR and one SVD for all of its rows
+    calls.clear()
+    stack, _, _ = _stack([_random_instance(rng, 80, 6) for _ in range(5)])
+    fwl_estimate(stack)
+    assert calls == [("qr", (5, 80, 8), {"mode": "r"}), ("svd", (5, 7, 7), {"compute_uv": False})]
 
 
 def test_fwl_residuals_orthogonal_to_covariates():
@@ -105,6 +284,19 @@ def test_fwl_collinearity_error_names_direction():
     x = np.column_stack([t, rng.standard_normal(30)])  # first column duplicates t
     with pytest.raises(CollinearityError) as err:
         fwl_estimate(RegressionData(y=rng.standard_normal(30), t=t, x=x))
+    found = re.search(r"null direction over \(t, x1\.\.xd\): (\[.*\])", str(err.value))
+    direction = np.array(ast.literal_eval(found.group(1)))
+    expected = np.array([0.707107, -0.707107, 0.0])
+    assert min(np.max(np.abs(direction - expected)), np.max(np.abs(direction + expected))) <= 1e-6
+
+
+def test_stacked_collinearity_error_names_row_and_direction():
+    rng = np.random.default_rng(3)
+    stack, _, _ = _stack([_random_instance(rng, 30, 2) for _ in range(4)])
+    x = stack.x.copy()
+    x[2, :, 0] = stack.t[2]  # row 2's first covariate duplicates its treatment
+    with pytest.raises(CollinearityError, match=r"^row 2: stacked design") as err:
+        fwl_estimate(RegressionData(y=stack.y, t=stack.t, x=x))
     found = re.search(r"null direction over \(t, x1\.\.xd\): (\[.*\])", str(err.value))
     direction = np.array(ast.literal_eval(found.group(1)))
     expected = np.array([0.707107, -0.707107, 0.0])
