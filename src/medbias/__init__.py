@@ -55,18 +55,14 @@ from .partialling import (
     score_decompose,
 )
 from .plm import (
-    CovariateSpec,
-    FunctionSpec,
-    NoiseSpec,
     PlmDgp,
-    PlmSplitFit,
     corrupted_nuisances,
+    fold2_rows,
     nuisance_error_moments,
+    plm_conditional_bias,
     plm_medbias_profile,
     plm_split_fit,
-    plm_theta,
     simulate_plm,
-    split_indices,
 )
 
 __version__ = "0.1.0"

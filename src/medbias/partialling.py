@@ -91,10 +91,6 @@ class RegressionData:
     def d(self) -> int:
         return self.x.shape[-1]
 
-    def subset(self, indices) -> "RegressionData":
-        idx = np.asarray(indices)
-        return RegressionData(y=self.y[..., idx], t=self.t[..., idx], x=self.x[..., idx, :])
-
 
 @dataclass(frozen=True)
 class PartialledFit:

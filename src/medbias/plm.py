@@ -8,143 +8,115 @@ nuisance pair is ``corrupted_nuisances``: the truth plus a fixed direction
 of known norm, so the nuisance error norms are exact, do not depend on the
 data, and the product-of-rates behaviour of the conditional bias becomes a
 deterministic experiment.
+
+A replication draws the covariates and both noises of all n observations
+(``simulate_plm``), then forms the treatment, the response and the nuisance
+fits on the fold-2 rows only (``plm_split_fit``).  Each of those is
+elementwise in the rows or a row-wise product, so a row's value does not
+depend on which other rows are formed; ``tests/test_plm.py`` checks the
+estimate and the score bit for bit against a body that forms all n rows.
+The conditional bias and its bound depend only on the fold size and the
+nuisance pair (``plm_conditional_bias``).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .core import med_bias
-from .partialling import RegressionData
 
 # ---------------------------------------------------------------------------
-# Named smooth functions, noise laws, and the covariate law (config-addressable).
+# Smooth functions of the covariates, and the process.
 
 
-@dataclass(frozen=True)
-class FunctionSpec:
-    """Named smooth function of the covariates with a parameter map."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        p = self.params
-        if self.name == "linear":
-            weights = np.broadcast_to(
-                np.asarray(p.get("weights", 1.0), dtype=float), (x.shape[1],)
-            )
-            return x @ weights + float(p.get("intercept", 0.0))
-        if self.name == "sine":
-            coord = int(p.get("coord", 0))
-            return float(p.get("amplitude", 1.0)) * np.sin(
-                float(p.get("frequency", 1.0)) * x[:, coord]
-            )
-        raise ValueError(f"unknown function name {self.name!r}")
+def linear(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``x @ weights`` for covariates ``x`` of shape (n, d)."""
+    return x @ weights
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Mean-centered noise law."""
-
-    name: str
-    params: dict = field(default_factory=dict)
-
-    def sample(self, rng, n: int) -> np.ndarray:
-        p = self.params
-        if self.name == "normal":
-            return float(p.get("sigma", 1.0)) * rng.standard_normal(n)
-        raise ValueError(f"unknown noise law {self.name!r}")
-
-
-@dataclass(frozen=True)
-class CovariateSpec:
-    """Standard normal covariate vector; iid across observations."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-
-    def sample(self, rng, n: int) -> np.ndarray:
-        return rng.standard_normal((n, self.dim))
+def sine(x: np.ndarray, amplitude: float, frequency: float) -> np.ndarray:
+    """``amplitude * sin(frequency * x_1)`` for covariates ``x`` of shape (n, d)."""
+    return amplitude * np.sin(frequency * x[:, 0])
 
 
 @dataclass(frozen=True)
 class PlmDgp:
-    """Partial-linear data-generating process."""
+    """Partial-linear process: x ~ N(0, I_dim), t = m0(x) + v, y = theta0 t + g0(x) + u.
+
+    The noises are centered normals, v of scale ``sigma_v`` and u of scale
+    ``sigma_u``.  ``m0`` and ``g0`` map covariates of shape (n, dim) to (n,)
+    and pickle (``linear`` or ``sine`` under ``functools.partial``).
+    """
 
     theta0: float
-    g0: FunctionSpec
-    m0: FunctionSpec
-    noise_u: NoiseSpec
-    noise_v: NoiseSpec
-    x_law: CovariateSpec
+    g0: Callable
+    m0: Callable
+    sigma_u: float = 1.0
+    sigma_v: float = 1.0
+    dim: int = 1
 
 
-def simulate_plm(dgp: PlmDgp, n: int, seed) -> RegressionData:
-    """Draw one dataset: t = m0(x) + v and y = theta0 t + g0(x) + u."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    x = dgp.x_law.sample(rng, n)
-    v = dgp.noise_v.sample(rng, n)
-    u = dgp.noise_u.sample(rng, n)
-    t = dgp.m0(x) + v
-    y = dgp.theta0 * t + dgp.g0(x) + u
-    return RegressionData(y=y, t=t, x=x)
+def simulate_plm(dgp: PlmDgp, n: int, rng) -> tuple:
+    """One dataset's standard normal draws, in stream order: x (n, dim), then v and u (n,).
+
+    ``plm_split_fit`` scales the noises and forms t and y on the rows it reads.
+    """
+    x = rng.standard_normal((n, dgp.dim))
+    return x, rng.standard_normal(n), rng.standard_normal(n)
 
 
-def split_indices(n: int, seed) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic 50/50 split of range(n) from a seed."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    half = n // 2
-    return np.sort(perm[:half]), np.sort(perm[half:])
+def fold2_rows(n: int, rng) -> np.ndarray:
+    """Fold 2 of a uniform 50/50 split of range(n), in increasing order.
+
+    Fold 2 is the last ``n - n // 2`` entries of ``rng.permutation(n)``; a
+    mask puts them in order without a sort, and the first ``n // 2`` entries
+    (fold 1) are the rest.
+    """
+    fold2 = np.zeros(n, dtype=bool)
+    fold2[rng.permutation(n)[n // 2:]] = True
+    return np.flatnonzero(fold2)
 
 
 # ---------------------------------------------------------------------------
-# The corrupted nuisance pair: callables x -> prediction with closed-form
-# error norms.
+# The corrupted nuisance pair: the truth plus a perturbation of closed-form
+# norm.
 
 
+def hermite_pair(x: np.ndarray) -> tuple:
+    """h1(x) = x_1 and h2(x) = (x_1^2 - 1)/sqrt(2), orthonormal under a standard normal x_1."""
+    h1 = x[:, 0]
+    return h1, (np.square(h1) - 1.0) / math.sqrt(2.0)
+
+
+@dataclass(frozen=True)
 class CorruptedFit:
-    """Truth plus a fixed perturbation of exactly known norm.
+    """A nuisance fit that is its truth plus a fixed perturbation of exactly known norm.
 
-    The perturbation lives in the span of the first two Hermite directions
-    h1(x) = x_1 and h2(x) = (x_1^2 - 1)/sqrt(2), an exactly orthonormal pair
-    under a standard normal covariate law.  ``pair_overlap`` stores the inner
-    product between this fit's direction and its partner's; closed-form error
-    moments are reported from the stored rate and overlap, not re-derived
-    from the coefficients.
+    The perturbation lives in the span of the Hermite pair; ``pair_overlap``
+    stores the inner product between this fit's direction and its partner's.
+    Closed-form error moments are reported from the stored rate and overlap,
+    not re-derived from the coefficients.
     """
 
-    def __init__(self, truth: FunctionSpec, rate: float, coeff_1: float,
-                 coeff_2: float, pair_overlap: float):
-        if rate < 0.0:
-            raise ValueError("rate must be >= 0")
-        if not -1.0 <= pair_overlap <= 1.0:
-            raise ValueError("overlap must be in [-1, 1]")
-        self.truth = truth
-        self.rate = float(rate)
-        self.coeff_1 = float(coeff_1)
-        self.coeff_2 = float(coeff_2)
-        self.pair_overlap = float(pair_overlap)
+    rate: float
+    coeff_1: float
+    coeff_2: float
+    pair_overlap: float
 
-    def perturbation(self, x):
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        h1 = x[:, 0]
-        h2 = (np.square(x[:, 0]) - 1.0) / math.sqrt(2.0)
+    def __post_init__(self):
+        if self.rate < 0.0:
+            raise ValueError("rate must be >= 0")
+        if not -1.0 <= self.pair_overlap <= 1.0:
+            raise ValueError("overlap must be in [-1, 1]")
+
+    def perturbation(self, h1: np.ndarray, h2: np.ndarray) -> np.ndarray:
+        """The fit minus its truth, at the Hermite pair ``(h1, h2)`` of the covariates."""
         return self.rate * (self.coeff_1 * h1 + self.coeff_2 * h2)
 
-    def __call__(self, x):
-        return self.truth(x) + self.perturbation(x)
 
-
-def corrupted_nuisances(dgp: PlmDgp, rate: float, overlap: float = 1.0,
+def corrupted_nuisances(rate: float, overlap: float = 1.0,
                         seed: int = 0) -> tuple[CorruptedFit, CorruptedFit]:
     """The pair (m_hat, g_hat): both truths perturbed with error norm ``rate``.
 
@@ -161,9 +133,8 @@ def corrupted_nuisances(dgp: PlmDgp, rate: float, overlap: float = 1.0,
     a_g, b_g = math.cos(phi), math.sin(phi)
     a_m = overlap * a_g - ortho * b_g
     b_m = overlap * b_g + ortho * a_g
-    m_hat = CorruptedFit(dgp.m0, rate, a_m, b_m, overlap)
-    g_hat = CorruptedFit(dgp.g0, rate, a_g, b_g, overlap)
-    return m_hat, g_hat
+    return (CorruptedFit(float(rate), a_m, b_m, overlap),
+            CorruptedFit(float(rate), a_g, b_g, overlap))
 
 
 # ---------------------------------------------------------------------------
@@ -185,77 +156,44 @@ def nuisance_error_moments(m_hat: CorruptedFit, g_hat: CorruptedFit) -> Nuisance
     return NuisanceErrorMoments(norm_m=m_hat.rate, norm_g=g_hat.rate, inner=inner)
 
 
-def plm_theta(d2_data: RegressionData, m_hat, g_hat):
-    """Solve the residual score on the second fold for the treatment coefficient.
+def plm_conditional_bias(m_hat: CorruptedFit, g_hat: CorruptedFit,
+                         d2_size: int) -> tuple[float, float]:
+    """Conditional bias of the split score at the target, and its Cauchy-Schwarz bound.
 
-    The score is z(theta) = sum of (t - m_hat(x)) ((y - g_hat(x)) - t theta),
-    linear in theta; returns the closed-form root and the score function.
+    The bias is the fold-2 size times the inner product of the two nuisance
+    errors, the bound the fold-2 size times the product of their norms, so
+    |bias| <= bound.  Neither depends on the data.
     """
-    rt = d2_data.t - np.asarray(m_hat(d2_data.x), dtype=float)
-    ry = d2_data.y - np.asarray(g_hat(d2_data.x), dtype=float)
-    slope = float(rt @ d2_data.t)
-    if slope == 0.0:
-        raise ValueError("degenerate design: residualized treatment is orthogonal to t")
-
-    level = float(rt @ ry)
-
-    def z_function(theta: float) -> float:
-        return level - slope * theta
-
-    return level / slope, z_function
-
-
-def _bias_and_product(mom: NuisanceErrorMoments, d2_size: int):
+    mom = nuisance_error_moments(m_hat, g_hat)
     # same multiplication order on both sides so the inequality survives
     # floating point even at the Cauchy-Schwarz equality case
     return d2_size * mom.inner, d2_size * (mom.norm_g * mom.norm_m)
 
 
-@dataclass(frozen=True)
-class PlmSplitFit:
-    """State of one sample-split fit: folds, estimate, score, bias and its bound.
+def plm_split_fit(dgp: PlmDgp, draws: tuple, m_hat: CorruptedFit, g_hat: CorruptedFit,
+                  rng) -> tuple[float, float]:
+    """One sample-split pass on ``simulate_plm`` draws: the estimate and the score at theta0.
 
-    ``cond_bias`` is the conditional bias of the split score at the target,
-    the fold-2 size times the inner product of the two nuisance errors;
-    ``product_bound`` is the fold-2 size times the product of their norms
-    (Cauchy-Schwarz), so ``|cond_bias| <= product_bound`` always.
+    ``rng`` draws the split.  On the fold-2 rows, in increasing order, the
+    score z(theta) = sum of (t - m_hat(x)) ((y - g_hat(x)) - t theta) is
+    linear in theta; returns its root and z(theta0).  The corrupted pair
+    does not depend on the data, so it stands for the fold-1 fit without
+    reading fold 1.
     """
-
-    d1_indices: np.ndarray
-    d2_indices: np.ndarray
-    theta_hat: float
-    z_at_theta0: float
-    cond_bias: float
-    product_bound: float
-
-    def __post_init__(self):
-        both = np.concatenate((np.ravel(self.d1_indices), np.ravel(self.d2_indices)))
-        if not np.array_equal(np.sort(both), np.arange(both.size)):
-            if np.intersect1d(self.d1_indices, self.d2_indices).size:
-                raise ValueError("folds must be disjoint")
-            raise ValueError("folds must partition the observation indices")
-
-
-def plm_split_fit(dgp: PlmDgp, data: RegressionData, m_hat: CorruptedFit,
-                  g_hat: CorruptedFit, split_seed) -> PlmSplitFit:
-    """One sample-split pass: split, then solve on fold 2 with the given nuisances.
-
-    The corrupted pair does not depend on the data, so it stands for the
-    fold-1 fit without reading fold 1.
-    """
-    idx1, idx2 = split_indices(data.n, split_seed)
-    d2 = data.subset(idx2)
-    theta_hat, z_function = plm_theta(d2, m_hat, g_hat)
-    mom = nuisance_error_moments(m_hat, g_hat)
-    cond_bias, product_bound = _bias_and_product(mom, d2.n)
-    return PlmSplitFit(
-        d1_indices=idx1,
-        d2_indices=idx2,
-        theta_hat=theta_hat,
-        z_at_theta0=z_function(dgp.theta0),
-        cond_bias=cond_bias,
-        product_bound=product_bound,
-    )
+    x, v, u = draws
+    rows = fold2_rows(v.size, rng)
+    x = x.take(rows, axis=0)
+    m0, g0 = dgp.m0(x), dgp.g0(x)
+    t = m0 + dgp.sigma_v * v.take(rows)
+    y = dgp.theta0 * t + g0 + dgp.sigma_u * u.take(rows)
+    h1, h2 = hermite_pair(x)
+    rt = t - (m0 + m_hat.perturbation(h1, h2))
+    ry = y - (g0 + g_hat.perturbation(h1, h2))
+    slope = float(rt @ t)
+    if slope == 0.0:
+        raise ValueError("degenerate design: residualized treatment is orthogonal to t")
+    level = float(rt @ ry)
+    return level / slope, level - slope * dgp.theta0
 
 
 def plm_medbias_profile(z_centered_draws, cond_bias_draws) -> dict:

@@ -11,12 +11,13 @@ regime where dimension scaling becomes visible.
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from ..partialling import RegressionData
-from ..plm import CovariateSpec, FunctionSpec, NoiseSpec, PlmDgp
+from ..plm import PlmDgp, linear, sine
 
 
 def is_int(value) -> bool:
@@ -31,7 +32,7 @@ def read_params(params: dict, defaults: dict, owner: str) -> dict:
     """``params`` over ``defaults``, which name every key ``owner`` reads.
 
     Other keys are rejected; a value must be an integer where its default is
-    one, and a number otherwise.
+    one, and a finite number otherwise.
     """
     unknown = sorted(set(params) - set(defaults))
     if unknown:
@@ -41,6 +42,8 @@ def read_params(params: dict, defaults: dict, owner: str) -> dict:
             raise ValueError(f"{owner}: params.{key} must be an integer, got {value!r}")
         if not is_real(value):
             raise ValueError(f"{owner}: params.{key} must be a number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int no float holds
+            raise ValueError(f"{owner}: params.{key} must be finite, got {value!r}")
     return {**defaults, **params}
 
 
@@ -132,47 +135,49 @@ def make_dgp(name: str, **params) -> UnivariateDgp:
 # Regression designs for the partialled experiments.
 
 
-def sample_gaussian_design(rng, n: int, d: int, theta0: float):
+def _draw_rows(rngs, y, t, x):
+    """Row k of x, then of t, then of y, standard normal from the k-th generator of ``rngs``."""
+    for rng, y_k, t_k, x_k in zip(rngs, y, t, x, strict=True):
+        rng.standard_normal(out=x_k)
+        rng.standard_normal(out=t_k)
+        rng.standard_normal(out=y_k)
+
+
+def sample_gaussian_design(rngs, y, t, x, theta0: float):
     """Plain exogenous Gaussian design with independent unit noises.
 
-    Returns the dataset plus the population coefficient targets; with zero
-    covariate coefficients the population residuals are the raw noises.
+    Each row draws x, then its treatment noise into ``t``, then its response
+    noise into ``y``, which then gets ``theta0 t`` added.  The population
+    covariate coefficients are zero, so the population residuals are the
+    raw noises.
     """
-    x = rng.standard_normal((n, d))
-    v = rng.standard_normal(n)
-    u = rng.standard_normal(n)
-    t = v
-    y = theta0 * t + u
-    beta = np.zeros(d)
-    return RegressionData(y=y, t=t, x=x), beta, beta
+    _draw_rows(rngs, y, t, x)
+    y += theta0 * t
 
 
-def sample_leverage_mix_design(rng, n: int, d: int, theta0: float,
-                               rho: float = 0.8, scale_hi: float = 2.0,
-                               scale_lo: float = 0.5):
+def sample_leverage_mix_design(rngs, y, t, x, theta0: float, rho: float = 0.8,
+                               scale_hi: float = 2.0, scale_lo: float = 0.5):
     """Two-group Gaussian design whose cross term has a dimension-sized mean.
 
     Half of the observations carry covariates of scale ``scale_hi`` and noise
     pair correlation ``+rho``; the other half scale ``scale_lo`` and
     correlation ``-rho``.  The correlations cancel in every population
-    target (the score sum and the covariate moment conditions stay centered),
-    but leverage concentrates on the high-scale half, so the conditional mean
-    of the nuisance cross term grows linearly in the covariate dimension.
-    ``design_params`` checks the params before any draw.
+    target (the covariate coefficients are zero, the score sum and the
+    covariate moment conditions stay centered), but leverage concentrates on
+    the high-scale half, so the conditional mean of the nuisance cross term
+    grows linearly in the covariate dimension.  Each row draws x, then the
+    treatment noise v into ``t``, then an independent w into ``y``, which
+    becomes theta0 v + (+-rho v + sqrt(1 - rho^2) w).  ``design_params``
+    checks the params before any draw.
     """
-    half = n // 2
-    x = rng.standard_normal((n, d))
-    x[:half] *= scale_hi
-    x[half:] *= scale_lo
-    v = rng.standard_normal(n)
-    w = rng.standard_normal(n)
-    sign = np.ones(n)
-    sign[half:] = -1.0
-    u = sign * rho * v + math.sqrt(1.0 - rho * rho) * w
-    t = v
-    y = theta0 * t + u
-    beta = np.zeros(d)
-    return RegressionData(y=y, t=t, x=x), beta, beta
+    _draw_rows(rngs, y, t, x)
+    half = t.shape[1] // 2
+    x[:, :half] *= scale_hi
+    x[:, half:] *= scale_lo
+    y *= math.sqrt(1.0 - rho * rho)
+    y[:, :half] += rho * t[:, :half]
+    y[:, half:] -= rho * t[:, half:]
+    y += theta0 * t
 
 
 DESIGNS = {
@@ -193,12 +198,20 @@ def design_params(name: str, params: dict) -> dict:
     params = read_params(params, defaults, owner)
     if not 0.0 <= params.get("rho", 0.0) < 1.0:
         raise ValueError(f"{owner} needs params.rho in [0, 1), got {params['rho']!r}")
+    for key in ("scale_hi", "scale_lo"):
+        if not params.get(key, 1.0) > 0.0:
+            raise ValueError(f"{owner} needs params.{key} > 0, got {params[key]!r}")
     return params
 
 
-def sample_design(name: str, rng, n: int, d: int, theta0: float, **params):
-    """One draw of a design, with ``params`` as ``design_params`` returns them."""
-    return DESIGNS[name](rng, n, d, theta0, **params)
+def sample_design(name: str, rngs, y, t, x, theta0: float, **params):
+    """Draw one sample per generator of ``rngs`` into the rows of y, t (rows, n) and x (rows, n, d).
+
+    The arrays are filled in place; ``params`` are as ``design_params``
+    returns them.  Nothing is checked here: the caller checks the filled
+    block once.
+    """
+    DESIGNS[name](rngs, y, t, x, theta0, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -217,24 +230,19 @@ def make_plm_dgp(name: str, **params) -> PlmDgp:
     """Named partial-linear processes used by the rate experiments."""
     if name not in PLM_DGPS:
         raise ValueError(f"unknown partial-linear process {name!r}; known: {sorted(PLM_DGPS)}")
-    p = read_params(params, PLM_DGPS[name], f"partial-linear process {name!r}")
+    owner = f"partial-linear process {name!r}"
+    p = read_params(params, PLM_DGPS[name], owner)
+    theta0 = float(p["theta0"])
     if name == "smooth_default":
         d = p["d"]
-        return PlmDgp(
-            theta0=float(p["theta0"]),
-            g0=FunctionSpec("sine", {"amplitude": 1.0, "frequency": 1.0, "coord": 0}),
-            m0=FunctionSpec("linear", {"weights": [0.5] + [0.0] * (d - 2) + [-0.25]
-                                       if d >= 2 else [0.5]}),
-            noise_u=NoiseSpec("normal", {"sigma": float(p["sigma_u"])}),
-            noise_v=NoiseSpec("normal", {"sigma": float(p["sigma_v"])}),
-            x_law=CovariateSpec(dim=d),
-        )
+        if d < 1:
+            raise ValueError(f"{owner} needs params.d >= 1, got {d}")
+        weights = [0.5] + [0.0] * (d - 2) + [-0.25] if d >= 2 else [0.5]
+        return PlmDgp(theta0, g0=partial(sine, amplitude=1.0, frequency=1.0),
+                      m0=partial(linear, weights=np.array(weights)),
+                      sigma_u=float(p["sigma_u"]), sigma_v=float(p["sigma_v"]), dim=d)
     if name == "linear_1d":
-        g0 = FunctionSpec("linear", {"weights": [1.0]})
-        m0 = FunctionSpec("linear", {"weights": [0.5]})
-    else:
-        g0 = FunctionSpec("sine", {"amplitude": 1.0, "frequency": 1.5})
-        m0 = FunctionSpec("sine", {"amplitude": 0.8, "frequency": 0.7})
-    unit = NoiseSpec("normal", {"sigma": 1.0})
-    return PlmDgp(theta0=float(p["theta0"]), g0=g0, m0=m0, noise_u=unit, noise_v=unit,
-                  x_law=CovariateSpec(dim=1))
+        return PlmDgp(theta0, g0=partial(linear, weights=np.array([1.0])),
+                      m0=partial(linear, weights=np.array([0.5])))
+    return PlmDgp(theta0, g0=partial(sine, amplitude=1.0, frequency=1.5),
+                  m0=partial(sine, amplitude=0.8, frequency=0.7))

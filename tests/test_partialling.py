@@ -25,6 +25,7 @@ from medbias.partialling import (
     proposition_profile,
 )
 from medbias.simlab import kinds, replication_rng, sample_design
+from medbias.simlab.dgps import design_params
 from medbias.simlab.config import ExperimentConfig, validate_config
 
 
@@ -98,6 +99,67 @@ def _oracle_decompose(data: RegressionData, fit: PartialledFit, theta0: float,
             "check the numerical rank of the design"
         )
     return ScoreDecomposition(s_n=s_n, correction=correction, remainder=remainder)
+
+
+# The two design samplers as they were before they drew into block rows, kept
+# as the bit-for-bit reference of the filled rows and of the lab's fits.
+
+def _oracle_gaussian_design(rng, n: int, d: int, theta0: float):
+    x = rng.standard_normal((n, d))
+    v = rng.standard_normal(n)
+    u = rng.standard_normal(n)
+    t = v
+    y = theta0 * t + u
+    beta = np.zeros(d)
+    return RegressionData(y=y, t=t, x=x), beta, beta
+
+
+def _oracle_leverage_mix_design(rng, n: int, d: int, theta0: float,
+                                rho: float = 0.8, scale_hi: float = 2.0,
+                                scale_lo: float = 0.5):
+    half = n // 2
+    x = rng.standard_normal((n, d))
+    x[:half] *= scale_hi
+    x[half:] *= scale_lo
+    v = rng.standard_normal(n)
+    w = rng.standard_normal(n)
+    sign = np.ones(n)
+    sign[half:] = -1.0
+    u = sign * rho * v + math.sqrt(1.0 - rho * rho) * w
+    t = v
+    y = theta0 * t + u
+    beta = np.zeros(d)
+    return RegressionData(y=y, t=t, x=x), beta, beta
+
+
+_ORACLE_DESIGNS = {"gaussian": _oracle_gaussian_design,
+                   "leverage_mix": _oracle_leverage_mix_design}
+
+
+def test_design_rows_match_oracle_bit_for_bit():
+    # a block of designs drawn into the rows of preallocated arrays equals,
+    # row by row, the draw the sampler used to return from the row's own
+    # generator; so does a block of one row
+    for design, params in (("gaussian", {}), ("leverage_mix", {}),
+                           ("leverage_mix", {"rho": 0.3, "scale_hi": 3.0, "scale_lo": 0.25}),
+                           ("leverage_mix", {"rho": 0.0})):
+        params = design_params(design, params)
+        for n, d, rows in ((1, 0, 3), (7, 0, 4), (31, 3, 5), (100, 5, 6), (1600, 20, 2)):
+            for theta0 in (0.5, -1.25):
+                y, t, x = np.empty((rows, n)), np.empty((rows, n)), np.empty((rows, n, d))
+                sample_design(design, (np.random.default_rng([n, d, k]) for k in range(rows)),
+                              y, t, x, theta0, **params)
+                for k in range(rows):
+                    data, beta_t, beta_y = _ORACLE_DESIGNS[design](
+                        np.random.default_rng([n, d, k]), n, d, theta0, **params)
+                    assert np.array_equal(y[k], data.y) and np.array_equal(t[k], data.t)
+                    assert np.array_equal(x[k], data.x)
+                    assert not np.any(beta_t) and not np.any(beta_y) and beta_t.shape == (d,)
+                    one = np.empty((1, n)), np.empty((1, n)), np.empty((1, n, d))
+                    sample_design(design, [np.random.default_rng([n, d, k])], *one, theta0,
+                                  **params)
+                    assert all(np.array_equal(a[0], b)
+                               for a, b in zip(one, (data.y, data.t, data.x), strict=True))
 
 
 def _random_instance(rng, n, d, theta0=0.7):
@@ -187,7 +249,7 @@ def test_stacked_fit_matches_oracle_bit_for_bit():
         _assert_rows_match_oracle(*_stack([_random_instance(rng, n, d, theta0)
                                            for _ in range(rows)]), theta0)
         for design in ("gaussian", "leverage_mix"):
-            _assert_rows_match_oracle(*_stack([sample_design(design, rng, n, d, theta0)
+            _assert_rows_match_oracle(*_stack([_ORACLE_DESIGNS[design](rng, n, d, theta0)
                                                for _ in range(rows)]), theta0)
 
     # a chunk whose replication count is not a multiple of its block rows:
@@ -204,8 +266,8 @@ def test_stacked_fit_matches_oracle_bit_for_bit():
         arrays = kinds.KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
         label = f"{kinds.grid_label(config.kind, point)}|data"
         for i in range(200):
-            data, beta_t, beta_y = sample_design(
-                design, replication_rng(config.master_seed, i, label), 60, 4, theta0)
+            data, beta_t, beta_y = _ORACLE_DESIGNS[design](
+                replication_rng(config.master_seed, i, label), 60, 4, theta0)
             fit = _oracle_fwl(data)
             dec = _oracle_decompose(data, fit, theta0, beta_t, beta_y)
             assert np.array_equal(arrays["theta_hat"][i], fit.theta_hat)

@@ -481,6 +481,14 @@ def test_config_rejects_unknown_field():
     for raw, cause in (
         (_minimal_config(**design, dgp={"name": "leverage_mix", "params": {"rho": 1.5}}),
          r"design 'leverage_mix' needs params\.rho in \[0, 1\), got 1\.5"),
+        # a zero scale used to stop the first chunk as a rank-deficient block row
+        (_minimal_config(**design, dgp={"name": "leverage_mix",
+                                        "params": {"scale_hi": 0, "scale_lo": 0}}),
+         r"design 'leverage_mix' needs params\.scale_hi > 0, got 0$"),
+        (_minimal_config(kind="dimension_scaling", estimator={},
+                         dgp={"name": "leverage_mix", "params": {"scale_lo": -0.5}},
+                         grids={"n": [64], "d_schedules": ["quarter_pow"], "seed_labels": [0]}),
+         r"design 'leverage_mix' needs params\.scale_lo > 0, got -0\.5$"),
         (_minimal_config(**design, dgp={"name": "gaussian", "params": {"foo": 1}}),
          r"params \['foo'\] are not read by design 'gaussian'"),
         (_minimal_config(kind="plm_rate_dichotomy", estimator={},
@@ -503,6 +511,45 @@ def test_config_rejects_unknown_field():
     ):
         with pytest.raises(ConfigError, match=cause):
             ExperimentConfig.from_dict(raw)
+
+
+def test_validate_rejects_non_finite_params(tmp_path, capsys):
+    # each of these used to validate and then stop mid-run with a bare "y
+    # must be finite" or "x must be finite" (or report NaN rows for the
+    # split fit); `medbias validate` names the owner and the key instead
+    design = {"estimator": {}, "grids": {"n": [50], "d": [2]}}
+    scaling = {"kind": "dimension_scaling", "estimator": {}, "dgp": {"name": "leverage_mix"},
+               "grids": {"n": [64], "d_schedules": ["quarter_pow"], "seed_labels": [0]}}
+    plm = {"kind": "plm_rate_dichotomy", "estimator": {},
+           "grids": {"n": [60], "rate_schedules": ["constant"]}}
+    cases = [
+        ({**design, "kind": "partialled_dominance", "dgp": {"name": "gaussian"},
+          "params": {"theta0": math.inf}}, "kind 'partialled_dominance'", "theta0", "inf"),
+        ({**scaling, "params": {"theta0": math.nan}}, "kind 'dimension_scaling'", "theta0",
+         "nan"),
+        ({**design, "kind": "partialled_dominance",
+          "dgp": {"name": "leverage_mix", "params": {"scale_hi": math.inf}}},
+         "design 'leverage_mix'", "scale_hi", "inf"),
+        ({**design, "kind": "partialled_dominance",
+          "dgp": {"name": "leverage_mix", "params": {"scale_lo": math.nan}}},
+         "design 'leverage_mix'", "scale_lo", "nan"),
+        ({**plm, "dgp": {"name": "smooth_default", "params": {"sigma_u": math.inf}}},
+         "partial-linear process 'smooth_default'", "sigma_u", "inf"),
+        ({**plm, "dgp": {"name": "smooth_default", "params": {"theta0": math.nan}}},
+         "partial-linear process 'smooth_default'", "theta0", "nan"),
+        ({**plm, "dgp": {"name": "smooth_default", "params": {"sigma_v": -math.inf}}},
+         "partial-linear process 'smooth_default'", "sigma_v", "-inf"),
+        # an integer too large for a float used to escape as a bare OverflowError
+        ({**design, "kind": "partialled_dominance", "dgp": {"name": "gaussian"},
+          "params": {"theta0": 10**400}}, "kind 'partialled_dominance'", "theta0", "1000"),
+    ]
+    for k, (raw, owner, key, value) in enumerate(cases):
+        path = tmp_path / f"bad-{k}.json"
+        path.write_text(json.dumps(_minimal_config(**raw)))  # NaN and Infinity literals
+        assert cli_main(["validate", str(path)]) == 1
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "ConfigError"
+        assert f"{owner}: params.{key} must be finite, got {value}" in record["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -680,22 +727,29 @@ def test_csv_bytes_stable(tmp_path):
 
 
 def test_plm_csv_bytes_pinned(tmp_path):
-    # a small split-fit run; the digest was recorded when the nuisance pair
-    # was still built on every replication, so building it once per grid
-    # point must give the same bytes, at workers 1 and 2
-    raw = _minimal_config(
-        kind="plm_rate_dichotomy",
-        dgp={"name": "smooth_default"},
-        estimator={},
-        grids={"n": [20, 60], "rate_schedules": ["vanishing", "constant"]},
-        params={"overlap": 0.3, "corrupt_seed": 5},
-    )
-    config = ExperimentConfig.from_dict(raw)
-    for workers in (1, 2):
-        path = tmp_path / f"plm-{workers}.csv"
-        write_csv(path, run_experiment(config, workers=workers).rows)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "e724337e6e3aa8bdd5933292ea33fa51f01e09b25536c66a7831b213112452b4")
+    # a small split-fit run, and one at the lab's sizes; the first digest was
+    # recorded when the nuisance pair was still built on every replication,
+    # the second when every replication built and re-validated its own
+    # dataset, fold-2 subset and fit record, so the lean body must give the
+    # same bytes, at workers 1 and 2
+    configs = [
+        (_minimal_config(kind="plm_rate_dichotomy", dgp={"name": "smooth_default"},
+                         estimator={},
+                         grids={"n": [20, 60], "rate_schedules": ["vanishing", "constant"]},
+                         params={"overlap": 0.3, "corrupt_seed": 5}),
+         "e724337e6e3aa8bdd5933292ea33fa51f01e09b25536c66a7831b213112452b4"),
+        (_minimal_config(kind="plm_rate_dichotomy",
+                         dgp={"name": "smooth_default", "params": {"d": 3}}, estimator={},
+                         grids={"n": [250, 4000], "rate_schedules": ["vanishing", "constant"]},
+                         reps=600),
+         "3d8892cd15d7780bb3b0705d238fbc2ac2901f9a9a3303bc2d998859b20765da"),
+    ]
+    for k, (raw, digest) in enumerate(configs):
+        config = ExperimentConfig.from_dict(raw)
+        for workers in (1, 2):
+            path = tmp_path / f"plm-{k}-{workers}.csv"
+            write_csv(path, run_experiment(config, workers=workers).rows)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_partialled_csv_bytes_pinned(tmp_path):
@@ -783,7 +837,10 @@ def test_median_config_csv_bytes_pinned(tmp_path):
             "dd01c89f51b4c53555cfe8e1689990527c445c3732df343449c33038acd2d6c2")
 
 
-def test_plm_moments_once_per_replication(monkeypatch):
+def test_plm_moments_once_per_grid_point(monkeypatch):
+    # the conditional bias and its bound depend only on the fold size and the
+    # nuisance pair, so the nuisance error moments are read once per grid
+    # point, in the parent, and never by a replication
     import medbias.plm as plm
 
     calls = []
@@ -800,9 +857,11 @@ def test_plm_moments_once_per_replication(monkeypatch):
         estimator={},
         grids={"n": [60], "rate_schedules": ["constant", "vanishing"]},
     )
-    result = run_experiment(ExperimentConfig.from_dict(raw))
+    config = ExperimentConfig.from_dict(raw)  # validation resolves the config once too
+    calls.clear()
+    result = run_experiment(config)
     assert len(result.rows) == 2
-    assert len(calls) == 2 * raw["reps"]
+    assert len(calls) == 2
 
 
 def test_mle_llr_kind_matches_bounds_op():
