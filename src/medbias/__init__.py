@@ -58,7 +58,6 @@ from .plm import (
     PlmDgp,
     corrupted_nuisances,
     fold2_rows,
-    nuisance_error_moments,
     plm_conditional_bias,
     plm_medbias_profile,
     plm_split_fit,

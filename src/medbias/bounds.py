@@ -69,23 +69,32 @@ def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
     return profile
 
 
-def llr_sign_indicators(family, data_draws, theta0: float, shift: float):
-    """Per-replication signs of the log-likelihood-ratio sum at one signed shift.
+def expected_llr(family, theta0: float, shift: float) -> float:
+    """Per-observation expected log-likelihood ratio at ``shift`` under ``theta0``.
 
-    Each row's sum of log p_{theta0+shift} - log p_{theta0} is computed once
-    and two boolean arrays are returned: the sum centered by n times the
-    per-observation expected log-likelihood ratio under ``theta0`` is <= 0,
-    and the raw sum is < 0, i.e. M(theta0) < M(theta0 + shift) for the
-    negative log-likelihood M.  The expected ratio must be strictly negative
-    (identifiability); otherwise ``IdentifiabilityError`` is raised.
+    E[log p_{theta0+shift}(X) - log p_{theta0}(X)] must be strictly negative
+    (identifiability), which also rules out a zero shift; otherwise
+    ``IdentifiabilityError`` is raised.
     """
-    draws = np.atleast_2d(np.asarray(data_draws, dtype=float))
     expected = family.expected_log_likelihood_ratio(theta0, shift)
-    if expected >= 0.0:
+    if not expected < 0.0:
         raise IdentifiabilityError(
             f"expected log-likelihood ratio {expected!r} at shift {shift!r} is not "
             "strictly negative"
         )
+    return expected
+
+
+def llr_sign_indicators(family, data_draws, theta0: float, shift: float, expected: float):
+    """Per-replication signs of the log-likelihood-ratio sum at one signed shift.
+
+    Each row's sum of log p_{theta0+shift} - log p_{theta0} is computed once
+    and two boolean arrays are returned: the sum centered by n times
+    ``expected``, the per-observation expected ratio at ``shift``
+    (``expected_llr``), is <= 0, and the raw sum is < 0, i.e.
+    M(theta0) < M(theta0 + shift) for the negative log-likelihood M.
+    """
+    draws = np.atleast_2d(np.asarray(data_draws, dtype=float))
     raw = (family.log_density(draws, theta0 + shift)
            - family.log_density(draws, theta0)).sum(axis=1)
     return raw - draws.shape[1] * expected <= 0.0, raw < 0.0
@@ -99,11 +108,10 @@ def mle_llr_lower_bounds(family, data_draws, theta0: float, eps: float):
     corresponding comparison probability because the centering term is
     strictly negative.
     """
-    if eps == 0.0:
-        raise IdentifiabilityError("eps must be nonzero")
     bounds = []
     for shift in (abs(eps), -abs(eps)):
-        lower, _ = llr_sign_indicators(family, data_draws, theta0, shift)
+        lower, _ = llr_sign_indicators(family, data_draws, theta0, shift,
+                                       expected_llr(family, theta0, shift))
         bounds.append(float(np.count_nonzero(lower)) / lower.size)
     return tuple(bounds)
 
@@ -148,6 +156,7 @@ def direct_comparison_probabilities(family, data_draws, theta0: float, eps: floa
     """
     freqs = []
     for shift in (abs(eps), -abs(eps)):
-        _, direct = llr_sign_indicators(family, data_draws, theta0, shift)
+        _, direct = llr_sign_indicators(family, data_draws, theta0, shift,
+                                        expected_llr(family, theta0, shift))
         freqs.append(float(np.count_nonzero(direct)) / direct.size)
     return tuple(freqs)

@@ -145,8 +145,6 @@ def loglik_ratio_sum(family, data, theta0: float, eps: float) -> float:
     ``theta0`` to ``theta0 + eps``.
     """
     x = np.asarray(data, dtype=float)
-    if eps == 0.0:
-        return 0.0
     return float(np.sum(family.log_density(x, theta0 + eps) - family.log_density(x, theta0)))
 
 
@@ -359,13 +357,13 @@ _OBJECTIVES = {
 def make_objective(kind: str, data, **params) -> LocationObjective:
     """Build an objective from its kind name and parameter map.
 
-    ``neg_loglik`` takes either a prebuilt ``family`` or ``family_name`` plus
-    ``family_params``.
+    ``neg_loglik`` takes either a prebuilt ``family`` or ``family_name``
+    (default ``normal_location``) plus ``family_params``.
     """
     if kind not in _OBJECTIVES:
         raise ValueError(f"unknown estimator kind {kind!r}; known: {sorted(_OBJECTIVES)}")
     if kind == NegativeLogLikelihood.kind and "family" not in params:
-        params["family"] = make_family(params.pop("family_name"),
+        params["family"] = make_family(params.pop("family_name", "normal_location"),
                                        **params.pop("family_params", {}))
     return _OBJECTIVES[kind](data, **params)
 

@@ -20,9 +20,9 @@ values taken as one ``(rows, n, d) @ (rows, d, 1)`` matmul per coefficient
 column (one ``(rows, n, d) @ (rows, d, 2)`` matmul for both columns does
 not).  The experiment lab fits a chunk of replications in blocks of at most
 256 KiB of stack, which keeps a block in cache; a design too large for one
-row in that budget runs 1-row blocks.  An error on a stack names its row.
-``joint_theta``, the companion solve on ``[t | x]`` kept as a reference,
-shares only the rank test.
+row in that budget runs 1-row blocks.  An error on a stack names its row,
+and carries it as ``row``.  ``joint_theta``, the companion solve on
+``[t | x]`` kept as a reference, shares only the rank test.
 """
 
 from dataclasses import dataclass
@@ -75,10 +75,8 @@ class RegressionData:
                 f"with rows and n positive; got {y.shape}, {t.shape} and {x.shape}")
         for name, a in (("y", y), ("t", t), ("x", x)):
             if a.size and not np.all(np.isfinite(a)):
-                if not stacked:
-                    raise ValueError(f"{name} must be finite")
-                row = np.flatnonzero(~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1))[0]
-                raise ValueError(f"row {row}: {name} must be finite")
+                bad = ~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
+                raise _first_bad(ValueError, bad, stacked, lambda row: f"{name} must be finite")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
@@ -121,10 +119,15 @@ def _as_stack(data: RegressionData):
 def _first_bad(cls, failed, stacked: bool, message):
     """``cls`` for the first row flagged in ``failed``, its message from ``message(row)``.
 
-    A stack's message names the row; one sample's does not.
+    A stack's message names the row, which the error also carries as ``row``;
+    one sample's does not.
     """
     row = int(np.flatnonzero(failed)[0])
-    return cls(f"row {row}: {message(row)}" if stacked else message(row))
+    if not stacked:
+        return cls(message(row))
+    err = cls(f"row {row}: {message(row)}")
+    err.row = row
+    return err
 
 
 def _check_rank(y, t, x, stacked: bool) -> np.ndarray:
@@ -178,12 +181,10 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     y, t, x, stacked = _as_stack(data)
     r = _check_rank(y, t, x, stacked)
     d = data.d
-    if d:
-        coef = np.linalg.solve(r[:, :d, :d], r[:, :d, d:])
-        r_t = t - (x @ coef[:, :, :1])[..., 0]
-        r_y = y - (x @ coef[:, :, 1:])[..., 0]
-    else:
-        r_t, r_y = t.copy(), y.copy()
+    # with d = 0 the solve and the matmuls are empty, and t - 0.0 keeps every bit
+    coef = np.linalg.solve(r[:, :d, :d], r[:, :d, d:])
+    r_t = t - (x @ coef[:, :, :1])[..., 0]
+    r_y = y - (x @ coef[:, :, 1:])[..., 0]
     denom = np.vecdot(r_t, r_t)
     if np.any(denom <= 0.0):
         raise _first_bad(CollinearityError, denom <= 0.0, stacked,
@@ -245,8 +246,8 @@ def score_decompose(data: RegressionData, fit: PartialledFit, theta0: float,
     rows, _, d = x.shape
     beta_t = np.asarray(beta_t, dtype=float).reshape(rows, d, 1)
     beta_y = np.asarray(beta_y, dtype=float).reshape(rows, d, 1)
-    r_t = t - (x @ beta_t)[..., 0] if d else t
-    r_y = y - (x @ beta_y)[..., 0] if d else y
+    r_t = t - (x @ beta_t)[..., 0]
+    r_y = y - (x @ beta_y)[..., 0]
     r_t_hat = np.reshape(fit.r_t_hat, t.shape)
     r_y_hat = np.reshape(fit.r_y_hat, y.shape)
     resid0 = r_y - theta0 * r_t

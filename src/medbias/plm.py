@@ -138,22 +138,7 @@ def corrupted_nuisances(rate: float, overlap: float = 1.0,
 
 
 # ---------------------------------------------------------------------------
-# Error moments, the split score, and the conditional-bias bound.
-
-
-@dataclass(frozen=True)
-class NuisanceErrorMoments:
-    """L2(P_X) moments of the nuisance errors: the two norms and their inner product."""
-
-    norm_m: float
-    norm_g: float
-    inner: float
-
-
-def nuisance_error_moments(m_hat: CorruptedFit, g_hat: CorruptedFit) -> NuisanceErrorMoments:
-    """Norms and inner product of (m_hat - m0, g_hat - g0), from the stored rate and overlap."""
-    inner = g_hat.rate * m_hat.rate * g_hat.pair_overlap
-    return NuisanceErrorMoments(norm_m=m_hat.rate, norm_g=g_hat.rate, inner=inner)
+# The conditional bias and its bound, the split score, and the median-bias bound.
 
 
 def plm_conditional_bias(m_hat: CorruptedFit, g_hat: CorruptedFit,
@@ -162,12 +147,13 @@ def plm_conditional_bias(m_hat: CorruptedFit, g_hat: CorruptedFit,
 
     The bias is the fold-2 size times the inner product of the two nuisance
     errors, the bound the fold-2 size times the product of their norms, so
-    |bias| <= bound.  Neither depends on the data.
+    |bias| <= bound.  The norms are the stored rates and the inner product
+    is their product times the stored overlap, so neither depends on the data.
     """
-    mom = nuisance_error_moments(m_hat, g_hat)
     # same multiplication order on both sides so the inequality survives
     # floating point even at the Cauchy-Schwarz equality case
-    return d2_size * mom.inner, d2_size * (mom.norm_g * mom.norm_m)
+    norms = g_hat.rate * m_hat.rate
+    return d2_size * (norms * g_hat.pair_overlap), d2_size * norms
 
 
 def plm_split_fit(dgp: PlmDgp, draws: tuple, m_hat: CorruptedFit, g_hat: CorruptedFit,
@@ -196,18 +182,17 @@ def plm_split_fit(dgp: PlmDgp, draws: tuple, m_hat: CorruptedFit, g_hat: Corrupt
     return level / slope, level - slope * dgp.theta0
 
 
-def plm_medbias_profile(z_centered_draws, cond_bias_draws) -> dict:
-    """Joint frequencies behind the split estimator's median-bias bound.
+def plm_medbias_profile(z_centered_draws, cond_bias: float) -> dict:
+    """Frequencies behind the split estimator's median-bias bound.
 
-    Per replication the centered score is compared against that replication's
-    absolute conditional bias: ``p_low`` is the frequency of z <= -|bias| and
-    ``p_high`` of z >= |bias|.  Building ``bound`` from these joint
-    frequencies handles a bias that varies with the first fold correctly.
+    The conditional bias is one constant per grid point
+    (``plm_conditional_bias``): ``p_low`` is the frequency of a centered
+    score z <= -|bias| and ``p_high`` of z >= |bias|.
     """
     z = np.asarray(z_centered_draws, dtype=float)
-    b = np.abs(np.asarray(cond_bias_draws, dtype=float))
-    if z.size == 0 or z.shape != b.shape:
-        raise ValueError("need equal-length non-empty draw sequences")
+    if z.size == 0:
+        raise ValueError("need a non-empty draw sequence")
+    b = abs(cond_bias)
     reps = z.size
     p_low = float(np.count_nonzero(z <= -b)) / reps
     p_high = float(np.count_nonzero(z >= b)) / reps

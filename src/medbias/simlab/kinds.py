@@ -35,10 +35,10 @@ from ..objectives import (
     NegativeLogLikelihood,
     NormalLocation,
     biweight_ddrho,
-    make_family,
     make_objective,
 )
 from ..partialling import (
+    DecompositionError,
     RegressionData,
     default_eta_grid,
     fwl_estimate,
@@ -71,7 +71,6 @@ def default_bracket(data) -> Bracket:
     return Bracket(lo - span, hi + span)
 
 
-@functools.lru_cache(maxsize=256)
 def _check_loss_ranks(n: int, tau: float) -> tuple[int, int]:
     """0-based order statistics whose midpoint minimises the check loss at ``tau``."""
     k = n * tau
@@ -103,12 +102,11 @@ def _symmetry_center(estimator_kind: str, dgp) -> float:
 class Estimator:
     """An estimator as a run uses it, resolved once from ``config.estimator``.
 
-    ``params`` are the keyword arguments of ``make_objective`` (a
-    ``neg_loglik`` carries its built family), ``probe`` is the objective built
-    from them on one point, ``closed_form`` maps each row of a data matrix to
-    its argmin where one exists, ``target`` maps a scalar DGP to the
-    population target, and ``exact_score`` marks integer-valued scores, whose
-    signs count exactly.
+    ``params`` are the keyword arguments of ``make_objective``, ``probe`` is
+    the objective built from them on one point, ``closed_form`` maps each row
+    of a data matrix to its argmin where one exists, ``target`` maps a scalar
+    DGP to the population target, and ``exact_score`` marks integer-valued
+    scores, whose signs count exactly.
     """
 
     kind: str
@@ -127,9 +125,6 @@ def resolve_estimator(estimator: dict) -> Estimator:
     kind = estimator.get("kind")
     try:
         params = dict(estimator.get("params", {}))
-        if kind == "neg_loglik":
-            params["family"] = make_family(params.pop("family_name", "normal_location"),
-                                           **params.pop("family_params", {}))
         probe = make_objective(kind, [0.0], **params)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"estimator {kind!r} with params {estimator.get('params', {})}: "
@@ -239,15 +234,9 @@ def _replications(config, point: dict, start: int, stop: int, streams=("data",))
     return chunk_generators(config.master_seed, start, stop, labels)
 
 
-def _replicate(config, point: dict, start: int, stop: int, body: Callable,
-               streams=("data",)) -> dict:
-    """Run ``body`` for replications ``start..stop`` of a grid point and stack its outputs.
-
-    ``body`` takes one generator per stream of ``_replications`` and returns
-    a dict of scalars or equal-shape arrays, stacked key by key.
-    """
-    outputs = [body(*rngs) for rngs in _replications(config, point, start, stop, streams)]
-    return {key: np.array([out[key] for out in outputs]) for key in outputs[0]}
+def _replication_error(config, point: dict, index: int, message: str, cls=ValueError):
+    """``cls`` naming the grid point (which names the kind) and the replication ``index``."""
+    return cls(f"grid point {grid_label(config.kind, point)}, replication {index}: {message}")
 
 
 def _require(ok: bool, message: str):
@@ -273,11 +262,9 @@ def _positive_grid(config, key: str):
 
 def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
     """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream."""
-    def body(*rngs):
-        return {stream: prep.dgp.sample(rng, point["n"]) for stream, rng in zip(streams, rngs)}
-
-    out = _replicate(config, point, start, stop, body, streams)
-    return [out[stream] for stream in streams]
+    draws = [[prep.dgp.sample(rng, point["n"]) for rng in rngs]
+             for rngs in _replications(config, point, start, stop, streams)]
+    return [np.array(stream) for stream in zip(*draws)]
 
 
 def _prepare_univariate(config, convex: bool, **defaults) -> SimpleNamespace:
@@ -338,22 +325,19 @@ def _chunk_z_equality(config, prep, point, start, stop):
 
 def _summarize_z_equality(config, prep, point, arrays):
     row, lhs = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
-    score = arrays["score"]
-    reps = score.size
-    p_weak_le = float(np.count_nonzero(score <= 0.0)) / reps
-    p_weak_ge = float(np.count_nonzero(score >= 0.0)) / reps
-    rhs = z_exact_medbias(p_weak_le, p_weak_ge)
-    rhs_se = freq_std_err(min(p_weak_le, p_weak_ge), reps)
+    # the weak-sign frequencies of the score at 0 are the ones the LHS counts
+    signs = mc_med_bias(EstimatorDraws(arrays["score"], 0.0))
+    rhs = z_exact_medbias(signs.p_le, signs.p_ge)
     row.update(
         rhs=rhs,
-        rhs_std_err=rhs_se,
+        rhs_std_err=signs.std_err,
         rhs_kind="z_exact",
         detail={
             "theta0": prep.theta0,
-            "p_weak_le": p_weak_le,
-            "p_weak_ge": p_weak_ge,
+            "p_weak_le": signs.p_le,
+            "p_weak_ge": signs.p_ge,
             "abs_diff": abs(lhs.point - rhs),
-            "joint_std_err": math.hypot(lhs.std_err, rhs_se),
+            "joint_std_err": math.hypot(lhs.std_err, signs.std_err),
         },
     )
     return [row], {}
@@ -408,6 +392,8 @@ def _summarize_nondiff(config, prep, point, arrays):
 
 
 def _prepare_mle_llr(config):
+    """The family and target, and the expected log-likelihood ratio at +e and -e
+    for each grid value e, computed once per run (``prep.expected``)."""
     params = _read_params(config, theta0=0.0)
     _int_grid(config, "n", 1)
     estimator = resolve_estimator(config.estimator)
@@ -416,38 +402,35 @@ def _prepare_mle_llr(config):
     bad = [e for e in config.grids["eps"] if not is_real(e) or not math.isfinite(e) or e == 0]
     _require(not bad, f"grid 'eps' needs finite nonzero numbers, got {bad}")
     prep = SimpleNamespace(family=estimator.probe.family, theta0=float(params["theta0"]),
-                           eps=[float(e) for e in config.grids["eps"]])
-    problems = _unidentified_shifts(prep)
-    _require(not problems, "; ".join(problems))
-    return prep
-
-
-def _unidentified_shifts(prep) -> list:
-    """Problems with ``prep.eps``: shifts without a finite negative expected
-    log-likelihood ratio, then each shift the family cannot compute, in its words."""
+                           eps=[float(e) for e in config.grids["eps"]], expected=[])
+    # the values without a finite negative ratio at either shift, then each
+    # one the family cannot compute, in its words
     unfit, failed = [], []
     for e in prep.eps:
         try:
-            value = prep.family.expected_log_likelihood_ratio(prep.theta0, e)
+            pair = [prep.family.expected_log_likelihood_ratio(prep.theta0, shift)
+                    for shift in (e, -e)]
         except OverflowError:
-            value = math.nan
+            pair = [math.nan]
         except ValueError as err:
             failed.append(f"grid 'eps': {err}")
             continue
-        if not -math.inf < value < 0.0:
+        if not all(-math.inf < value < 0.0 for value in pair):
             unfit.append(e)
+        prep.expected.append(pair)
     head = [f"grid 'eps' values {unfit} give no finite negative expected "
             f"log-likelihood ratio under {prep.family.name}"] if unfit else []
-    return head + failed
+    _require(not head and not failed, "; ".join(head + failed))
+    return prep
 
 
 def _chunk_mle_llr(config, prep, point, start, stop):
-    draws = _replicate(config, point, start, stop, lambda rng: {
-        "draws": prep.family.sample(rng, prep.theta0, point["n"])})["draws"]
+    draws = np.array([prep.family.sample(rng, prep.theta0, point["n"])
+                      for rng, in _replications(config, point, start, stop)])
     out = {}
-    for k, e in enumerate(prep.eps):
-        for side, shift in (("plus", e), ("minus", -e)):
-            lower, direct = llr_sign_indicators(prep.family, draws, prep.theta0, shift)
+    for k, (e, (plus, minus)) in enumerate(zip(prep.eps, prep.expected)):
+        for side, shift, expected in (("plus", e, plus), ("minus", -e, minus)):
+            lower, direct = llr_sign_indicators(prep.family, draws, prep.theta0, shift, expected)
             out[f"lower_{side}_{k}"] = lower.astype(float)
             out[f"direct_{side}_{k}"] = direct.astype(float)
     return out
@@ -456,30 +439,18 @@ def _chunk_mle_llr(config, prep, point, start, stop):
 def _summarize_mle_llr(config, prep, point, arrays):
     rows = []
     profile = []
+    sides = ("lower_plus", "lower_minus", "direct_plus", "direct_minus")
     for k, e in enumerate(prep.eps):
         reps = arrays[f"lower_plus_{k}"].size
-        lb_plus = float(arrays[f"lower_plus_{k}"].mean())
-        lb_minus = float(arrays[f"lower_minus_{k}"].mean())
-        direct_plus = float(arrays[f"direct_plus_{k}"].mean())
-        direct_minus = float(arrays[f"direct_minus_{k}"].mean())
-        entry = {
-            "eps": e,
-            "lower_plus": lb_plus,
-            "lower_minus": lb_minus,
-            "direct_plus": direct_plus,
-            "direct_minus": direct_minus,
-            "lower_plus_std_err": freq_std_err(lb_plus, reps),
-            "lower_minus_std_err": freq_std_err(lb_minus, reps),
-            "direct_plus_std_err": freq_std_err(direct_plus, reps),
-            "direct_minus_std_err": freq_std_err(direct_minus, reps),
-            "expected_llr_per_obs": prep.family.expected_log_likelihood_ratio(prep.theta0, e),
-            "n": point["n"],
-        }
+        entry = {"eps": e}
+        entry.update((side, float(arrays[f"{side}_{k}"].mean())) for side in sides)
+        entry.update((f"{side}_std_err", freq_std_err(entry[side], reps)) for side in sides)
+        entry.update(expected_llr_per_obs=prep.expected[k][0], n=point["n"])
         profile.append(entry)
         row = _base_row(config, point)
         row["eps"] = e
         row.update(
-            rhs=min(lb_plus, lb_minus),
+            rhs=min(entry["lower_plus"], entry["lower_minus"]),
             rhs_std_err=max(entry["lower_plus_std_err"], entry["lower_minus_std_err"]),
             rhs_kind="mle_llr",
             detail=entry,
@@ -610,8 +581,9 @@ def _chunk_partialled(config, prep, point, start, stop):
     ``[x | t | y]`` stack (at least one); a row's fit does not depend on its
     block, so the values do not depend on the block size or on chunking.
     Each block's replications draw straight into its rows, and the block is
-    checked once, as one ``RegressionData``.  Both designs have zero
-    population covariate coefficients.
+    checked once, as one ``RegressionData``; an error on block row k of a
+    block that starts at replication s names replication s + k.  Both
+    designs have zero population covariate coefficients.
     """
     n, d, count = point["n"], point["d"], stop - start
     block = min(count, max(1, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
@@ -625,11 +597,18 @@ def _chunk_partialled(config, prep, point, start, stop):
         k = rows.stop - first
         sample_design(prep.design, itertools.islice(rngs, k), y[:k], t[:k], x[:k],
                       prep.theta0, **prep.design_params)
-        stack = RegressionData(y=y[:k], t=t[:k], x=x[:k])
-        fit = fwl_estimate(stack)
+        try:
+            stack = RegressionData(y=y[:k], t=t[:k], x=x[:k])
+            fit = fwl_estimate(stack)
+            if prep.decompose:
+                dec = score_decompose(stack, fit, prep.theta0, beta[:k], beta[:k])
+        except (ValueError, DecompositionError) as err:
+            if not hasattr(err, "row"):
+                raise
+            raise _replication_error(config, point, start + first + err.row,
+                                     str(err).removeprefix(f"row {err.row}: "), type(err)) from None
         out["theta_hat"][rows] = fit.theta_hat
         if prep.decompose:
-            dec = score_decompose(stack, fit, prep.theta0, beta[:k], beta[:k])
             out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
     return out
 
@@ -743,6 +722,11 @@ def _chunk_plm(config, prep, point, start, stop):
     for i, (rng_data, rng_split) in enumerate(streams):
         draws = simulate_plm(prep.dgp, n, rng_data)
         theta_hat[i], z_at_theta0[i] = plm_split_fit(prep.dgp, draws, m_hat, g_hat, rng_split)
+    bad = np.flatnonzero(~(np.isfinite(theta_hat) & np.isfinite(z_at_theta0)))
+    if bad.size:
+        i = bad[0]
+        raise _replication_error(config, point, start + i, f"the split fit gives theta_hat="
+                                 f"{theta_hat[i]} and z(theta0)={z_at_theta0[i]}")
     return {"theta_hat": theta_hat, "z_at_theta0": z_at_theta0}
 
 
@@ -750,10 +734,7 @@ def _summarize_plm(config, prep, point, arrays):
     rate, target = prep.rates[point["schedule"], point["n"]]
     bias, bound = prep.biases[point["schedule"], point["n"]]
     row, lhs = _lhs_row(config, point, arrays["theta_hat"], prep.dgp.theta0)
-    # the bias is one constant per grid point; its reported mean is the mean
-    # of one copy per replication, which need not equal the constant's bits
-    biases = np.full(lhs.reps, bias)
-    profile = plm_medbias_profile(arrays["z_at_theta0"] - biases, biases)
+    profile = plm_medbias_profile(arrays["z_at_theta0"] - bias, bias)
     cs_violations = 0 if abs(bias) <= bound else lhs.reps
     row.update(
         rhs=profile["bound"],
@@ -765,7 +746,9 @@ def _summarize_plm(config, prep, point, arrays):
             "theta0": prep.dgp.theta0,
             "rate": rate,
             "rate_target": target,
-            "mean_cond_bias": float(np.mean(biases)),
+            # the bias is one constant per grid point; its reported mean is the
+            # mean of one copy per replication, which need not equal its bits
+            "mean_cond_bias": float(np.mean(np.full(lhs.reps, bias))),
             "cs_violations": cs_violations,
         },
     )

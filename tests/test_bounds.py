@@ -20,7 +20,7 @@ from medbias import (
     sign_probabilities,
     z_exact_medbias,
 )
-from medbias.bounds import direct_comparison_probabilities, llr_sign_indicators, nonconvex_profile
+from medbias.bounds import direct_comparison_probabilities, expected_llr, nonconvex_profile
 from medbias.core import freq_std_err
 
 
@@ -159,7 +159,7 @@ def test_llr_lower_bounds_reject_zero_shift():
     with pytest.raises(IdentifiabilityError):
         mle_llr_lower_bounds(fam, np.zeros((10, 5)), 0.0, 0.0)
     with pytest.raises(IdentifiabilityError):
-        llr_sign_indicators(fam, np.zeros((10, 5)), 0.0, 0.0)
+        expected_llr(fam, 0.0, 0.0)
 
 
 def test_llr_lower_bounds_logistic_level():

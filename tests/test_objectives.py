@@ -222,6 +222,9 @@ def test_make_objective_factory():
                          family_params={"scale": 2.0})
     assert isinstance(nll, NegativeLogLikelihood)
     assert nll.family.scale == 2.0
+    # without a family name, the normal-location family, as the lab defaults
+    default = make_objective("neg_loglik", data)
+    assert isinstance(default.family, NormalLocation) and default.family.sigma == 1.0
     with pytest.raises(ValueError):
         make_objective("nope", data)
     with pytest.raises(ValueError):

@@ -552,6 +552,57 @@ def test_validate_rejects_non_finite_params(tmp_path, capsys):
         assert f"{owner}: params.{key} must be finite, got {value}" in record["message"]
 
 
+_OVERFLOWING = {
+    "plm_sigma_v": {"kind": "plm_rate_dichotomy", "estimator": {},
+                    "dgp": {"name": "smooth_default", "params": {"sigma_v": 1e308}},
+                    "grids": {"n": [60], "rate_schedules": ["vanishing"]}},
+    "leverage_scale_hi": {"kind": "partialled_dominance", "estimator": {},
+                          "dgp": {"name": "leverage_mix", "params": {"scale_hi": 1e308}},
+                          "grids": {"n": [60], "d": [2]}},
+    "scaling_theta0": {"kind": "dimension_scaling", "estimator": {},
+                       "dgp": {"name": "leverage_mix"}, "params": {"theta0": 1e308},
+                       "grids": {"n": [60], "d_schedules": ["half_sqrt"], "seed_labels": [0]}},
+    # about one replication in ten overflows, so the first one is not a
+    # block's first row
+    "scaling_theta0_some_rows": {
+        "kind": "dimension_scaling", "estimator": {}, "dgp": {"name": "leverage_mix"},
+        "params": {"theta0": 5.7e307},
+        "grids": {"n": [60], "d_schedules": ["half_sqrt"], "seed_labels": [0]}},
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING))
+def test_overflowing_draws_name_their_replication(case):
+    # finite params whose draws overflow pass validation; the chunk names the
+    # kind, the grid point and the replication, instead of a bare "values
+    # must be finite" from the summary or the row of a fit block
+    from medbias.simlab.config import validate_config
+    from medbias.simlab.kinds import grid_label
+
+    config = ExperimentConfig.from_dict(_minimal_config(**_OVERFLOWING[case], reps=600))
+    prepared, (point,) = validate_config(config)
+    label = grid_label(config.kind, point)
+    assert label.startswith(f"{config.kind}|")
+    prefix = f"grid point {label}, replication "
+    run_chunk = KINDS[config.kind].run_chunk
+
+    def failure(start, stop):
+        """The replication a chunk's error names, or None when the chunk runs."""
+        try:
+            run_chunk(config, prepared, point, start, stop)
+        except ValueError as err:
+            assert str(err).startswith(prefix), str(err)
+            return int(str(err)[len(prefix):].split(":")[0])
+        return None
+
+    # the first replication of the second chunk that fails when run alone
+    failing = next(i for i in range(CHUNK_SIZE, config.reps) if failure(i, i + 1) == i)
+    assert failure(CHUNK_SIZE, config.reps) == failing
+    with pytest.raises(ValueError, match=re.escape(prefix)):
+        run_experiment(config)
+
+
 # ---------------------------------------------------------------------------
 # Estimator plumbing: closed forms against the solver.
 
@@ -837,20 +888,53 @@ def test_median_config_csv_bytes_pinned(tmp_path):
             "dd01c89f51b4c53555cfe8e1689990527c445c3732df343449c33038acd2d6c2")
 
 
+def test_llr_csv_bytes_pinned(tmp_path):
+    # log-likelihood-ratio runs under both families (the normal one by the
+    # neg_loglik default, over three chunks) and a quantile Z-estimator run;
+    # the digests were recorded when every chunk recomputed the expected
+    # ratio and the Z summary counted its own weak signs, at workers 1 and 2
+    def llr(**overrides):  # the kind reads no DGP, and the CSV names none
+        raw = _minimal_config(kind="mle_llr_consistency", **overrides)
+        del raw["dgp"]
+        return raw
+
+    configs = [
+        (llr(experiment="llr-normal", estimator={"kind": "neg_loglik"},
+             grids={"n": [8, 30], "eps": [0.5, 0.1, -0.3]}, reps=1100, master_seed=3),
+         "aea939473a244de8048564ad4145148fb69171d769067b444b825b1a4f41047b"),
+        (llr(experiment="llr-logistic",
+             estimator={"kind": "neg_loglik",
+                        "params": {"family_name": "logistic_location",
+                                   "family_params": {"scale": 2.0}}},
+             grids={"n": [12], "eps": [0.7, 0.05]}, params={"theta0": 0.3}, reps=700,
+             master_seed=5),
+         "9abc74c13841823889c7aec124e7bcc357ad0d25591e53a8f0c444e634ccf626"),
+        (_minimal_config(experiment="z-q", kind="z_estimator_equality",
+                         dgp={"name": "uniform"},
+                         estimator={"kind": "quantile", "params": {"tau": 0.3}},
+                         grids={"n": [9]}, reps=900, master_seed=0),
+         "a7a49ef622e4603ced59120b426635a2231cc907ec5f81fbe8e8b5879acf61a5"),
+    ]
+    for k, (raw, digest) in enumerate(configs):
+        config = ExperimentConfig.from_dict(raw)
+        for workers in (1, 2):
+            path = tmp_path / f"llr-{k}-{workers}.csv"
+            write_csv(path, run_experiment(config, workers=workers).rows)
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def test_plm_moments_once_per_grid_point(monkeypatch):
     # the conditional bias and its bound depend only on the fold size and the
-    # nuisance pair, so the nuisance error moments are read once per grid
-    # point, in the parent, and never by a replication
-    import medbias.plm as plm
-
+    # nuisance pair, so they are computed once per grid point, in the parent,
+    # and never by a replication
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return moments(*args, **kwargs)
+        return conditional_bias(*args, **kwargs)
 
-    moments = plm.nuisance_error_moments
-    monkeypatch.setattr(plm, "nuisance_error_moments", counted)
+    conditional_bias = kinds.plm_conditional_bias
+    monkeypatch.setattr(kinds, "plm_conditional_bias", counted)
     raw = _minimal_config(
         kind="plm_rate_dichotomy",
         dgp={"name": "smooth_default", "params": {"d": 3}},
@@ -862,6 +946,33 @@ def test_plm_moments_once_per_grid_point(monkeypatch):
     result = run_experiment(config)
     assert len(result.rows) == 2
     assert len(calls) == 2
+
+
+def test_expected_llr_once_per_signed_shift(monkeypatch):
+    # the expected log-likelihood ratio (a quadrature for the logistic
+    # family) is computed once per signed shift when the run is prepared;
+    # no chunk and no summary recomputes it
+    from medbias import LogisticLocation
+
+    calls = []
+
+    def counted(self, theta0, shift):
+        calls.append(shift)
+        return expected(self, theta0, shift)
+
+    expected = LogisticLocation.expected_log_likelihood_ratio
+    monkeypatch.setattr(LogisticLocation, "expected_log_likelihood_ratio", counted)
+    raw = _minimal_config(
+        kind="mle_llr_consistency",
+        estimator={"kind": "neg_loglik", "params": {"family_name": "logistic_location"}},
+        grids={"n": [6, 9], "eps": [0.4, -0.1, 0.05]},
+        reps=2 * CHUNK_SIZE + 1,
+    )
+    config = ExperimentConfig.from_dict(raw)  # validation resolves the config once too
+    calls.clear()
+    result = run_experiment(config, workers=1)
+    assert len(result.rows) == 6
+    assert sorted(calls) == sorted([0.4, -0.4, -0.1, 0.1, 0.05, -0.05])
 
 
 def test_mle_llr_kind_matches_bounds_op():
