@@ -25,8 +25,6 @@ from .objectives import (
     NormalLocation,
     PowerLoss,
     SubgradientInterval,
-    is_convex_on,
-    loglik_ratio_sum,
     make_family,
     make_objective,
 )

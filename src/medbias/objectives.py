@@ -138,16 +138,6 @@ def make_family(name: str, **params):
     return cls(**params)
 
 
-def loglik_ratio_sum(family, data, theta0: float, eps: float) -> float:
-    """Sum over the data of log p_{theta0+eps}(x) - log p_{theta0}(x).
-
-    Equals the drop in the negative log-likelihood objective when moving from
-    ``theta0`` to ``theta0 + eps``.
-    """
-    x = np.asarray(data, dtype=float)
-    return float(np.sum(family.log_density(x, theta0 + eps) - family.log_density(x, theta0)))
-
-
 # ---------------------------------------------------------------------------
 # Objectives.
 
@@ -367,24 +357,3 @@ def make_objective(kind: str, data, **params) -> LocationObjective:
                                        **params.pop("family_params", {}))
     return _OBJECTIVES[kind](data, **params)
 
-
-def is_convex_on(obj: LocationObjective, lo: float, hi: float, num: int = 65) -> bool:
-    """Subgradient-monotonicity test for convexity on [lo, hi].
-
-    Checks g_left <= g_right at each grid point and g_right(t_k) <=
-    g_left(t_{k+1}) across consecutive points, within a scale-relative slack.
-    A pass certifies convexity only up to the grid resolution.
-    """
-    if not lo < hi:
-        raise ValueError("need lo < hi")
-    grid = np.linspace(lo, hi, num)
-    slack = 1e-9 * max(obj.scale_at(lo), obj.scale_at(hi))
-    prev_right = -math.inf
-    for theta in grid:
-        left, right = obj.subgradient(float(theta))
-        if left > right + slack:
-            return False
-        if prev_right > left + slack:
-            return False
-        prev_right = right
-    return True

@@ -79,6 +79,10 @@ class UnivariateDgp:
         if "lo" in p and not p["lo"] < p["hi"]:
             raise ValueError(f"{owner} needs params.lo < params.hi, got lo={p['lo']!r}, "
                              f"hi={p['hi']!r}")
+        # numpy's uniform raises OverflowError on every draw from such a range
+        if "lo" in p and not math.isfinite(p["hi"] - p["lo"]):
+            raise ValueError(f"{owner} needs a finite params.hi - params.lo, got lo={p['lo']!r}, "
+                             f"hi={p['hi']!r}")
         object.__setattr__(self, "params", p)
 
     def sample(self, rng, n: int) -> np.ndarray:

@@ -261,10 +261,19 @@ def _positive_grid(config, key: str):
 
 
 def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
-    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream."""
+    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream.
+
+    A replication whose draws overflow (a finite but huge scale) is named.
+    """
     draws = [[prep.dgp.sample(rng, point["n"]) for rng in rngs]
              for rngs in _replications(config, point, start, stop, streams)]
-    return [np.array(stream) for stream in zip(*draws)]
+    matrices = [np.array(stream) for stream in zip(*draws)]
+    finite = np.logical_and.reduce([np.isfinite(matrix).all(axis=1) for matrix in matrices])
+    bad = np.flatnonzero(~finite)
+    if bad.size:
+        raise _replication_error(config, point, start + bad[0],
+                                 f"a draw from scalar DGP {prep.dgp.name!r} is not finite")
+    return matrices
 
 
 def _prepare_univariate(config, convex: bool, **defaults) -> SimpleNamespace:

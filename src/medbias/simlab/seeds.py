@@ -10,13 +10,20 @@ replication through ``kinds._replications``, which fixes the label as
 ``<grid label>|<stream>``.
 
 ``_replications`` seeds a whole chunk in one pass with ``chunk_generators``.
-It hashes the chunk's ``SeedSequence`` states together in numpy ``uint32``
-arithmetic, runs PCG64's 128-bit seeding step on Python ints, and resets the
-state of one reused ``Generator`` per stream before each replication.  The
-streams are those of ``replication_rng``, the reference: the first use in a
-process compares the two on fixed seeds and raises ``RuntimeError`` if they
-differ (a numpy release that changed ``SeedSequence`` or PCG64), and the test
-suite compares them for every draw method the lab uses.
+It checks the master seed, the index range and each label's type once per
+chunk, with ``derive_seed``'s ``TypeError`` messages.  Per index it hashes
+one bytes message, the text ``derive_seed`` hashes with its two fixed ends
+encoded once per chunk, and joins the digests' 8-byte heads into one
+big-endian ``uint64`` array.  It hashes the chunk's ``SeedSequence`` states
+together in numpy ``uint32`` arithmetic, runs PCG64's 128-bit seeding step on
+Python ints, and resets one reused ``Generator`` per stream before each
+replication, through one state dict per stream whose inner ``state`` and
+``inc`` are the only values that change.  The streams are those of
+``replication_rng``, the reference.  The first use in a process compares the
+two on fixed seeds, and the chunk hashing with ``derive_seed`` on indices
+around 2**32; it raises ``RuntimeError`` if either differs (a numpy release
+that changed ``SeedSequence`` or PCG64).  The test suite compares the streams
+for every draw method the lab uses.
 """
 
 import functools
@@ -113,6 +120,18 @@ def _check_against_reference() -> None:
             raise RuntimeError(
                 f"batched seeding differs from np.random.default_rng({seed}) under numpy "
                 f"{np.__version__}; it would change every random stream")
+    indices = range(2**32 - 2, 2**32 + 2)
+    if _chunk_seeds(-3, indices, "check|\u00e9").tolist() != [
+            derive_seed(-3, i, "check|\u00e9") for i in indices]:
+        raise RuntimeError("chunk seed hashing differs from derive_seed")
+
+
+def _chunk_seeds(master_seed: int, indices, label: str) -> np.ndarray:
+    """``derive_seed`` of each index, hashing the same message with its ends encoded once."""
+    prefix, suffix = f"{master_seed}|".encode(), f"|{label}".encode("utf-8")
+    sha256 = hashlib.sha256
+    return np.frombuffer(b"".join([sha256(b"%b%d%b" % (prefix, i, suffix)).digest()[:8]
+                                   for i in indices]), dtype=">u8")
 
 
 def chunk_generators(master_seed: int, start: int, stop: int, labels):
@@ -122,12 +141,23 @@ def chunk_generators(master_seed: int, start: int, stop: int, labels):
     label)``, but the chunk is seeded in one pass and each label's
     ``Generator`` is reused: its state is reset before every yield, so a
     generator must not be kept past the replication it was yielded for.
+    Types are checked once, with ``derive_seed``'s errors.
     """
+    if not is_int(master_seed) or not is_int(start) or not is_int(stop):
+        raise TypeError("master_seed and replication_index must be integers, not bools")
+    labels = list(labels)
+    if not all(isinstance(label, str) for label in labels):
+        raise TypeError("stream_label must be a string")
     _check_against_reference()
-    states = [_pcg64_states([derive_seed(master_seed, i, label) for i in range(start, stop)])
+    states = [_pcg64_states(_chunk_seeds(master_seed, range(start, stop), label))
               for label in labels]
     generators = tuple(np.random.Generator(np.random.PCG64(0)) for _ in states)
+    # numpy's setter copies the values out, so one state dict per stream serves
+    # every reset: only its inner state and inc change
+    resets = [(generator.bit_generator, _pcg64_state(0, 0)) for generator in generators]
     for replication in zip(*states):
-        for generator, state in zip(generators, replication):
-            generator.bit_generator.state = _pcg64_state(*state)
+        for (bit_generator, state), (seed_state, inc) in zip(resets, replication):
+            inner = state["state"]
+            inner["state"], inner["inc"] = seed_state, inc
+            bit_generator.state = state
         yield generators

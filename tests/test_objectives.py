@@ -14,12 +14,40 @@ from medbias import (
     NegativeLogLikelihood,
     NormalLocation,
     PowerLoss,
-    is_convex_on,
-    loglik_ratio_sum,
     make_family,
     make_objective,
     minimize_convex,
 )
+
+
+def loglik_ratio_sum(family, data, theta0: float, eps: float) -> float:
+    """Oracle: sum over the data of log p_{theta0+eps}(x) - log p_{theta0}(x).
+
+    Equals the drop in the negative log-likelihood objective when moving from
+    ``theta0`` to ``theta0 + eps``; the lab counts its signs batched through
+    ``llr_sign_indicators``.
+    """
+    x = np.asarray(data, dtype=float)
+    return float(np.sum(family.log_density(x, theta0 + eps) - family.log_density(x, theta0)))
+
+
+def is_convex_on(obj, lo: float, hi: float, num: int = 65) -> bool:
+    """Oracle: subgradient-monotonicity test for convexity on [lo, hi].
+
+    Checks g_left <= g_right at each grid point and g_right(t_k) <=
+    g_left(t_{k+1}) across consecutive points, within a scale-relative slack.
+    A pass certifies convexity only up to the grid resolution.
+    """
+    grid = np.linspace(lo, hi, num)
+    slack = 1e-9 * max(obj.scale_at(lo), obj.scale_at(hi))
+    prev_right = -math.inf
+    for theta in grid:
+        left, right = obj.subgradient(float(theta))
+        if left > right + slack or prev_right > left + slack:
+            return False
+        prev_right = right
+    return True
+
 
 FAMILY_CASES = [
     lambda data: AbsoluteDeviation(data),

@@ -112,6 +112,37 @@ def test_chunk_generators_match_replication_rng():
                     assert np.array_equal(draw(rng), draw(reference)), (i, label)
 
 
+@pytest.mark.parametrize("master_seed, start, stop, labels", [
+    (-7, 0, 40, ["g|data"]),  # a negative master seed hashes its sign
+    (2**64 + 5, 3, 43, ["g|data"]),  # a master seed no 64-bit word holds
+    (11, 2**32 - 20, 2**32 + 20, ["g|data"]),  # indices across 2**32
+    (11, 0, 30, ["g=\u00e9|data", "\u00df|\u03bb"]),  # labels hashed as UTF-8
+    (11, 9, 10, ["g|data"]),  # one replication
+    (11, 100, 140, ["g|lhs", "g|rhs", "g|split"]),  # three streams
+])
+def test_chunk_generators_match_replication_rng_at_the_edges(master_seed, start, stop, labels):
+    chunk = chunk_generators(master_seed, start, stop, labels)
+    for i, rngs in zip(range(start, stop), chunk, strict=True):
+        assert len(rngs) == len(labels)
+        for label, rng in zip(labels, rngs):
+            reference = replication_rng(master_seed, i, label)
+            assert np.array_equal(rng.standard_normal(7), reference.standard_normal(7)), (i, label)
+
+
+def test_chunk_generators_empty_chunk_and_type_errors():
+    assert list(chunk_generators(11, 5, 5, ["g|data"])) == []
+    for args, message in (
+        ((True, 0, 1, ["x"]), "master_seed and replication_index must be integers"),
+        ((1, 0.0, 1, ["x"]), "master_seed and replication_index must be integers"),
+        ((1, 0, False, ["x"]), "master_seed and replication_index must be integers"),
+        ((1, 0, 1, ["x", 7]), "stream_label must be a string"),
+        ((1, 0, 0, [b"x"]), "stream_label must be a string"),  # even with nothing to yield
+    ):
+        with pytest.raises(TypeError, match=message) as raised:
+            next(chunk_generators(*args))
+        assert raised.traceback[-1].name == "chunk_generators"
+
+
 def test_batched_seeding_matches_seed_sequence_on_raw_seeds():
     raw = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
     for seed, state in zip(raw, seeds._pcg64_states(raw)):
@@ -471,6 +502,10 @@ def test_config_rejects_unknown_field():
          r"params \['sigma'\] are not read by scalar DGP 'standard_normal'"),
         ({"name": "uniform", "params": {"lo": 1.0, "hi": -1.0}},
          r"scalar DGP 'uniform' needs params\.lo < params\.hi, got lo=1\.0, hi=-1\.0"),
+        # numpy's uniform raises a bare OverflowError on such a range, mid-chunk
+        ({"name": "uniform", "params": {"lo": -1e308, "hi": 1e308}},
+         r"scalar DGP 'uniform' needs a finite params\.hi - params\.lo, got lo=-1e\+308, "
+         r"hi=1e\+308"),
         ({"name": "laplace", "params": {"scale": -1}},
          r"scalar DGP 'laplace' needs params\.scale > 0, got -1\.0"),
         ({"name": "logistic", "params": {"scale": "wide"}},
@@ -568,6 +603,16 @@ _OVERFLOWING = {
         "kind": "dimension_scaling", "estimator": {}, "dgp": {"name": "leverage_mix"},
         "params": {"theta0": 5.7e307},
         "grids": {"n": [60], "d_schedules": ["half_sqrt"], "seed_labels": [0]}},
+    # scalar laws: unchecked, the estimate fails on a bare "data must be
+    # finite" or "bracket endpoints must be finite"
+    "laplace_scale": {"dgp": {"name": "laplace", "params": {"scale": 1e308}},
+                      "estimator": {"kind": "lp", "params": {"p": 1.5}},
+                      "grids": {"n": [20]}},
+    "exp_centered_scale": {"dgp": {"name": "exp_centered", "params": {"scale": 1e308}},
+                           "grids": {"n": [20]}},
+    # two streams, either of which may overflow first
+    "logistic_scale_two_streams": {"kind": "z_estimator_equality",
+                                   "dgp": {"name": "logistic", "params": {"scale": 1e308}}},
 }
 
 
