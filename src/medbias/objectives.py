@@ -20,7 +20,6 @@ import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 
 class SubgradientInterval(NamedTuple):
@@ -100,6 +99,10 @@ class LogisticLocation:
         def integrand(x):
             delta = self.log_density(x, shift) - self.log_density(x, 0.0)
             return float(delta * math.exp(self.log_density(x, 0.0)))
+
+        # scipy is imported here, its only use, and before the warnings are
+        # recorded: an import-time warning would otherwise join the message
+        from scipy import integrate
 
         span = 40.0 * self.scale + 4.0 * abs(shift)
         with warnings.catch_warnings(record=True) as caught:
@@ -203,6 +206,19 @@ class AbsoluteDeviation(LocationObjective):
         return self._interval(right - 2.0 * n_eq, right)
 
 
+def check_loss_rank(n: int, tau: float) -> float:
+    """n * tau, or the integer it stands for when the float product is within
+    1e-9 * n of one (25 * 0.28 is 7.000000000000001).
+
+    The one rounding rule for the check loss at ``tau`` on ``n`` points: its
+    subgradient counts against this value, and its closed-form argmin is a
+    midpoint of two order statistics exactly when this value is an integer.
+    """
+    k = n * tau
+    k_round = round(k)
+    return float(k_round) if abs(k - k_round) < 1e-9 * n else k
+
+
 class CheckLoss(LocationObjective):
     """Quantile check loss (tau - 1{x <= theta})(x - theta); each term >= 0."""
 
@@ -223,7 +239,7 @@ class CheckLoss(LocationObjective):
         x, t = self._per_row(theta)
         n_le = np.count_nonzero(x <= t, axis=1)
         n_eq = np.count_nonzero(x == t, axis=1)
-        right = n_le - x.shape[1] * self.tau
+        right = n_le - check_loss_rank(x.shape[1], self.tau)
         return self._interval(right - n_eq, right)
 
 

@@ -118,8 +118,9 @@ class UnivariateDgp:
         if q == 0.5 and self.center is not None:
             return self.center
         if self.name == "standard_normal":
-            from scipy.stats import norm
-            return float(norm.ppf(q))
+            # ndtri is what scipy.stats.norm.ppf evaluates at loc 0, scale 1
+            from scipy.special import ndtri
+            return float(ndtri(q))
         if self.name == "uniform":
             return p["lo"] + q * (p["hi"] - p["lo"])
         if self.name == "logistic":

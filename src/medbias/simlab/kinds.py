@@ -35,6 +35,7 @@ from ..objectives import (
     NegativeLogLikelihood,
     NormalLocation,
     biweight_ddrho,
+    check_loss_rank,
     make_objective,
 )
 from ..partialling import (
@@ -73,10 +74,9 @@ def default_bracket(data) -> Bracket:
 
 def _check_loss_ranks(n: int, tau: float) -> tuple[int, int]:
     """0-based order statistics whose midpoint minimises the check loss at ``tau``."""
-    k = n * tau
-    k_round = round(k)
-    if abs(k - k_round) < 1e-9 * n and 1 <= k_round <= n - 1:
-        return k_round - 1, k_round
+    k = check_loss_rank(n, tau)
+    if k.is_integer() and 1 <= k <= n - 1:
+        return int(k) - 1, int(k)
     idx = min(max(math.ceil(k), 1), n) - 1
     return idx, idx
 
@@ -260,19 +260,22 @@ def _positive_grid(config, key: str):
     _require(not bad, f"grid {key!r} needs finite numbers > 0, got {bad}")
 
 
-def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
-    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream.
-
-    A replication whose draws overflow (a finite but huge scale) is named.
-    """
-    draws = [[prep.dgp.sample(rng, point["n"]) for rng in rngs]
-             for rngs in _replications(config, point, start, stop, streams)]
-    matrices = [np.array(stream) for stream in zip(*draws)]
+def _check_finite(config, point, start, matrices: list, source: str):
+    """Name the first replication whose draws (a ``(count, n)`` matrix per
+    stream) are not finite: a finite but huge scale can overflow them."""
     finite = np.logical_and.reduce([np.isfinite(matrix).all(axis=1) for matrix in matrices])
     bad = np.flatnonzero(~finite)
     if bad.size:
         raise _replication_error(config, point, start + bad[0],
-                                 f"a draw from scalar DGP {prep.dgp.name!r} is not finite")
+                                 f"a draw from {source} is not finite")
+
+
+def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
+    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream."""
+    draws = [[prep.dgp.sample(rng, point["n"]) for rng in rngs]
+             for rngs in _replications(config, point, start, stop, streams)]
+    matrices = [np.array(stream) for stream in zip(*draws)]
+    _check_finite(config, point, start, matrices, f"scalar DGP {prep.dgp.name!r}")
     return matrices
 
 
@@ -436,6 +439,7 @@ def _prepare_mle_llr(config):
 def _chunk_mle_llr(config, prep, point, start, stop):
     draws = np.array([prep.family.sample(rng, prep.theta0, point["n"])
                       for rng, in _replications(config, point, start, stop)])
+    _check_finite(config, point, start, [draws], f"family {prep.family.name!r}")
     out = {}
     for k, (e, (plus, minus)) in enumerate(zip(prep.eps, prep.expected)):
         for side, shift, expected in (("plus", e, plus), ("minus", -e, minus)):

@@ -7,6 +7,10 @@ single order statistic X_(k) has P(X_(k) <= theta0) = P(Bin(n, tau) >= k)
 whatever the law.  The midpoint of two adjacent order statistics, which
 the closed form takes when n tau is an integer, is one quadrature under
 the uniform law.
+
+The mean of n centered unit exponentials has n (theta_hat + 1) ~ Gamma(n),
+so P(theta_hat <= 0) = Gamma(n).cdf(n), and HulC's B independent batch
+means miss 0 exactly when all of them fall on one side of it.
 """
 
 import json
@@ -18,6 +22,7 @@ import pytest
 from scipy import integrate, stats
 
 from medbias import SignProbabilities, convex_bound, med_bias
+from medbias.objectives import check_loss_rank
 from medbias.simlab import ExperimentConfig, run_experiment
 from medbias.simlab.kinds import _check_loss_ranks
 
@@ -53,7 +58,7 @@ def _exact_signs(n: int, tau: float) -> SignProbabilities:
     """The score's sign probabilities, signed in the lab's own arithmetic."""
     counts = np.arange(n + 1)
     pmf = stats.binom.pmf(counts, n, tau)
-    score = counts - n * tau  # as CheckLoss.subgradient computes it
+    score = counts - check_loss_rank(n, tau)  # as CheckLoss.subgradient computes it
     return SignProbabilities(p_neg=float(pmf[score < 0].sum()),
                              p_zero=float(pmf[score == 0].sum()),
                              p_pos=float(pmf[score > 0].sum()))
@@ -81,15 +86,22 @@ def test_convex_bound_dominates_exact_median_bias_of_check_loss():
     assert tight > 0  # the bound is attained somewhere, so the check has teeth
 
 
-# Fixed before the first run: a family-wise two-sided level of 1e-3,
-# Bonferroni-split over the four rows below.
+# Each Monte-Carlo test fixed its limit, replication count and master seed
+# before its first run: a family-wise two-sided level of 1e-3 per test,
+# Bonferroni-split over its checks.
 FAMILY_ALPHA = 1e-3
+
+
+def _z_limit(checks: int) -> float:
+    return stats.norm.isf(FAMILY_ALPHA / (2 * checks))
+
+
+def _z(observed: float, exact: float, reps: int) -> float:
+    return (observed - exact) / math.sqrt(exact * (1.0 - exact) / reps)
+
+
 ROWS = 4
-Z_LIMIT = stats.norm.isf(FAMILY_ALPHA / (2 * ROWS))
-
-
-def _z(row, exact: float) -> float:
-    return (row["p_le"] - exact) / math.sqrt(exact * (1.0 - exact) / row["reps"])
+Z_LIMIT = _z_limit(ROWS)
 
 
 def test_monte_carlo_p_le_matches_exact_values():
@@ -108,5 +120,61 @@ def test_monte_carlo_p_le_matches_exact_values():
     cases += [(row, 0.5) for row in run_experiment(median).rows]
     assert len(cases) == ROWS and [row["n"] for row, _ in cases[1:]] == [5, 9, 15]
     for row, exact in cases:
-        z = _z(row, exact)
+        z = _z(row["p_le"], exact, row["reps"])
         assert abs(z) <= Z_LIMIT, (row["experiment"], row["n"], row["p_le"], exact, z)
+
+
+def test_check_loss_signs_count_the_atom_where_n_tau_is_inexact():
+    # 25 * 0.28 = 7.000000000000001, and the score counts against 7, so a
+    # count of exactly 7 is a zero score: p_zero is the pmf at 7, not 0
+    config = ExperimentConfig.from_dict({
+        "experiment": "exact-quantile-tie", "kind": "convex_dominance",
+        "dgp": {"name": "uniform", "params": {"lo": -1.0, "hi": 1.0}},
+        "estimator": {"kind": "quantile", "params": {"tau": 0.28}},
+        "grids": {"n": [25]}, "reps": 3000, "master_seed": 0,
+    })
+    (row,) = run_experiment(config).rows
+    exact = _exact_signs(25, 0.28)
+    assert exact.p_zero == pytest.approx(stats.binom.pmf(7, 25, 0.28), rel=1e-12)
+    limit = _z_limit(3)
+    for name in ("p_neg", "p_zero", "p_pos"):
+        z = _z(row["detail"][name], getattr(exact, name), row["reps"])
+        assert abs(z) <= limit, (name, row["detail"][name], getattr(exact, name), z)
+
+
+def _mean_config(kind: str, sizes) -> ExperimentConfig:
+    return ExperimentConfig.from_dict({
+        "experiment": f"exact-mean-{kind}", "kind": kind,
+        "dgp": {"name": "exp_centered"}, "estimator": {"kind": "lp", "params": {"p": 2.0}},
+        "grids": {"n": list(sizes)}, "reps": 20000, "master_seed": 0,
+    })
+
+
+def _mean_p_le(n: int) -> float:
+    """P(mean of n centered unit exponentials <= 0)."""
+    return stats.gamma.cdf(n, n)
+
+
+def test_monte_carlo_p_le_of_the_mean_under_exp_centered():
+    rows = run_experiment(_mean_config("convex_dominance", (1, 5, 20))).rows
+    assert [row["n"] for row in rows] == [1, 5, 20]
+    # at n = 1 the mean's median bias is exactly 1/2 - 1/e
+    assert _mean_p_le(1) == pytest.approx(1.0 - math.exp(-1.0), rel=1e-14)
+    limit = _z_limit(len(rows))
+    for row in rows:
+        exact = _mean_p_le(row["n"])
+        z = _z(row["p_le"], exact, row["reps"])
+        assert abs(z) <= limit, (row["n"], row["p_le"], exact, z)
+
+
+def test_monte_carlo_hulc_coverage_of_the_mean_under_exp_centered():
+    # alpha 0.05 gives B = 6 batches, so n = 6, 12, 60 are batch sizes 1, 2, 10
+    rows = run_experiment(_mean_config("hulc_coverage", (6, 12, 60))).rows
+    limit = _z_limit(len(rows))
+    for row, size in zip(rows, (1, 2, 10), strict=True):
+        detail = row["detail"]
+        assert (detail["batches"], detail["batch_size"]) == (6, size)
+        p = _mean_p_le(size)
+        exact = 1.0 - p ** 6 - (1.0 - p) ** 6
+        z = _z(detail["coverage"], exact, row["reps"])
+        assert abs(z) <= limit, (size, detail["coverage"], exact, z)

@@ -613,6 +613,13 @@ _OVERFLOWING = {
     # two streams, either of which may overflow first
     "logistic_scale_two_streams": {"kind": "z_estimator_equality",
                                    "dgp": {"name": "logistic", "params": {"scale": 1e308}}},
+    # the LLR kind draws from its likelihood family; unchecked, its rows came
+    # from NaN log-likelihood ratios
+    "llr_normal_sigma": {"kind": "mle_llr_consistency",
+                         "estimator": {"kind": "neg_loglik",
+                                       "params": {"family_name": "normal_location",
+                                                  "family_params": {"sigma": 1e308}}},
+                         "grids": {"n": [50], "eps": [1e300]}},
 }
 
 
