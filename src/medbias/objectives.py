@@ -15,8 +15,12 @@ and each row's value equals, bit for bit, the 1-d objective on that row.
 """
 
 import copy
+import functools
+import importlib.util
 import math
-import warnings
+import os
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import NamedTuple
 
 import numpy as np
@@ -85,45 +89,76 @@ class LogisticLocation:
 
         Location invariance makes the value independent of ``theta0``; it is
         minus the KL divergence from the centered density to its shift.  The
-        quadrature is checked against the closed form ``2 - u / tanh(u / 2)``
-        with ``u = |shift| / scale``, and a shift where the two disagree
-        raises ``ValueError``: from a few thousand scales up the integrator
-        misses the mass near the shift and returns about 0, and near 1e-5
-        scales it is off by more than the value itself.  Warnings from the
-        integrator are kept off stderr; the first line of each is added to
-        that error's message.
+        integral is QUADPACK's ``qagse`` (``qagie`` on an infinite span) from
+        scipy's compiled ``scipy.integrate._quadpack``, called with the
+        arguments ``scipy.integrate.quad(integrand, -span, span, limit=200)``
+        passes it, so it returns ``quad``'s value bit for bit.  The quadrature
+        is checked against the closed form ``2 - u / tanh(u / 2)`` with
+        ``u = |shift| / scale``, and a shift where the two disagree raises
+        ``ValueError``: from a few thousand scales up the integrator misses
+        the mass near the shift and returns about 0, and near 1e-5 scales it
+        is off by more than the value itself.  A nonzero QUADPACK ``ier`` code
+        is added to that error's message.
         """
         if shift == 0.0:
             return 0.0
 
         def integrand(x):
-            delta = self.log_density(x, shift) - self.log_density(x, 0.0)
-            return float(delta * math.exp(self.log_density(x, 0.0)))
+            base = self.log_density(x, 0.0)
+            return float((self.log_density(x, shift) - base) * math.exp(base))
 
-        # scipy is imported here, its only use, and before the warnings are
-        # recorded: an import-time warning would otherwise join the message
-        from scipy import integrate
-
+        quadpack = _quadpack()
         span = 40.0 * self.scale + 4.0 * abs(shift)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value, _ = integrate.quad(integrand, -span, span, limit=200)
+        # near the largest floats the integrand's arithmetic overflows; the
+        # closed-form check below rejects what it returns, so numpy's
+        # warnings would only reach stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            if math.isinf(span):  # quad integrates (-inf, inf) by qagie
+                value, _, ier = quadpack._qagie(integrand, 0, 2, (), 0, 1.49e-8, 1.49e-8, 200)
+            else:
+                value, _, ier = quadpack._qagse(integrand, -span, span, (), 0,
+                                                1.49e-8, 1.49e-8, 200)
         u = abs(shift) / self.scale
         closed = 2.0 - u / math.tanh(u / 2.0)
         # the 1e-14 absolute term: at |shift| <= 1e-3 scales either value may be
         # about 2e-15 from the truth (the closed form cancels against 2), which
         # the relative term alone would reject
         if not abs(value - closed) <= 1e-9 * abs(closed) + 1e-14:
-            warned = "".join(f"; {w.category.__name__}: {str(w.message).splitlines()[0]}"
-                           for w in caught)
+            failed = f"; QUADPACK ier={ier}" if ier else ""
             raise ValueError(
                 f"quadrature of the {self.name} expected log-likelihood ratio at shift "
-                f"{shift!r} gives {value!r}, the closed form {closed!r}{warned}"
+                f"{shift!r} gives {value!r}, the closed form {closed!r}{failed}"
             )
         # the quadrature value is returned, not the closed form: the two differ
         # in the last digits, and the lab's log-likelihood-ratio CSVs are
         # centered by the quadrature value
         return value
+
+
+@functools.cache
+def _quadpack():
+    """scipy's compiled QUADPACK wrapper, without importing ``scipy.integrate``.
+
+    ``scipy.integrate`` loads ``scipy.special``, ``optimize``, ``sparse`` and
+    ``linalg``, about 0.6 s, for a routine that needs none of them.  The
+    extension is loaded from scipy's ``integrate`` directory and registered
+    under its own name, where a later ``import scipy.integrate`` finds it.
+    """
+    name = "scipy.integrate._quadpack"
+    module = sys.modules.get(name)
+    if module is None:
+        scipy = importlib.util.find_spec("scipy")  # imports no scipy module
+        directory = os.path.join(scipy.submodule_search_locations[0], "integrate")
+        spec = FileFinder(directory, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name)
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    if not hasattr(module, "_qagse"):
+        from importlib.metadata import version
+        raise RuntimeError(f"scipy {version('scipy')} has no compiled QUADPACK routine "
+                           f"{name}._qagse")
+    return module
 
 
 _FAMILIES = {

@@ -57,7 +57,7 @@ from ..solver import Bracket, minimize_convex, minimize_scan
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval
 from .reports import CSV_COLUMNS
-from .seeds import chunk_generators
+from .seeds import chunk_generators, derive_seed
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +230,12 @@ def _replications(config, point: dict, start: int, stop: int, streams=("data",))
     ``chunk_generators``, which reuses each stream's generator: a replication
     must not keep a generator after the next one is yielded.
     """
-    labels = [f"{grid_label(config.kind, point)}|{stream}" for stream in streams]
+    labels = [_stream_label(config, point, stream) for stream in streams]
     return chunk_generators(config.master_seed, start, stop, labels)
+
+
+def _stream_label(config, point: dict, stream: str) -> str:
+    return f"{grid_label(config.kind, point)}|{stream}"
 
 
 def _replication_error(config, point: dict, index: int, message: str, cls=ValueError):
@@ -260,13 +264,18 @@ def _positive_grid(config, key: str):
     _require(not bad, f"grid {key!r} needs finite numbers > 0, got {bad}")
 
 
-def _check_finite(config, point, start, matrices: list, source: str):
+def _check_finite(config, point, start, matrices: list, source: str, streams=("data",)):
     """Name the first replication whose draws (a ``(count, n)`` matrix per
-    stream) are not finite: a finite but huge scale can overflow them."""
-    finite = np.logical_and.reduce([np.isfinite(matrix).all(axis=1) for matrix in matrices])
-    bad = np.flatnonzero(~finite)
+    stream) are not finite, its first such stream and that stream's seed: a
+    finite but huge scale can overflow them."""
+    finite = [np.isfinite(matrix).all(axis=1) for matrix in matrices]
+    bad = np.flatnonzero(~np.logical_and.reduce(finite))
     if bad.size:
-        raise _replication_error(config, point, start + bad[0],
+        row = int(bad[0])
+        stream = next(s for s, ok in zip(streams, finite) if not ok[row])
+        seed = derive_seed(config.master_seed, start + row, _stream_label(config, point, stream))
+        raise _replication_error(config, point, start + row,
+                                 f"stream {stream!r} (seed {seed}): "
                                  f"a draw from {source} is not finite")
 
 
@@ -275,7 +284,7 @@ def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
     draws = [[prep.dgp.sample(rng, point["n"]) for rng in rngs]
              for rngs in _replications(config, point, start, stop, streams)]
     matrices = [np.array(stream) for stream in zip(*draws)]
-    _check_finite(config, point, start, matrices, f"scalar DGP {prep.dgp.name!r}")
+    _check_finite(config, point, start, matrices, f"scalar DGP {prep.dgp.name!r}", streams)
     return matrices
 
 

@@ -11,6 +11,11 @@ the uniform law.
 The mean of n centered unit exponentials has n (theta_hat + 1) ~ Gamma(n),
 so P(theta_hat <= 0) = Gamma(n).cdf(n), and HulC's B independent batch
 means miss 0 exactly when all of them fall on one side of it.
+
+Under the normal location family with known sigma, the log-likelihood-ratio
+sum of n draws at shift e is exactly N(-n e^2 / 2 sigma^2, n e^2 / sigma^2):
+centered by its mean it is at most 0 with probability 1/2, and it is
+negative with probability Phi(sqrt(n) |e| / (2 sigma)).
 """
 
 import json
@@ -178,3 +183,26 @@ def test_monte_carlo_hulc_coverage_of_the_mean_under_exp_centered():
         exact = 1.0 - p ** 6 - (1.0 - p) ** 6
         z = _z(detail["coverage"], exact, row["reps"])
         assert abs(z) <= limit, (size, detail["coverage"], exact, z)
+
+
+def test_monte_carlo_llr_frequencies_under_normal_location():
+    sigma, sizes, eps = 2.0, (5, 40), (0.25, 1.0)
+    config = ExperimentConfig.from_dict({
+        "experiment": "exact-llr-normal", "kind": "mle_llr_consistency",
+        "estimator": {"kind": "neg_loglik", "params": {"family_name": "normal_location",
+                                                       "family_params": {"sigma": sigma}}},
+        "grids": {"n": list(sizes), "eps": list(eps)}, "params": {"theta0": 1.5},
+        "reps": 4000, "master_seed": 0,
+    })
+    rows = run_experiment(config).rows
+    assert [(row["n"], row["eps"]) for row in rows] == [(n, e) for n in sizes for e in eps]
+    # the centered and the raw sign at +e and at -e, at each (n, e)
+    limit = _z_limit(4 * len(rows))
+    for row in rows:
+        detail, n, e = row["detail"], row["n"], row["eps"]
+        assert detail["expected_llr_per_obs"] == -0.5 * (e / sigma) ** 2
+        direct = stats.norm.cdf(math.sqrt(n) * e / (2.0 * sigma))
+        for side, exact in (("lower_plus", 0.5), ("lower_minus", 0.5),
+                            ("direct_plus", direct), ("direct_minus", direct)):
+            z = _z(detail[side], exact, row["reps"])
+            assert abs(z) <= limit, (n, e, side, detail[side], exact, z)

@@ -1,6 +1,12 @@
 """Tests for the location objectives: values, subgradients, likelihood pieces."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -232,6 +238,96 @@ def test_logistic_expected_llr_rejects_failed_quadrature():
         assert fam.expected_log_likelihood_ratio(0.0, shift) == value
     with pytest.raises(ValueError, match=r"at shift 10000\.0 gives .*closed form -9998\.0"):
         fam.expected_log_likelihood_ratio(0.0, 1e4)
+
+
+def test_logistic_expected_llr_is_quad_bit_for_bit(monkeypatch):
+    # the method calls QUADPACK's qagse from scipy's compiled extension with
+    # quad's arguments: the value bits and whether QUADPACK reports success
+    # (ier == 0; quad warns otherwise) match scipy.integrate.quad on every shift
+    from scipy import integrate
+    from medbias import objectives
+
+    quadpack = objectives._quadpack()
+    calls = []
+
+    class Recorder:
+        @staticmethod
+        def _qagse(integrand, a, b, *args):
+            # each value the integrand gives, so that quad on the same points
+            # reads them back instead of evaluating them again
+            values = {}
+
+            def memo(x):
+                if x not in values:
+                    values[x] = integrand(x)
+                return values[x]
+
+            out = quadpack._qagse(memo, a, b, *args)
+            calls.append((memo, a, b, out))
+            return out
+
+    monkeypatch.setattr(objectives, "_quadpack", lambda: Recorder)
+    magnitudes = [float(m) for m in np.logspace(-7.0, 5.0, 500)] + [1e4, 1e200]
+    shifts = magnitudes + [-m for m in magnitudes]
+    for scale in (0.3, 1.0, 2.0, 7.5):
+        family = LogisticLocation(scale)
+        for shift in shifts:
+            del calls[:]
+            try:
+                value = family.expected_log_likelihood_ratio(0.0, shift)
+            except ValueError:
+                value = None
+            (integrand, a, b, (ours, _, ier)), = calls
+            span = 40.0 * scale + 4.0 * abs(shift)
+            assert (a, b) == (-span, span)
+            assert value is None or value == ours
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                reference, _ = integrate.quad(integrand, -span, span, limit=200)
+            assert np.float64(ours).view(np.uint64) == np.float64(reference).view(np.uint64)
+            assert (ier == 0) == (not caught), (scale, shift, ier, caught)
+
+
+def test_quad_runs_after_the_extension_is_bound():
+    # in a fresh interpreter: the method loads the extension without
+    # scipy.integrate, and a later import of scipy.integrate reuses it
+    child = """
+import json, math, sys
+from medbias.objectives import LogisticLocation
+family = LogisticLocation(2.0)
+value = family.expected_log_likelihood_ratio(0.0, 0.7)
+bound = sys.modules["scipy.integrate._quadpack"]
+before = "scipy.integrate" in sys.modules
+from scipy import integrate
+def integrand(x):
+    delta = family.log_density(x, 0.7) - family.log_density(x, 0.0)
+    return float(delta * math.exp(family.log_density(x, 0.0)))
+span = 40.0 * 2.0 + 4.0 * 0.7
+reference, _ = integrate.quad(integrand, -span, span, limit=200)
+print(json.dumps([before, sys.modules["scipy.integrate._quadpack"] is bound,
+                  value.hex(), reference.hex()]))
+"""
+    root = Path(__file__).resolve().parent.parent
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(root / "src")})
+    assert done.returncode == 0, done.stderr
+    before, same_module, value, reference = json.loads(done.stdout)
+    assert not before and same_module
+    assert value == reference
+
+
+def test_missing_quadpack_routine_names_the_scipy_version(monkeypatch):
+    import types
+    from scipy import __version__
+    from medbias import objectives
+
+    monkeypatch.setitem(sys.modules, "scipy.integrate._quadpack", types.ModuleType("stub"))
+    objectives._quadpack.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=rf"^scipy {__version__} has no compiled QUADPACK"):
+            LogisticLocation(1.0).expected_log_likelihood_ratio(0.0, 0.5)
+    finally:
+        objectives._quadpack.cache_clear()
 
 
 def test_logistic_density_integrates_to_one():

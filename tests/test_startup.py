@@ -1,10 +1,12 @@
 """Start-up cost: ``import medbias`` loads numpy, not scipy.
 
-scipy is imported by the two computations that use it, on first use: the
-logistic family's expected log-likelihood ratio (``scipy.integrate``) and a
-normal quantile other than the median (``scipy.special``).  Each check runs
-in a fresh interpreter, since this test session has long since imported
-scipy itself.
+scipy is loaded by the two computations that use it, on first use: the
+logistic family's expected log-likelihood ratio loads the compiled QUADPACK
+extension ``scipy.integrate._quadpack`` alone, not ``scipy.integrate``, and a
+normal quantile other than the median loads ``scipy.special``.  Validating
+the benchmark's workload configs loads neither ``scipy.integrate``,
+``special``, ``stats`` nor ``optimize``.  Each check runs in a fresh
+interpreter, since this test session has long since imported scipy itself.
 """
 
 import json
@@ -76,11 +78,24 @@ def test_import_and_validation_load_no_scipy():
     assert _scipy_after(shipped + _NO_SCIPY) == []
 
 
+# the scipy modules that cost start-up time: each imports several others
+_HEAVY = {"scipy.integrate", "scipy.special", "scipy.stats", "scipy.optimize"}
+
+
+def test_workload_validation_loads_no_heavy_scipy():
+    workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+    configs = [str(ROOT / entry["cli"]) if "cli" in entry else entry["config"]
+               for workload in workloads.values() for entry in workload["configs"]]
+    assert any(isinstance(c, dict) and c["kind"] == "mle_llr_consistency" for c in configs)
+    assert _HEAVY.isdisjoint(_scipy_after(configs))
+
+
 def test_scipy_loads_where_it_computes():
     llr = _config("mle_llr_consistency", {},
                   {"kind": "neg_loglik", "params": {"family_name": "logistic_location"}},
                   {"n": [50], "eps": [0.2]})
-    assert "scipy.integrate" in _scipy_after([llr])
+    loaded = _scipy_after([llr])
+    assert "scipy.integrate._quadpack" in loaded and _HEAVY.isdisjoint(loaded)
     quantile = _config("convex_dominance", {"name": "standard_normal"},
                        {"kind": "quantile", "params": {"tau": 0.25}}, {"n": [15]})
     loaded = _scipy_after([quantile])
