@@ -342,10 +342,25 @@ class NegativeLogLikelihood(LocationObjective):
 
 
 def biweight_rho(u, c: float):
-    """Biweight loss: (c^2/6) * (1 - (1 - (u/c)^2)^3) inside |u| <= c, constant outside."""
+    """Biweight loss: (c^2/6) * (1 - (1 - (u/c)^2)^3) inside |u| <= c, constant outside.
+
+    Each step runs in place on the one result array, so a ``(rows, points,
+    n)`` input costs one array of its size; ``u`` is not written to.  A
+    scalar takes numpy's scalar arithmetic, whose cube rounds unlike the
+    array loop's in about one value in twenty.
+    """
     u = np.asarray(u, dtype=float)
-    t = np.clip(1.0 - (u / c) ** 2, 0.0, None)
-    return (c * c / 6.0) * (1.0 - t**3)
+    if u.ndim == 0:
+        t = np.clip(1.0 - (u / c) ** 2, 0.0, None)
+        return (c * c / 6.0) * (1.0 - t**3)
+    t = np.divide(u, c, out=np.empty(u.shape))
+    np.square(t, out=t)
+    np.subtract(1.0, t, out=t)
+    np.maximum(t, 0.0, out=t)
+    np.power(t, 3, out=t)
+    np.subtract(1.0, t, out=t)
+    np.multiply(t, c * c / 6.0, out=t)
+    return t
 
 
 def biweight_drho(u, c: float):
@@ -356,11 +371,21 @@ def biweight_drho(u, c: float):
 
 
 def biweight_ddrho(u, c: float):
-    """Second derivative: (1 - (u/c)^2)(1 - 5(u/c)^2) inside, 0 outside."""
+    """Second derivative: (1 - (u/c)^2)(1 - 5(u/c)^2) inside, 0 outside.
+
+    In place on two arrays of the input's size, as ``biweight_rho``; a
+    scalar gives a 0-d array.
+    """
     u = np.asarray(u, dtype=float)
-    s = (u / c) ** 2
-    inside = s <= 1.0
-    return np.where(inside, (1.0 - s) * (1.0 - 5.0 * s), 0.0)
+    s = np.divide(u, c, out=np.empty(u.shape))
+    np.square(s, out=s)
+    outside = ~(s <= 1.0)
+    t = np.subtract(1.0, s, out=np.empty(u.shape))
+    np.multiply(s, 5.0, out=s)
+    np.subtract(1.0, s, out=s)
+    np.multiply(t, s, out=t)
+    np.copyto(t, 0.0, where=outside)
+    return t
 
 
 class BiweightLocation(LocationObjective):

@@ -53,7 +53,7 @@ from ..plm import (
     plm_split_fit,
     simulate_plm,
 )
-from ..solver import Bracket, minimize_convex, minimize_scan
+from ..solver import Bracket, minimize_convex, minimize_scan, slab_rows
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval
 from .reports import CSV_COLUMNS
@@ -238,9 +238,16 @@ def _stream_label(config, point: dict, stream: str) -> str:
     return f"{grid_label(config.kind, point)}|{stream}"
 
 
-def _replication_error(config, point: dict, index: int, message: str, cls=ValueError):
-    """``cls`` naming the grid point (which names the kind) and the replication ``index``."""
-    return cls(f"grid point {grid_label(config.kind, point)}, replication {index}: {message}")
+def _replication_error(config, point: dict, index: int, message: str, cls=ValueError,
+                       streams=()):
+    """``cls`` naming the grid point (which names the kind), the replication ``index``
+    and, for each of ``streams``, its derived seed, which ``replication_rng`` replays."""
+    seeds = ", ".join(
+        f"stream {stream!r} (seed "
+        f"{derive_seed(config.master_seed, index, _stream_label(config, point, stream))})"
+        for stream in streams)
+    return cls(f"grid point {grid_label(config.kind, point)}, replication {index}: "
+               f"{seeds + ': ' if seeds else ''}{message}")
 
 
 def _require(ok: bool, message: str):
@@ -273,10 +280,8 @@ def _check_finite(config, point, start, matrices: list, source: str, streams=("d
     if bad.size:
         row = int(bad[0])
         stream = next(s for s, ok in zip(streams, finite) if not ok[row])
-        seed = derive_seed(config.master_seed, start + row, _stream_label(config, point, stream))
         raise _replication_error(config, point, start + row,
-                                 f"stream {stream!r} (seed {seed}): "
-                                 f"a draw from {source} is not finite")
+                                 f"a draw from {source} is not finite", streams=(stream,))
 
 
 def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
@@ -503,25 +508,31 @@ def _prepare_nonconvex(config):
     _positive_grid(config, "delta")
     prep.deltas = [float(d) for d in config.grids["delta"]]
     prep.scan_grid = np.linspace(scan_lo, scan_hi, prep.scan_points)
-    prep.windows = [theta0 + np.linspace(-delta, delta, prep.window_points)
-                    for delta in prep.deltas]
+    prep.windows = np.array([theta0 + np.linspace(-delta, delta, prep.window_points)
+                             for delta in prep.deltas])
     return prep
 
 
 def _chunk_nonconvex(config, prep, point, start, stop):
+    """The scan estimate, the score, and per delta whether the objective's
+    curvature is >= 0 at every point of its window: the windows' points are
+    evaluated together, one slab of rows at a time."""
     c_tune = prep.c
     data, = _sample(config, prep, point, start, stop)
     count = stop - start
     theta_hat = minimize_scan(data, c_tune, prep.scan_grid)
     score = score_at(prep.estimator, data, prep.theta0)
 
+    points = prep.windows.ravel()
+    size = slab_rows(points.size, point["n"])
+    curv_min = np.empty((count, len(prep.windows)))
+    for first in range(0, count, size):
+        rows = slice(first, first + size)
+        curv = biweight_ddrho(data[rows, None, :] - points[:, None], c_tune).sum(axis=2)
+        curv_min[rows] = curv.reshape(-1, *prep.windows.shape).min(axis=2)
     out = {"theta_hat": theta_hat, "score": score}
-    for k, window in enumerate(prep.windows):
-        curv_min = np.full(count, np.inf)
-        for w in window:
-            curv = biweight_ddrho(data - w, c_tune).sum(axis=1)
-            curv_min = np.minimum(curv_min, curv)
-        out[f"convex_{k}"] = (curv_min >= 0.0).astype(float)
+    for k in range(len(prep.windows)):
+        out[f"convex_{k}"] = (curv_min[:, k] >= 0.0).astype(float)
     return out
 
 
@@ -628,7 +639,8 @@ def _chunk_partialled(config, prep, point, start, stop):
             if not hasattr(err, "row"):
                 raise
             raise _replication_error(config, point, start + first + err.row,
-                                     str(err).removeprefix(f"row {err.row}: "), type(err)) from None
+                                     str(err).removeprefix(f"row {err.row}: "), type(err),
+                                     streams=("data",)) from None
         out["theta_hat"][rows] = fit.theta_hat
         if prep.decompose:
             out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
@@ -746,9 +758,10 @@ def _chunk_plm(config, prep, point, start, stop):
         theta_hat[i], z_at_theta0[i] = plm_split_fit(prep.dgp, draws, m_hat, g_hat, rng_split)
     bad = np.flatnonzero(~(np.isfinite(theta_hat) & np.isfinite(z_at_theta0)))
     if bad.size:
-        i = bad[0]
+        i = int(bad[0])
         raise _replication_error(config, point, start + i, f"the split fit gives theta_hat="
-                                 f"{theta_hat[i]} and z(theta0)={z_at_theta0[i]}")
+                                 f"{theta_hat[i]} and z(theta0)={z_at_theta0[i]}",
+                                 streams=("data", "split"))
     return {"theta_hat": theta_hat, "z_at_theta0": z_at_theta0}
 
 

@@ -25,6 +25,9 @@ from .objectives import LocationObjective, biweight_drho, biweight_rho
 
 _MAX_ITER = 200
 _SCAN_BLOCK = 64  # grid points per block of the biweight scan
+#: Bytes of a ``(rows, points, n)`` loss array per slab of rows: small enough
+#: to stay in cache, large enough that the Python work per slab stays small.
+_SLAB_BYTES = 1 << 20
 
 
 class NonConvexityError(RuntimeError):
@@ -184,19 +187,36 @@ def minimize_convex(obj: LocationObjective, bracket: Bracket):
     return float(_argmin_rows(obj.take(np.newaxis), bracket, name_rows=False)[0])
 
 
+def slab_rows(points: int, n: int) -> int:
+    """Rows per slab of a float ``(rows, points, n)`` array: about ``_SLAB_BYTES``, at least 1."""
+    return max(1, _SLAB_BYTES // (8 * points * n))
+
+
 def _block_bounds(data, c: float, grid) -> np.ndarray:
     """A lower bound on the summed biweight loss over each ``_SCAN_BLOCK`` of each row's grid.
 
     The loss is non-decreasing in |u|, so over a block [a, b] of grid points
     no value is below the sum over the data of rho(max(a - x, x - b, 0)):
-    one loss per observation, however many points the block holds.
+    one loss per observation, however many points the block holds.  The
+    ``(rows, blocks, n)`` distances are formed in slabs of ``slab_rows``
+    rows, through one reused buffer.
     """
+    rows, n = data.shape
     points = grid.shape[1]
     starts = np.arange(0, points, _SCAN_BLOCK)
     lo = grid[:, starts, None]
     hi = grid[:, np.minimum(starts + _SCAN_BLOCK, points) - 1, None]
     x = data[:, None, :]
-    return biweight_rho(np.maximum(np.maximum(lo - x, x - hi), 0.0), c).sum(axis=2)
+    size = slab_rows(starts.size, n)
+    dist = np.empty((min(rows, size), starts.size, n))
+    bounds = np.empty((rows, starts.size))
+    for first in range(0, rows, size):
+        part = slice(first, first + size)
+        u = np.subtract(lo[part], x[part], out=dist[:min(size, rows - first)])
+        np.maximum(u, x[part] - hi[part], out=u)
+        np.maximum(u, 0.0, out=u)
+        bounds[part] = biweight_rho(u, c).sum(axis=2)
+    return bounds
 
 
 def minimize_scan(data, c: float, grid) -> np.ndarray:
@@ -216,7 +236,11 @@ def minimize_scan(data, c: float, grid) -> np.ndarray:
     evaluating every point.  When the slope goes from negative at
     best - step to positive at best + step (a grid endpoint included), 50
     halvings of that cell polish the point, which is kept only if its value
-    is no larger.  Subgradient bisection does not apply to this redescending
+    is no larger.  The blocks are evaluated in slabs of ``slab_rows`` rows
+    (about ``_SLAB_BYTES``) through one reused difference buffer; each loss
+    is elementwise and each sum one reduction over a row's n values at one
+    point, so the bits are those of one array per block, at a few MiB of
+    memory.  Subgradient bisection does not apply to this redescending
     objective; the scan is its one estimation path.
     """
     data = np.atleast_2d(np.asarray(data, dtype=float))
@@ -237,6 +261,8 @@ def minimize_scan(data, c: float, grid) -> np.ndarray:
     best_val = np.full(rows, np.inf)
     best_theta = grid[:, 0].copy()
     offsets = np.arange(_SCAN_BLOCK)
+    size = slab_rows(_SCAN_BLOCK, n)
+    diff = np.empty((min(rows, size), _SCAN_BLOCK, n))
     live = np.arange(rows)
     for k in range(order.shape[1]):
         # bounds rise along k and best values only fall, so a row once
@@ -244,17 +270,20 @@ def minimize_scan(data, c: float, grid) -> np.ndarray:
         live = live[bounds[live, k] <= best_val[live]]
         if not live.size:
             break
-        cols = order[live, k, None] * _SCAN_BLOCK + offsets
-        thetas = grid[live[:, None], np.minimum(cols, points - 1)]
-        vals = biweight_rho(data[live, None, :] - thetas[:, :, None], c).sum(axis=2)
-        vals[cols >= points] = np.inf
-        idx = np.argmin(vals, axis=1)
-        at = np.arange(live.size)
-        cand, cand_theta = vals[at, idx], thetas[at, idx]
-        better = (cand < best_val[live]) | ((cand == best_val[live])
-                                            & (cand_theta < best_theta[live]))
-        best_val[live[better]] = cand[better]
-        best_theta[live[better]] = cand_theta[better]
+        for first in range(0, live.size, size):
+            part = live[first:first + size]
+            cols = order[part, k, None] * _SCAN_BLOCK + offsets
+            thetas = grid[part[:, None], np.minimum(cols, points - 1)]
+            u = np.subtract(data[part, None, :], thetas[:, :, None], out=diff[:part.size])
+            vals = biweight_rho(u, c).sum(axis=2)
+            vals[cols >= points] = np.inf
+            idx = np.argmin(vals, axis=1)
+            at = np.arange(part.size)
+            cand, cand_theta = vals[at, idx], thetas[at, idx]
+            better = (cand < best_val[part]) | ((cand == best_val[part])
+                                                & (cand_theta < best_theta[part]))
+            best_val[part[better]] = cand[better]
+            best_theta[part[better]] = cand_theta[better]
 
     def slope(at):
         return -biweight_drho(data - at[:, None], c).sum(axis=1)

@@ -15,7 +15,10 @@ means miss 0 exactly when all of them fall on one side of it.
 Under the normal location family with known sigma, the log-likelihood-ratio
 sum of n draws at shift e is exactly N(-n e^2 / 2 sigma^2, n e^2 / sigma^2):
 centered by its mean it is at most 0 with probability 1/2, and it is
-negative with probability Phi(sqrt(n) |e| / (2 sigma)).
+negative with probability Phi(sqrt(n) |e| / (2 sigma)).  The squared-error
+objective's value comparisons at theta0 +- e reduce to the sample mean
+against +- e / 2, so under the standard normal both have probability
+Phi(sqrt(n) e / 2).
 """
 
 import json
@@ -206,3 +209,24 @@ def test_monte_carlo_llr_frequencies_under_normal_location():
                             ("direct_plus", direct), ("direct_minus", direct)):
             z = _z(detail[side], exact, row["reps"])
             assert abs(z) <= limit, (n, e, side, detail[side], exact, z)
+
+
+def test_monte_carlo_nondiff_frequencies_of_the_mean_under_standard_normal():
+    # M(theta) = sum (x - theta)^2, so M(0) < M(e) exactly when the mean is
+    # below e / 2, and M(0) < M(-e) when it is above -e / 2: under the
+    # standard normal both have probability Phi(sqrt(n) e / 2)
+    sizes, eps = (4, 25), (1.0, 0.5, 0.25, 0.125)
+    config = ExperimentConfig.from_dict({
+        "experiment": "exact-nondiff-normal", "kind": "nondiff_profile",
+        "dgp": {"name": "standard_normal"}, "estimator": {"kind": "lp", "params": {"p": 2.0}},
+        "grids": {"n": list(sizes), "eps": list(eps)}, "reps": 4000, "master_seed": 0,
+    })
+    rows = run_experiment(config).rows
+    assert [(row["n"], row["eps"]) for row in rows] == [(n, e) for n in sizes for e in eps]
+    limit = _z_limit(2 * len(rows))
+    for row in rows:
+        n, e = row["n"], row["eps"]
+        exact = stats.norm.cdf(math.sqrt(n) * e / 2.0)
+        for side in ("p_plus", "p_minus"):
+            z = _z(row["detail"][side], exact, row["reps"])
+            assert abs(z) <= limit, (n, e, side, row["detail"][side], exact, z)

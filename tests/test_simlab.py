@@ -15,7 +15,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from medbias import EstimatorDraws, NormalLocation, mc_med_bias, minimize_scan, mle_llr_lower_bounds
+from medbias import (
+    EstimatorDraws,
+    NormalLocation,
+    mc_med_bias,
+    minimize_scan,
+    mle_llr_lower_bounds,
+    plm_split_fit,
+    simulate_plm,
+)
 from medbias.simlab import (
     CHUNK_SIZE,
     CSV_COLUMNS,
@@ -34,6 +42,7 @@ from medbias.simlab import (
     write_json,
 )
 from medbias.simlab.cli import main as cli_main
+from medbias.simlab.dgps import sample_design
 from medbias.simlab import kinds, seeds
 from medbias.simlab.seeds import chunk_generators
 from medbias.simlab.kinds import KINDS, _check_loss_argmin, default_bracket, resolve_estimator
@@ -665,19 +674,33 @@ def test_overflowing_draws_name_their_replication(case):
     assert failure(CHUNK_SIZE, config.reps) == failing
     with pytest.raises(ValueError, match=re.escape(prefix)) as raised:
         run_experiment(config)
-    if config.kind in _REGRESSION_KINDS:
-        return
-    # a scalar law's or family's draws also name the stream and its seed,
-    # which reproduces a non-finite draw on its own
-    index, stream, seed = re.search(r"replication (\d+): stream '(\w+)' \(seed (\d+)\): "
-                                    r"a draw from", str(raised.value)).groups()
-    stream_label = f"{label}|{stream}"
-    assert int(seed) == derive_seed(config.master_seed, int(index), stream_label)
-    rng = replication_rng(config.master_seed, int(index), stream_label)
-    if config.kind == "mle_llr_consistency":
-        draw = prepared.family.sample(rng, prepared.theta0, point["n"])
+    # the draws also name each stream and its seed, which reproduces the
+    # failing replication on its own
+    index, named = re.search(r"replication (\d+): ((?:stream '\w+' \(seed \d+\)(?:, )?)+): ",
+                             str(raised.value)).groups()
+    index, seeds = int(index), dict(re.findall(r"stream '(\w+)' \(seed (\d+)\)", named))
+    expected = {"plm_rate_dichotomy": ["data", "split"]}.get(config.kind)
+    assert expected is None or list(seeds) == expected, seeds
+    rngs = {}
+    for stream, seed in seeds.items():
+        stream_label = f"{label}|{stream}"
+        assert int(seed) == derive_seed(config.master_seed, index, stream_label)
+        rngs[stream] = replication_rng(config.master_seed, index, stream_label)
+    n = point["n"]
+    if config.kind == "plm_rate_dichotomy":
+        m_hat, g_hat = prepared.nuisances[point["schedule"], n]
+        draws = simulate_plm(prepared.dgp, n, rngs["data"])
+        draw = plm_split_fit(prepared.dgp, draws, m_hat, g_hat, rngs["split"])
+    elif config.kind in _REGRESSION_KINDS:
+        y, t, x = np.empty((1, n)), np.empty((1, n)), np.empty((1, n, point["d"]))
+        sample_design(prepared.design, [rngs["data"]], y, t, x, prepared.theta0,
+                      **prepared.design_params)
+        draw = np.concatenate([y.ravel(), t.ravel(), x.ravel()])
+    elif config.kind == "mle_llr_consistency":
+        draw = prepared.family.sample(rngs["data"], prepared.theta0, n)
     else:
-        draw = prepared.dgp.sample(rng, point["n"])
+        (stream, rng), = rngs.items()
+        draw = prepared.dgp.sample(rng, n)
     assert not np.isfinite(draw).all()
 
 
@@ -1099,6 +1122,30 @@ def test_nonconvex_kind_matches_minimize_scan():
     row = run_experiment(config).rows[0]
     assert row["lhs_point"] == mc_med_bias(EstimatorDraws(theta_hat, 0.0)).point
     assert row["detail"]["eta2"] == np.count_nonzero(np.abs(theta_hat) > 0.5) / config.reps
+
+
+def test_nonconvex_window_check_in_slabs_matches_the_point_loop():
+    # the windows' points are evaluated together, a slab of rows at a time;
+    # each row's minimum curvature is the one a loop over the points finds
+    from medbias.objectives import biweight_ddrho
+    from medbias.simlab.config import validate_config
+    from medbias.solver import slab_rows
+
+    config = ExperimentConfig.from_dict(_minimal_config(
+        kind="nonconvex_dominance", estimator={"kind": "biweight", "params": {"c": 2.0}},
+        grids={"n": [50], "delta": [0.25, 0.5, 1.0, 2.0]}, reps=300))
+    prepared, (point,) = validate_config(config)
+    size = slab_rows(prepared.windows.size, 50)
+    assert config.reps > size and config.reps % size  # several slabs, the last partial
+    arrays = KINDS[config.kind].run_chunk(config, prepared, point, 0, config.reps)
+    data, = kinds._sample(config, prepared, point, 0, config.reps)
+    for k, window in enumerate(prepared.windows):
+        curv_min = np.full(config.reps, np.inf)
+        for w in window:
+            curv_min = np.minimum(curv_min, biweight_ddrho(data - w, 2.0).sum(axis=1))
+        assert np.array_equal(arrays[f"convex_{k}"], (curv_min >= 0.0).astype(float))
+    # both outcomes occur, so the comparison has teeth
+    assert 0.0 < arrays["convex_0"].mean() and arrays["convex_3"].mean() < 1.0
 
 
 # ---------------------------------------------------------------------------

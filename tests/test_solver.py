@@ -20,7 +20,7 @@ from medbias import (
     minimize_scan,
 )
 from medbias import solver
-from medbias.objectives import LocationObjective, biweight_drho, biweight_rho
+from medbias.objectives import LocationObjective, biweight_ddrho, biweight_drho, biweight_rho
 from medbias.solver import _MAX_ITER, _SCAN_BLOCK, _block_bounds
 
 
@@ -425,8 +425,11 @@ def _exhaustive_scan(data, c: float, grid) -> np.ndarray:
     return np.where(keep, polished, best_theta)
 
 
+_SLABBED_ROWS, _SLABBED_POINTS = (300, 700), 601
+
+
 def _scan_cases():
-    """(data, c, grid): tied, skewed, heavy-tailed and per-row-grid inputs."""
+    """(data, c, grid): tied, skewed, heavy-tailed, per-row-grid and many-row inputs."""
     rng = np.random.default_rng(12)
     for case in range(120):
         n = int(rng.integers(3, 81))
@@ -452,6 +455,12 @@ def _scan_cases():
         else:
             grid = np.linspace(-3.0, 3.0, points)
         yield data, c, grid
+    # several slabs of rows, the last one partial, on a shared and a per-row grid
+    for rows in _SLABBED_ROWS:
+        data = rng.standard_normal((rows, 50))
+        yield data, 2.0, np.linspace(-3.0, 3.0, _SLABBED_POINTS)
+        yield data, 2.0, np.linspace(data.min(axis=1) - 1.0, data.max(axis=1) + 1.0,
+                                     _SLABBED_POINTS, axis=-1)
 
 
 def _tied_blocks():
@@ -481,11 +490,76 @@ def test_scan_block_bounds_are_below_each_block():
     for data, c, grid in [*_scan_cases(), _tied_blocks()]:
         data = np.atleast_2d(data)
         grid = np.broadcast_to(grid, (data.shape[0], grid.shape[-1]))
-        values = biweight_rho(data[:, None, :] - grid[:, :, None], c).sum(axis=2)
         bounds = _block_bounds(data, c, grid)
         for k in range(bounds.shape[1]):
-            block = values[:, k * _SCAN_BLOCK:(k + 1) * _SCAN_BLOCK]
-            assert np.all(bounds[:, k] <= block.min(axis=1))
+            block = grid[:, k * _SCAN_BLOCK:(k + 1) * _SCAN_BLOCK]
+            values = biweight_rho(data[:, None, :] - block[:, :, None], c).sum(axis=2)
+            assert np.all(bounds[:, k] <= values.min(axis=1))
+
+
+def _one_shot_block_bounds(data, c: float, grid) -> np.ndarray:
+    """``_block_bounds`` as one ``(rows, blocks, n)`` array: the reference for its slabs."""
+    points = grid.shape[1]
+    starts = np.arange(0, points, _SCAN_BLOCK)
+    lo = grid[:, starts, None]
+    hi = grid[:, np.minimum(starts + _SCAN_BLOCK, points) - 1, None]
+    x = data[:, None, :]
+    return biweight_rho(np.maximum(np.maximum(lo - x, x - hi), 0.0), c).sum(axis=2)
+
+
+def test_scan_slabs_keep_the_bits():
+    # the many-row cases span several slabs and end in a partial one, both
+    # in the scan's blocks and in the bounds
+    blocks = -(-_SLABBED_POINTS // _SCAN_BLOCK)
+    for rows in _SLABBED_ROWS:
+        for size in (solver.slab_rows(_SCAN_BLOCK, 50), solver.slab_rows(blocks, 50)):
+            assert rows > size and rows % size
+    for data, c, grid in [*_scan_cases(), _tied_blocks()]:
+        data = np.atleast_2d(data)
+        grid = np.broadcast_to(grid, (data.shape[0], grid.shape[-1]))
+        assert np.array_equal(_block_bounds(data, c, grid),
+                              _one_shot_block_bounds(data, c, grid))
+
+
+def _old_biweight_rho(u, c: float):
+    """The loss as one expression, with a temporary per step: ``biweight_rho``'s reference."""
+    u = np.asarray(u, dtype=float)
+    t = np.clip(1.0 - (u / c) ** 2, 0.0, None)
+    return (c * c / 6.0) * (1.0 - t**3)
+
+
+def _old_biweight_ddrho(u, c: float):
+    """The second derivative as one expression: ``biweight_ddrho``'s reference."""
+    u = np.asarray(u, dtype=float)
+    s = (u / c) ** 2
+    return np.where(s <= 1.0, (1.0 - s) * (1.0 - 5.0 * s), 0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("fn, old", [(biweight_rho, _old_biweight_rho),
+                                     (biweight_ddrho, _old_biweight_ddrho)])
+def test_biweight_in_place_keeps_the_bits(fn, old):
+    rng = np.random.default_rng(8)
+    for c in (0.5, 1.0, 2.0, 4.685, 1e-3, 1e3):
+        edges = [0.0, -0.0, c, -c, np.nextafter(c, 0.0), np.nextafter(c, np.inf),
+                 np.nextafter(-c, -np.inf), 1e308, -1e308, 5e-324, np.inf, np.nan]
+        # below, at and above c, as a vector and as a (rows, points, n) block
+        for u in (np.array(edges), c * rng.uniform(-2.0, 2.0, (7, 64, 50))):
+            before = u.copy()
+            got, want = fn(u, c), old(u, c)
+            assert np.array_equal(u, before, equal_nan=True)  # the input is not written to
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+        # a scalar or 0-d input gives the old type and bits (for the loss,
+        # numpy's scalar arithmetic, whose cube rounds unlike the array loop)
+        for value in [*edges, *(c * rng.uniform(-2.0, 2.0, 200))]:
+            for u in (float(value), np.float64(value), np.array(value)):
+                got, want = fn(u, c), old(u, c)
+                assert type(got) is type(want), (u, c, type(got), type(want))
+                assert np.array_equal(got, want, equal_nan=True), (u, c, got, want)
+    assert fn([1, 2], 2.0).tolist() == old([1, 2], 2.0).tolist()
 
 
 def test_minimize_scan_absorbs_a_bound_overstated_by_rounding(monkeypatch):
@@ -524,3 +598,15 @@ def test_minimize_scan_peak_memory_matches_the_exhaustive_scan():
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2**20
+
+
+def test_minimize_scan_peak_memory_is_a_few_slabs():
+    # a slab of rows at a time: the block values, their distances and the
+    # bounds stay a few MiB, where one array per block took 51 MiB at 512 rows
+    data = np.random.default_rng(5).standard_normal((512, 50))
+    grid = np.linspace(-3.0, 3.0, 1201)
+    tracemalloc.start()
+    minimize_scan(data, 2.0, grid)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 8 * 2**20
