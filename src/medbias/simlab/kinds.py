@@ -56,6 +56,7 @@ from ..plm import (
 from ..solver import Bracket, minimize_convex, minimize_scan, slab_rows
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval
+from .onepass import LAWS, draw_chunk
 from .reports import CSV_COLUMNS
 from .seeds import chunk_generators, derive_seed
 
@@ -142,13 +143,20 @@ def resolve_estimator(estimator: dict) -> Estimator:
                      functools.partial(_symmetry_center, kind))
 
 
+#: Rows per biweight scan of ``estimate_location``: their ``(rows, 2001)``
+#: grid takes 4 MiB, where a 512-replication HulC chunk's 3,072 rows at once
+#: took 49 MB; fewer rows per scan cost more in per-call work than they save.
+_SCAN_ROWS = 256
+
+
 def estimate_location(estimator: Estimator, data) -> np.ndarray:
     """The estimate on each row of a ``(rows, n)`` matrix (a 1-d array is one row).
 
     The closed form where the estimator has one, else the batched convex
-    solver, else the biweight scan over 2001 points of each row's bracket.
-    Closed forms share the solver's midpoint tie-break, and the routes are
-    cross-checked in the test suite.
+    solver, else the biweight scan over 2001 points of each row's bracket,
+    ``_SCAN_ROWS`` rows at a time (a row's scan depends only on its own data
+    and grid).  Closed forms share the solver's midpoint tie-break, and the
+    routes are cross-checked in the test suite.
     """
     data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
     if estimator.closed_form is not None:
@@ -156,8 +164,11 @@ def estimate_location(estimator: Estimator, data) -> np.ndarray:
     bracket = default_bracket(data)
     if estimator.probe.is_convex:
         return minimize_convex(estimator.objective(data), bracket)
-    return minimize_scan(data, estimator.probe.c,
-                         np.linspace(bracket.lo, bracket.hi, 2001, axis=-1))
+    slabs = [slice(first, first + _SCAN_ROWS) for first in range(0, data.shape[0], _SCAN_ROWS)]
+    return np.concatenate([
+        minimize_scan(data[rows], estimator.probe.c,
+                      np.linspace(bracket.lo[rows], bracket.hi[rows], 2001, axis=-1))
+        for rows in slabs])
 
 
 def score_at(estimator: Estimator, data, theta0: float) -> np.ndarray:
@@ -223,10 +234,11 @@ def _lhs_row(config, point: dict, theta_hat, theta0: float):
 def _replications(config, point: dict, start: int, stop: int, streams=("data",)):
     """Yield one generator per stream for each replication ``start..stop`` of a grid point.
 
-    The one owner of the seeding contract: stream ``s`` of replication ``i``
-    draws the stream of ``replication_rng(master_seed, i, f"{grid_label}|{s}")``,
-    so a value depends only on (master seed, grid point, index, stream), never
-    on chunking, worker count or order.  The chunk is seeded in one pass by
+    With ``_sample``'s one-pass draws, the owner of the seeding contract:
+    stream ``s`` of replication ``i`` draws the stream of
+    ``replication_rng(master_seed, i, f"{grid_label}|{s}")``, so a value
+    depends only on (master seed, grid point, index, stream), never on
+    chunking, worker count or order.  The chunk is seeded in one pass by
     ``chunk_generators``, which reuses each stream's generator: a replication
     must not keep a generator after the next one is yielded.
     """
@@ -284,11 +296,29 @@ def _check_finite(config, point, start, matrices: list, source: str, streams=("d
                                  f"a draw from {source} is not finite", streams=(stream,))
 
 
+#: Largest n whose ``onepass.LAWS`` chunks are drawn in one numpy pass.  Past
+#: about 35 draws per row, the normal's slow-path rows (over a third of the
+#: rows) and the wider ``(count, n)`` temporaries cost more than a generator
+#: per replication does; the uniform, which has no slow path, still gains at 64.
+_ONE_PASS_MAX_N = 32
+
+
 def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
-    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream."""
-    draws = [[prep.dgp.sample(rng, point["n"]) for rng in rngs]
-             for rngs in _replications(config, point, start, stop, streams)]
-    matrices = [np.array(stream) for stream in zip(*draws)]
+    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream.
+
+    ``standard_normal`` and ``uniform`` chunks of at most ``_ONE_PASS_MAX_N``
+    draws per replication are drawn in one numpy pass per stream
+    (``onepass.draw_chunk``), the others from a generator per replication;
+    both give ``replication_rng``'s draws bit for bit.
+    """
+    n = point["n"]
+    if prep.dgp.name in LAWS and n <= _ONE_PASS_MAX_N:
+        matrices = [draw_chunk(prep.dgp, config.master_seed, start, stop,
+                               _stream_label(config, point, stream), n) for stream in streams]
+    else:
+        draws = [[prep.dgp.sample(rng, n) for rng in rngs]
+                 for rngs in _replications(config, point, start, stop, streams)]
+        matrices = [np.array(stream) for stream in zip(*draws)]
     _check_finite(config, point, start, matrices, f"scalar DGP {prep.dgp.name!r}", streams)
     return matrices
 
@@ -524,7 +554,9 @@ def _chunk_nonconvex(config, prep, point, start, stop):
     score = score_at(prep.estimator, data, prep.theta0)
 
     points = prep.windows.ravel()
-    size = slab_rows(points.size, point["n"])
+    # three (rows, points, n) arrays are live at once: the differences and
+    # biweight_ddrho's two
+    size = slab_rows(3 * points.size, point["n"])
     curv_min = np.empty((count, len(prep.windows)))
     for first in range(0, count, size):
         rows = slice(first, first + size)

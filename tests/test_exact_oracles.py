@@ -230,3 +230,54 @@ def test_monte_carlo_nondiff_frequencies_of_the_mean_under_standard_normal():
         for side in ("p_plus", "p_minus"):
             z = _z(row["detail"][side], exact, row["reps"])
             assert abs(z) <= limit, (n, e, side, row["detail"][side], exact, z)
+
+
+def _exp_midpoint_p_le(n: int, m: int, c: float) -> float:
+    """P((Y_(m) + Y_(m+1)) / 2 <= c) for n iid unit exponentials, m 1-based.
+
+    Given Y_(m) = u, the n - m values above u exceed it by iid unit
+    exponentials, so Y_(m+1) - u is exponential with rate n - m: the
+    integral over Y_(m+1) is closed, the one over Y_(m) a quadrature.
+    """
+    log_c = math.lgamma(n + 1) - math.lgamma(m) - math.lgamma(n - m + 1)
+    r = n - m
+
+    def over_u(u):
+        density = math.exp(log_c - u * (r + 1)) * (-math.expm1(-u)) ** (m - 1)
+        return density * -math.expm1(-2.0 * r * (c - u))
+
+    value, _ = integrate.quad(over_u, 0.0, c, epsabs=1e-13, epsrel=1e-12)
+    return value
+
+
+def test_exp_midpoint_quadrature_is_the_gamma_law_at_n_2():
+    # (Y_(1) + Y_(2)) / 2 is the mean of two unit exponentials: Gamma(2) / 2
+    for c in (0.1, math.log(2.0), 1.0, 3.0):
+        assert _exp_midpoint_p_le(2, 1, c) == pytest.approx(stats.gamma.cdf(2.0 * c, 2),
+                                                            rel=1e-10)
+
+
+def test_monte_carlo_p_le_of_even_n_medians():
+    # the midpoint of the two middle order statistics: exactly median
+    # unbiased under the standard normal by symmetry (these rows take the
+    # one-pass draws), one quadrature under exp_centered
+    sizes = (4, 10, 16)
+    rows = []
+    for law in ("standard_normal", "exp_centered"):
+        rows += run_experiment(ExperimentConfig.from_dict({
+            "experiment": f"exact-even-median-{law}", "kind": "convex_dominance",
+            "dgp": {"name": law}, "estimator": {"kind": "abs_dev"},
+            "grids": {"n": list(sizes)}, "reps": 20000, "master_seed": 0,
+        })).rows
+    assert [(row["dgp"], row["n"]) for row in rows] == [
+        (law, n) for law in ("standard_normal", "exp_centered") for n in sizes]
+    limit = _z_limit(len(rows))
+    for row in rows:
+        n, theta0 = row["n"], row["detail"]["theta0"]
+        if row["dgp"] == "standard_normal":
+            exact = 0.5
+        else:
+            assert theta0 == math.log(2.0) - 1.0  # the population median
+            exact = _exp_midpoint_p_le(n, n // 2, theta0 + 1.0)
+        z = _z(row["p_le"], exact, row["reps"])
+        assert abs(z) <= limit, (row["dgp"], n, row["p_le"], exact, z)

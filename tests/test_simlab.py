@@ -329,6 +329,29 @@ def test_hulc_coverage_runs_biweight():
     assert detail["coverage"] >= target - 3 * math.sqrt(target * (1 - target) / raw["reps"])
 
 
+def test_biweight_hulc_chunk_scans_in_slabs_of_rows(tmp_path):
+    # a 512-replication chunk at n = 60 scans 3,072 batch rows; their 2001-point
+    # grids, built kinds._SCAN_ROWS rows at a time, peak at a few MiB (100 MiB
+    # when built at once), with the bytes recorded from the one-shot scan
+    from medbias.simlab.config import validate_config
+
+    config = ExperimentConfig.from_dict(_minimal_config(
+        kind="hulc_coverage", estimator={"kind": "biweight", "params": {"c": 2.0}},
+        grids={"n": [60]}, reps=512))
+    prepared, (point,) = validate_config(config)
+    tracemalloc.start()
+    try:
+        KINDS[config.kind].run_chunk(config, prepared, point, 0, config.reps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak / 2**20
+    path = tmp_path / "hulc.csv"
+    write_csv(path, run_experiment(config).rows)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c473415f9f3caa57203db25be64f9aab3460e2791bfc777c8eb6b1e6d871aaa1")
+
+
 def test_config_rejects_small_reps():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict(_minimal_config(reps=50))
@@ -1166,6 +1189,7 @@ def test_benchmark_workload_configs_validate(monkeypatch):
         raise AssertionError("validation drew a replication")
 
     monkeypatch.setattr(kinds, "chunk_generators", no_replication)
+    monkeypatch.setattr(kinds, "draw_chunk", no_replication)
     root = Path(__file__).resolve().parents[1]
     spec = json.loads((root / "perfbench" / "workloads.json").read_text())
     entries = [entry for workload in spec["workloads"].values() for entry in workload["configs"]]

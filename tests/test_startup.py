@@ -5,8 +5,10 @@ logistic family's expected log-likelihood ratio loads the compiled QUADPACK
 extension ``scipy.integrate._quadpack`` alone, not ``scipy.integrate``, and a
 normal quantile other than the median loads ``scipy.special``.  Validating
 the benchmark's workload configs loads neither ``scipy.integrate``,
-``special``, ``stats`` nor ``optimize``.  Each check runs in a fresh
-interpreter, since this test session has long since imported scipy itself.
+``special``, ``stats`` nor ``optimize``, and reads no ziggurat table: the
+one-pass draws probe numpy on their first chunk, not before.  Each check
+runs in a fresh interpreter, since this test session has long since
+imported scipy and drawn.
 """
 
 import json
@@ -22,9 +24,11 @@ from medbias.simlab import make_dgp
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Import the package, validate the configs given as JSON (a string entry is
-# a config file), and print the scipy modules that are loaded.
-_CHILD = """
+# Import the package and validate the configs given as JSON (a string entry
+# is a config file); then _CHILD prints the scipy modules that are loaded, and
+# _PROBE_CHILD how often the one-pass draws built their ziggurat tables and
+# their jump constants.
+_VALIDATE = """
 import json, sys
 import medbias
 from medbias.simlab import ExperimentConfig
@@ -33,16 +37,26 @@ for item in json.loads(sys.argv[1]):
         ExperimentConfig.from_json(item)
     else:
         ExperimentConfig.from_dict(item)
+"""
+_CHILD = _VALIDATE + """
 print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+_PROBE_CHILD = _VALIDATE + """
+from medbias.simlab import onepass
+print(json.dumps([onepass._tables.cache_info().misses, onepass._jumps.cache_info().misses]))
 """
 
 
-def _scipy_after(configs) -> list:
-    done = subprocess.run([sys.executable, "-c", _CHILD, json.dumps(configs)],
+def _child_output(configs, child=_CHILD):
+    done = subprocess.run([sys.executable, "-c", child, json.dumps(configs)],
                           capture_output=True, text=True, timeout=120, cwd=ROOT,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
+
+
+def _scipy_after(configs) -> list:
+    return _child_output(configs)
 
 
 def _config(kind: str, dgp: dict, estimator: dict, grids: dict, **extra) -> dict:
@@ -82,12 +96,20 @@ def test_import_and_validation_load_no_scipy():
 _HEAVY = {"scipy.integrate", "scipy.special", "scipy.stats", "scipy.optimize"}
 
 
-def test_workload_validation_loads_no_heavy_scipy():
+def _workload_configs() -> list:
     workloads = json.loads((ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
-    configs = [str(ROOT / entry["cli"]) if "cli" in entry else entry["config"]
-               for workload in workloads.values() for entry in workload["configs"]]
+    return [str(ROOT / entry["cli"]) if "cli" in entry else entry["config"]
+            for workload in workloads.values() for entry in workload["configs"]]
+
+
+def test_workload_validation_loads_no_heavy_scipy():
+    configs = _workload_configs()
     assert any(isinstance(c, dict) and c["kind"] == "mle_llr_consistency" for c in configs)
     assert _HEAVY.isdisjoint(_scipy_after(configs))
+
+
+def test_import_and_workload_validation_probe_no_ziggurat_table():
+    assert _child_output(_workload_configs(), _PROBE_CHILD) == [0, 0]
 
 
 def test_scipy_loads_where_it_computes():
