@@ -47,10 +47,12 @@ from .partialling import (
     PartialledFit,
     RegressionData,
     ScoreDecomposition,
+    SlopeSides,
     default_eta_grid,
     fwl_estimate,
     joint_theta,
     score_decompose,
+    slope_sides,
 )
 from .plm import (
     PlmDgp,

@@ -23,6 +23,50 @@ not).  The experiment lab fits a chunk of replications in blocks of at most
 row in that budget runs 1-row blocks.  An error on a stack names its row,
 and carries it as ``row``.  ``joint_theta``, the companion solve on
 ``[t | x]`` kept as a reference, shares only the rank test.
+
+A caller that reads only each row's side of theta0, sign(theta_hat -
+theta0), can take it from ``slope_sides``, which certifies most rows from
+the normal equations and sends the rest of the stack through
+``fwl_estimate``.  Its sides and errors are those of ``sign(fwl_estimate(
+data).theta_hat - theta0)``.  Per row it forms the Gram matrix of
+``[x | t | y]`` with three batched matmuls and takes its Cholesky factor L,
+so that ``L[:d+2, :d+2]`` plays the role of R; the slope is
+``L[d+1, d] / L[d, d]``.  With A = ``[x | t]``, p = d + 1, u the unit
+roundoff, kappa = ``||A||_F ||L11^-1||_F`` for the leading p-square block
+L11 (``||A||_F = ||L11||_F``; kappa is a guaranteed upper bound on A's
+condition number, up to a relative eps kappa**2) and
+eps = u (n (p + 2) + 2 p), a row is certified when all of these hold:
+
+* the slope, kappa and the band below are finite (a NaN or an infinity,
+  from an overflowing Gram, fails every comparison), and every column of
+  ``[x | t | y]`` has a squared norm of at least 2**-900, so no Gram entry
+  lost bits to underflow;
+* 1 / kappa > 1e-4, far above the rank test's 1e-10.  fwl's R then has a
+  singular-value ratio near 1 / kappa, so its rank test cannot fire, and
+  the treatment residual is non-zero;
+* 100 eps (1 + 2 M) <= 1e-8, where M = (||t|| + sum_k ||x_k|| |c_k|) /
+  ||r_t|| for the coefficients c of t on x, read from the last row of
+  ``L11^-1`` times A's column norms.  (eps_QR + 2 gamma_p)(1 + 2 M) +
+  gamma_n is a first-order bound on fwl's residual-orthogonality check
+  (Householder QR is columnwise backward stable, Higham, *Accuracy and
+  Stability of Numerical Algorithms*, thm. 19.4, and the residuals are
+  formed as t minus x times the coefficients), so that check cannot fire;
+* |theta~ - theta0| > 1e3 (4 eps (1 + kappa)**2 ||y|| ||L11^-1||_F +
+  4 u (|theta~| + |theta0|)).  The first term is four times the sum of two
+  bounds on the error of each slope: the normal equations' eps kappa
+  (1 + kappa) ||y|| / sigma_min(A) (the Gram and Cholesky backward errors,
+  Higham thm. 10.3 and section 20.4, through the perturbation of the
+  solve), and the partialled fit's (eps (1 + kappa)**2 + 2 gamma_n) ||y||
+  / sigma_min(A) (rounding in the residuals and the two dot products; the
+  QR's backward error enters that slope only at second order, because the
+  exact residuals are orthogonal to x).  ``1 / sigma_min(A) <=
+  ||L11^-1||_F``.  The second term covers the subtraction.
+
+A stack with a row that is not certified, or whose batched Cholesky or
+inverse raises, goes through ``fwl_estimate`` whole.  The fit then decides
+the rows left and raises any error the stack has, naming the row it named
+before.  Rows with exact ties (theta_hat == theta0) are never certified,
+and neither are rows whose Gram overflows.
 """
 
 from dataclasses import dataclass
@@ -34,6 +78,12 @@ from .core import med_bias
 
 _RANK_RTOL = 1e-10
 _IDENTITY_RTOL = 1e-8
+# ``slope_sides``'s certificate; the module docstring derives each one
+_UNIT_ROUNDOFF = 2.0 ** -53
+_GRAM_FLOOR = 2.0 ** -900
+_CERTIFY_RTOL = 1e-4
+_ORTHOGONALITY_SAFETY = 1e2
+_BAND_SAFETY = 1e3
 
 
 class CollinearityError(ValueError):
@@ -101,6 +151,14 @@ class PartialledFit:
     theta_hat: float | np.ndarray
     r_t_hat: np.ndarray
     r_y_hat: np.ndarray
+
+
+class SlopeSides(NamedTuple):
+    """Each row's sign(theta_hat - theta0) (-1.0, 0.0 or 1.0), and whether the
+    certificate decided it (``False`` where ``fwl_estimate`` did)."""
+
+    side: np.ndarray
+    certified: np.ndarray
 
 
 class ScoreDecomposition(NamedTuple):
@@ -206,6 +264,57 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     if stacked:
         return PartialledFit(theta_hat=theta_hat, r_t_hat=r_t, r_y_hat=r_y)
     return PartialledFit(theta_hat=float(theta_hat[0]), r_t_hat=r_t[0], r_y_hat=r_y[0])
+
+
+def _normal_equation_slopes(y, t, x, theta0: float):
+    """Each row's normal-equations slope and its band (module docstring).
+
+    The band is +inf on a row where another condition of the certificate
+    fails; the rows with ``|theta - theta0| > band`` are certified.
+    """
+    rows, n, d = x.shape
+    p = d + 1
+    ty = np.stack([t, y], axis=1)
+    gram = np.empty((rows, p + 1, p + 1))  # cholesky reads the lower triangle only
+    with np.errstate(all="ignore"):
+        gram[:, :d, :d] = x.mT @ x
+        gram[:, d:, :d] = ty @ x
+        gram[:, d:, d:] = ty @ ty.mT
+        squares = np.diagonal(gram, axis1=1, axis2=2).copy()
+        # y'y reaches only the last pivot, which the slope does not read;
+        # doubled, it stays positive when y is (nearly) in the span of [x | t]
+        gram[:, p, p] *= 2.0
+        try:
+            chol = np.linalg.cholesky(gram)
+            inv = np.linalg.inv(chol[:, :p, :p])
+        except np.linalg.LinAlgError:
+            return np.full(rows, np.nan), np.full(rows, np.inf)
+        theta = chol[:, p, d] / chol[:, d, d]
+        inv_norm = np.linalg.norm(inv, axis=(1, 2))
+        kappa = np.sqrt(np.sum(squares[:, :p], axis=1)) * inv_norm
+        m = np.sum(np.abs(inv[:, d]) * np.sqrt(squares[:, :p]), axis=1)  # the docstring's M
+        eps = _UNIT_ROUNDOFF * (n * (p + 2) + 2 * p)
+        band = _BAND_SAFETY * (4.0 * eps * (1.0 + kappa) ** 2 * np.sqrt(squares[:, p]) * inv_norm
+                               + 4.0 * _UNIT_ROUNDOFF * (np.abs(theta) + abs(theta0)))
+        sound = ((squares.min(axis=1) >= _GRAM_FLOOR) & (_CERTIFY_RTOL * kappa < 1.0)
+                 & (_ORTHOGONALITY_SAFETY * eps * (1.0 + 2.0 * m) <= _IDENTITY_RTOL))
+    return theta, np.where(sound, band, np.inf)
+
+
+def slope_sides(data: RegressionData, theta0: float) -> SlopeSides:
+    """Each row's side of ``theta0``: ``sign(fwl_estimate(data).theta_hat - theta0)``.
+
+    Rows the normal equations certify (module docstring) take their side
+    from the normal-equations slope; if any row is left, the whole stack
+    goes through ``fwl_estimate``, which raises any error the stack has and
+    gives the sides of the rows left.  One sample gives 1-row arrays.
+    """
+    y, t, x, _ = _as_stack(data)
+    theta, band = _normal_equation_slopes(y, t, x, theta0)
+    certified = np.abs(theta - theta0) > band
+    if not certified.all():
+        theta = np.where(certified, theta, fwl_estimate(data).theta_hat)
+    return SlopeSides(side=np.sign(theta - theta0), certified=certified)
 
 
 def joint_theta(data: RegressionData) -> float:

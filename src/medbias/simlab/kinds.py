@@ -45,6 +45,7 @@ from ..partialling import (
     fwl_estimate,
     proposition_profile,
     score_decompose,
+    slope_sides,
 )
 from ..plm import (
     corrupted_nuisances,
@@ -648,14 +649,19 @@ def _chunk_partialled(config, prep, point, start, stop):
     Each block's replications draw straight into its rows, and the block is
     checked once, as one ``RegressionData``; an error on block row k of a
     block that starts at replication s names replication s + k.  Both
-    designs have zero population covariate coefficients.
+    designs have zero population covariate coefficients.  With
+    ``prep.decompose`` the chunk returns each slope and score decomposition;
+    without it, only what ``dimension_scaling`` reads: each replication's
+    side of theta0 and whether ``slope_sides`` certified it.
     """
     n, d, count = point["n"], point["d"], stop - start
     block = min(count, max(1, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
     y, t, x = np.empty((block, n)), np.empty((block, n)), np.empty((block, n, d))
     beta = np.zeros((block, d))
-    keys = ("theta_hat", "s_n", "correction") if prep.decompose else ("theta_hat",)
-    out = {key: np.empty(count) for key in keys}
+    if prep.decompose:
+        out = {key: np.empty(count) for key in ("theta_hat", "s_n", "correction")}
+    else:
+        out = {"side": np.empty(count), "certified": np.empty(count, dtype=bool)}
     rngs = (rng for rng, in _replications(config, point, start, stop))
     for first in range(0, count, block):
         rows = slice(first, min(first + block, count))
@@ -664,18 +670,19 @@ def _chunk_partialled(config, prep, point, start, stop):
                       prep.theta0, **prep.design_params)
         try:
             stack = RegressionData(y=y[:k], t=t[:k], x=x[:k])
-            fit = fwl_estimate(stack)
             if prep.decompose:
+                fit = fwl_estimate(stack)
                 dec = score_decompose(stack, fit, prep.theta0, beta[:k], beta[:k])
+                out["theta_hat"][rows] = fit.theta_hat
+                out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
+            else:
+                out["side"][rows], out["certified"][rows] = slope_sides(stack, prep.theta0)
         except (ValueError, DecompositionError) as err:
             if not hasattr(err, "row"):
                 raise
             raise _replication_error(config, point, start + first + err.row,
                                      str(err).removeprefix(f"row {err.row}: "), type(err),
                                      streams=("data",)) from None
-        out["theta_hat"][rows] = fit.theta_hat
-        if prep.decompose:
-            out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
     return out
 
 
@@ -730,9 +737,11 @@ def _points_dim_scaling(config):
 
 
 def _summarize_dim_scaling(config, prep, point, arrays):
-    row, _ = _lhs_row(config, point, arrays["theta_hat"], prep.theta0)
+    # sign(theta_hat - theta0) falls on each side of 0 as theta_hat does of theta0
+    row, _ = _lhs_row(config, point, arrays["side"], 0.0)
     row["detail"] = {"theta0": prep.theta0}
-    return [row], {}
+    certified = int(np.count_nonzero(arrays["certified"]))
+    return [row], {"fits": {"certified": certified, "fallback": config.reps - certified}}
 
 
 # ---------------------------------------------------------------------------

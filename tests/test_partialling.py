@@ -15,6 +15,7 @@ from medbias import (
     fwl_estimate,
     joint_theta,
     score_decompose,
+    slope_sides,
 )
 from medbias.partialling import (
     _IDENTITY_RTOL,
@@ -22,6 +23,7 @@ from medbias.partialling import (
     DecompositionError,
     PartialledFit,
     ScoreDecomposition,
+    _normal_equation_slopes,
     proposition_profile,
 )
 from medbias.simlab import kinds, replication_rng, sample_design
@@ -394,6 +396,222 @@ def test_wide_design_is_rank_deficient():
     # n == d + 1 is still full rank and fits
     square = RegressionData(y=data.y, t=data.t, x=data.x[:, :9])
     assert fwl_estimate(square).theta_hat == pytest.approx(joint_theta(square), rel=1e-8)
+
+
+def _fit_outcome(data: RegressionData, theta0: float):
+    """``sign(theta_hat - theta0)`` of ``fwl_estimate``, or the error it raises."""
+    try:
+        return np.atleast_1d(np.sign(fwl_estimate(data).theta_hat - theta0))
+    except CollinearityError as err:
+        return err
+
+
+def _assert_sides_are_the_fits(data: RegressionData, theta0: float):
+    """``slope_sides`` gives the fit's sides, or raises its error: same class,
+    message and row.  Returns the sides, or None when the fit raises."""
+    expected = _fit_outcome(data, theta0)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as raised:
+            slope_sides(data, theta0)
+        assert str(raised.value) == str(expected)
+        assert getattr(raised.value, "row", None) == getattr(expected, "row", None)
+        return None
+    sides = slope_sides(data, theta0)
+    assert np.array_equal(sides.side, expected, equal_nan=True)
+    return sides
+
+
+def test_slope_sides_exact_ties_fall_back_and_count_as_the_fit():
+    # y = theta0 t plus a residual orthogonal to [x | t]: the slope is theta0
+    # up to rounding, inside every band, so no row is certified and each
+    # side is the fit's, zeros included
+    rng = np.random.default_rng(21)
+    theta0 = 0.5
+    for n, d in ((50, 0), (50, 3), (200, 8)):
+        x = rng.standard_normal((64, n, d))
+        t = rng.standard_normal((64, n))
+        design = np.concatenate([x, t[..., None]], axis=-1)
+        resid = rng.standard_normal((64, n))
+        for k in range(64):
+            resid[k] -= design[k] @ np.linalg.lstsq(design[k], resid[k], rcond=None)[0]
+        sides = _assert_sides_are_the_fits(RegressionData(y=theta0 * t + resid, t=t, x=x), theta0)
+        assert not sides.certified.any()
+    # d = 0 with the residual off t's support: the fit's slope is theta0 exactly
+    t = np.zeros((8, 30))
+    t[:, 0] = 2.0
+    y = theta0 * t
+    y[:, 1:] = rng.standard_normal((8, 29))
+    sides = _assert_sides_are_the_fits(RegressionData(y=y, t=t, x=np.zeros((8, 30, 0))), theta0)
+    assert not sides.certified.any() and not sides.side.any()
+    # a row with no residual at all, y = theta0 t + x b, falls back alone: the
+    # other rows of its block stay certified
+    stack, _, _ = _stack([_random_instance(rng, 40, 3, theta0) for _ in range(6)])
+    y = stack.y.copy()
+    y[3] = theta0 * stack.t[3] + stack.x[3] @ rng.standard_normal(3)
+    sides = _assert_sides_are_the_fits(RegressionData(y=y, t=stack.t, x=stack.x), theta0)
+    assert sides.certified.tolist() == [k != 3 for k in range(6)]
+
+
+def test_each_condition_of_the_certificate_binds():
+    # three designs the fit handles, each failing one condition of the
+    # certificate that the band alone would not catch; the undamaged
+    # designs are certified
+    rng = np.random.default_rng(24)
+    theta0 = 0.5
+    rows, n = 6, 400
+    x = rng.standard_normal((rows, n, 3))
+    t = rng.standard_normal((rows, n))
+    y = 10.0 * t + rng.standard_normal((rows, n))  # slopes near 10, far from theta0
+    plain = RegressionData(y=y, t=t, x=x)
+    assert np.all(np.isfinite(_normal_equation_slopes(y, t, x, theta0)[1]))
+    assert _assert_sides_are_the_fits(plain, theta0).certified.all()
+    # a condition number above 1e4: one covariate scaled by 1e5
+    scaled = x.copy()
+    scaled[..., 0] *= 1e5
+    # a treatment 10**-2.5 from the first covariate: the orthogonality bound
+    near = t.copy()
+    near[:] = x[..., 0] + 10.0 ** -2.5 * t
+    # squared column norms below 2**-900 that lose no bits yet
+    cases = (RegressionData(y=y, t=t, x=scaled), RegressionData(y=10.0 * near + y - 10.0 * t,
+                                                               t=near, x=x),
+             RegressionData(y=y * 1e-152, t=t * 1e-152, x=x * 1e-152))
+    for data in cases:
+        assert np.all(np.isinf(_normal_equation_slopes(data.y, data.t, data.x, theta0)[1]))
+        assert not _assert_sides_are_the_fits(data, theta0).certified.any()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the fit's own overflows
+def test_slope_sides_fall_back_on_overflowing_and_underflowing_grams():
+    rng = np.random.default_rng(22)
+    theta0 = 0.5
+    stack, _, _ = _stack([_random_instance(rng, 40, 3, theta0) for _ in range(8)])
+    # y near 1e160: y'y overflows, the fit does not
+    y = stack.y.copy()
+    y[5] *= 1e160
+    sides = _assert_sides_are_the_fits(RegressionData(y=y, t=stack.t, x=stack.x), theta0)
+    assert sides.certified.tolist() == [k != 5 for k in range(8)]
+    # a whole design near 1e160: x'x overflows, and so does the fit's t't,
+    # whose slope is NaN (the summary then rejects it, as before)
+    y, t, x = stack.y.copy(), stack.t.copy(), stack.x.copy()
+    for a in (y, t, x):
+        a[2] *= 1e160
+    sides = _assert_sides_are_the_fits(RegressionData(y=y, t=t, x=x), theta0)
+    assert np.isnan(sides.side[2])
+    # either the block's Cholesky raised and every row fell back, or row 2 alone did
+    assert not sides.certified[2] and sides.certified.sum() in (0, 7)
+    # every column near 1e-160: the Gram's entries lose their bits to underflow
+    tiny = RegressionData(y=stack.y * 1e-160, t=stack.t * 1e-160, x=stack.x * 1e-160)
+    assert np.all(np.isinf(_normal_equation_slopes(tiny.y, tiny.t, tiny.x, theta0)[1]))
+    assert not _assert_sides_are_the_fits(tiny, theta0).certified.any()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the fit's 0/0
+def test_slope_sides_raise_the_fits_errors():
+    rng = np.random.default_rng(23)
+    theta0 = 0.5
+    stack, _, _ = _stack([_random_instance(rng, 30, 2, theta0) for _ in range(6)])
+    x = stack.x.copy()
+    x[4, :, 0] = stack.t[4]  # row 4 is rank deficient
+    deficient = RegressionData(y=stack.y, t=stack.t, x=x)
+    assert re.match(r"^row 4: stacked design", str(_fit_outcome(deficient, theta0)))
+    assert _assert_sides_are_the_fits(deficient, theta0) is None
+    # the orthogonality check: two covariates 10**-9.5 apart pass the rank test
+    t = rng.standard_normal((3, 60))
+    x = rng.standard_normal((3, 60, 2))
+    x[1, :, 1] = x[1, :, 0] + 10.0 ** -9.5 * rng.standard_normal(60)
+    ill = RegressionData(y=0.3 * t + rng.standard_normal((3, 60)), t=t, x=x)
+    assert re.match(r"^row 1: treatment residuals not orthogonal", str(_fit_outcome(ill, theta0)))
+    assert _assert_sides_are_the_fits(ill, theta0) is None
+    # one sample: a wide design and a zero treatment
+    wide = RegressionData(y=rng.standard_normal(10), t=rng.standard_normal(10),
+                          x=rng.standard_normal((10, 12)))
+    zero = RegressionData(y=rng.standard_normal(10), t=np.zeros(10), x=np.zeros((10, 0)))
+    for data, message in ((wide, "10 x 13"), (zero, "rank deficient")):
+        assert message in str(_fit_outcome(data, theta0))
+        assert _assert_sides_are_the_fits(data, theta0) is None
+
+
+def _certificate_block(rng, family: str, rows: int, n: int, d: int, theta0: float,
+                       span=(1.0, 5.0)):
+    """A stack of designs of one ``family``, some of them ill-conditioned."""
+    x = rng.standard_normal((rows, n, d))
+    t = 0.5 * (x @ rng.standard_normal((rows, d, 1)))[..., 0] + rng.standard_normal((rows, n))
+    noise = rng.standard_normal((rows, n))
+    if family == "near_tie":
+        # theta_hat - theta0 of order 10**-k, k up to 15
+        noise *= 10.0 ** -rng.integers(0, 16, (rows, 1))
+    y = theta0 * t + (x @ rng.standard_normal((rows, d, 1)))[..., 0] + noise
+    if family == "column_scaled":
+        # the slope does not change; the design's condition number does,
+        # through covariate scales 10**-s to 10**s, s a third of ``span``'s
+        # upper end
+        x *= 10.0 ** rng.uniform(-span[1] / 3.0, span[1] / 3.0, (rows, 1, d))
+        # and a whole design scaled by up to 10**+-100 keeps both
+        scale = 10.0 ** rng.uniform(-100.0, 100.0, (rows, 1))
+        x, t, y = x * scale[..., None], t * scale, y * scale
+    elif family == "collinear" and d:
+        # the last covariate is the first plus noise of 10**-e, e in ``span``
+        x[..., -1] = x[..., 0] + 10.0 ** -rng.uniform(*span, (rows, 1)) * noise
+    elif family == "treatment_near_span" and d:
+        t = x[..., 0] + 10.0 ** -rng.uniform(*span, (rows, 1)) * rng.standard_normal((rows, n))
+        y = theta0 * t + noise
+    return y, t, x
+
+
+def _fit_rows(data: RegressionData) -> np.ndarray:
+    """Each row's fitted slope, NaN on the rows the fit raises on alone."""
+    try:
+        return fwl_estimate(data).theta_hat
+    except CollinearityError:
+        if len(data.y) == 1:
+            return np.full(1, np.nan)
+        half = len(data.y) // 2
+        return np.concatenate([_fit_rows(RegressionData(y=data.y[rows], t=data.t[rows],
+                                                        x=data.x[rows]))
+                               for rows in (slice(None, half), slice(half, None))])
+
+
+def test_certificate_band_covers_both_slopes_over_many_designs():
+    # over 1e5 rows, well and ill conditioned, column-scaled, near ties and
+    # near-collinear designs: wherever the certificate's other conditions
+    # hold, the normal-equations slope is within a tenth of its band of the
+    # fitted one; no row the fit raises on is certified; certified rows have
+    # the fit's side; and each stack gives the fit's sides or its error
+    rng = np.random.default_rng(2021)
+    theta0 = 0.5
+    families = ("plain", "near_tie", "column_scaled", "collinear", "treatment_near_span")
+    seen = dict.fromkeys(("rows", "certified", "in_band", "raised", "scaled_certified"), 0)
+    for block in range(330):
+        family = families[block % 5]
+        span = ((1.0, 5.0), (5.0, 9.0), (9.0, 17.0))[(block // 5) % 3]
+        n, d = (12, 40, 100)[block % 3], (0, 1, 3, 6, 10)[(block // 3) % 5]
+        # the designs the fit raises on are fitted one by one: fewer of them
+        rows = 20 if span[0] == 9.0 and family not in ("plain", "near_tie") else 400
+        data = RegressionData(*_certificate_block(rng, family, rows, n, d, theta0, span))
+        theta, band = _normal_equation_slopes(data.y, data.t, data.x, theta0)
+        certified = np.abs(theta - theta0) > band
+        theta_hat = _fit_rows(data)
+        raised = np.isnan(theta_hat)
+        assert not np.any(certified & raised)
+        sound = np.isfinite(band) & ~raised
+        assert np.all(np.abs(theta - theta_hat)[sound] <= 0.1 * band[sound])
+        error = _fit_outcome(data, theta0)
+        if raised.any():
+            with pytest.raises(CollinearityError) as again:
+                slope_sides(data, theta0)
+            assert str(again.value) == str(error) and again.value.row == error.row
+        else:
+            sides = slope_sides(data, theta0)
+            assert np.array_equal(sides.side, error)  # the fit's sides
+            assert np.array_equal(sides.certified, certified)
+        seen["rows"] += rows
+        seen["certified"] += int(certified.sum())
+        seen["in_band"] += int(np.sum(np.isfinite(band) & ~certified))
+        seen["raised"] += int(raised.sum())
+        seen["scaled_certified"] += int(certified.sum()) if family == "column_scaled" else 0
+    assert seen["rows"] >= 100_000
+    # every outcome occurs, so each assertion has teeth
+    assert all(seen.values()), seen
 
 
 def test_decompose_exact_identity_random_instances():

@@ -953,6 +953,106 @@ def test_partialled_csv_bytes_pinned(tmp_path):
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+def test_dimension_scaling_d20_csv_bytes_pinned(tmp_path):
+    # two leverage_mix points at n = 1600 (half_sqrt, so d = 20), past the
+    # d <= 8 of the pins above; the digest was recorded when every
+    # replication's side of theta0 came from the full QR fit, at workers 1 and 2
+    config = ExperimentConfig.from_dict(_minimal_config(
+        kind="dimension_scaling", dgp={"name": "leverage_mix"}, estimator={},
+        grids={"n": [1600], "d_schedules": ["half_sqrt"], "seed_labels": [0, 1]},
+        params={"theta0": 0.5}, reps=200))
+    for workers in (1, 2):
+        path = tmp_path / f"scaling-{workers}.csv"
+        write_csv(path, run_experiment(config, workers=workers).rows)
+        assert (hashlib.sha256(path.read_bytes()).hexdigest()
+                == "087c84e3ce8ff0183af70161724a350a7972490eef6732e1b0538e065a6d5cd7")
+
+
+def test_dimension_scaling_reports_certified_and_fallback_fits(tmp_path):
+    # each grid point's JSON profile counts the replications whose side of
+    # theta0 was certified and those the full fit decided; the counts do not
+    # depend on the worker count, stay out of the CSV, and on the lab's design
+    # leave a negligible share to the fit
+    config = ExperimentConfig.from_dict(_minimal_config(
+        kind="dimension_scaling", dgp={"name": "leverage_mix"}, estimator={},
+        grids={"n": [100, 400], "d_schedules": ["quarter_pow", "half_sqrt"],
+               "seed_labels": [0]},
+        params={"theta0": 0.5}, reps=1100))
+    serial, parallel = (run_experiment(config, workers=w) for w in (1, 2))
+    assert serial.profiles == parallel.profiles and len(serial.profiles) == 4
+    for fits in (profile["fits"] for profile in serial.profiles.values()):
+        assert fits["certified"] + fits["fallback"] == config.reps
+        assert fits["fallback"] <= 0.001 * config.reps, fits
+    write_csv(tmp_path / "scaling.csv", serial.rows)
+    write_json(tmp_path / "scaling.json", serial)
+    assert "certified" not in (tmp_path / "scaling.csv").read_text()
+    archived = json.loads((tmp_path / "scaling.json").read_text())
+    assert archived["profiles"] == serial.profiles
+
+
+def test_dimension_scaling_sides_do_not_depend_on_the_block(monkeypatch):
+    # 1-row blocks and one block for the whole chunk give each replication
+    # the side of theta0 the full fit of the whole chunk gives it
+    from medbias.simlab.config import validate_config
+
+    config = ExperimentConfig.from_dict(_minimal_config(
+        kind="dimension_scaling", dgp={"name": "leverage_mix"}, estimator={},
+        grids={"n": [100], "d_schedules": ["half_sqrt"], "seed_labels": [3]},
+        params={"theta0": 0.5}, reps=300))
+    prepared, (point,) = validate_config(config)
+    n, d = point["n"], point["d"]
+    y, t, x = np.empty((300, n)), np.empty((300, n)), np.empty((300, n, d))
+    label = f"{kinds.grid_label(config.kind, point)}|data"
+    sample_design(prepared.design, (replication_rng(config.master_seed, i, label)
+                                    for i in range(300)), y, t, x, 0.5)
+    fit = kinds.fwl_estimate(kinds.RegressionData(y=y, t=t, x=x))
+    expected = np.sign(fit.theta_hat - 0.5)
+    assert 0 < np.count_nonzero(expected > 0) < 300
+    for block_bytes in (1, kinds._FIT_BLOCK_BYTES, 1 << 40):
+        monkeypatch.setattr(kinds, "_FIT_BLOCK_BYTES", block_bytes)
+        arrays = KINDS[config.kind].run_chunk(config, prepared, point, 0, 300)
+        assert np.array_equal(arrays["side"], expected) and arrays["certified"].all()
+
+
+def test_dimension_scaling_collinear_draw_names_its_replication(monkeypatch):
+    # a rank-deficient design at replication 37 (row 37 of its 46-row block)
+    # raises the full fit's CollinearityError, naming the replication and its
+    # seed, with the message of that design fitted alone
+    from medbias.partialling import CollinearityError
+    from medbias.simlab.config import validate_config
+
+    config = ExperimentConfig.from_dict(_minimal_config(
+        kind="dimension_scaling", dgp={"name": "leverage_mix"}, estimator={},
+        grids={"n": [100], "d_schedules": ["half_sqrt"], "seed_labels": [0]},
+        params={"theta0": 0.5}, reps=200))
+    prepared, (point,) = validate_config(config)
+    drawn = []
+    real = kinds.sample_design
+
+    def collinear_at_37(name, rngs, y, t, x, theta0, **params):
+        real(name, rngs, y, t, x, theta0, **params)
+        if sum(drawn) <= 37 < sum(drawn) + len(y):
+            row = 37 - sum(drawn)
+            x[row, :, 0] = t[row]
+        drawn.append(len(y))
+
+    monkeypatch.setattr(kinds, "sample_design", collinear_at_37)
+    with pytest.raises(CollinearityError) as raised:
+        KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
+    assert drawn == [46]
+    n, d = point["n"], point["d"]
+    label = kinds.grid_label(config.kind, point)
+    y, t, x = np.empty((1, n)), np.empty((1, n)), np.empty((1, n, d))
+    real(prepared.design, [replication_rng(config.master_seed, 37, f"{label}|data")], y, t, x,
+         0.5)
+    x[0, :, 0] = t[0]
+    with pytest.raises(CollinearityError) as alone:
+        kinds.fwl_estimate(kinds.RegressionData(y=y[0], t=t[0], x=x[0]))
+    seed = derive_seed(config.master_seed, 37, f"{label}|data")
+    assert str(raised.value) == (f"grid point {label}, replication 37: stream 'data' "
+                                 f"(seed {seed}): {alone.value}")
+
+
 def test_partialled_chunk_peak_memory():
     # tracemalloc peak of one 512-replication dimension_scaling chunk (half_sqrt,
     # so d = 5, 10 and 20) at most 1 MiB above the peak of the per-replication
@@ -1156,9 +1256,9 @@ def test_nonconvex_window_check_in_slabs_matches_the_point_loop():
 
     config = ExperimentConfig.from_dict(_minimal_config(
         kind="nonconvex_dominance", estimator={"kind": "biweight", "params": {"c": 2.0}},
-        grids={"n": [50], "delta": [0.25, 0.5, 1.0, 2.0]}, reps=300))
+        grids={"n": [50], "delta": [0.25, 0.5, 1.0, 2.0]}, reps=303))
     prepared, (point,) = validate_config(config)
-    size = slab_rows(prepared.windows.size, 50)
+    size = slab_rows(3 * prepared.windows.size, 50)  # the kind's three live arrays
     assert config.reps > size and config.reps % size  # several slabs, the last partial
     arrays = KINDS[config.kind].run_chunk(config, prepared, point, 0, config.reps)
     data, = kinds._sample(config, prepared, point, 0, config.reps)
