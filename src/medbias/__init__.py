@@ -14,6 +14,7 @@ from .core import (
     freq_std_err,
     mc_med_bias,
     med_bias,
+    med_bias_std_err,
     sign_probabilities,
 )
 from .objectives import (
@@ -38,7 +39,7 @@ from .solver import (
 from .bounds import (
     IdentifiabilityError,
     convex_bound,
-    mle_llr_lower_bounds,
+    mle_llr_frequencies,
     nondiff_profile,
     z_exact_medbias,
 )

@@ -7,9 +7,11 @@ weakens it.  The Z-estimator version is an equality in distribution and uses
 the weak-inequality probabilities instead.
 """
 
+import math
+
 import numpy as np
 
-from .core import SignProbabilities, freq_std_err, med_bias
+from .core import SignProbabilities, freq_std_err, med_bias, med_bias_std_err
 
 
 class IdentifiabilityError(ValueError):
@@ -37,6 +39,18 @@ def z_exact_medbias(p_weak_le: float, p_weak_ge: float) -> float:
     return med_bias(p_weak_le, p_weak_ge)
 
 
+def checked_eps_grid(eps_grid) -> np.ndarray:
+    """The epsilon grid as floats: at least 2 finite points > 0, strictly decreasing."""
+    eps = np.asarray(eps_grid, dtype=float)
+    if eps.size < 2:
+        raise ValueError("epsilon grid needs at least 2 points")
+    if not np.all(np.isfinite(eps) & (eps > 0.0)):
+        raise ValueError(f"epsilon grid needs finite numbers > 0, got {eps.tolist()}")
+    if np.any(np.diff(eps) >= 0.0):
+        raise ValueError("epsilon grid must be strictly decreasing")
+    return eps
+
+
 def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
     """Per-epsilon comparison bounds from objective values at the target.
 
@@ -44,11 +58,7 @@ def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
     {M(theta0) < M(theta0 + eps)} and {M(theta0) < M(theta0 - eps)}.  Returns
     a list of dicts (one per epsilon, in grid order).
     """
-    eps = np.asarray(eps_grid, dtype=float)
-    if eps.size < 2:
-        raise ValueError("epsilon grid needs at least 2 points")
-    if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
-        raise ValueError("epsilon grid must be positive and strictly decreasing")
+    eps = checked_eps_grid(eps_grid)
     center = np.asarray(center_values, dtype=float)
     plus = np.asarray(plus_values, dtype=float)
     minus = np.asarray(minus_values, dtype=float)
@@ -64,7 +74,7 @@ def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
             "p_plus": p_plus,
             "p_minus": p_minus,
             "bound": med_bias(p_plus, p_minus),
-            "std_err": freq_std_err(min(p_plus, p_minus), reps),
+            "std_err": med_bias_std_err(p_plus, p_minus, reps),
         })
     return profile
 
@@ -72,15 +82,18 @@ def nondiff_profile(eps_grid, center_values, plus_values, minus_values):
 def expected_llr(family, theta0: float, shift: float) -> float:
     """Per-observation expected log-likelihood ratio at ``shift`` under ``theta0``.
 
-    E[log p_{theta0+shift}(X) - log p_{theta0}(X)] must be strictly negative
-    (identifiability), which also rules out a zero shift; otherwise
-    ``IdentifiabilityError`` is raised.
+    E[log p_{theta0+shift}(X) - log p_{theta0}(X)] must be finite and strictly
+    negative (identifiability), which also rules out a zero shift; otherwise,
+    an overflow included, ``IdentifiabilityError`` is raised.
     """
-    expected = family.expected_log_likelihood_ratio(theta0, shift)
-    if not expected < 0.0:
+    try:
+        expected = family.expected_log_likelihood_ratio(theta0, shift)
+    except OverflowError:
+        expected = -math.inf
+    if not -math.inf < expected < 0.0:
         raise IdentifiabilityError(
-            f"expected log-likelihood ratio {expected!r} at shift {shift!r} is not "
-            "strictly negative"
+            f"expected log-likelihood ratio {expected!r} at shift {shift!r} is not finite "
+            "and strictly negative"
         )
     return expected
 
@@ -100,20 +113,32 @@ def llr_sign_indicators(family, data_draws, theta0: float, shift: float, expecte
     return raw - draws.shape[1] * expected <= 0.0, raw < 0.0
 
 
-def mle_llr_lower_bounds(family, data_draws, theta0: float, eps: float):
-    """Lower bounds on both objective-comparison probabilities for an MLE.
+def llr_frequencies(plus, minus) -> dict:
+    """Frequencies of the ``(lower, direct)`` indicator pairs of
+    ``llr_sign_indicators`` at +eps (``plus``) and -eps (``minus``).
 
-    Returns empirical frequencies of the centered log-likelihood-ratio sum
-    being <= 0 at shifts +eps and -eps.  Each is a lower bound for the
-    corresponding comparison probability because the centering term is
-    strictly negative.
+    Returns ``lower_plus``, ``direct_plus``, ``lower_minus`` and
+    ``direct_minus``, each with its binomial ``<name>_std_err``, and the
+    ``bound``: the smaller lower frequency, a lower bound on both comparison
+    probabilities, with the larger lower standard error as its ``std_err``.
     """
-    bounds = []
-    for shift in (abs(eps), -abs(eps)):
-        lower, _ = llr_sign_indicators(family, data_draws, theta0, shift,
-                                       expected_llr(family, theta0, shift))
-        bounds.append(float(np.count_nonzero(lower)) / lower.size)
-    return tuple(bounds)
+    entry = {}
+    for side, pair in (("plus", plus), ("minus", minus)):
+        for name, hits in zip(("lower", "direct"), pair):
+            key = f"{name}_{side}"
+            entry[key] = float(np.count_nonzero(hits)) / hits.size
+            entry[f"{key}_std_err"] = freq_std_err(entry[key], hits.size)
+    entry["bound"] = min(entry["lower_plus"], entry["lower_minus"])
+    entry["std_err"] = max(entry["lower_plus_std_err"], entry["lower_minus_std_err"])
+    return entry
+
+
+def mle_llr_frequencies(family, data_draws, theta0: float, eps: float) -> dict:
+    """``llr_frequencies`` of a ``(reps, n)`` draw matrix at shifts +|eps| and
+    -|eps|, from one computation of each shift's sums."""
+    return llr_frequencies(*(
+        llr_sign_indicators(family, data_draws, theta0, shift, expected_llr(family, theta0, shift))
+        for shift in (abs(eps), -abs(eps))))
 
 
 def nonconvex_profile(sp: SignProbabilities, eta_profile) -> list:
@@ -145,18 +170,3 @@ def nonconvex_profile(sp: SignProbabilities, eta_profile) -> list:
             "clamped": min(max(raw, 0.0), 0.5),
         })
     return profile
-
-
-def direct_comparison_probabilities(family, data_draws, theta0: float, eps: float):
-    """Directly measured objective-comparison frequencies for an MLE shift.
-
-    Companion to ``mle_llr_lower_bounds``: frequencies of
-    {M(theta0) < M(theta0 +/- eps)} computed from the log-likelihood-ratio
-    sums themselves.
-    """
-    freqs = []
-    for shift in (abs(eps), -abs(eps)):
-        _, direct = llr_sign_indicators(family, data_draws, theta0, shift,
-                                        expected_llr(family, theta0, shift))
-        freqs.append(float(np.count_nonzero(direct)) / direct.size)
-    return tuple(freqs)

@@ -37,6 +37,12 @@ def freq_std_err(p: float, reps: int) -> float:
     return math.sqrt(max(p * (1.0 - p), 0.0) / reps)
 
 
+def med_bias_std_err(p_le: float, p_ge: float, reps: int) -> float:
+    """Standard error of ``med_bias(p_le, p_ge)``: the binomial one of the
+    smaller frequency, which sets the point."""
+    return freq_std_err(min(p_le, p_ge), reps)
+
+
 @dataclass(frozen=True)
 class SignProbabilities:
     """The triple P(S < 0), P(S = 0), P(S > 0) for a real statistic S."""
@@ -132,10 +138,9 @@ def mc_med_bias(draws: EstimatorDraws) -> MedBiasEstimate:
     reps = draws.reps
     p_le = float(np.count_nonzero(values <= draws.target)) / reps
     p_ge = float(np.count_nonzero(values >= draws.target)) / reps
-    q = min(p_le, p_ge)
     return MedBiasEstimate(
         point=med_bias(p_le, p_ge),
-        std_err=freq_std_err(q, reps),
+        std_err=med_bias_std_err(p_le, p_ge, reps),
         reps=reps,
         p_le=p_le,
         p_ge=p_ge,

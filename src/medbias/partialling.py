@@ -211,9 +211,10 @@ def _check_rank(y, t, x, stacked: bool) -> np.ndarray:
             _, _, vt = np.linalg.svd(block[row])
             # the block's columns are (x1..xd, t); move t to the front
             direction = np.roll(vt[-1], 1)
-            ratio = singular[row, -1] / singular[row, 0]
-            return ("stacked design [t | x] is numerically rank deficient "
-                    f"(smallest/largest singular value = {ratio:.3e}); "
+            low, high = singular[row, -1], singular[row, 0]
+            spread = (f"smallest/largest singular value = {low / high:.3e}" if high > 0.0
+                      else "every singular value is zero")
+            return (f"stacked design [t | x] is numerically rank deficient ({spread}); "
                     f"null direction over (t, x1..xd): {np.round(direction, 6).tolist()}")
         raise _first_bad(CollinearityError, deficient, stacked, message)
     return r
@@ -234,7 +235,8 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     treatment coordinate of the joint least-squares solve whenever the
     stacked design has full column rank; rank deficiency raises
     ``CollinearityError`` naming the offending direction, and its row on a
-    stack.
+    stack; residuals whose inner products overflow into a NaN slope raise
+    ``ValueError`` the same way.
     """
     y, t, x, stacked = _as_stack(data)
     r = _check_rank(y, t, x, stacked)
@@ -248,6 +250,10 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
         raise _first_bad(CollinearityError, denom <= 0.0, stacked,
                          lambda row: "treatment residuals are identically zero")
     theta_hat = np.vecdot(r_t, r_y) / denom
+    if np.isnan(theta_hat).any():
+        raise _first_bad(ValueError, np.isnan(theta_hat), stacked,
+                         lambda row: "the residuals' inner products overflow, so the "
+                                     "partialled slope is NaN")
 
     if d > 0:
         # normal equations: residuals orthogonal to every covariate column,

@@ -2,15 +2,12 @@
 
 Subcommands: ``run`` (execute a config and write reports), ``validate``
 (config check only), ``list-experiments``.  Failures print a machine-readable
-JSON error record to stderr and exit nonzero.  The ``MEDBIAS_WORKERS``
-environment variable overrides the default worker count; an explicit
-``--workers`` flag beats both.
+JSON error record to stderr and exit nonzero.
 """
 
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,8 +28,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--output", "-o", default=None,
                      help="output stem; writes <stem>.csv and <stem>.json "
                           "(default: the experiment id in the working directory)")
-    run.add_argument("--workers", type=int, default=None,
-                     help="worker process count (default: MEDBIAS_WORKERS or 1)")
+    run.add_argument("--workers", type=int, default=1,
+                     help="worker process count (default: 1)")
     run.add_argument("--master-seed", type=int, default=None,
                      help="override the config master seed")
     run.add_argument("--format", choices=("csv", "json", "both"), default="both",
@@ -43,19 +40,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("list-experiments", help="list the available experiment kinds")
     return parser
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get("MEDBIAS_WORKERS", "")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigError(f"MEDBIAS_WORKERS={raw!r} is not an integer") from None
-    if value < 1:
-        raise ConfigError(f"MEDBIAS_WORKERS={value} must be >= 1")
-    return value
 
 
 def _error_record(exc: BaseException) -> str:
@@ -77,12 +61,11 @@ def _load_config(path: str, master_seed: int | None) -> ExperimentConfig:
 
 def _cmd_run(args) -> int:
     config = _load_config(args.config, args.master_seed)
-    workers = args.workers if args.workers is not None else _workers_from_env()
-    if workers < 1:
-        raise ConfigError(f"workers={workers} must be >= 1")
+    if args.workers < 1:
+        raise ConfigError(f"workers={args.workers} must be >= 1")
     stem = args.output or config.experiment
 
-    result = run_experiment(config, workers=workers)
+    result = run_experiment(config, workers=args.workers)
 
     written = []
     if args.format in ("csv", "both"):

@@ -12,8 +12,13 @@ import math
 import numpy as np
 
 
+def miss_bound(batches: int) -> float:
+    """Miss probability 2 * 2**(-B) of B batches of an exactly median-unbiased estimator."""
+    return 2.0 * 2.0 ** (-batches)
+
+
 def batch_count(alpha: float) -> int:
-    """Smallest B with 2 * 2**(-B) <= alpha."""
+    """Smallest B with ``miss_bound(B) <= alpha``."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0, 1)")
     return math.ceil(math.log2(2.0 / alpha))

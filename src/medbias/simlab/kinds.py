@@ -3,12 +3,13 @@
 Each kind is described once, by its ``KindImpl``: how it resolves its config
 (rejecting what cannot run), expands its grid, simulates one chunk of
 replications, and folds the collected arrays into report rows.  Every
-replication draws from its own derived seed stream through ``_replications``,
-so chunking and worker count can never change a value.  The univariate
-kinds draw a chunk as one ``(count, n)`` matrix and estimate, score and
-evaluate it row by row; the partialled kinds fit a chunk's regressions in
-cache-sized stacks.  Rows are plain dicts in the canonical report schema;
-anything kind-specific goes into ``detail``.
+replication draws from its own derived seed stream, through ``_replications``
+or, for a one-pass chunk, ``draw_chunk``, so chunking and worker count can
+never change a value.  The univariate kinds draw a chunk as one
+``(count, n)`` matrix and estimate, score and evaluate it row by row; the
+partialled kinds fit a chunk's regressions in cache-sized stacks.  Rows are
+plain dicts in the canonical report schema; anything kind-specific goes
+into ``detail``.
 """
 
 import functools
@@ -22,13 +23,17 @@ from typing import Callable
 import numpy as np
 
 from ..bounds import (
+    IdentifiabilityError,
+    checked_eps_grid,
     convex_bound,
+    expected_llr,
+    llr_frequencies,
     llr_sign_indicators,
     nondiff_profile,
     nonconvex_profile,
     z_exact_medbias,
 )
-from ..core import EstimatorDraws, freq_std_err, mc_med_bias, sign_probabilities
+from ..core import EstimatorDraws, freq_std_err, mc_med_bias, med_bias_std_err, sign_probabilities
 from ..objectives import (
     BiweightLocation,
     LocationObjective,
@@ -56,7 +61,7 @@ from ..plm import (
 )
 from ..solver import Bracket, minimize_convex, minimize_scan, slab_rows
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
-from .hulc import batch_count, hulc_interval
+from .hulc import batch_count, hulc_interval, miss_bound
 from .onepass import LAWS, draw_chunk
 from .reports import CSV_COLUMNS
 from .seeds import chunk_generators, derive_seed
@@ -361,7 +366,7 @@ def _summarize_convex(config, prep, point, arrays):
     sp = sign_probabilities(arrays["score"], zero_tol=tol)
     row.update(
         rhs=convex_bound(sp),
-        rhs_std_err=freq_std_err(min(sp.p_neg, sp.p_pos), lhs.reps),
+        rhs_std_err=med_bias_std_err(sp.p_neg, sp.p_pos, lhs.reps),
         rhs_kind="convex_thm1",
         detail={"theta0": prep.theta0, "p_neg": sp.p_neg, "p_zero": sp.p_zero,
                 "p_pos": sp.p_pos, "zero_tol": tol},
@@ -408,10 +413,7 @@ def _summarize_z_equality(config, prep, point, arrays):
 def _prepare_nondiff(config):
     prep = _prepare_univariate(config, convex=True)
     _positive_grid(config, "eps")
-    prep.eps = [float(e) for e in config.grids["eps"]]
-    _require(len(prep.eps) >= 2, "epsilon grid needs at least 2 points")
-    _require(all(b < a for a, b in zip(prep.eps, prep.eps[1:])),
-             "epsilon grid must be strictly decreasing")
+    prep.eps = checked_eps_grid(config.grids["eps"]).tolist()
     return prep
 
 
@@ -465,16 +467,12 @@ def _prepare_mle_llr(config):
     unfit, failed = [], []
     for e in prep.eps:
         try:
-            pair = [prep.family.expected_log_likelihood_ratio(prep.theta0, shift)
-                    for shift in (e, -e)]
-        except OverflowError:
-            pair = [math.nan]
+            prep.expected.append([expected_llr(prep.family, prep.theta0, shift)
+                                  for shift in (e, -e)])
+        except IdentifiabilityError:
+            unfit.append(e)
         except ValueError as err:
             failed.append(f"grid 'eps': {err}")
-            continue
-        if not all(-math.inf < value < 0.0 for value in pair):
-            unfit.append(e)
-        prep.expected.append(pair)
     head = [f"grid 'eps' values {unfit} give no finite negative expected "
             f"log-likelihood ratio under {prep.family.name}"] if unfit else []
     _require(not head and not failed, "; ".join(head + failed))
@@ -488,32 +486,21 @@ def _chunk_mle_llr(config, prep, point, start, stop):
     out = {}
     for k, (e, (plus, minus)) in enumerate(zip(prep.eps, prep.expected)):
         for side, shift, expected in (("plus", e, plus), ("minus", -e, minus)):
-            lower, direct = llr_sign_indicators(prep.family, draws, prep.theta0, shift, expected)
-            out[f"lower_{side}_{k}"] = lower.astype(float)
-            out[f"direct_{side}_{k}"] = direct.astype(float)
+            out[f"lower_{side}_{k}"], out[f"direct_{side}_{k}"] = llr_sign_indicators(
+                prep.family, draws, prep.theta0, shift, expected)
     return out
 
 
 def _summarize_mle_llr(config, prep, point, arrays):
-    rows = []
-    profile = []
-    sides = ("lower_plus", "lower_minus", "direct_plus", "direct_minus")
+    rows, profile = [], []
     for k, e in enumerate(prep.eps):
-        reps = arrays[f"lower_plus_{k}"].size
-        entry = {"eps": e}
-        entry.update((side, float(arrays[f"{side}_{k}"].mean())) for side in sides)
-        entry.update((f"{side}_std_err", freq_std_err(entry[side], reps)) for side in sides)
-        entry.update(expected_llr_per_obs=prep.expected[k][0], n=point["n"])
+        entry = llr_frequencies(*((arrays[f"lower_{side}_{k}"], arrays[f"direct_{side}_{k}"])
+                                  for side in ("plus", "minus")))
+        rhs, rhs_std_err = entry.pop("bound"), entry.pop("std_err")
+        entry.update(eps=e, expected_llr_per_obs=prep.expected[k][0], n=point["n"])
         profile.append(entry)
-        row = _base_row(config, point)
-        row["eps"] = e
-        row.update(
-            rhs=min(entry["lower_plus"], entry["lower_minus"]),
-            rhs_std_err=max(entry["lower_plus_std_err"], entry["lower_minus_std_err"]),
-            rhs_kind="mle_llr",
-            detail=entry,
-        )
-        rows.append(row)
+        rows.append(dict(_base_row(config, point), eps=e, rhs=rhs, rhs_std_err=rhs_std_err,
+                         rhs_kind="mle_llr", detail=entry))
     return rows, {"llr_profile": profile}
 
 
@@ -580,7 +567,7 @@ def _summarize_nonconvex(config, prep, point, arrays):
          float(np.count_nonzero(escape > delta)) / lhs.reps)
         for k, delta in enumerate(prep.deltas)
     ])
-    convex_se = freq_std_err(min(sp.p_neg, sp.p_pos), lhs.reps)
+    convex_se = med_bias_std_err(sp.p_neg, sp.p_pos, lhs.reps)
     rows = []
     for entry in profile:
         eta_se = math.hypot(freq_std_err(entry["eta1"], lhs.reps),
@@ -692,7 +679,7 @@ def _summarize_partialled(config, prep, point, arrays):
     profile = proposition_profile(arrays["s_n"], arrays["correction"], eta_grid)
     best = min(profile, key=lambda r: r["value"])
     rhs_se = math.hypot(
-        freq_std_err(min(best["p_low"], best["p_high"]), lhs.reps),
+        med_bias_std_err(best["p_low"], best["p_high"], lhs.reps),
         freq_std_err(best["escape"], lhs.reps),
     )
     row.update(
@@ -814,7 +801,7 @@ def _summarize_plm(config, prep, point, arrays):
     cs_violations = 0 if abs(bias) <= bound else lhs.reps
     row.update(
         rhs=profile["bound"],
-        rhs_std_err=freq_std_err(min(profile["p_low"], profile["p_high"]), lhs.reps),
+        rhs_std_err=med_bias_std_err(profile["p_low"], profile["p_high"], lhs.reps),
         # upper bound of the thresholded sign-probability family (it reduces
         # to the exact weak-sign value only when the conditional bias is zero)
         rhs_kind="convex_thm1",
@@ -860,7 +847,7 @@ def _summarize_hulc(config, prep, point, arrays):
         "batch_size": point["n"] // prep.batches,
         "coverage": coverage,
         "coverage_std_err": freq_std_err(coverage, reps),
-        "miss_target": 2.0 * 2.0 ** (-prep.batches),
+        "miss_target": miss_bound(prep.batches),
     }
     return [row], {}
 

@@ -16,10 +16,10 @@ from medbias import (
     convex_bound,
     fwl_estimate,
     joint_theta,
-    mle_llr_lower_bounds,
+    mle_llr_frequencies,
     score_decompose,
 )
-from medbias.bounds import direct_comparison_probabilities, nonconvex_profile
+from medbias.bounds import nonconvex_profile
 from medbias.objectives import make_family
 from medbias.partialling import RegressionData
 from medbias.simlab import ExperimentConfig, run_experiment, write_csv
@@ -398,8 +398,7 @@ def test_llr_chunking_consistency():
         family.sample(replication_rng(config.master_seed, i, label + "|data"), 0.0, 12)
         for i in range(config.reps)
     ])
-    lb_plus, lb_minus = mle_llr_lower_bounds(family, draws, 0.0, 0.4)
-    direct = direct_comparison_probabilities(family, draws, 0.0, 0.4)
-    detail = result.rows[0]["detail"]
-    assert detail["lower_plus"] == lb_plus and detail["lower_minus"] == lb_minus
-    assert detail["direct_plus"] == direct[0] and detail["direct_minus"] == direct[1]
+    freqs = mle_llr_frequencies(family, draws, 0.0, 0.4)
+    row = result.rows[0]
+    assert row["rhs"] == freqs.pop("bound") and row["rhs_std_err"] == freqs.pop("std_err")
+    assert {key: row["detail"][key] for key in freqs} == freqs

@@ -14,12 +14,12 @@ from medbias import (
     SignProbabilities,
     convex_bound,
     mc_med_bias,
-    mle_llr_lower_bounds,
+    mle_llr_frequencies,
     nondiff_profile,
     sign_probabilities,
     z_exact_medbias,
 )
-from medbias.bounds import direct_comparison_probabilities, expected_llr, nonconvex_profile
+from medbias.bounds import expected_llr, nonconvex_profile
 from medbias.core import freq_std_err
 
 
@@ -139,6 +139,9 @@ def test_nondiff_validation():
         nondiff_profile([0.25, 0.5], center, np.zeros((2, 10)), np.zeros((2, 10)))
     with pytest.raises(ValueError):
         nondiff_profile([0.5, 0.25], center, np.zeros((2, 7)), np.zeros((2, 7)))
+    # a non-finite epsilon is not a shift
+    with pytest.raises(ValueError, match=r"finite numbers > 0, got \[nan, 0\.25\]"):
+        nondiff_profile([math.nan, 0.25], center, np.zeros((2, 10)), np.zeros((2, 10)))
 
 
 def test_llr_lower_bounds_gaussian_exactly_half_in_the_limit():
@@ -147,27 +150,34 @@ def test_llr_lower_bounds_gaussian_exactly_half_in_the_limit():
     fam = NormalLocation(1.0)
     rng = np.random.default_rng(8)
     draws = rng.standard_normal((40_000, 20))
-    lb_plus, lb_minus = mle_llr_lower_bounds(fam, draws, 0.0, 0.4)
+    freqs = mle_llr_frequencies(fam, draws, 0.0, 0.4)
     se = freq_std_err(0.5, draws.shape[0])
-    assert lb_plus == pytest.approx(0.5, abs=3 * se)
-    assert lb_minus == pytest.approx(0.5, abs=3 * se)
+    assert freqs["lower_plus"] == pytest.approx(0.5, abs=3 * se)
+    assert freqs["lower_minus"] == pytest.approx(0.5, abs=3 * se)
+    # the bound is the smaller lower frequency, with the larger standard error
+    assert freqs["bound"] == min(freqs["lower_plus"], freqs["lower_minus"])
+    assert freqs["std_err"] == max(freqs["lower_plus_std_err"], freqs["lower_minus_std_err"])
+    assert freqs["lower_plus_std_err"] == freq_std_err(freqs["lower_plus"], draws.shape[0])
 
 
 def test_llr_lower_bounds_reject_zero_shift():
     fam = NormalLocation(1.0)
     with pytest.raises(IdentifiabilityError):
-        mle_llr_lower_bounds(fam, np.zeros((10, 5)), 0.0, 0.0)
+        mle_llr_frequencies(fam, np.zeros((10, 5)), 0.0, 0.0)
     with pytest.raises(IdentifiabilityError):
         expected_llr(fam, 0.0, 0.0)
+    # a ratio that overflows is not finite, so not identifying either
+    with pytest.raises(IdentifiabilityError, match="-inf at shift 1e[+]200 is not finite"):
+        expected_llr(fam, 0.0, 1e200)
 
 
 def test_llr_lower_bounds_logistic_level():
     fam = LogisticLocation(1.0)
     rng = np.random.default_rng(13)
     draws = rng.logistic(0.0, 1.0, (100_000, 50))
-    lb_plus, lb_minus = mle_llr_lower_bounds(fam, draws, 0.0, 0.2)
-    assert lb_plus >= 0.45
-    assert lb_minus >= 0.45
+    freqs = mle_llr_frequencies(fam, draws, 0.0, 0.2)
+    assert freqs["lower_plus"] >= 0.45
+    assert freqs["lower_minus"] >= 0.45
 
 
 def test_llr_lower_bounds_consistent_with_direct_probabilities():
@@ -175,8 +185,9 @@ def test_llr_lower_bounds_consistent_with_direct_probabilities():
     rng = np.random.default_rng(14)
     draws = rng.logistic(0.0, 1.0, (5_000, 25))
     reps = draws.shape[0]
-    lb_plus, lb_minus = mle_llr_lower_bounds(fam, draws, 0.0, 0.3)
-    direct_plus, direct_minus = direct_comparison_probabilities(fam, draws, 0.0, 0.3)
+    freqs = mle_llr_frequencies(fam, draws, 0.0, 0.3)
+    lb_plus, lb_minus = freqs["lower_plus"], freqs["lower_minus"]
+    direct_plus, direct_minus = freqs["direct_plus"], freqs["direct_minus"]
     slack = 3 * freq_std_err(0.5, reps)
     assert lb_plus <= direct_plus + slack
     assert lb_minus <= direct_minus + slack

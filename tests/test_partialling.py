@@ -3,6 +3,7 @@
 import ast
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -402,7 +403,7 @@ def _fit_outcome(data: RegressionData, theta0: float):
     """``sign(theta_hat - theta0)`` of ``fwl_estimate``, or the error it raises."""
     try:
         return np.atleast_1d(np.sign(fwl_estimate(data).theta_hat - theta0))
-    except CollinearityError as err:
+    except ValueError as err:
         return err
 
 
@@ -491,21 +492,20 @@ def test_slope_sides_fall_back_on_overflowing_and_underflowing_grams():
     sides = _assert_sides_are_the_fits(RegressionData(y=y, t=stack.t, x=stack.x), theta0)
     assert sides.certified.tolist() == [k != 5 for k in range(8)]
     # a whole design near 1e160: x'x overflows, and so does the fit's t't,
-    # whose slope is NaN (the summary then rejects it, as before)
+    # so the fit raises on row 2 and the sides raise its error
     y, t, x = stack.y.copy(), stack.t.copy(), stack.x.copy()
     for a in (y, t, x):
         a[2] *= 1e160
-    sides = _assert_sides_are_the_fits(RegressionData(y=y, t=t, x=x), theta0)
-    assert np.isnan(sides.side[2])
-    # either the block's Cholesky raised and every row fell back, or row 2 alone did
-    assert not sides.certified[2] and sides.certified.sum() in (0, 7)
+    huge = RegressionData(y=y, t=t, x=x)
+    assert re.match(r"^row 2: the residuals' inner products overflow",
+                    str(_fit_outcome(huge, theta0)))
+    assert _assert_sides_are_the_fits(huge, theta0) is None
     # every column near 1e-160: the Gram's entries lose their bits to underflow
     tiny = RegressionData(y=stack.y * 1e-160, t=stack.t * 1e-160, x=stack.x * 1e-160)
     assert np.all(np.isinf(_normal_equation_slopes(tiny.y, tiny.t, tiny.x, theta0)[1]))
     assert not _assert_sides_are_the_fits(tiny, theta0).certified.any()
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # the fit's 0/0
 def test_slope_sides_raise_the_fits_errors():
     rng = np.random.default_rng(23)
     theta0 = 0.5
@@ -526,9 +526,31 @@ def test_slope_sides_raise_the_fits_errors():
     wide = RegressionData(y=rng.standard_normal(10), t=rng.standard_normal(10),
                           x=rng.standard_normal((10, 12)))
     zero = RegressionData(y=rng.standard_normal(10), t=np.zeros(10), x=np.zeros((10, 0)))
-    for data, message in ((wide, "10 x 13"), (zero, "rank deficient")):
-        assert message in str(_fit_outcome(data, theta0))
-        assert _assert_sides_are_the_fits(data, theta0) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the rank test divides by no zero singular value
+        for data, message in ((wide, "10 x 13"),
+                              (zero, r"rank deficient \(every singular value is zero\)")):
+            assert re.search(message, str(_fit_outcome(data, theta0)))
+            assert _assert_sides_are_the_fits(data, theta0) is None
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fit_raises_on_overflowing_residual_products():
+    # every entry is finite but the residuals' inner products overflow into
+    # a NaN slope: a stack names its row, one sample names no row
+    rng = np.random.default_rng(24)
+    stack, _, _ = _stack([_random_instance(rng, 40, 3, 0.5) for _ in range(5)])
+    y, t, x = stack.y.copy(), stack.t.copy(), stack.x.copy()
+    for a in (y, t, x):
+        a[3] *= 1e160
+    with pytest.raises(ValueError, match=r"^row 3: the residuals' inner products "
+                                         r"overflow, so the partialled slope is NaN") as raised:
+        fwl_estimate(RegressionData(y=y, t=t, x=x))
+    assert raised.value.row == 3
+    with pytest.raises(ValueError, match=r"^the residuals' inner products overflow") as raised:
+        fwl_estimate(RegressionData(y=y[3], t=t[3], x=x[3]))
+    assert not hasattr(raised.value, "row")
 
 
 def _certificate_block(rng, family: str, rows: int, n: int, d: int, theta0: float,

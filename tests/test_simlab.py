@@ -20,7 +20,7 @@ from medbias import (
     NormalLocation,
     mc_med_bias,
     minimize_scan,
-    mle_llr_lower_bounds,
+    mle_llr_frequencies,
     plm_split_fit,
     simulate_plm,
 )
@@ -325,7 +325,10 @@ def test_hulc_coverage_runs_biweight():
                           grids={"n": [60]})
     detail = run_experiment(ExperimentConfig.from_dict(raw)).rows[0]["detail"]
     target = 1.0 - detail["miss_target"]
-    assert detail["batches"] == 6
+    # alpha 0.05 needs 6 batches, which miss a median-unbiased target with
+    # probability 2 * 2**-6
+    assert detail["alpha"] == 0.05 and detail["batches"] == 6
+    assert detail["miss_target"] == 0.03125
     assert detail["coverage"] >= target - 3 * math.sqrt(target * (1 - target) / raw["reps"])
 
 
@@ -393,9 +396,13 @@ def test_config_rejects_missing_grid():
 
 
 def test_config_rejects_bad_eps_grid():
-    raw = _minimal_config(kind="nondiff_profile", grids={"n": [5], "eps": [0.25, 0.5]})
-    with pytest.raises(ConfigError):
-        ExperimentConfig.from_dict(raw)
+    # an epsilon grid needs two points and must decrease
+    for eps, cause in (([0.25, 0.5], "epsilon grid must be strictly decreasing"),
+                       ([0.5, 0.5], "epsilon grid must be strictly decreasing"),
+                       ([0.5], "epsilon grid needs at least 2 points")):
+        raw = _minimal_config(kind="nondiff_profile", grids={"n": [5], "eps": eps})
+        with pytest.raises(ConfigError, match=cause):
+            ExperimentConfig.from_dict(raw)
     raw = _minimal_config(
         kind="mle_llr_consistency",
         estimator={"kind": "neg_loglik", "params": {"family_name": "normal_location"}},
@@ -1053,6 +1060,34 @@ def test_dimension_scaling_collinear_draw_names_its_replication(monkeypatch):
                                  f"(seed {seed}): {alone.value}")
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_partialled_overflowing_fit_names_its_replication(monkeypatch):
+    # a finite design at replication 12 (row 12 of its block) whose residual
+    # inner products overflow into a NaN slope: the fit's error names the
+    # replication and its seed
+    from medbias.simlab.config import validate_config
+
+    config = ExperimentConfig.from_dict(_minimal_config(
+        kind="partialled_dominance", dgp={"name": "gaussian"}, estimator={},
+        grids={"n": [40], "d": [3]}, reps=200))
+    prepared, (point,) = validate_config(config)
+    real = kinds.sample_design
+
+    def huge_at_12(name, rngs, y, t, x, theta0, **params):
+        real(name, rngs, y, t, x, theta0, **params)
+        for a in (y, t, x):
+            a[12] *= 1e160
+
+    monkeypatch.setattr(kinds, "sample_design", huge_at_12)
+    label = kinds.grid_label(config.kind, point)
+    seed = derive_seed(config.master_seed, 12, f"{label}|data")
+    with pytest.raises(ValueError, match=re.escape(
+            f"grid point {label}, replication 12: stream 'data' (seed {seed}): the residuals' "
+            "inner products overflow")):
+        KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
+
+
 def test_partialled_chunk_peak_memory():
     # tracemalloc peak of one 512-replication dimension_scaling chunk (half_sqrt,
     # so d = 5, 10 and 20) at most 1 MiB above the peak of the per-replication
@@ -1218,9 +1253,9 @@ def test_mle_llr_kind_matches_bounds_op():
         family.sample(rrng(config.master_seed, i, label + "|data"), 0.0, 8)
         for i in range(config.reps)
     ])
-    lb_plus, lb_minus = mle_llr_lower_bounds(family, draws, 0.0, 0.5)
-    assert row["detail"]["lower_plus"] == lb_plus
-    assert row["detail"]["lower_minus"] == lb_minus
+    freqs = mle_llr_frequencies(family, draws, 0.0, 0.5)
+    assert row["detail"]["lower_plus"] == freqs["lower_plus"]
+    assert row["detail"]["lower_minus"] == freqs["lower_minus"]
 
 
 def test_nonconvex_kind_matches_minimize_scan():
@@ -1351,13 +1386,11 @@ def test_cli_error_record_on_bad_config(tmp_path, capsys):
     assert record["error"] == "FileNotFoundError"
 
 
-def test_cli_workers_env_override(tmp_path, capsys, monkeypatch):
+def test_cli_rejects_zero_workers(tmp_path, capsys, monkeypatch):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(_minimal_config()))
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("MEDBIAS_WORKERS", "2")
-    assert cli_main(["run", str(cfg_path), "-o", "env_run"]) == 0
-    monkeypatch.setenv("MEDBIAS_WORKERS", "zero")
-    assert cli_main(["run", str(cfg_path), "-o", "env_bad"]) == 1
+    assert cli_main(["run", str(cfg_path), "-o", "zero", "--workers", "0"]) == 1
     record = json.loads(capsys.readouterr().err)
-    assert record["error"] == "ConfigError"
+    assert record == {"error": "ConfigError", "message": "workers=0 must be >= 1"}
+    assert not (tmp_path / "zero.csv").exists()
