@@ -235,8 +235,8 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     treatment coordinate of the joint least-squares solve whenever the
     stacked design has full column rank; rank deficiency raises
     ``CollinearityError`` naming the offending direction, and its row on a
-    stack; residuals whose inner products overflow into a NaN slope raise
-    ``ValueError`` the same way.
+    stack; residuals whose inner products overflow into a NaN or infinite
+    slope raise ``ValueError`` the same way.
     """
     y, t, x, stacked = _as_stack(data)
     r = _check_rank(y, t, x, stacked)
@@ -250,10 +250,12 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
         raise _first_bad(CollinearityError, denom <= 0.0, stacked,
                          lambda row: "treatment residuals are identically zero")
     theta_hat = np.vecdot(r_t, r_y) / denom
-    if np.isnan(theta_hat).any():
-        raise _first_bad(ValueError, np.isnan(theta_hat), stacked,
-                         lambda row: "the residuals' inner products overflow, so the "
-                                     "partialled slope is NaN")
+    if not np.isfinite(theta_hat).all():
+        def overflow(row):
+            slope = "NaN" if np.isnan(theta_hat[row]) else f"{theta_hat[row]:+}"
+            return f"the residuals' inner products overflow, so the partialled slope is {slope}"
+
+        raise _first_bad(ValueError, ~np.isfinite(theta_hat), stacked, overflow)
 
     if d > 0:
         # normal equations: residuals orthogonal to every covariate column,

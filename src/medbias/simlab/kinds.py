@@ -303,17 +303,18 @@ def _check_finite(config, point, start, matrices: list, source: str, streams=("d
 
 
 #: Largest n whose ``onepass.LAWS`` chunks are drawn in one numpy pass.  Past
-#: about 35 draws per row, the normal's slow-path rows (over a third of the
-#: rows) and the wider ``(count, n)`` temporaries cost more than a generator
-#: per replication does; the uniform, which has no slow path, still gains at 64.
+#: about 35 draws per row, the ziggurats' slow-path rows (a third of the
+#: normal's rows at n = 32, and half of the exponential's) and the wider
+#: ``(count, n)`` temporaries cost more than a generator per replication
+#: does; the uniform, which has no slow path, still gains at 64.
 _ONE_PASS_MAX_N = 32
 
 
 def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
     """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream.
 
-    ``standard_normal`` and ``uniform`` chunks of at most ``_ONE_PASS_MAX_N``
-    draws per replication are drawn in one numpy pass per stream
+    ``standard_normal``, ``uniform`` and ``exp_centered`` chunks of at most
+    ``_ONE_PASS_MAX_N`` draws per replication are drawn in one numpy pass per stream
     (``onepass.draw_chunk``), the others from a generator per replication;
     both give ``replication_rng``'s draws bit for bit.
     """
@@ -635,7 +636,9 @@ def _chunk_partialled(config, prep, point, start, stop):
     block, so the values do not depend on the block size or on chunking.
     Each block's replications draw straight into its rows, and the block is
     checked once, as one ``RegressionData``; an error on block row k of a
-    block that starts at replication s names replication s + k.  Both
+    block that starts at replication s names replication s + k.  When a
+    row's draws are not finite, the rows before it are fitted first, so the
+    error names the block's first failing fit if that comes earlier.  Both
     designs have zero population covariate coefficients.  With
     ``prep.decompose`` the chunk returns each slope and score decomposition;
     without it, only what ``dimension_scaling`` reads: each replication's
@@ -651,19 +654,23 @@ def _chunk_partialled(config, prep, point, start, stop):
         out = {"side": np.empty(count), "certified": np.empty(count, dtype=bool)}
     rngs = (rng for rng, in _replications(config, point, start, stop))
     for first in range(0, count, block):
-        rows = slice(first, min(first + block, count))
-        k = rows.stop - first
+        k = min(block, count - first)
         sample_design(prep.design, itertools.islice(rngs, k), y[:k], t[:k], x[:k],
                       prep.theta0, **prep.design_params)
         try:
-            stack = RegressionData(y=y[:k], t=t[:k], x=x[:k])
-            if prep.decompose:
-                fit = fwl_estimate(stack)
-                dec = score_decompose(stack, fit, prep.theta0, beta[:k], beta[:k])
-                out["theta_hat"][rows] = fit.theta_hat
-                out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
-            else:
-                out["side"][rows], out["certified"][rows] = slope_sides(stack, prep.theta0)
+            stack, bad_draws = RegressionData(y=y[:k], t=t[:k], x=x[:k]), None
+        except ValueError as err:
+            if not hasattr(err, "row"):
+                raise
+            # the rows before the first with non-finite draws are fitted
+            # first: one of them may fail its fit, and it comes first
+            k, bad_draws = err.row, err
+            stack = RegressionData(y=y[:k], t=t[:k], x=x[:k]) if k else None
+        try:
+            if stack is not None:
+                _fit_block(prep, stack, out, slice(first, first + k), beta[:k])
+            if bad_draws is not None:
+                raise bad_draws
         except (ValueError, DecompositionError) as err:
             if not hasattr(err, "row"):
                 raise
@@ -671,6 +678,17 @@ def _chunk_partialled(config, prep, point, start, stop):
                                      str(err).removeprefix(f"row {err.row}: "), type(err),
                                      streams=("data",)) from None
     return out
+
+
+def _fit_block(prep, stack, out: dict, rows: slice, beta):
+    """Fit one block stack into ``out[...][rows]``, as ``_chunk_partialled`` returns it."""
+    if prep.decompose:
+        fit = fwl_estimate(stack)
+        dec = score_decompose(stack, fit, prep.theta0, beta, beta)
+        out["theta_hat"][rows] = fit.theta_hat
+        out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
+    else:
+        out["side"][rows], out["certified"][rows] = slope_sides(stack, prep.theta0)
 
 
 def _summarize_partialled(config, prep, point, arrays):

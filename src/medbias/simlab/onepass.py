@@ -1,10 +1,11 @@
 """One-pass chunk draws: a stream's ``(count, n)`` matrix of a whole chunk at once.
 
 ``draw_chunk`` gives row ``i`` of the chunk the ``n`` draws of
-``replication_rng(master_seed, start + i, label)`` under ``standard_normal``
-or ``uniform`` (``LAWS``), bit for bit, without a ``Generator`` per
-replication.  Each row is still seeded from ``derive_seed``: ``seeds``
-computes the chunk's seeded PCG64 states as ``uint64`` limb arrays.
+``replication_rng(master_seed, start + i, label)`` under ``standard_normal``,
+``uniform`` or ``exp_centered`` (``LAWS``), bit for bit, without a
+``Generator`` per replication.  Each row is still seeded from
+``derive_seed``: ``seeds`` computes the chunk's seeded PCG64 states as
+``uint64`` limb arrays.
 
 PCG64 (O'Neill 2014) is a 128-bit LCG, ``s -> mult * s + inc``, whose output
 is the XSL-RR of the stepped state; numpy steps before each output.  Word
@@ -14,26 +15,34 @@ for every row and position in one broadcast.  From word ``r``:
 
 - ``uniform(lo, hi)`` is ``lo + (hi - lo) * ((r >> 11) * 2**-53)``, one word
   per draw, as numpy's ``random_uniform``;
-- ``standard_normal`` is numpy's ziggurat (Marsaglia and Tsang 2000): layer
-  ``r & 0xff``, sign bit 8 and ``rabs`` the bits 9 to 60 give
-  ``x = +-rabs * w[layer]``, accepted at once when ``rabs < k[layer]``.  A
-  row whose draw at position ``j`` is not accepted there continues from its
-  exact state before word ``j`` in a reused ``Generator`` through
-  ``standard_normal(out=row[j:])``, so the rare slow-path draws, and every
-  one after them in the row, are numpy's own.
+- ``standard_normal`` and ``standard_exponential`` are numpy's ziggurats
+  (Marsaglia and Tsang 2000), ``_ZIGGURATS``.  The normal's layer is
+  ``r & 0xff``, its sign bit 8 and its magnitude the bits 9 to 60; the
+  exponential's layer is bits 3 to 10 and its magnitude bits 11 to 63.  The
+  draw is ``magnitude * w[layer]`` (signed for the normal), accepted at once
+  when ``magnitude < k[layer]``.  A row whose draw at position ``j`` is not
+  accepted there continues from its exact state before word ``j`` in a
+  reused ``Generator`` through ``standard_normal(out=row[j:])`` or
+  ``standard_exponential(out=row[j:])``, so the rare slow-path draws (the
+  tail layer 0 and the wedges), and every one after them in the row, are
+  numpy's own;
+- ``exp_centered(scale)`` is then ``x * scale - scale`` on the standard
+  exponentials: numpy's ``exponential(scale)`` is ``scale`` times its
+  standard draw, and ``UnivariateDgp.sample`` subtracts ``scale``.
 
-numpy does not export its ziggurat tables, so ``_tables`` reads them from
-numpy itself on first use, never at import or validation: it sets a PCG64
-state whose next output is a chosen word and checks whether one draw
-consumed exactly one word.  ``w`` comes from ``rabs = 1``.  ``k`` need only
-be a lower bound, since a draw at or above it takes the slow path, and each
-bound is proved by one accepted probe just below it.  The first use then
-compares fixed chunks, slow-path rows included, with ``replication_rng`` and
-raises ``RuntimeError`` if any bit differs (a numpy release that changed
-PCG64, the ziggurat or ``uniform``).
+numpy does not export its ziggurat tables, so ``_tables`` reads a law's from
+numpy itself on the law's first use, never at import or validation: it sets
+a PCG64 state whose next output is a chosen word and checks whether one draw
+consumed exactly one word.  ``w`` comes from magnitude 1.  ``k`` need only be
+a lower bound, since a draw at or above it takes the slow path, and each
+bound is proved by one accepted probe just below it.  That first use then
+compares a fixed chunk of the law, slow-path rows included, with
+``replication_rng`` and raises ``RuntimeError`` if any bit differs (a numpy
+release that changed PCG64, a ziggurat, ``uniform`` or ``exponential``).
 """
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,10 +59,23 @@ from .seeds import (
 )
 
 #: The scalar laws ``draw_chunk`` draws.
-LAWS = ("standard_normal", "uniform")
+LAWS = ("standard_normal", "uniform", "exp_centered")
+
+
+class _Ziggurat(NamedTuple):
+    """Where numpy's ziggurat for a law reads a word's layer and magnitude."""
+
+    method: str  # the ``Generator`` method that draws the standard variate
+    layer_shift: int  # the lowest bit of the layer
+    index_bits: int  # the bits from there that index the tables: layer, then sign
+    shift: int  # the lowest bit of the magnitude
+    bits: int  # the magnitude's width
+
+
+_ZIGGURATS = {"standard_normal": _Ziggurat("standard_normal", 0, 9, 9, 52),
+              "exp_centered": _Ziggurat("standard_exponential", 3, 8, 11, 53)}
 
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
-_MASK52 = (1 << 52) - 1
 _INC = 1  # the increment of every table probe: any odd value serves
 
 
@@ -89,28 +111,29 @@ def _xsl_rr(state: int) -> int:
     return (mixed >> rot | mixed << (64 - rot)) & _MASK64
 
 
-def _probe_tables():
-    """numpy's ziggurat ``w`` and a lower bound on its ``k``, per layer, read by probing."""
+def _probe_tables(zig: _Ziggurat):
+    """A ziggurat's ``w`` and a lower bound on its ``k``, per layer, read by probing."""
     generator = np.random.Generator(np.random.PCG64(0))
-    bit_generator = generator.bit_generator
+    bit_generator, standard = generator.bit_generator, getattr(generator, zig.method)
     state = _pcg64_state(0, _INC)
     inverse = pow(_PCG64_MULT, -1, 1 << 128)
 
-    def draw(layer: int, rabs: int):
-        """The draw from word ``rabs << 9 | layer``, and whether it used that word alone."""
+    def draw(layer: int, magnitude: int):
+        """The draw from the word of ``layer`` and ``magnitude``, and whether it used
+        that word alone."""
         # the word's high half is 0, so its rotation is 0 and it is the stepped state
-        word = rabs << 9 | layer
+        word = magnitude << zig.shift | layer << zig.layer_shift
         state["state"]["state"] = (word - _INC) * inverse & _MASK128
         bit_generator.state = state
-        x = generator.standard_normal()
+        x = standard()
         return x, int(bit_generator.random_raw()) == _xsl_rr(word * _PCG64_MULT + _INC & _MASK128)
 
-    def accepted(layer: int, rabs: int) -> bool:
-        return draw(layer, rabs)[1]
+    def accepted(layer: int, magnitude: int) -> bool:
+        return draw(layer, magnitude)[1]
 
     def bisect(layer: int) -> int:
-        # acceptance is rabs < k: keep lo accepted (or -1) and hi rejected
-        lo, hi = -1, 1 << 52
+        # acceptance is magnitude < k: keep lo accepted (or -1) and hi rejected
+        lo, hi = -1, 1 << zig.bits
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if accepted(layer, mid) else (lo, mid)
@@ -124,26 +147,29 @@ def _probe_tables():
         if not w[layer]:
             continue
         if layer and w[layer - 1]:
-            # the ziggurat's k[i] is about 2**52 w[i-1] / w[i]: try its floor and one below
+            # k[i] is about 2**bits w[i-1] / w[i], rounded in floats: try its
+            # floor and three below, the first one accepted proving the bound
             (p, q), (r, s) = w[layer - 1].as_integer_ratio(), w[layer].as_integer_ratio()
-            guess = (p * s << 52) // (q * r)
-            if accepted(layer, guess):
-                k[layer] = guess + 1
-                continue
-            if accepted(layer, guess - 1):
-                k[layer] = guess
-                continue
-        k[layer] = bisect(layer)
+            guess = (p * s << zig.bits) // (q * r)
+            k[layer] = next((c + 1 for c in range(guess, guess - 4, -1) if accepted(layer, c)),
+                            None) or bisect(layer)
+        else:
+            k[layer] = bisect(layer)
     return np.array(w), np.array(k, dtype=np.uint64)
 
 
-def _normal(words, state_hi, state_lo, inc_hi, inc_lo, hi, lo, tables) -> np.ndarray:
-    """numpy's standard normals from ``_words``, with each row's slow path replayed by numpy."""
-    signed_w, k = tables
-    rabs = words >> 9 & _MASK52
-    layer_sign = words & 0x1FF
-    x = rabs.astype(float) * np.take(signed_w, layer_sign)
-    slow = ~(rabs < np.take(k, layer_sign))
+def _fast_path(law: str, words, tables) -> tuple:
+    """The ziggurat draw each word gives on the fast path, and whether it leaves it."""
+    zig, (w, k) = _ZIGGURATS[law], tables
+    index = words >> zig.layer_shift & (1 << zig.index_bits) - 1
+    magnitude = words >> zig.shift & (1 << zig.bits) - 1
+    return magnitude.astype(float) * np.take(w, index), ~(magnitude < np.take(k, index))
+
+
+def _ziggurat(law: str, words, state_hi, state_lo, inc_hi, inc_lo, hi, lo,
+              tables) -> np.ndarray:
+    """numpy's standard draws from ``_words``, with each row's slow path replayed by numpy."""
+    x, slow = _fast_path(law, words, tables)
     rows = np.flatnonzero(slow.any(axis=1))
     if not rows.size:
         return x
@@ -154,12 +180,12 @@ def _normal(words, state_hi, state_lo, inc_hi, inc_lo, hi, lo, tables) -> np.nda
     before_lo = np.where(seeded, state_lo[rows], lo[rows, prior]).tolist()
     generator = np.random.Generator(np.random.PCG64(0))
     bit_generator, state = generator.bit_generator, _pcg64_state(0, 0)
-    inner = state["state"]
+    standard, inner = getattr(generator, _ZIGGURATS[law].method), state["state"]
     for row, j, b_hi, b_lo, i_hi, i_lo in zip(rows.tolist(), first.tolist(), before_hi, before_lo,
                                              inc_hi[rows].tolist(), inc_lo[rows].tolist()):
         inner["state"], inner["inc"] = b_hi << 64 | b_lo, i_hi << 64 | i_lo
         bit_generator.state = state
-        generator.standard_normal(out=x[row, j:])
+        standard(out=x[row, j:])
     return x
 
 
@@ -168,7 +194,13 @@ def _draw(dgp, limbs, n: int, tables) -> np.ndarray:
     if dgp.name == "uniform":
         low = dgp.params["lo"]
         return low + (dgp.params["hi"] - low) * ((words >> 11).astype(float) * 2.0 ** -53)
-    return _normal(words, *limbs, hi, lo, tables)
+    x = _ziggurat(dgp.name, words, *limbs, hi, lo, tables)
+    if dgp.name == "exp_centered":
+        scale = dgp.params["scale"]
+        with np.errstate(over="ignore"):  # numpy's exponential overflows to inf silently
+            x *= scale
+        x -= scale
+    return x
 
 
 def draw_chunk(dgp, master_seed: int, start: int, stop: int, label: str, n: int) -> np.ndarray:
@@ -179,30 +211,37 @@ def draw_chunk(dgp, master_seed: int, start: int, stop: int, label: str, n: int)
     """
     _check_against_reference()
     limbs = _pcg64_limbs(_chunk_seeds(master_seed, range(start, stop), label))
-    return _draw(dgp, limbs, n, _tables())
+    return _draw(dgp, limbs, n, _tables(dgp.name))
 
 
-#: Fixed chunks of the first-use check: (law, params, master seed, start,
-#: stop, label, n).  The normal one holds slow-path rows from layer 0, from
-#: layer 1 and from positions past the first.
-_CHECKS = (("standard_normal", {}, -5, 0, 300, "check|normal", 16),
-           ("uniform", {"lo": -3.0, "hi": 1e300}, 2**64 + 3, 0, 64, "check|uniform", 9))
+#: The fixed chunk of each law's first-use check: (params, master seed, start,
+#: stop, label, n).  The normal's holds slow-path rows from layer 0 (the
+#: tail), from layer 1 (no fast path) and at positions past the first; the
+#: exponential's holds the same, layer 1 and the other layers past their fast
+#: path being its wedges.
+_CHECKS = {"standard_normal": ({}, -5, 0, 300, "check|normal", 16),
+           "uniform": ({"lo": -3.0, "hi": 1e300}, 2**64 + 3, 0, 64, "check|uniform", 9),
+           "exp_centered": ({"scale": 3.5}, -5, 0, 300, "check|exp", 16)}
 
 
 @functools.cache
-def _tables():
-    """``w`` and ``k`` indexed by a word's low 9 bits (layer, then sign), checked."""
-    w, k = _probe_tables()
-    # rabs * -w is -(rabs * w) exactly: rounding is symmetric in sign
-    tables = np.concatenate([w, -w]), np.concatenate([k, k])
-    for name, params, master_seed, start, stop, label, n in _CHECKS:
-        dgp = make_dgp(name, **params)
-        limbs = _pcg64_limbs(_chunk_seeds(master_seed, range(start, stop), label))
-        ours = _draw(dgp, limbs, n, tables)
-        reference = np.array([dgp.sample(replication_rng(master_seed, i, label), n)
-                              for i in range(start, stop)])
-        if not np.array_equal(ours.view(np.uint64), reference.view(np.uint64)):
-            raise RuntimeError(
-                f"one-pass {dgp.name} draws differ from replication_rng under numpy "
-                f"{np.__version__}; numpy's PCG64, ziggurat or uniform has changed")
+def _tables(law: str):
+    """The law's ziggurat ``w`` and ``k``, indexed as ``_fast_path`` reads them, or
+    None for the uniform; checked against ``replication_rng`` first."""
+    tables = _probe_tables(_ZIGGURATS[law]) if law in _ZIGGURATS else None
+    if law == "standard_normal":
+        # the sign bit follows the layer: rounding is symmetric in sign, so
+        # magnitude * -w is -(magnitude * w) exactly
+        w, k = tables
+        tables = np.concatenate([w, -w]), np.concatenate([k, k])
+    params, master_seed, start, stop, label, n = _CHECKS[law]
+    dgp = make_dgp(law, **params)
+    limbs = _pcg64_limbs(_chunk_seeds(master_seed, range(start, stop), label))
+    ours = _draw(dgp, limbs, n, tables)
+    reference = np.array([dgp.sample(replication_rng(master_seed, i, label), n)
+                          for i in range(start, stop)])
+    if not np.array_equal(ours.view(np.uint64), reference.view(np.uint64)):
+        raise RuntimeError(
+            f"one-pass {law} draws differ from replication_rng under numpy "
+            f"{np.__version__}; numpy's PCG64 or its {law} sampler has changed")
     return tables

@@ -9,12 +9,15 @@ worker count, or execution order.  The experiment kinds label every stream
 ``<grid label>|<stream>`` (``kinds._stream_label``).
 
 A chunk is seeded in one pass.  Per index, ``_chunk_seeds`` hashes one
-bytes message, the text ``derive_seed`` hashes with its two fixed ends
-encoded once per chunk, and joins the digests' 8-byte heads into one
-big-endian ``uint64`` array.  ``_pcg64_limbs`` hashes the chunk's
-``SeedSequence`` states together in numpy ``uint32`` arithmetic and runs
-PCG64's 128-bit seeding step on ``uint64`` (high, low) limb arrays
-(``mul128``, ``add128``).  Two paths draw from those states:
+bytes message, the text ``derive_seed`` hashes, formatted from one template
+per chunk in which the fixed ends are encoded once (their ``%`` escaped), and
+reads the digests' 8-byte heads as one big-endian ``uint64`` array.
+``_pcg64_limbs`` hashes the chunk's ``SeedSequence`` pools together as a
+``(4, count)`` ``uint32`` array: each pool word mixes into its three
+destination words in one set of array operations, and the eight output
+words are hashed at once.  It then runs PCG64's 128-bit seeding step on
+``uint64`` (high, low) limb arrays (``mul128``, ``add128``).  Two paths draw
+from those states:
 
 - ``chunk_generators`` checks the master seed, the index range and each
   label's type once per chunk, with ``derive_seed``'s ``TypeError``
@@ -23,18 +26,20 @@ PCG64's 128-bit seeding step on ``uint64`` (high, low) limb arrays
   per stream whose inner ``state`` and ``inc`` are the only values that
   change;
 - ``onepass.draw_chunk`` steps the limbs itself and draws a stream's whole
-  ``(count, n)`` matrix of ``standard_normal`` or ``uniform`` draws in one
-  numpy pass, handing numpy's slow-path ziggurat draws back to numpy.
-  ``kinds._sample`` takes it for those laws at n <= ``_ONE_PASS_MAX_N``
-  (32), where it is the faster; everything else uses the generators.
+  ``(count, n)`` matrix of ``standard_normal``, ``uniform`` or
+  ``exp_centered`` draws in one numpy pass, handing numpy's slow-path
+  ziggurat draws back to numpy.  ``kinds._sample`` takes it for those laws
+  at n <= ``_ONE_PASS_MAX_N`` (32), where it is the faster; everything else
+  uses the generators.
 
 Both draw the streams of ``replication_rng``, the reference, bit for bit:
 PCG64 and numpy's samplers are exact integer and float recipes, and the
 one-pass draws evaluate the same ones.  The first use in a process compares
 the seeding with ``default_rng`` on fixed seeds, and the chunk hashing with
-``derive_seed`` on indices around 2**32; it raises ``RuntimeError`` if either
+``derive_seed`` on indices around 2**32 under a label holding ``%d`` and a
+non-ASCII character; it raises ``RuntimeError`` if either
 differs (a numpy release that changed ``SeedSequence`` or PCG64).  The
-one-pass draws check themselves the same way on their first chunk.  The test
+one-pass draws check each law the same way on its first chunk.  The test
 suite compares the streams for every draw method the lab uses.
 """
 
@@ -76,18 +81,27 @@ def replication_rng(master_seed: int, replication_index: int,
     return np.random.default_rng(derive_seed(master_seed, replication_index, stream_label))
 
 
-def _hasher(init: int, mult: int):
-    """numpy's ``SeedSequence`` word hash, whose multiplier advances at every call."""
-    const = init
+def _hash_consts(init: int, mult: int, calls: int) -> np.ndarray:
+    """The constants of ``calls`` successive calls of numpy's ``SeedSequence`` word
+    hash, as a ``(calls + 1, 1)`` ``uint32`` column: call ``c`` xors with entry
+    ``c`` and multiplies by entry ``c + 1``, since the constant advances first."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
 
-    def hash_word(value):
-        nonlocal const
-        value = value ^ const
-        const = const * mult & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
 
-    return hash_word
+# the 16 hashes of mixing the pool, and the 8 of generate_state(4, np.uint64)
+_MIX_CONSTS = _hash_consts(_INIT_A, _MULT_A, 16)
+_OUT_CONSTS = _hash_consts(_INIT_B, _MULT_B, 8)
+_MIX_DESTINATIONS = [[dst for dst in range(4) if dst != src] for src in range(4)]
+
+
+def _hash(values, consts):
+    """Successive word hashes of the rows of ``values`` (which broadcast), with
+    ``consts`` one row longer than the calls."""
+    values = (values ^ consts[:-1]) * consts[1:]
+    return values ^ values >> 16
 
 
 def _mulhi(x, y):
@@ -118,21 +132,20 @@ def _pcg64_limbs(seeds) -> tuple:
     zero high word.  PCG64 then seeds ``(seed + inc) * mult + inc``.
     """
     seeds = np.asarray(seeds, dtype=np.uint64)
-    words = [(seeds & _MASK32).astype(np.uint32), (seeds >> 32).astype(np.uint32)]
-    words += [np.zeros_like(words[0])] * 2
-    mix_hash = _hasher(_INIT_A, _MULT_A)
-    pool = [mix_hash(word) for word in words]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                mixed = pool[dst] * _MIX_MULT_L - mix_hash(pool[src]) * _MIX_MULT_R
-                pool[dst] = mixed ^ (mixed >> 16)
+    words = np.zeros((4, seeds.size), dtype=np.uint32)
+    words[0], words[1] = seeds & _MASK32, seeds >> 32
+    pool = _hash(words, _MIX_CONSTS[:5])
+    # each source word hashes into its three destinations with three successive
+    # constants; it is not itself a destination, so it is the same in all three
+    for src, dst in enumerate(_MIX_DESTINATIONS):
+        calls = _MIX_CONSTS[4 + 3 * src:8 + 3 * src]
+        mixed = pool[dst] * _MIX_MULT_L - _hash(pool[src], calls) * _MIX_MULT_R
+        pool[dst] = mixed ^ mixed >> 16
     # generate_state(4, np.uint64): eight uint32 words cycled from the pool,
     # paired little-endian into (seed high, seed low, inc high, inc low);
     # the increment is (inc << 1) | 1
-    output_hash = _hasher(_INIT_B, _MULT_B)
-    out = [output_hash(word).astype(np.uint64) for word in pool * 2]
-    seed_hi, seed_lo, inc_hi, inc_lo = [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+    out = _hash(np.concatenate([pool, pool]), _OUT_CONSTS).astype(np.uint64)
+    seed_hi, seed_lo, inc_hi, inc_lo = out[::2] | out[1::2] << 32
     inc_hi, inc_lo = inc_hi << 1 | inc_lo >> 63, inc_lo << 1 | 1
     state = mul128(*add128(seed_hi, seed_lo, inc_hi, inc_lo), *_PCG64_MULT_LIMBS)
     return (*add128(*state, inc_hi, inc_lo), inc_hi, inc_lo)
@@ -160,17 +173,20 @@ def _check_against_reference() -> None:
                 f"batched seeding differs from np.random.default_rng({seed}) under numpy "
                 f"{np.__version__}; it would change every random stream")
     indices = range(2**32 - 2, 2**32 + 2)
-    if _chunk_seeds(-3, indices, "check|\u00e9").tolist() != [
-            derive_seed(-3, i, "check|\u00e9") for i in indices]:
+    label = "check|%d\u00e9"  # a template escape and a non-ASCII character
+    if _chunk_seeds(-3, indices, label).tolist() != [derive_seed(-3, i, label) for i in indices]:
         raise RuntimeError("chunk seed hashing differs from derive_seed")
 
 
 def _chunk_seeds(master_seed: int, indices, label: str) -> np.ndarray:
-    """``derive_seed`` of each index, hashing the same message with its ends encoded once."""
-    prefix, suffix = f"{master_seed}|".encode(), f"|{label}".encode("utf-8")
-    sha256 = hashlib.sha256
-    return np.frombuffer(b"".join([sha256(b"%b%d%b" % (prefix, i, suffix)).digest()[:8]
-                                   for i in indices]), dtype=">u8")
+    """``derive_seed`` of each index: the same message, formatted from one template."""
+    # the fixed ends are encoded once, with their '%' escaped for the template
+    prefix, suffix = (part.replace(b"%", b"%%")
+                      for part in (f"{master_seed}|".encode(), f"|{label}".encode("utf-8")))
+    template, sha256 = b"%b%%d%b" % (prefix, suffix), hashlib.sha256
+    digests = b"".join([sha256(template % i).digest() for i in indices])
+    # each 32-byte digest is four big-endian words; the seed is the first
+    return np.frombuffer(digests, dtype=">u8")[::4]
 
 
 def chunk_generators(master_seed: int, start: int, stop: int, labels):

@@ -1,6 +1,7 @@
-"""One-pass chunk draws against ``replication_rng``, bit for bit, and the first-use check."""
+"""One-pass chunk draws against ``replication_rng``, bit for bit, and the first-use checks."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -28,15 +29,15 @@ def _assert_same_bits(dgp, master_seed, start, stop, label, n):
     assert np.array_equal(ours.view(np.uint64), reference.view(np.uint64)), (dgp, n, label)
 
 
-def _first_slow_draws(master_seed, start, stop, label, n) -> list:
-    """(layer, position) of each row's first draw off the ziggurat's fast path."""
+def _first_slow_draws(law, master_seed, start, stop, label, n) -> list:
+    """(layer, position) of each row's first draw off the law's ziggurat fast path."""
     limbs = _pcg64_limbs(_chunk_seeds(master_seed, range(start, stop), label))
     words, _, _ = onepass._words(*limbs, n)
-    _, k = onepass._tables()
-    slow = ~(words >> 9 & onepass._MASK52 < np.take(k, words & 0x1FF))
+    _, slow = onepass._fast_path(law, words, onepass._tables(law))
     rows = np.flatnonzero(slow.any(axis=1))
     first = slow[rows].argmax(axis=1)
-    return list(zip((words[rows, first] & 0xFF).tolist(), first.tolist()))
+    layers = words[rows, first] >> onepass._ZIGGURATS[law].layer_shift & 0xFF
+    return list(zip(layers.tolist(), first.tolist()))
 
 
 # master seeds negative and beyond 64 bits, indices across 2**32, two streams
@@ -57,17 +58,42 @@ def test_chunks_match_replication_rng(n):
             _assert_same_bits(dgp, *chunk, n)
 
 
-@pytest.mark.parametrize("chunk", [(3, 0, 1024, "g|data", 16), onepass._CHECKS[0][2:]],
-                         ids=["chunk", "first-use-check"])
-def test_slow_path_rows_occur_and_match(chunk):
+# scales from subnormal products to overflow: numpy's exponential(1e308)
+# turns most draws into inf without a warning
+_SCALES = (1.0, 3.5, 1e-300, 1e308)
+
+
+@pytest.mark.parametrize("n", range(1, kinds._ONE_PASS_MAX_N + 3))
+def test_exponential_chunks_match_replication_rng(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in _SCALES:
+            for chunk in _CHUNKS:
+                _assert_same_bits(make_dgp("exp_centered", scale=scale), *chunk, n)
+
+
+@pytest.mark.parametrize("law, chunk", [
+    ("standard_normal", (3, 0, 1024, "g|data", 16)),
+    ("standard_normal", onepass._CHECKS["standard_normal"][1:]),
+    ("exp_centered", (3, 0, 1024, "g|data", 16)),
+    ("exp_centered", onepass._CHECKS["exp_centered"][1:]),
+], ids=["chunk", "first-use-check", "exp-chunk", "exp-first-use-check"])
+def test_slow_path_rows_occur_and_match(law, chunk):
     # rows leave the fast path from layer 0 (the tail) and from layer 1 (no
-    # fast path), at their first draw and past it, and each continues in numpy
-    # from its state; the first-use check's normal chunk holds all of these
-    slow = _first_slow_draws(*chunk)
+    # fast path: for the exponential, a wedge), at their first draw and past
+    # it, and each continues in numpy from its state; the first-use checks
+    # hold all of these
+    slow = _first_slow_draws(law, *chunk)
     assert {0, 1} <= {layer for layer, _ in slow}
     positions = [j for _, j in slow]
     assert min(positions) == 0 and max(positions) > 0
-    _assert_same_bits(make_dgp("standard_normal"), *chunk)
+    if law == "exp_centered" and chunk[0] == 3:
+        # the exponential's tail, and a wedge past layer 1, each at the first
+        # draw and later
+        for layers in ({0}, set(range(2, 256))):
+            at = {j for layer, j in slow if layer in layers}
+            assert 0 in at and max(at) > 0, layers
+    _assert_same_bits(make_dgp(law, **onepass._CHECKS[law][0]), *chunk)
 
 
 @pytest.fixture
@@ -82,25 +108,28 @@ def fresh_tables():
 def _perturbed_probe(monkeypatch, change):
     probe = onepass._probe_tables
 
-    def perturbed():
-        w, k = probe()
+    def perturbed(zig):
+        w, k = probe(zig)
         change(w, k)
         return w, k
 
     monkeypatch.setattr(onepass, "_probe_tables", perturbed)
 
 
-@pytest.mark.parametrize("change", [
-    lambda w, k: w.__setitem__(5, np.nextafter(w[5], 1.0)),  # one ulp in one layer
-    lambda w, k: k.__setitem__(0, 2**52),  # the tail's bound overstated
-], ids=["w", "k"])
-def test_first_use_check_raises_on_a_perturbed_table(monkeypatch, fresh_tables, change):
+@pytest.mark.parametrize("law, change", [
+    ("standard_normal", lambda w, k: w.__setitem__(5, np.nextafter(w[5], 1.0))),  # one ulp
+    ("standard_normal", lambda w, k: k.__setitem__(0, 2**52)),  # the tail's bound overstated
+    ("exp_centered", lambda w, k: w.__setitem__(5, np.nextafter(w[5], 1.0))),
+    ("exp_centered", lambda w, k: k.__setitem__(0, 2**53)),
+    ("exp_centered", lambda w, k: k.__setitem__(2, 2**53)),  # a wedge's bound
+], ids=["w", "k", "exp-w", "exp-k-tail", "exp-k-wedge"])
+def test_first_use_check_raises_on_a_perturbed_table(monkeypatch, fresh_tables, law, change):
     _perturbed_probe(monkeypatch, change)
     with pytest.raises(RuntimeError, match=re.escape(np.__version__)):
-        onepass.draw_chunk(make_dgp("standard_normal"), 0, 0, 4, "x", 3)
+        onepass.draw_chunk(make_dgp(law), 0, 0, 4, "x", 3)
     monkeypatch.undo()
     onepass._tables.cache_clear()
-    _assert_same_bits(make_dgp("standard_normal"), 0, 0, 4, "x", 3)
+    _assert_same_bits(make_dgp(law), 0, 0, 4, "x", 3)
 
 
 def test_first_use_check_raises_on_a_perturbed_multiplier(monkeypatch, fresh_tables):
@@ -109,13 +138,15 @@ def test_first_use_check_raises_on_a_perturbed_multiplier(monkeypatch, fresh_tab
         onepass.draw_chunk(make_dgp("uniform"), 0, 0, 4, "x", 3)
 
 
-def test_sample_routes_only_small_normal_and_uniform_chunks(monkeypatch):
+def test_sample_routes_only_small_one_pass_law_chunks(monkeypatch):
     calls = []
     draw = kinds.draw_chunk
     monkeypatch.setattr(kinds, "draw_chunk", lambda *args: calls.append(args[-1]) or draw(*args))
     cutoff = kinds._ONE_PASS_MAX_N
     for law, n, one_pass in (("standard_normal", cutoff, True), ("uniform", 1, True),
-                             ("standard_normal", cutoff + 1, False), ("logistic", 5, False)):
+                             ("exp_centered", cutoff, True), ("exp_centered", 1, True),
+                             ("standard_normal", cutoff + 1, False),
+                             ("exp_centered", cutoff + 1, False), ("logistic", 5, False)):
         config = ExperimentConfig.from_dict({
             "experiment": "route", "kind": "z_estimator_equality", "dgp": {"name": law},
             "estimator": {"kind": "abs_dev"}, "grids": {"n": [n]}, "reps": 100})

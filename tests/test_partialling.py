@@ -538,7 +538,7 @@ def test_slope_sides_raise_the_fits_errors():
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_fit_raises_on_overflowing_residual_products():
     # every entry is finite but the residuals' inner products overflow into
-    # a NaN slope: a stack names its row, one sample names no row
+    # a NaN or an infinite slope: a stack names its row, one sample names no row
     rng = np.random.default_rng(24)
     stack, _, _ = _stack([_random_instance(rng, 40, 3, 0.5) for _ in range(5)])
     y, t, x = stack.y.copy(), stack.t.copy(), stack.x.copy()
@@ -551,6 +551,16 @@ def test_fit_raises_on_overflowing_residual_products():
     with pytest.raises(ValueError, match=r"^the residuals' inner products overflow") as raised:
         fwl_estimate(RegressionData(y=y[3], t=t[3], x=x[3]))
     assert not hasattr(raised.value, "row")
+    # y = 5.7e307 t: t't is finite, t'y overflows, and the slope is +inf
+    # although the true one is finite
+    t = rng.standard_normal((2, 60))
+    x = rng.standard_normal((2, 60, 2))
+    y = 0.5 * t
+    y[1] = 5.7e307 * t[1]
+    with pytest.raises(ValueError, match=r"^row 1: the residuals' inner products "
+                                         r"overflow, so the partialled slope is \+inf$") as raised:
+        fwl_estimate(RegressionData(y=y, t=t, x=x))
+    assert raised.value.row == 1
 
 
 def _certificate_block(rng, family: str, rows: int, n: int, d: int, theta0: float,

@@ -158,6 +158,41 @@ def test_batched_seeding_matches_seed_sequence_on_raw_seeds():
         assert seeds._pcg64_state(*state) == np.random.default_rng(seed).bit_generator.state
 
 
+def test_batched_seeding_limbs_match_seed_sequence_on_many_seeds():
+    # one-word and two-word seeds, the edges between them, and random ones
+    edges = [0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**63, 2**64 - 2, 2**64 - 1]
+    rng = np.random.default_rng(23)
+    raw = edges + rng.integers(0, 2**32, 996, dtype=np.uint64).tolist() \
+        + rng.integers(0, 2**64 - 1, 996, dtype=np.uint64, endpoint=True).tolist()
+    state_hi, state_lo, inc_hi, inc_lo = (limb.tolist() for limb in seeds._pcg64_limbs(raw))
+    for k, seed in enumerate(raw):
+        state = np.random.default_rng(seed).bit_generator.state["state"]
+        assert state == {"state": state_hi[k] << 64 | state_lo[k],
+                         "inc": inc_hi[k] << 64 | inc_lo[k]}, seed
+
+
+@pytest.mark.parametrize("label", ["g|data", "", "%", "%d", "%%", "a%%d%s|%b", "\u00e9|\u6f22%d",
+                                   "%(x)s"])
+def test_chunk_seeds_match_derive_seed_on_any_label(label):
+    for master_seed, indices in ((0, range(0, 40)), (-3, range(2**32 - 5, 2**32 + 5)),
+                                 (2**70 + 1, range(10**12, 10**12 + 3))):
+        assert seeds._chunk_seeds(master_seed, indices, label).tolist() == [
+            derive_seed(master_seed, i, label) for i in indices]
+
+
+def test_seed_hashing_self_check_covers_a_percent_label(monkeypatch):
+    # a template that escaped '%' twice would hash a '%' label wrongly and
+    # every other label rightly; the self-check's label holds a '%'
+    chunk_seeds = seeds._chunk_seeds
+    monkeypatch.setattr(seeds, "_chunk_seeds",
+                        lambda master_seed, indices, label:
+                        chunk_seeds(master_seed, indices, label.replace("%", "%%")))
+    assert seeds._chunk_seeds(1, range(3), "g|data").tolist() == chunk_seeds(
+        1, range(3), "g|data").tolist()
+    with pytest.raises(RuntimeError, match="chunk seed hashing differs from derive_seed"):
+        seeds._check_against_reference.__wrapped__()
+
+
 def test_chunk_generators_drop_a_buffered_half():
     # a body that leaves half of a 64-bit output buffered must not leak it
     # into the next replication's draws
@@ -176,7 +211,9 @@ def test_chunk_generators_drop_a_buffered_half():
 
 
 def test_batched_seeding_self_check_raises_on_drift(monkeypatch):
-    monkeypatch.setattr(seeds, "_MULT_B", seeds._MULT_B ^ 1)
+    # the output hash's constants, as a multiplier one bit off gives them
+    monkeypatch.setattr(seeds, "_OUT_CONSTS",
+                        seeds._hash_consts(seeds._INIT_B, seeds._MULT_B ^ 1, 8))
     seeds._check_against_reference.cache_clear()
     with pytest.raises(RuntimeError, match=re.escape(np.__version__)):
         next(chunk_generators(0, 0, 1, ["x"]))
@@ -637,8 +674,9 @@ _OVERFLOWING = {
     "scaling_theta0": {"kind": "dimension_scaling", "estimator": {},
                        "dgp": {"name": "leverage_mix"}, "params": {"theta0": 1e308},
                        "grids": {"n": [60], "d_schedules": ["half_sqrt"], "seed_labels": [0]}},
-    # about one replication in ten overflows, so the first one is not a
-    # block's first row
+    # every replication fails: about one in ten on y's draws, the others on
+    # their fit, whose inner products overflow into an infinite or NaN
+    # slope, so one block holds both failures and names its first
     "scaling_theta0_some_rows": {
         "kind": "dimension_scaling", "estimator": {}, "dgp": {"name": "leverage_mix"},
         "params": {"theta0": 5.7e307},
@@ -675,6 +713,7 @@ _REGRESSION_KINDS = {"plm_rate_dichotomy", "partialled_dominance", "dimension_sc
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(_OVERFLOWING))
 def test_overflowing_draws_name_their_replication(case):
     # finite params whose draws overflow pass validation; the chunk names the
@@ -726,6 +765,15 @@ def test_overflowing_draws_name_their_replication(case):
         sample_design(prepared.design, [rngs["data"]], y, t, x, prepared.theta0,
                       **prepared.design_params)
         draw = np.concatenate([y.ravel(), t.ravel(), x.ravel()])
+        if "partialled slope is" in str(raised.value):
+            # a fit that overflows on finite draws: the replayed draws are
+            # finite, and their fit alone raises the message the run gave
+            assert case == "scaling_theta0_some_rows"
+            assert np.isfinite(draw).all()
+            with pytest.raises(ValueError) as alone:
+                kinds.fwl_estimate(kinds.RegressionData(y=y[0], t=t[0], x=x[0]))
+            assert str(raised.value).endswith(f": {alone.value}")
+            return
     elif config.kind == "mle_llr_consistency":
         draw = prepared.family.sample(rngs["data"], prepared.theta0, n)
     else:
@@ -1086,6 +1134,44 @@ def test_partialled_overflowing_fit_names_its_replication(monkeypatch):
             f"grid point {label}, replication 12: stream 'data' (seed {seed}): the residuals' "
             "inner products overflow")):
         KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("kind", ["partialled_dominance", "dimension_scaling"])
+def test_partialled_chunk_names_a_blocks_first_failure(monkeypatch, kind):
+    # in one block, a fit that overflows (an infinite slope from finite
+    # draws) and non-finite draws: whichever replication comes first is named
+    from medbias.simlab.config import validate_config
+
+    raw = {"kind": kind, "dgp": {"name": "gaussian"}, "estimator": {}, "reps": 200,
+           "grids": ({"n": [40], "d": [3]} if kind == "partialled_dominance" else
+                     {"n": [40], "d_schedules": ["half_sqrt"], "seed_labels": [0]})}
+    config = ExperimentConfig.from_dict(_minimal_config(**raw))
+    prepared, (point,) = validate_config(config)
+    label = kinds.grid_label(config.kind, point)
+    real = kinds.sample_design
+    for overflowing, non_finite in ((12, 30), (30, 12), (0, 1), (1, 0)):
+        alone = {}
+
+        def sample(name, rngs, y, t, x, theta0, **params):
+            real(name, rngs, y, t, x, theta0, **params)
+            # finite entries up to 1e308, whose inner product with t overflows
+            y[overflowing] = 1e308 / np.abs(t[overflowing]).max() * t[overflowing]
+            y[non_finite, 3] = np.inf
+            row = np.s_[overflowing]
+            with pytest.raises(ValueError, match="overflow, so the partialled slope is ") as fit:
+                kinds.fwl_estimate(kinds.RegressionData(y=y[row], t=t[row], x=x[row]))
+            alone["fit"] = str(fit.value)
+
+        monkeypatch.setattr(kinds, "sample_design", sample)
+        with pytest.raises(ValueError) as raised:
+            KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
+        first = min(overflowing, non_finite)
+        seed = derive_seed(config.master_seed, first, f"{label}|data")
+        message = alone["fit"] if first == overflowing else "y must be finite"
+        assert str(raised.value) == (f"grid point {label}, replication {first}: stream 'data' "
+                                     f"(seed {seed}): {message}")
 
 
 def test_partialled_chunk_peak_memory():
