@@ -20,9 +20,10 @@ values taken as one ``(rows, n, d) @ (rows, d, 1)`` matmul per coefficient
 column (one ``(rows, n, d) @ (rows, d, 2)`` matmul for both columns does
 not).  The experiment lab fits a chunk of replications in blocks of at most
 256 KiB of stack, which keeps a block in cache; a design too large for one
-row in that budget runs 1-row blocks.  An error on a stack names its row,
-and carries it as ``row``.  ``joint_theta``, the companion solve on
-``[t | x]`` kept as a reference, shares only the rank test.
+row in that budget runs 1-row blocks.  An error on a stack names its row
+and carries it as ``row``; the lab names a failing replication by refitting
+its block one sample at a time instead.  ``joint_theta``, the companion
+solve on ``[t | x]`` kept as a reference, shares only the rank test.
 
 A caller that reads only each row's side of theta0, sign(theta_hat -
 theta0), can take it from ``slope_sides``, which certifies most rows from
@@ -204,6 +205,10 @@ def _check_rank(y, t, x, stacked: bool) -> np.ndarray:
         )
     r = np.linalg.qr(np.concatenate([x, t[..., None], y[..., None]], axis=-1), mode="r")
     block = r[:, :d + 1, :d + 1]
+    overflowing = ~np.isfinite(block).all(axis=(1, 2))  # the SVD would fail unnamed
+    if overflowing.any():
+        raise _first_bad(ValueError, overflowing, stacked, lambda row: "a column of the design "
+                         "[t | x] has a norm past the float range, so its QR factor overflows")
     singular = np.linalg.svd(block, compute_uv=False)
     deficient = singular[:, -1] <= _RANK_RTOL * singular[:, 0]
     if deficient.any():
@@ -235,8 +240,11 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     treatment coordinate of the joint least-squares solve whenever the
     stacked design has full column rank; rank deficiency raises
     ``CollinearityError`` naming the offending direction, and its row on a
-    stack; residuals whose inner products overflow into a NaN or infinite
-    slope raise ``ValueError`` the same way.
+    stack; a column of ``[x | t]`` whose norm overflows, and residuals whose
+    inner products overflow into a NaN or infinite slope, raise
+    ``ValueError`` the same way.  Each check runs over the whole stack in
+    turn, so a stack raises the first failing row of the first check that
+    fails, which may come after a row that fails a later check.
     """
     y, t, x, stacked = _as_stack(data)
     r = _check_rank(y, t, x, stacked)

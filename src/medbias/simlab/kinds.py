@@ -44,7 +44,6 @@ from ..objectives import (
     make_objective,
 )
 from ..partialling import (
-    DecompositionError,
     RegressionData,
     default_eta_grid,
     fwl_estimate,
@@ -596,8 +595,8 @@ def _summarize_nonconvex(config, prep, point, arrays):
 # coefficient against the threshold bound built from the score decomposition.
 
 
-def _prepare_design(config, decompose: bool):
-    """Regression design and true coefficient; ``decompose`` keeps the score decomposition."""
+def _prepare_design(config, fit: Callable):
+    """Regression design, true coefficient and ``fit``, the kind's block fit."""
     params = _read_params(config, theta0=0.5)
     _int_grid(config, "n", 1)
     if config.grids.get("eta"):
@@ -605,8 +604,21 @@ def _prepare_design(config, decompose: bool):
     name = config.dgp.get("name")
     return SimpleNamespace(design=name,
                            design_params=design_params(name, config.dgp.get("params", {})),
-                           theta0=float(params["theta0"]), decompose=decompose,
+                           theta0=float(params["theta0"]), fit=fit,
                            eta=config.grids.get("eta"))
+
+
+def _fit_decomposed(data, theta0: float) -> dict:
+    """Each slope and score decomposition, as ``partialled_dominance`` reads them."""
+    fit = fwl_estimate(data)
+    beta = np.zeros(data.x.shape[:-2] + (data.d,))  # both designs have zero coefficients
+    dec = score_decompose(data, fit, theta0, beta, beta)
+    return {"theta_hat": fit.theta_hat, "s_n": dec.s_n, "correction": dec.correction}
+
+
+def _fit_sides(data, theta0: float) -> dict:
+    """Each side of theta0 and whether ``slope_sides`` certified it."""
+    return slope_sides(data, theta0)._asdict()
 
 
 def _full_rank(points):
@@ -634,61 +646,32 @@ def _chunk_partialled(config, prep, point, start, stop):
     A block holds as many replications as fit in ``_FIT_BLOCK_BYTES`` of
     ``[x | t | y]`` stack (at least one); a row's fit does not depend on its
     block, so the values do not depend on the block size or on chunking.
-    Each block's replications draw straight into its rows, and the block is
-    checked once, as one ``RegressionData``; an error on block row k of a
-    block that starts at replication s names replication s + k.  When a
-    row's draws are not finite, the rows before it are fitted first, so the
-    error names the block's first failing fit if that comes earlier.  Both
-    designs have zero population covariate coefficients.  With
-    ``prep.decompose`` the chunk returns each slope and score decomposition;
-    without it, only what ``dimension_scaling`` reads: each replication's
-    side of theta0 and whether ``slope_sides`` certified it.
+    Each block's replications draw straight into its rows, the block is
+    checked once, as one ``RegressionData``, and ``prep.fit`` returns its
+    arrays, which the chunk concatenates.  When a block raises, its designs
+    are refitted one at a time, as single samples, and the first that fails
+    alone is named with its own error: its replication and its seed.
     """
     n, d, count = point["n"], point["d"], stop - start
     block = min(count, max(1, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
     y, t, x = np.empty((block, n)), np.empty((block, n)), np.empty((block, n, d))
-    beta = np.zeros((block, d))
-    if prep.decompose:
-        out = {key: np.empty(count) for key in ("theta_hat", "s_n", "correction")}
-    else:
-        out = {"side": np.empty(count), "certified": np.empty(count, dtype=bool)}
     rngs = (rng for rng, in _replications(config, point, start, stop))
+    fits = []
     for first in range(0, count, block):
         k = min(block, count - first)
         sample_design(prep.design, itertools.islice(rngs, k), y[:k], t[:k], x[:k],
                       prep.theta0, **prep.design_params)
         try:
-            stack, bad_draws = RegressionData(y=y[:k], t=t[:k], x=x[:k]), None
-        except ValueError as err:
-            if not hasattr(err, "row"):
-                raise
-            # the rows before the first with non-finite draws are fitted
-            # first: one of them may fail its fit, and it comes first
-            k, bad_draws = err.row, err
-            stack = RegressionData(y=y[:k], t=t[:k], x=x[:k]) if k else None
-        try:
-            if stack is not None:
-                _fit_block(prep, stack, out, slice(first, first + k), beta[:k])
-            if bad_draws is not None:
-                raise bad_draws
-        except (ValueError, DecompositionError) as err:
-            if not hasattr(err, "row"):
-                raise
-            raise _replication_error(config, point, start + first + err.row,
-                                     str(err).removeprefix(f"row {err.row}: "), type(err),
-                                     streams=("data",)) from None
-    return out
-
-
-def _fit_block(prep, stack, out: dict, rows: slice, beta):
-    """Fit one block stack into ``out[...][rows]``, as ``_chunk_partialled`` returns it."""
-    if prep.decompose:
-        fit = fwl_estimate(stack)
-        dec = score_decompose(stack, fit, prep.theta0, beta, beta)
-        out["theta_hat"][rows] = fit.theta_hat
-        out["s_n"][rows], out["correction"][rows] = dec.s_n, dec.correction
-    else:
-        out["side"][rows], out["certified"][rows] = slope_sides(stack, prep.theta0)
+            fits.append(prep.fit(RegressionData(y=y[:k], t=t[:k], x=x[:k]), prep.theta0))
+        except (ValueError, RuntimeError):
+            for row in range(k):
+                try:
+                    prep.fit(RegressionData(y=y[row], t=t[row], x=x[row]), prep.theta0)
+                except (ValueError, RuntimeError) as err:
+                    raise _replication_error(config, point, start + first + row, str(err),
+                                             type(err), streams=("data",)) from None
+            raise
+    return {key: np.concatenate([fit[key] for fit in fits]) for key in fits[0]}
 
 
 def _summarize_partialled(config, prep, point, arrays):
@@ -929,14 +912,14 @@ KINDS = {
         KindImpl(
             "partialled_dominance",
             "partialled least-squares median bias vs the threshold bound",
-            ("n", "d"), functools.partial(_prepare_design, decompose=True),
+            ("n", "d"), functools.partial(_prepare_design, fit=_fit_decomposed),
             _points_partialled, _chunk_partialled, _summarize_partialled,
         ),
         KindImpl(
             "dimension_scaling",
             "median-bias trajectories under two covariate-dimension schedules",
             ("n", "d_schedules", "seed_labels"),
-            functools.partial(_prepare_design, decompose=False), _points_dim_scaling,
+            functools.partial(_prepare_design, fit=_fit_sides), _points_dim_scaling,
             _chunk_partialled, _summarize_dim_scaling,
         ),
         KindImpl(

@@ -563,6 +563,26 @@ def test_fit_raises_on_overflowing_residual_products():
     assert raised.value.row == 1
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_fit_names_an_overflowing_qr_factor():
+    # a finite covariate of +-1e308 whose column norm leaves the float range:
+    # the rank test names the row before its SVD sees the non-finite factor,
+    # alone and as row 1 of a stack, through the fit and through the sides
+    y, t = np.linspace(-1.0, 1.0, 10), np.cos(np.arange(10))
+    x = (1e308 * (-1.0) ** np.arange(10))[:, None]
+    message = ("a column of the design [t | x] has a norm past the float range, "
+               "so its QR factor overflows")
+    alone = RegressionData(y=y, t=t, x=x)
+    stack = RegressionData(y=np.stack([t, y]), t=np.stack([y, t]), x=np.stack([t[:, None], x]))
+    for data, expected, row in ((alone, message, None), (stack, f"row 1: {message}", 1)):
+        for fit in (fwl_estimate, lambda data: slope_sides(data, 0.5)):
+            with pytest.raises(ValueError) as raised:
+                fit(data)
+            assert type(raised.value) is ValueError and str(raised.value) == expected
+            assert getattr(raised.value, "row", None) == row
+
+
 def _certificate_block(rng, family: str, rows: int, n: int, d: int, theta0: float,
                        span=(1.0, 5.0)):
     """A stack of designs of one ``family``, some of them ill-conditioned."""

@@ -671,6 +671,12 @@ _OVERFLOWING = {
     "leverage_scale_hi": {"kind": "partialled_dominance", "estimator": {},
                           "dgp": {"name": "leverage_mix", "params": {"scale_hi": 1e308}},
                           "grids": {"n": [60], "d": [2]}},
+    # finite draws whose column norm leaves the float range: unchecked, the
+    # QR factor's SVD failed with a bare "SVD did not converge"
+    "leverage_scale_hi_small_n": {"kind": "partialled_dominance", "estimator": {},
+                                  "dgp": {"name": "leverage_mix",
+                                          "params": {"scale_hi": 1e308}},
+                                  "grids": {"n": [10], "d": [1]}},
     "scaling_theta0": {"kind": "dimension_scaling", "estimator": {},
                        "dgp": {"name": "leverage_mix"}, "params": {"theta0": 1e308},
                        "grids": {"n": [60], "d_schedules": ["half_sqrt"], "seed_labels": [0]}},
@@ -765,10 +771,12 @@ def test_overflowing_draws_name_their_replication(case):
         sample_design(prepared.design, [rngs["data"]], y, t, x, prepared.theta0,
                       **prepared.design_params)
         draw = np.concatenate([y.ravel(), t.ravel(), x.ravel()])
-        if "partialled slope is" in str(raised.value):
+        finite_fit = re.search("partialled slope is|QR factor overflows", str(raised.value))
+        if finite_fit:
             # a fit that overflows on finite draws: the replayed draws are
             # finite, and their fit alone raises the message the run gave
-            assert case == "scaling_theta0_some_rows"
+            assert case == {"partialled slope is": "scaling_theta0_some_rows",
+                            "QR factor overflows": "leverage_scale_hi_small_n"}[finite_fit[0]]
             assert np.isfinite(draw).all()
             with pytest.raises(ValueError) as alone:
                 kinds.fwl_estimate(kinds.RegressionData(y=y[0], t=t[0], x=x[0]))
@@ -1136,12 +1144,41 @@ def test_partialled_overflowing_fit_names_its_replication(monkeypatch):
         KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
 
 
+def _overflow_slope(y, t, x, row):
+    # finite entries up to 1e308, whose inner product with t overflows
+    y[row] = 1e308 / np.abs(t[row]).max() * t[row]
+
+
+def _non_finite_y(y, t, x, row):
+    y[row, 3] = np.inf
+
+
+def _non_finite_x(y, t, x, row):
+    x[row, 0, 0] = np.inf
+
+
+def _collinear(y, t, x, row):
+    x[row, :, 0] = t[row]
+
+
+#: Each fault injected into a block, with the message of its design fitted alone.
+_BLOCK_FAULTS = {
+    _overflow_slope: r"the residuals' inner products overflow, so the partialled slope is .+",
+    _non_finite_y: "y must be finite",
+    _non_finite_x: "x must be finite",
+    _collinear: r"stacked design \[t \| x\] is numerically rank deficient .+",
+}
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["partialled_dominance", "dimension_scaling"])
 def test_partialled_chunk_names_a_blocks_first_failure(monkeypatch, kind):
-    # in one block, a fit that overflows (an infinite slope from finite
-    # draws) and non-finite draws: whichever replication comes first is named
+    # two failing replications in one block: a fit that overflows (an
+    # infinite slope from finite draws), non-finite draws, or a rank-deficient
+    # design.  Whichever comes first is named, with the message of its design
+    # fitted alone, even where the block's own checks would reach the later
+    # one first (non-finite y before non-finite x, rank before overflow)
     from medbias.simlab.config import validate_config
 
     raw = {"kind": kind, "dgp": {"name": "gaussian"}, "estimator": {}, "reps": 200,
@@ -1151,27 +1188,31 @@ def test_partialled_chunk_names_a_blocks_first_failure(monkeypatch, kind):
     prepared, (point,) = validate_config(config)
     label = kinds.grid_label(config.kind, point)
     real = kinds.sample_design
-    for overflowing, non_finite in ((12, 30), (30, 12), (0, 1), (1, 0)):
+    cases = [((_overflow_slope, 12), (_non_finite_y, 30)),
+             ((_overflow_slope, 30), (_non_finite_y, 12)),
+             ((_overflow_slope, 0), (_non_finite_y, 1)),
+             ((_overflow_slope, 1), (_non_finite_y, 0)),
+             ((_non_finite_y, 30), (_non_finite_x, 12)),
+             ((_collinear, 5), (_overflow_slope, 2))]
+    for faults in cases:
+        first_fault, first = min(faults, key=lambda fault: fault[1])
         alone = {}
 
         def sample(name, rngs, y, t, x, theta0, **params):
             real(name, rngs, y, t, x, theta0, **params)
-            # finite entries up to 1e308, whose inner product with t overflows
-            y[overflowing] = 1e308 / np.abs(t[overflowing]).max() * t[overflowing]
-            y[non_finite, 3] = np.inf
-            row = np.s_[overflowing]
-            with pytest.raises(ValueError, match="overflow, so the partialled slope is ") as fit:
-                kinds.fwl_estimate(kinds.RegressionData(y=y[row], t=t[row], x=x[row]))
+            for fault, row in faults:
+                fault(y, t, x, row)
+            with pytest.raises(ValueError) as fit:
+                kinds.fwl_estimate(kinds.RegressionData(y=y[first], t=t[first], x=x[first]))
             alone["fit"] = str(fit.value)
 
         monkeypatch.setattr(kinds, "sample_design", sample)
         with pytest.raises(ValueError) as raised:
             KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
-        first = min(overflowing, non_finite)
+        assert re.fullmatch(_BLOCK_FAULTS[first_fault], alone["fit"]), alone["fit"]
         seed = derive_seed(config.master_seed, first, f"{label}|data")
-        message = alone["fit"] if first == overflowing else "y must be finite"
         assert str(raised.value) == (f"grid point {label}, replication {first}: stream 'data' "
-                                     f"(seed {seed}): {message}")
+                                     f"(seed {seed}): {alone['fit']}")
 
 
 def test_partialled_chunk_peak_memory():
@@ -1231,6 +1272,16 @@ def test_median_config_csv_bytes_pinned(tmp_path):
         write_csv(out, run_experiment(config, workers=workers).rows)
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "dd01c89f51b4c53555cfe8e1689990527c445c3732df343449c33038acd2d6c2")
+
+
+def test_rate_dichotomy_config_csv_bytes_pinned(tmp_path):
+    # the shipped rate-dichotomy config, run as the CLI runs it, at workers 2
+    # only: it takes about 15 s at workers 1 on a 2-core host
+    path = Path(__file__).resolve().parents[1] / "configs" / "rate_dichotomy.json"
+    out = tmp_path / "rate-2.csv"
+    write_csv(out, run_experiment(ExperimentConfig.from_json(path), workers=2).rows)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "69d96e2e57471aff6a4ea87fefaf01873597f649581b208b34d9bc5a5dd98178")
 
 
 def test_llr_csv_bytes_pinned(tmp_path):
