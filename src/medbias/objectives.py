@@ -279,14 +279,17 @@ class CheckLoss(LocationObjective):
 
 
 class PowerLoss(LocationObjective):
-    """Sum of |x - theta|**p for p >= 1; p < 1 is non-convex and rejected."""
+    """Sum of |x - theta|**p for 1 <= p <= 2**53; p < 1 is non-convex and rejected."""
 
     kind = "lp"
 
     def __init__(self, data, p: float | None = None):
         super().__init__(data)
-        if p is None or not p >= 1.0:
-            raise ValueError(f"lp needs params.p >= 1 (p < 1 is non-convex), got {p!r}")
+        # 2**53 is where floats stop holding every integer: past it p - 1, the
+        # subgradient's exponent, rounds
+        if p is None or not 1.0 <= p <= 2.0**53:
+            raise ValueError(f"lp needs params.p in [1, 2**53] (p < 1 is non-convex, and past "
+                             f"2**53 p - 1 is not exact), got {p!r}")
         self.p = float(p)
 
     def value(self, theta):

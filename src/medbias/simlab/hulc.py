@@ -24,6 +24,13 @@ def batch_count(alpha: float) -> int:
     return math.ceil(math.log2(2.0 / alpha))
 
 
+def hulc_batches(values, batches: int):
+    """Each sample's ``batches`` consecutive equal-size runs, the trailing
+    remainder dropped: a ``(..., batches, size)`` view of ``values``."""
+    size = values.shape[-1] // batches
+    return values[..., : size * batches].reshape(values.shape[:-1] + (batches, size))
+
+
 def hulc_interval(values, alpha: float, estimator):
     """Interval [min, max] of the estimator over B disjoint equal-size batches.
 
@@ -41,7 +48,7 @@ def hulc_interval(values, alpha: float, estimator):
     size = data.shape[-1] // b
     if size < 1:
         raise ValueError(f"need at least {b} observations for alpha={alpha}, got {data.shape[-1]}")
-    batches = data[..., : size * b].reshape(-1, size)
+    batches = hulc_batches(data, b).reshape(-1, size)
     estimates = np.asarray(estimator(batches), dtype=float).reshape(data.shape[:-1] + (b,))
     lo, hi = estimates.min(axis=-1), estimates.max(axis=-1)
     return (float(lo), float(hi)) if data.ndim == 1 else (lo, hi)

@@ -60,7 +60,7 @@ from ..plm import (
 )
 from ..solver import Bracket, minimize_convex, minimize_scan, slab_rows
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
-from .hulc import batch_count, hulc_interval, miss_bound
+from .hulc import batch_count, hulc_batches, hulc_interval, miss_bound
 from .onepass import LAWS, draw_chunk
 from .reports import CSV_COLUMNS
 from .seeds import chunk_generators, derive_seed
@@ -70,12 +70,17 @@ from .seeds import chunk_generators, derive_seed
 # Estimators: resolved once per run, read by every replication.
 
 
-def default_bracket(data) -> Bracket:
+def _bracket_ends(data):
     """The data range widened by its width plus one on each side, per row of a matrix."""
     data = np.asarray(data, dtype=float)
     lo, hi = data.min(axis=-1), data.max(axis=-1)
     span = hi - lo + 1.0
-    return Bracket(lo - span, hi + span)
+    return lo - span, hi + span
+
+
+def default_bracket(data) -> Bracket:
+    """The solver's bracket: ``_bracket_ends`` of the data."""
+    return Bracket(*_bracket_ends(data))
 
 
 def _check_loss_ranks(n: int, tau: float) -> tuple[int, int]:
@@ -288,15 +293,36 @@ def _positive_grid(config, key: str):
     _require(not bad, f"grid {key!r} needs finite numbers > 0, got {bad}")
 
 
-def _check_finite(config, point, start, matrices: list, source: str, streams=("data",)):
+def _check_finite(config, point, start, matrices: list, source: str, streams=("data",),
+                  solved: int | None = None, batches: int = 1):
     """Name the first replication whose draws (a ``(count, n)`` matrix per
     stream) are not finite, its first such stream and that stream's seed: a
-    finite but huge scale can overflow them."""
+    finite but huge scale can overflow them.
+
+    When stream number ``solved`` is given, the solver brackets of its rows,
+    or of each row's ``hulc_batches`` for ``batches`` > 1, must also be
+    valid: finite draws near the float limit widen past it, and one draw
+    past 2**53 widened by 1 rounds back to itself.
+    """
     finite = [np.isfinite(matrix).all(axis=1) for matrix in matrices]
-    bad = np.flatnonzero(~np.logical_and.reduce(finite))
+    ok = np.logical_and.reduce(finite)
+    if solved is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            lo, hi = _bracket_ends(hulc_batches(matrices[solved], batches))
+            # a finite 1 + |lo| + |hi| keeps the default tol, 1e-10 (1 + |lo| + |hi|), finite
+            fits = np.isfinite(1.0 + np.abs(lo) + np.abs(hi)) & (lo < hi)
+        ok &= fits.all(axis=1)
+    bad = np.flatnonzero(~ok)
     if bad.size:
         row = int(bad[0])
-        stream = next(s for s, ok in zip(streams, finite) if not ok[row])
+        stream = next((s for s, fine in zip(streams, finite) if not fine[row]), None)
+        if stream is None:
+            at = np.flatnonzero(~fits[row])[0]
+            whose = "its draws" if batches == 1 else f"its batch {at}"
+            raise _replication_error(config, point, start + row,
+                                     f"the solver bracket [{lo[row, at]}, {hi[row, at]}] of "
+                                     f"{whose} is not valid: it needs lo < hi and |lo| + |hi| "
+                                     f"finite", streams=(streams[solved],))
         raise _replication_error(config, point, start + row,
                                  f"a draw from {source} is not finite", streams=(stream,))
 
@@ -309,8 +335,14 @@ def _check_finite(config, point, start, matrices: list, source: str, streams=("d
 _ONE_PASS_MAX_N = 32
 
 
-def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
+def _sample(config, prep, point, start, stop, streams=("data",), estimated="data",
+            batches=1) -> list:
     """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream.
+
+    The draws must be finite.  ``estimated`` names the stream that
+    ``estimate_location`` gets (None for none), whole rows or ``batches``
+    HulC batches of each; without a closed form their solver brackets must
+    also be valid (``_check_finite``).
 
     ``standard_normal``, ``uniform`` and ``exp_centered`` chunks of at most
     ``_ONE_PASS_MAX_N`` draws per replication are drawn in one numpy pass per stream
@@ -325,7 +357,10 @@ def _sample(config, prep, point, start, stop, streams=("data",)) -> list:
         draws = [[prep.dgp.sample(rng, n) for rng in rngs]
                  for rngs in _replications(config, point, start, stop, streams)]
         matrices = [np.array(stream) for stream in zip(*draws)]
-    _check_finite(config, point, start, matrices, f"scalar DGP {prep.dgp.name!r}", streams)
+    solved = (streams.index(estimated)
+              if estimated is not None and prep.estimator.closed_form is None else None)
+    _check_finite(config, point, start, matrices, f"scalar DGP {prep.dgp.name!r}", streams,
+                  solved, batches)
     return matrices
 
 
@@ -380,7 +415,8 @@ def _summarize_convex(config, prep, point, arrays):
 
 
 def _chunk_z_equality(config, prep, point, start, stop):
-    lhs, rhs = _sample(config, prep, point, start, stop, streams=("lhs", "rhs"))
+    lhs, rhs = _sample(config, prep, point, start, stop, streams=("lhs", "rhs"),
+                       estimated="lhs")
     return {"theta_hat": estimate_location(prep.estimator, lhs),
             "score": score_at(prep.estimator, rhs, prep.theta0)}
 
@@ -536,7 +572,8 @@ def _chunk_nonconvex(config, prep, point, start, stop):
     curvature is >= 0 at every point of its window: the windows' points are
     evaluated together, one slab of rows at a time."""
     c_tune = prep.c
-    data, = _sample(config, prep, point, start, stop)
+    # the scan runs on the fixed grid ``prep.scan_grid``, not a solver bracket
+    data, = _sample(config, prep, point, start, stop, estimated=None)
     count = stop - start
     theta_hat = minimize_scan(data, c_tune, prep.scan_grid)
     score = score_at(prep.estimator, data, prep.theta0)
@@ -832,7 +869,7 @@ def _prepare_hulc(config):
 
 
 def _chunk_hulc(config, prep, point, start, stop):
-    data, = _sample(config, prep, point, start, stop)
+    data, = _sample(config, prep, point, start, stop, batches=prep.batches)
     lo, hi = hulc_interval(data, prep.alpha, functools.partial(estimate_location, prep.estimator))
     return {"covered": ((lo <= prep.theta0) & (prep.theta0 <= hi)).astype(float)}
 

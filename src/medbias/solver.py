@@ -10,8 +10,11 @@ so tie-breaking is fixed and reproducible.
 There is one bisection, over the rows of a ``(rows, n)`` data matrix; one
 sample is a 1-row matrix.  All rows still searching share one objective call
 per probe, and a row's result depends only on its own data and bracket.
-Every probe is checked for convexity, so a failure names its probe points,
-and also its row when the caller passed a matrix.
+Each (row, point) is evaluated once: the bisection for the upper end of the
+minimizer set takes the lower end's values where it probes the same point,
+which away from a zero subgradient is everywhere.  Every probe is checked
+for convexity, so a failure names its probe points, and also its row when
+the caller passed a matrix.
 
 The redescending biweight objective is minimized by a grid scan that skips
 blocks of the grid whose lower bound shows they cannot hold the minimum.
@@ -56,6 +59,8 @@ class Bracket:
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.tol is None:
             object.__setattr__(self, "tol", 1e-10 * (1.0 + abs(self.lo) + abs(self.hi)))
+        if not np.all(np.isfinite(self.tol)):
+            raise ValueError("tol must be finite")
         if np.any(self.tol <= 0.0):
             raise ValueError("tol must be positive")
 
@@ -84,22 +89,64 @@ class _RowProber:
         self.probes.append((rows, theta, left, right))
         return left, right
 
+    def left_reusing(self, steps):
+        """Left subgradients at each step of a bisection, looked up in ``steps`` first.
+
+        ``steps`` are this prober's records of an earlier bisection, one per
+        step; the k-th call looks its rows up in the k-th record.  A row probed
+        there at the same theta, bit for bit, keeps its recorded left
+        subgradient and is not recorded again: the same probe gives the same
+        values, and ``check_monotone`` never compares equal thetas.  The other
+        rows are evaluated, recorded and checked as usual, in one call or none.
+        """
+        steps = iter(steps)
+
+        def left(rows, theta):
+            step = next(steps, None)
+            if step is None:
+                return self(rows, theta)[0]
+            done_rows, done_theta, done_left, _ = step
+            at = np.minimum(np.searchsorted(done_rows, rows), done_rows.size - 1)
+            # thetas compared as bits, where -0.0 == 0.0 would not tell them apart
+            todo = ((done_rows[at] != rows)
+                    | (done_theta[at].view(np.int64) != theta.view(np.int64)))
+            values = done_left[at]
+            if todo.any():
+                values[todo] = self(rows[todo], theta[todo])[0]
+            return values
+
+        return left
+
     def check_monotone(self):
-        """Consume the probes, checking each row's subgradients are monotone across its probes."""
-        rows, theta, left, right = (np.concatenate(col) for col in zip(*self.probes))
-        # one sorted copy at a time: this is the peak memory of a solve
+        """Consume the probes, checking each row's subgradients are monotone across its probes.
+
+        Each row's probes fill one row of a ``(rows, probes)`` array in
+        evaluation order, padded with theta = left = right = +inf, which a
+        stable sort by theta then orders as a sort of all probes by (row,
+        theta) would.
+        """
+        counts = np.zeros(self.slack.size, dtype=np.intp)
+        for rows, *_ in self.probes:
+            counts[rows] += 1
+        laid = [np.full((counts.size, counts.max()), np.inf) for _ in range(3)]
+        counts[:] = 0
+        for rows, *values in self.probes:
+            at = counts[rows]
+            for array, value in zip(laid, values):
+                array[rows, at] = value
+            counts[rows] += 1
         self.probes = []
-        order = np.lexsort((theta, rows))
-        rows = rows[order]
-        theta = theta[order]
-        left = left[order]
-        right = right[order]
-        bad = np.flatnonzero((rows[1:] == rows[:-1]) & (theta[1:] > theta[:-1])
-                             & (right[:-1] > left[1:] + self.slack[rows[1:]]))
+        order = np.argsort(laid[0], axis=1, kind="stable")
+        # one sorted copy at a time
+        for k in range(3):
+            laid[k] = np.take_along_axis(laid[k], order, axis=1)
+        theta, left, right = laid
+        bad = np.flatnonzero((theta[:, 1:] > theta[:, :-1])
+                             & (right[:, :-1] > left[:, 1:] + self.slack[:, np.newaxis]))
         if bad.size:
-            i = bad[0]
-            raise self.error(rows[i], f"subgradient sign not monotone: g_right({theta[i]})="
-                             f"{right[i]} > g_left({theta[i + 1]})={left[i + 1]}")
+            row, i = divmod(bad[0], theta.shape[1] - 1)
+            raise self.error(row, f"subgradient sign not monotone: g_right({theta[row, i]})="
+                             f"{right[row, i]} > g_left({theta[row, i + 1]})={left[row, i + 1]}")
 
 
 def _bisect_rows(predicate, rows, lo, hi, tol, name_rows: bool):
@@ -136,7 +183,10 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket, name_rows: bool) -> n
     left subgradient is positive at lo returns lo.  The seven interior
     probes cost a few evaluations and let the monotonicity check see sign
     reversals that bisection alone would skip (redescending objectives are
-    flat at distant endpoints).
+    flat at distant endpoints).  The two ends are bisected one after the
+    other, the upper end reusing the lower end's probes
+    (``_RowProber.left_reusing``), so errors arise in the order they would
+    if every probe were evaluated.
     """
     count = obj.data.shape[0]
     lo, hi, tol = (np.broadcast_to(np.asarray(f, dtype=float), count)
@@ -155,11 +205,15 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket, name_rows: bool) -> n
 
     lower = lo.copy()
     rows = np.flatnonzero(inside & (right_lo < 0.0))
+    first = len(probe.probes)
     lower[rows] = _bisect_rows(lambda r, t: probe(r, t)[1] >= 0.0,
                                rows, lo[rows], hi[rows], tol[rows], name_rows)[1]
+    # the same brackets and tolerances, and predicates that agree wherever the
+    # subgradient is not 0: the upper bisection mostly repeats the lower's probes
+    left = probe.left_reusing(probe.probes[first:])
     upper = hi.copy()
     rows = np.flatnonzero(inside & (left_hi > 0.0))
-    upper[rows] = _bisect_rows(lambda r, t: probe(r, t)[0] > 0.0,
+    upper[rows] = _bisect_rows(lambda r, t: left(r, t) > 0.0,
                                rows, lo[rows], hi[rows], tol[rows], name_rows)[0]
 
     probe.check_monotone()

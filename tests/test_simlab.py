@@ -297,7 +297,11 @@ def test_config_rejects_unknown_kind():
     for estimator in ({"kind": "quantile"},
                       {"kind": "quantile", "params": {"tau": 1.0}},
                       {"kind": "lp"},
-                      {"kind": "lp", "params": {"p": 0.5}}):
+                      {"kind": "lp", "params": {"p": 0.5}},
+                      # the run would stop in its summary on non-finite scores
+                      {"kind": "lp", "params": {"p": math.inf}},
+                      {"kind": "lp", "params": {"p": math.nan}},
+                      {"kind": "lp", "params": {"p": 1e308}}):
         with pytest.raises(ConfigError, match=r"params\.(tau|p)"):
             ExperimentConfig.from_dict(_minimal_config(estimator=estimator))
     # params the objective does not take or cannot be built from
@@ -692,6 +696,23 @@ _OVERFLOWING = {
     "laplace_scale": {"dgp": {"name": "laplace", "params": {"scale": 1e308}},
                       "estimator": {"kind": "lp", "params": {"p": 1.5}},
                       "grids": {"n": [20]}},
+    # finite draws whose solver bracket (the range widened by the range plus
+    # 1) overflows; unchecked, "bracket endpoints must be finite" named no
+    # replication
+    "laplace_scale_bracket": {"dgp": {"name": "laplace", "params": {"scale": 2e307}},
+                              "estimator": {"kind": "lp", "params": {"p": 1.5}},
+                              "grids": {"n": [20]}},
+    # the same for a HulC batch's bracket, which can overflow where its
+    # row's does not
+    "hulc_laplace_scale_bracket": {"kind": "hulc_coverage",
+                                   "dgp": {"name": "laplace", "params": {"scale": 2e307}},
+                                   "estimator": {"kind": "lp", "params": {"p": 1.5}},
+                                   "grids": {"n": [20]}},
+    # one draw past 2**53, which its bracket's widening by 1 rounds back to:
+    # unchecked, "need lo < hi" printed the chunk's brackets
+    "uniform_n1_bracket": {"dgp": {"name": "uniform", "params": {"lo": 1e17, "hi": 2e17}},
+                           "estimator": {"kind": "lp", "params": {"p": 1.5}},
+                           "grids": {"n": [1]}},
     "exp_centered_scale": {"dgp": {"name": "exp_centered", "params": {"scale": 1e308}},
                            "grids": {"n": [20]}},
     # two streams, either of which may overflow first
@@ -787,6 +808,17 @@ def test_overflowing_draws_name_their_replication(case):
     else:
         (stream, rng), = rngs.items()
         draw = prepared.dgp.sample(rng, n)
+        if "solver bracket" in str(raised.value):
+            # finite draws whose bracket is not valid: the replayed draws are
+            # finite, and the bracket of the rows the estimator gets is not
+            assert case in ("laplace_scale_bracket", "hulc_laplace_scale_bracket",
+                            "uniform_n1_bracket")
+            assert np.isfinite(draw).all()
+            if config.kind == "hulc_coverage":
+                draw = kinds.hulc_batches(draw, prepared.batches)
+            with pytest.raises(ValueError, match="must be finite|need lo < hi"):
+                kinds.default_bracket(draw)
+            return
     assert not np.isfinite(draw).all()
 
 

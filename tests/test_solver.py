@@ -44,6 +44,13 @@ def test_bracket_validation():
         Bracket(1.0, 1.0)
     with pytest.raises(ValueError):
         Bracket(0.0, 1.0, tol=0.0)
+    # a NaN or infinite tol would stop the bisection before its first step,
+    # so the solve would return the bracket's midpoint
+    for tol in (np.nan, np.inf, -np.inf, np.array([1e-10, np.nan])):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            Bracket(np.zeros(2), np.ones(2), tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite"):
+        minimize_convex(PowerLoss([0.3, 0.5, 2.0], p=1.5), Bracket(-1.0, 1.0, tol=np.nan))
     b = Bracket(-2.0, 3.0)
     assert b.tol == pytest.approx(1e-10 * 6.0)
 
@@ -330,6 +337,123 @@ def test_batched_solver_matches_scalar_bit_for_bit(kind):
                 assert theta[i] == alone == _argmin_interval(factory(row), bracket), (kind, i)
         for i, row in enumerate(data):
             assert (left[i], right[i]) == factory(row).subgradient(float(probes[i])), (kind, i)
+
+
+@pytest.mark.parametrize("kind", ["lp(1.5)", "neg_loglik(logistic)"])
+def test_upper_bisection_reuses_the_lower_probes(kind, monkeypatch):
+    # away from a zero subgradient the two bisections probe the same points:
+    # the lower one evaluates them and the upper one evaluates none, so a
+    # solve costs the nine fixed probes plus one call per lower step
+    factory = CONVEX_KINDS[kind]
+    data = np.random.default_rng(41).standard_normal((40, 15))
+    obj = factory(data)
+    calls = []
+    subgradient = type(obj).subgradient
+
+    def counted_subgradient(self, theta):
+        calls.append(np.size(theta))
+        return subgradient(self, theta)
+
+    phases = []
+    bisect = solver._bisect_rows
+
+    def counted_bisect(predicate, *args):
+        steps, before = [], len(calls)
+
+        def step(rows, theta):
+            steps.append(rows.size)
+            return predicate(rows, theta)
+
+        ends = bisect(step, *args)
+        phases.append((len(steps), len(calls) - before))
+        return ends
+
+    monkeypatch.setattr(type(obj), "subgradient", counted_subgradient)
+    monkeypatch.setattr(solver, "_bisect_rows", counted_bisect)
+    lo, hi = data.min(axis=1) - 1.0, data.max(axis=1) + 1.0
+    theta = minimize_convex(obj, Bracket(lo, hi))
+    (lower_steps, lower_calls), (upper_steps, upper_calls) = phases
+    assert lower_calls == lower_steps == upper_steps > 30
+    assert upper_calls == 0
+    assert len(calls) == 9 + lower_steps
+    monkeypatch.undo()
+    for i, row in enumerate(data):
+        assert theta[i] == _argmin_interval(factory(row), Bracket(lo[i], hi[i])), i
+
+
+class _ReversedOnAWindow(AbsoluteDeviation):
+    """The absolute deviation with its subgradient interval reversed on (0.6, 0.9)."""
+
+    def subgradient(self, theta):
+        left, right = super().subgradient(theta)
+        inside = (0.6 < np.asarray(theta)) & (np.asarray(theta) < 0.9)
+        return self._interval(np.where(inside, right + 0.5, left),
+                              np.where(inside, left - 0.5, right))
+
+
+def test_a_reversal_only_the_upper_bisection_probes_names_its_probe():
+    # on [-2, 3] row 1 = (0, 1) has zero subgradients on (0, 1): from the
+    # shared first midpoint 0.5 the lower bisection walks down to 0 and the
+    # upper one up to 1, whose fourth probe, 0.8125, is the only one in the
+    # reversed window; rows 0 and 2 never reach it
+    rows = np.array([[-1.5, -1.0], [0.0, 1.0], [2.0, 2.5]])
+    message = "subgradient interval reversed at theta=0.8125: left=0.5 > right=-0.5"
+    bracket = Bracket(-2.0, 3.0)
+    with pytest.raises(NonConvexityError) as alone:
+        _argmin_interval(_ReversedOnAWindow(rows[1]), bracket)
+    assert str(alone.value) == message
+    with pytest.raises(NonConvexityError) as err:
+        minimize_convex(_ReversedOnAWindow(rows[1]), bracket)
+    assert str(err.value) == message
+    with pytest.raises(NonConvexityError) as err:
+        minimize_convex(_ReversedOnAWindow(rows), bracket)
+    assert str(err.value) == f"row 1: {message}"
+    for i in (0, 2):
+        assert (minimize_convex(_ReversedOnAWindow(rows[i]), bracket)
+                == minimize_convex(AbsoluteDeviation(rows[i]), bracket))
+
+
+def _first_violation_by_lexsort(probes, slack):
+    """The monotonicity check over one sort of every probe by (row, theta)."""
+    rows, theta, left, right = (np.concatenate(col) for col in zip(*probes))
+    order = np.lexsort((theta, rows))
+    rows, theta, left, right = rows[order], theta[order], left[order], right[order]
+    bad = np.flatnonzero((rows[1:] == rows[:-1]) & (theta[1:] > theta[:-1])
+                         & (right[:-1] > left[1:] + slack[rows[1:]]))
+    if bad.size:
+        i = bad[0]
+        return (f"row {rows[i]}: subgradient sign not monotone: g_right({theta[i]})="
+                f"{right[i]} > g_left({theta[i + 1]})={left[i + 1]}")
+    return None
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_per_row_probe_sort_finds_the_lexsort_violation(seed):
+    # probes on a coarse theta grid, so rows repeat thetas, with values that
+    # break monotonicity in some rows and not others; equal thetas keep
+    # their evaluation order in both sorts
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(1, 12))
+    prober = solver._RowProber(AbsoluteDeviation(np.zeros((count, 2))), np.full(count, -1.0),
+                               np.ones(count), name_rows=True)
+    probes = []
+    for _ in range(int(rng.integers(1, 30))):
+        rows = np.flatnonzero(rng.random(count) < 0.6)
+        if rows.size:
+            theta = rng.integers(-4, 5, rows.size) / 4.0
+            jitter = rng.integers(-2, 3, rows.size) * (rng.random(rows.size) < 0.05)
+            left = 4.0 * theta + jitter
+            probes.append((rows, theta, left, left + rng.integers(0, 2, rows.size)))
+    if not probes:
+        probes.append((np.arange(count), np.zeros(count), np.zeros(count), np.zeros(count)))
+    expected = _first_violation_by_lexsort(probes, prober.slack)
+    prober.probes = list(probes)
+    if expected is None:
+        prober.check_monotone()
+    else:
+        with pytest.raises(NonConvexityError) as err:
+            prober.check_monotone()
+        assert str(err.value) == expected
 
 
 def test_power_loss_sums_only_nonzero_terms_at_a_tie():
