@@ -20,10 +20,12 @@ values taken as one ``(rows, n, d) @ (rows, d, 1)`` matmul per coefficient
 column (one ``(rows, n, d) @ (rows, d, 2)`` matmul for both columns does
 not).  The experiment lab fits a chunk of replications in blocks of at most
 256 KiB of stack, which keeps a block in cache; a design too large for one
-row in that budget runs 1-row blocks.  An error on a stack names its row
-and carries it as ``row``; the lab names a failing replication by refitting
-its block one sample at a time instead.  ``joint_theta``, the companion
-solve on ``[t | x]`` kept as a reference, shares only the rank test.
+row in that budget runs 1-row blocks.  An error on a stack of more than
+one row names its row; one sample, or a 1-row stack, fails with the same
+message and no row, which is how the lab's engine names a failing
+replication when it runs that replication alone.  ``joint_theta``, the
+companion solve on ``[t | x]`` kept as a reference, shares only the rank
+test.
 
 A caller that reads only each row's side of theta0, sign(theta_hat -
 theta0), can take it from ``slope_sides``, which certifies most rows from
@@ -126,8 +128,8 @@ class RegressionData:
                 f"with rows and n positive; got {y.shape}, {t.shape} and {x.shape}")
         for name, a in (("y", y), ("t", t), ("x", x)):
             if a.size and not np.all(np.isfinite(a)):
-                bad = ~np.isfinite(a).reshape(a.shape[0], -1).all(axis=1)
-                raise _first_bad(ValueError, bad, stacked, lambda row: f"{name} must be finite")
+                bad = ~np.isfinite(a).reshape(y.shape[0] if stacked else 1, -1).all(axis=1)
+                raise _first_bad(ValueError, bad, lambda row: f"{name} must be finite")
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "x", x)
@@ -175,21 +177,14 @@ def _as_stack(data: RegressionData):
     return data.y[np.newaxis], data.t[np.newaxis], data.x[np.newaxis], False
 
 
-def _first_bad(cls, failed, stacked: bool, message):
-    """``cls`` for the first row flagged in ``failed``, its message from ``message(row)``.
-
-    A stack's message names the row, which the error also carries as ``row``;
-    one sample's does not.
-    """
+def _first_bad(cls, failed, message):
+    """``cls`` for the first row flagged in ``failed``, its message from ``message(row)``,
+    which names the row when there is more than one."""
     row = int(np.flatnonzero(failed)[0])
-    if not stacked:
-        return cls(message(row))
-    err = cls(f"row {row}: {message(row)}")
-    err.row = row
-    return err
+    return cls(f"row {row}: {message(row)}" if failed.size > 1 else message(row))
 
 
-def _check_rank(y, t, x, stacked: bool) -> np.ndarray:
+def _check_rank(y, t, x) -> np.ndarray:
     """R factors of each row's ``[x | t | y]``, once every design ``[t | x]`` has full column rank.
 
     The leading (d+1)-square block of R has the singular values of ``[x | t]``,
@@ -207,7 +202,7 @@ def _check_rank(y, t, x, stacked: bool) -> np.ndarray:
     block = r[:, :d + 1, :d + 1]
     overflowing = ~np.isfinite(block).all(axis=(1, 2))  # the SVD would fail unnamed
     if overflowing.any():
-        raise _first_bad(ValueError, overflowing, stacked, lambda row: "a column of the design "
+        raise _first_bad(ValueError, overflowing, lambda row: "a column of the design "
                          "[t | x] has a norm past the float range, so its QR factor overflows")
     singular = np.linalg.svd(block, compute_uv=False)
     deficient = singular[:, -1] <= _RANK_RTOL * singular[:, 0]
@@ -221,7 +216,7 @@ def _check_rank(y, t, x, stacked: bool) -> np.ndarray:
                       else "every singular value is zero")
             return (f"stacked design [t | x] is numerically rank deficient ({spread}); "
                     f"null direction over (t, x1..xd): {np.round(direction, 6).tolist()}")
-        raise _first_bad(CollinearityError, deficient, stacked, message)
+        raise _first_bad(CollinearityError, deficient, message)
     return r
 
 
@@ -240,14 +235,15 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     treatment coordinate of the joint least-squares solve whenever the
     stacked design has full column rank; rank deficiency raises
     ``CollinearityError`` naming the offending direction, and its row on a
-    stack; a column of ``[x | t]`` whose norm overflows, and residuals whose
-    inner products overflow into a NaN or infinite slope, raise
-    ``ValueError`` the same way.  Each check runs over the whole stack in
-    turn, so a stack raises the first failing row of the first check that
-    fails, which may come after a row that fails a later check.
+    stack of more than one row; a column of ``[x | t]`` whose norm
+    overflows, and residuals whose inner products overflow into a NaN or
+    infinite slope, raise ``ValueError`` the same way.  Each check runs over
+    the whole stack in turn, so a stack raises the first failing row of the
+    first check that fails, which may come after a row that fails a later
+    check.
     """
     y, t, x, stacked = _as_stack(data)
-    r = _check_rank(y, t, x, stacked)
+    r = _check_rank(y, t, x)
     d = data.d
     # with d = 0 the solve and the matmuls are empty, and t - 0.0 keeps every bit
     coef = np.linalg.solve(r[:, :d, :d], r[:, :d, d:])
@@ -255,7 +251,7 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     r_y = y - (x @ coef[:, :, 1:])[..., 0]
     denom = np.vecdot(r_t, r_t)
     if np.any(denom <= 0.0):
-        raise _first_bad(CollinearityError, denom <= 0.0, stacked,
+        raise _first_bad(CollinearityError, denom <= 0.0,
                          lambda row: "treatment residuals are identically zero")
     theta_hat = np.vecdot(r_t, r_y) / denom
     if not np.isfinite(theta_hat).all():
@@ -263,7 +259,7 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
             slope = "NaN" if np.isnan(theta_hat[row]) else f"{theta_hat[row]:+}"
             return f"the residuals' inner products overflow, so the partialled slope is {slope}"
 
-        raise _first_bad(ValueError, ~np.isfinite(theta_hat), stacked, overflow)
+        raise _first_bad(ValueError, ~np.isfinite(theta_hat), overflow)
 
     if d > 0:
         # normal equations: residuals orthogonal to every covariate column,
@@ -273,7 +269,7 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
         worst = np.max(gram / scale, axis=1)
         if np.any(worst > _IDENTITY_RTOL):
             raise _first_bad(
-                CollinearityError, worst > _IDENTITY_RTOL, stacked,
+                CollinearityError, worst > _IDENTITY_RTOL,
                 lambda row: f"treatment residuals not orthogonal to covariates "
                             f"(max {worst[row]:.3e}); design too ill-conditioned for the "
                             "partialled solve")
@@ -341,7 +337,7 @@ def joint_theta(data: RegressionData) -> float:
     """
     if data.y.ndim != 1:
         raise ValueError("joint_theta fits one sample, not a stack")
-    _check_rank(*_as_stack(data))
+    _check_rank(*_as_stack(data)[:3])
     design = np.column_stack([data.t, data.x])
     coef, *_ = np.linalg.lstsq(design, data.y, rcond=None)
     return float(coef[0])
@@ -361,10 +357,10 @@ def score_decompose(data: RegressionData, fit: PartialledFit, theta0: float,
 
     The identity  score_at_target = s_n + correction + remainder  holds
     exactly; a violation beyond tolerance raises ``DecompositionError``,
-    naming the row on a stack.  One sample takes coefficients of shape
-    ``(d,)`` and gives floats; a stack takes ``(rows, d)`` coefficients and
-    ``fwl_estimate``'s fit of the same stack, and gives ``(rows,)`` arrays
-    with each row's own bits: x times a coefficient is one
+    naming the row on a stack of more than one row.  One sample takes
+    coefficients of shape ``(d,)`` and gives floats; a stack takes ``(rows,
+    d)`` coefficients and ``fwl_estimate``'s fit of the same stack, and gives
+    ``(rows,)`` arrays with each row's own bits: x times a coefficient is one
     ``(rows, n, d) @ (rows, d, 1)`` matmul.
     """
     y, t, x, stacked = _as_stack(data)
@@ -386,7 +382,7 @@ def score_decompose(data: RegressionData, fit: PartialledFit, theta0: float,
     gap = np.abs(total - (s_n + correction + remainder))
     if np.any(gap > _IDENTITY_RTOL * scale):
         raise _first_bad(
-            DecompositionError, gap > _IDENTITY_RTOL * scale, stacked,
+            DecompositionError, gap > _IDENTITY_RTOL * scale,
             lambda row: f"decomposition identity off by {gap[row]:.3e} "
                         f"(scale {scale[row]:.3e}); check the numerical rank of the design")
     if stacked:

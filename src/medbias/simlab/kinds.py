@@ -1,15 +1,17 @@
 """Experiment kind implementations.
 
 Each kind is described once, by its ``KindImpl``: how it resolves its config
-(rejecting what cannot run), expands its grid, simulates one chunk of
-replications, and folds the collected arrays into report rows.  Every
-replication draws from its own derived seed stream, through ``_replications``
-or, for a one-pass chunk, ``draw_chunk``, so chunking and worker count can
-never change a value.  The univariate kinds draw a chunk as one
-``(count, n)`` matrix and estimate, score and evaluate it row by row; the
-partialled kinds fit a chunk's regressions in cache-sized stacks.  Rows are
-plain dicts in the canonical report schema; anything kind-specific goes
-into ``detail``.
+(rejecting what cannot run), expands its grid, names its seed streams,
+simulates one chunk of replications, and folds the collected arrays into
+report rows.  Every replication draws from its own derived seed streams,
+through ``_replications`` or, for a one-pass chunk, ``draw_chunk``, so
+chunking and worker count can never change a value, and a one-replication
+chunk reproduces that replication.  The univariate kinds draw a chunk as
+one ``(count, n)`` matrix and estimate, score and evaluate it row by row;
+the partialled kinds fit a chunk's regressions in cache-sized stacks.  A
+chunk function raises its error as is: the engine's ``run_chunk`` names
+the failing replication.  Rows are plain dicts in the canonical report
+schema; anything kind-specific goes into ``detail``.
 """
 
 import functools
@@ -60,27 +62,29 @@ from ..plm import (
 )
 from ..solver import Bracket, minimize_convex, minimize_scan, slab_rows
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
-from .hulc import batch_count, hulc_batches, hulc_interval, miss_bound
+from .hulc import batch_count, hulc_interval, miss_bound
 from .onepass import LAWS, draw_chunk
 from .reports import CSV_COLUMNS
-from .seeds import chunk_generators, derive_seed
+from .seeds import chunk_generators
 
 
 # ---------------------------------------------------------------------------
 # Estimators: resolved once per run, read by every replication.
 
 
-def _bracket_ends(data):
-    """The data range widened by its width plus one on each side, per row of a matrix."""
+def default_bracket(data) -> Bracket:
+    """The solver's bracket: the data range widened by its width plus one on each
+    side, per row of a matrix.
+
+    Finite draws near the float limit widen past it, and one draw past 2**53
+    widened by 1 rounds back to itself; ``Bracket`` rejects both (non-finite
+    ends or tol, ``lo >= hi``), so their overflow is not warned about.
+    """
     data = np.asarray(data, dtype=float)
     lo, hi = data.min(axis=-1), data.max(axis=-1)
-    span = hi - lo + 1.0
-    return lo - span, hi + span
-
-
-def default_bracket(data) -> Bracket:
-    """The solver's bracket: ``_bracket_ends`` of the data."""
-    return Bracket(*_bracket_ends(data))
+    with np.errstate(over="ignore"):
+        span = hi - lo + 1.0
+        return Bracket(lo - span, hi + span)
 
 
 def _check_loss_ranks(n: int, tau: float) -> tuple[int, int]:
@@ -241,8 +245,9 @@ def _lhs_row(config, point: dict, theta_hat, theta0: float):
 # Replication and config resolution shared by every kind.
 
 
-def _replications(config, point: dict, start: int, stop: int, streams=("data",)):
-    """Yield one generator per stream for each replication ``start..stop`` of a grid point.
+def _replications(config, point: dict, start: int, stop: int):
+    """Yield one generator per stream of the kind (``KindImpl.streams``) for each
+    replication ``start..stop`` of a grid point.
 
     With ``_sample``'s one-pass draws, the owner of the seeding contract:
     stream ``s`` of replication ``i`` draws the stream of
@@ -252,24 +257,12 @@ def _replications(config, point: dict, start: int, stop: int, streams=("data",))
     ``chunk_generators``, which reuses each stream's generator: a replication
     must not keep a generator after the next one is yielded.
     """
-    labels = [_stream_label(config, point, stream) for stream in streams]
+    labels = [_stream_label(config, point, stream) for stream in KINDS[config.kind].streams]
     return chunk_generators(config.master_seed, start, stop, labels)
 
 
 def _stream_label(config, point: dict, stream: str) -> str:
     return f"{grid_label(config.kind, point)}|{stream}"
-
-
-def _replication_error(config, point: dict, index: int, message: str, cls=ValueError,
-                       streams=()):
-    """``cls`` naming the grid point (which names the kind), the replication ``index``
-    and, for each of ``streams``, its derived seed, which ``replication_rng`` replays."""
-    seeds = ", ".join(
-        f"stream {stream!r} (seed "
-        f"{derive_seed(config.master_seed, index, _stream_label(config, point, stream))})"
-        for stream in streams)
-    return cls(f"grid point {grid_label(config.kind, point)}, replication {index}: "
-               f"{seeds + ': ' if seeds else ''}{message}")
 
 
 def _require(ok: bool, message: str):
@@ -293,38 +286,12 @@ def _positive_grid(config, key: str):
     _require(not bad, f"grid {key!r} needs finite numbers > 0, got {bad}")
 
 
-def _check_finite(config, point, start, matrices: list, source: str, streams=("data",),
-                  solved: int | None = None, batches: int = 1):
-    """Name the first replication whose draws (a ``(count, n)`` matrix per
-    stream) are not finite, its first such stream and that stream's seed: a
-    finite but huge scale can overflow them.
-
-    When stream number ``solved`` is given, the solver brackets of its rows,
-    or of each row's ``hulc_batches`` for ``batches`` > 1, must also be
-    valid: finite draws near the float limit widen past it, and one draw
-    past 2**53 widened by 1 rounds back to itself.
-    """
-    finite = [np.isfinite(matrix).all(axis=1) for matrix in matrices]
-    ok = np.logical_and.reduce(finite)
-    if solved is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            lo, hi = _bracket_ends(hulc_batches(matrices[solved], batches))
-            # a finite 1 + |lo| + |hi| keeps the default tol, 1e-10 (1 + |lo| + |hi|), finite
-            fits = np.isfinite(1.0 + np.abs(lo) + np.abs(hi)) & (lo < hi)
-        ok &= fits.all(axis=1)
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        row = int(bad[0])
-        stream = next((s for s, fine in zip(streams, finite) if not fine[row]), None)
-        if stream is None:
-            at = np.flatnonzero(~fits[row])[0]
-            whose = "its draws" if batches == 1 else f"its batch {at}"
-            raise _replication_error(config, point, start + row,
-                                     f"the solver bracket [{lo[row, at]}, {hi[row, at]}] of "
-                                     f"{whose} is not valid: it needs lo < hi and |lo| + |hi| "
-                                     f"finite", streams=(streams[solved],))
-        raise _replication_error(config, point, start + row,
-                                 f"a draw from {source} is not finite", streams=(stream,))
+def _check_finite(matrices: list, source: str):
+    """Raise when a draw is not finite (a finite but huge scale can overflow
+    them): the LLR and HulC kinds return indicators, which would hide it
+    from the engine's check of the chunk's arrays."""
+    if not all(np.isfinite(matrix).all() for matrix in matrices):
+        raise ValueError(f"a draw from {source} is not finite")
 
 
 #: Largest n whose ``onepass.LAWS`` chunks are drawn in one numpy pass.  Past
@@ -335,14 +302,9 @@ def _check_finite(config, point, start, matrices: list, source: str, streams=("d
 _ONE_PASS_MAX_N = 32
 
 
-def _sample(config, prep, point, start, stop, streams=("data",), estimated="data",
-            batches=1) -> list:
-    """The chunk's draws from the scalar DGP: one ``(count, n)`` matrix per stream.
-
-    The draws must be finite.  ``estimated`` names the stream that
-    ``estimate_location`` gets (None for none), whole rows or ``batches``
-    HulC batches of each; without a closed form their solver brackets must
-    also be valid (``_check_finite``).
+def _sample(config, prep, point, start, stop) -> list:
+    """The chunk's draws from the scalar DGP: one finite ``(count, n)`` matrix
+    per stream of the kind.
 
     ``standard_normal``, ``uniform`` and ``exp_centered`` chunks of at most
     ``_ONE_PASS_MAX_N`` draws per replication are drawn in one numpy pass per stream
@@ -352,15 +314,13 @@ def _sample(config, prep, point, start, stop, streams=("data",), estimated="data
     n = point["n"]
     if prep.dgp.name in LAWS and n <= _ONE_PASS_MAX_N:
         matrices = [draw_chunk(prep.dgp, config.master_seed, start, stop,
-                               _stream_label(config, point, stream), n) for stream in streams]
+                               _stream_label(config, point, stream), n)
+                    for stream in KINDS[config.kind].streams]
     else:
         draws = [[prep.dgp.sample(rng, n) for rng in rngs]
-                 for rngs in _replications(config, point, start, stop, streams)]
+                 for rngs in _replications(config, point, start, stop)]
         matrices = [np.array(stream) for stream in zip(*draws)]
-    solved = (streams.index(estimated)
-              if estimated is not None and prep.estimator.closed_form is None else None)
-    _check_finite(config, point, start, matrices, f"scalar DGP {prep.dgp.name!r}", streams,
-                  solved, batches)
+    _check_finite(matrices, f"scalar DGP {prep.dgp.name!r}")
     return matrices
 
 
@@ -415,8 +375,7 @@ def _summarize_convex(config, prep, point, arrays):
 
 
 def _chunk_z_equality(config, prep, point, start, stop):
-    lhs, rhs = _sample(config, prep, point, start, stop, streams=("lhs", "rhs"),
-                       estimated="lhs")
+    lhs, rhs = _sample(config, prep, point, start, stop)
     return {"theta_hat": estimate_location(prep.estimator, lhs),
             "score": score_at(prep.estimator, rhs, prep.theta0)}
 
@@ -518,7 +477,7 @@ def _prepare_mle_llr(config):
 def _chunk_mle_llr(config, prep, point, start, stop):
     draws = np.array([prep.family.sample(rng, prep.theta0, point["n"])
                       for rng, in _replications(config, point, start, stop)])
-    _check_finite(config, point, start, [draws], f"family {prep.family.name!r}")
+    _check_finite([draws], f"family {prep.family.name!r}")
     out = {}
     for k, (e, (plus, minus)) in enumerate(zip(prep.eps, prep.expected)):
         for side, shift, expected in (("plus", e, plus), ("minus", -e, minus)):
@@ -572,8 +531,7 @@ def _chunk_nonconvex(config, prep, point, start, stop):
     curvature is >= 0 at every point of its window: the windows' points are
     evaluated together, one slab of rows at a time."""
     c_tune = prep.c
-    # the scan runs on the fixed grid ``prep.scan_grid``, not a solver bracket
-    data, = _sample(config, prep, point, start, stop, estimated=None)
+    data, = _sample(config, prep, point, start, stop)
     count = stop - start
     theta_hat = minimize_scan(data, c_tune, prep.scan_grid)
     score = score_at(prep.estimator, data, prep.theta0)
@@ -685,9 +643,7 @@ def _chunk_partialled(config, prep, point, start, stop):
     block, so the values do not depend on the block size or on chunking.
     Each block's replications draw straight into its rows, the block is
     checked once, as one ``RegressionData``, and ``prep.fit`` returns its
-    arrays, which the chunk concatenates.  When a block raises, its designs
-    are refitted one at a time, as single samples, and the first that fails
-    alone is named with its own error: its replication and its seed.
+    arrays, which the chunk concatenates.
     """
     n, d, count = point["n"], point["d"], stop - start
     block = min(count, max(1, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
@@ -698,16 +654,7 @@ def _chunk_partialled(config, prep, point, start, stop):
         k = min(block, count - first)
         sample_design(prep.design, itertools.islice(rngs, k), y[:k], t[:k], x[:k],
                       prep.theta0, **prep.design_params)
-        try:
-            fits.append(prep.fit(RegressionData(y=y[:k], t=t[:k], x=x[:k]), prep.theta0))
-        except (ValueError, RuntimeError):
-            for row in range(k):
-                try:
-                    prep.fit(RegressionData(y=y[row], t=t[row], x=x[row]), prep.theta0)
-                except (ValueError, RuntimeError) as err:
-                    raise _replication_error(config, point, start + first + row, str(err),
-                                             type(err), streams=("data",)) from None
-            raise
+        fits.append(prep.fit(RegressionData(y=y[:k], t=t[:k], x=x[:k]), prep.theta0))
     return {key: np.concatenate([fit[key] for fit in fits]) for key in fits[0]}
 
 
@@ -765,6 +712,9 @@ def _summarize_dim_scaling(config, prep, point, arrays):
     # sign(theta_hat - theta0) falls on each side of 0 as theta_hat does of theta0
     row, _ = _lhs_row(config, point, arrays["side"], 0.0)
     row["detail"] = {"theta0": prep.theta0}
+    # per row, except that a block whose batched Cholesky raises counts every
+    # row as a fallback: blocks follow the chunk size, so such a count is
+    # outside the chunk-size contract (the sides are not)
     certified = int(np.count_nonzero(arrays["certified"]))
     return [row], {"fits": {"certified": certified, "fallback": config.reps - certified}}
 
@@ -818,16 +768,9 @@ def _chunk_plm(config, prep, point, start, stop):
     n = point["n"]
     m_hat, g_hat = prep.nuisances[point["schedule"], n]
     theta_hat, z_at_theta0 = np.empty(stop - start), np.empty(stop - start)
-    streams = _replications(config, point, start, stop, ("data", "split"))
-    for i, (rng_data, rng_split) in enumerate(streams):
+    for i, (rng_data, rng_split) in enumerate(_replications(config, point, start, stop)):
         draws = simulate_plm(prep.dgp, n, rng_data)
         theta_hat[i], z_at_theta0[i] = plm_split_fit(prep.dgp, draws, m_hat, g_hat, rng_split)
-    bad = np.flatnonzero(~(np.isfinite(theta_hat) & np.isfinite(z_at_theta0)))
-    if bad.size:
-        i = int(bad[0])
-        raise _replication_error(config, point, start + i, f"the split fit gives theta_hat="
-                                 f"{theta_hat[i]} and z(theta0)={z_at_theta0[i]}",
-                                 streams=("data", "split"))
     return {"theta_hat": theta_hat, "z_at_theta0": z_at_theta0}
 
 
@@ -869,7 +812,7 @@ def _prepare_hulc(config):
 
 
 def _chunk_hulc(config, prep, point, start, stop):
-    data, = _sample(config, prep, point, start, stop, batches=prep.batches)
+    data, = _sample(config, prep, point, start, stop)
     lo, hi = hulc_interval(data, prep.alpha, functools.partial(estimate_location, prep.estimator))
     return {"covered": ((lo <= prep.theta0) & (prep.theta0 <= hi)).astype(float)}
 
@@ -902,8 +845,10 @@ class KindImpl:
     reads from the config, raising ValueError or TypeError on what cannot
     run; validation and the run share its result as ``prepared``.
     ``run_chunk(config, prepared, point, start, stop)`` simulates
-    replications of a grid point into arrays, and ``summarize(config,
+    replications of a grid point into arrays with one row per replication,
+    each row depending on that replication alone, and ``summarize(config,
     prepared, point, arrays)`` folds all of them into ``(rows, profile)``.
+    ``streams`` names the seed streams each replication draws from.
     """
 
     name: str
@@ -913,6 +858,7 @@ class KindImpl:
     grid_points: Callable
     run_chunk: Callable
     summarize: Callable
+    streams: tuple = ("data",)
 
 
 KINDS = {
@@ -928,7 +874,7 @@ KINDS = {
             "z_estimator_equality",
             "Z-estimator median bias vs the weak-sign score value, independent streams",
             ("n",), functools.partial(_prepare_univariate, convex=True), _points_per_n,
-            _chunk_z_equality, _summarize_z_equality,
+            _chunk_z_equality, _summarize_z_equality, streams=("lhs", "rhs"),
         ),
         KindImpl(
             "nondiff_profile",
@@ -963,6 +909,7 @@ KINDS = {
             "plm_rate_dichotomy",
             "sample-split partial-linear estimator with pinned nuisance error rates",
             ("n", "rate_schedules"), _prepare_plm, _points_plm, _chunk_plm, _summarize_plm,
+            streams=("data", "split"),
         ),
         KindImpl(
             "hulc_coverage",

@@ -13,8 +13,9 @@ per probe, and a row's result depends only on its own data and bracket.
 Each (row, point) is evaluated once: the bisection for the upper end of the
 minimizer set takes the lower end's values where it probes the same point,
 which away from a zero subgradient is everywhere.  Every probe is checked
-for convexity, so a failure names its probe points, and also its row when
-the caller passed a matrix.
+for convexity and for a NaN subgradient, so a failure names its probe
+points, and also its row when the matrix has more than one row: one row
+fails with the message its sample alone gives.
 
 The redescending biweight objective is minimized by a grid scan that skips
 blocks of the grid whose lower bound shows they cannot hold the minimum.
@@ -68,22 +69,26 @@ class Bracket:
 class _RowProber:
     """Subgradients of chosen rows, with each row's probes recorded and checked for convexity."""
 
-    def __init__(self, obj: LocationObjective, lo, hi, name_rows: bool):
+    def __init__(self, obj: LocationObjective, lo, hi):
         self.obj = obj
         self.slack = 1e-9 * np.maximum(obj.scale_at(lo), obj.scale_at(hi))
-        self.name_rows = name_rows
         self.probes = []  # (rows, theta, g_left, g_right) arrays, in evaluation order
 
-    def error(self, row, message) -> NonConvexityError:
-        return NonConvexityError(f"row {row}: {message}" if self.name_rows else message)
+    def error(self, row, message, cls=NonConvexityError):
+        """``cls`` with ``message``, naming ``row`` when the matrix has more than one row."""
+        return cls(f"row {row}: {message}" if self.slack.size > 1 else message)
 
     def __call__(self, rows, theta):
         # rows are increasing, so as many rows as the matrix has are all of them
         obj = self.obj if rows.size == self.obj.data.shape[0] else self.obj.take(rows)
         left, right = obj.subgradient(theta)
-        flipped = np.flatnonzero(left > right + self.slack[rows])
-        if flipped.size:
-            i = flipped[0]
+        # a NaN fails the comparison too; a signed infinity keeps its order
+        bad = np.flatnonzero(~(left <= right + self.slack[rows]))
+        if bad.size:
+            i = bad[0]
+            if np.isnan(left[i]) or np.isnan(right[i]):
+                raise self.error(rows[i], f"subgradient is NaN at theta={theta[i]}: "
+                                          f"left={left[i]}, right={right[i]}", ValueError)
             raise self.error(rows[i], f"subgradient interval reversed at theta={theta[i]}: "
                                       f"left={left[i]} > right={right[i]}")
         self.probes.append((rows, theta, left, right))
@@ -149,13 +154,16 @@ class _RowProber:
                              f"{right[row, i]} > g_left({theta[row, i + 1]})={left[row, i + 1]}")
 
 
-def _bisect_rows(predicate, rows, lo, hi, tol, name_rows: bool):
-    """Shrink each row's [lo, hi] to width <= tol, keeping predicate False at lo, True at hi.
+def _bisect_rows(predicate, rows, lo, hi, tol):
+    """Shrink the [lo, hi] of each of ``rows`` to width <= tol, keeping predicate
+    False at lo, True at hi, and return the ends of ``rows``.
 
-    A row also stops when its midpoint is not strictly inside (the bracket is
-    below float resolution).  All open rows share one predicate call a step.
+    ``lo``, ``hi`` and ``tol`` hold every row of the solve.  A row also stops
+    when its midpoint is not strictly inside (the bracket is below float
+    resolution).  All open rows share one predicate call a step.
     """
-    lo, hi = lo.copy(), hi.copy()
+    count = lo.size
+    lo, hi, tol = lo[rows], hi[rows], tol[rows]
     live = np.arange(rows.size)
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo[live] + hi[live])
@@ -167,14 +175,14 @@ def _bisect_rows(predicate, rows, lo, hi, tol, name_rows: bool):
         hi[live[up]] = mid[up]
         lo[live[~up]] = mid[~up]
     i = live[0]
-    where = f" in row {rows[i]}" if name_rows else ""
+    where = f" in row {rows[i]}" if count > 1 else ""
     raise ConvergenceError(
         f"bisection did not converge within {_MAX_ITER} iterations{where} "
         f"on [{lo[i]}, {hi[i]}]"
     )
 
 
-def _argmin_rows(obj: LocationObjective, bracket: Bracket, name_rows: bool) -> np.ndarray:
+def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
     """Midpoint of the set where each row's subgradient straddles zero.
 
     That set runs from the leftmost point where the right subgradient is
@@ -191,7 +199,7 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket, name_rows: bool) -> n
     count = obj.data.shape[0]
     lo, hi, tol = (np.broadcast_to(np.asarray(f, dtype=float), count)
                    for f in (bracket.lo, bracket.hi, bracket.tol))
-    probe = _RowProber(obj, lo, hi, name_rows)
+    probe = _RowProber(obj, lo, hi)
     every = np.arange(count)
 
     left_lo, right_lo = probe(every, lo)
@@ -206,15 +214,13 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket, name_rows: bool) -> n
     lower = lo.copy()
     rows = np.flatnonzero(inside & (right_lo < 0.0))
     first = len(probe.probes)
-    lower[rows] = _bisect_rows(lambda r, t: probe(r, t)[1] >= 0.0,
-                               rows, lo[rows], hi[rows], tol[rows], name_rows)[1]
+    lower[rows] = _bisect_rows(lambda r, t: probe(r, t)[1] >= 0.0, rows, lo, hi, tol)[1]
     # the same brackets and tolerances, and predicates that agree wherever the
     # subgradient is not 0: the upper bisection mostly repeats the lower's probes
     left = probe.left_reusing(probe.probes[first:])
     upper = hi.copy()
     rows = np.flatnonzero(inside & (left_hi > 0.0))
-    upper[rows] = _bisect_rows(lambda r, t: left(r, t) > 0.0,
-                               rows, lo[rows], hi[rows], tol[rows], name_rows)[0]
+    upper[rows] = _bisect_rows(lambda r, t: left(r, t) > 0.0, rows, lo, hi, tol)[0]
 
     probe.check_monotone()
     bad = np.flatnonzero(inside & (lower > upper + 2.0 * tol))
@@ -230,15 +236,15 @@ def minimize_convex(obj: LocationObjective, bracket: Bracket):
     Returns a point where zero lies in the subgradient interval (up to the
     bracket tolerance), or a bracket endpoint when the minimum sits there.
     Non-convexity observed along the way raises ``NonConvexityError`` naming
-    the offending probe points.  One sample gives a Python float.  An
-    objective over a ``(rows, n)`` matrix, with a scalar or per-row bracket,
-    gives an array with each row's minimizer, the float its row alone would
-    give; an error also names the row.
+    the offending probe points, and a NaN subgradient raises ``ValueError``.
+    One sample gives a Python float.  An objective over a ``(rows, n)``
+    matrix, with a scalar or per-row bracket, gives an array with each row's
+    minimizer, the float its row alone would give; an error on more than one
+    row also names the row, and a 1-row matrix fails as its sample alone.
     """
     if obj.data.ndim == 2:
-        return _argmin_rows(obj, bracket, name_rows=True)
-    # one sample is a 1-row matrix, with no row to name
-    return float(_argmin_rows(obj.take(np.newaxis), bracket, name_rows=False)[0])
+        return _argmin_rows(obj, bracket)
+    return float(_argmin_rows(obj.take(np.newaxis), bracket)[0])
 
 
 def slab_rows(points: int, n: int) -> int:

@@ -152,7 +152,7 @@ def test_sample_routes_only_small_one_pass_law_chunks(monkeypatch):
             "estimator": {"kind": "abs_dev"}, "grids": {"n": [n]}, "reps": 100})
         prepared, (point,) = validate_config(config)
         calls.clear()
-        lhs, rhs = kinds._sample(config, prepared, point, 0, 8, streams=("lhs", "rhs"))
+        lhs, rhs = kinds._sample(config, prepared, point, 0, 8)
         assert calls == ([n, n] if one_pass else [])
         for stream, matrix in (("lhs", lhs), ("rhs", rhs)):
             label = kinds._stream_label(config, point, stream)

@@ -547,10 +547,8 @@ def test_fit_raises_on_overflowing_residual_products():
     with pytest.raises(ValueError, match=r"^row 3: the residuals' inner products "
                                          r"overflow, so the partialled slope is NaN") as raised:
         fwl_estimate(RegressionData(y=y, t=t, x=x))
-    assert raised.value.row == 3
-    with pytest.raises(ValueError, match=r"^the residuals' inner products overflow") as raised:
+    with pytest.raises(ValueError, match=r"^the residuals' inner products overflow"):
         fwl_estimate(RegressionData(y=y[3], t=t[3], x=x[3]))
-    assert not hasattr(raised.value, "row")
     # y = 5.7e307 t: t't is finite, t'y overflows, and the slope is +inf
     # although the true one is finite
     t = rng.standard_normal((2, 60))
@@ -558,9 +556,8 @@ def test_fit_raises_on_overflowing_residual_products():
     y = 0.5 * t
     y[1] = 5.7e307 * t[1]
     with pytest.raises(ValueError, match=r"^row 1: the residuals' inner products "
-                                         r"overflow, so the partialled slope is \+inf$") as raised:
+                                         r"overflow, so the partialled slope is \+inf$"):
         fwl_estimate(RegressionData(y=y, t=t, x=x))
-    assert raised.value.row == 1
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -568,19 +565,20 @@ def test_fit_raises_on_overflowing_residual_products():
 def test_fit_names_an_overflowing_qr_factor():
     # a finite covariate of +-1e308 whose column norm leaves the float range:
     # the rank test names the row before its SVD sees the non-finite factor,
-    # alone and as row 1 of a stack, through the fit and through the sides
+    # alone and as row 1 of a stack, through the fit and through the sides;
+    # a 1-row stack of it names no row, as it alone does
     y, t = np.linspace(-1.0, 1.0, 10), np.cos(np.arange(10))
     x = (1e308 * (-1.0) ** np.arange(10))[:, None]
     message = ("a column of the design [t | x] has a norm past the float range, "
                "so its QR factor overflows")
     alone = RegressionData(y=y, t=t, x=x)
     stack = RegressionData(y=np.stack([t, y]), t=np.stack([y, t]), x=np.stack([t[:, None], x]))
-    for data, expected, row in ((alone, message, None), (stack, f"row 1: {message}", 1)):
+    one_row = RegressionData(y=stack.y[1:], t=stack.t[1:], x=stack.x[1:])
+    for data, expected in ((alone, message), (stack, f"row 1: {message}"), (one_row, message)):
         for fit in (fwl_estimate, lambda data: slope_sides(data, 0.5)):
             with pytest.raises(ValueError) as raised:
                 fit(data)
             assert type(raised.value) is ValueError and str(raised.value) == expected
-            assert getattr(raised.value, "row", None) == row
 
 
 def _certificate_block(rng, family: str, rows: int, n: int, d: int, theta0: float,
@@ -651,7 +649,7 @@ def test_certificate_band_covers_both_slopes_over_many_designs():
         if raised.any():
             with pytest.raises(CollinearityError) as again:
                 slope_sides(data, theta0)
-            assert str(again.value) == str(error) and again.value.row == error.row
+            assert str(again.value) == str(error)
         else:
             sides = slope_sides(data, theta0)
             assert np.array_equal(sides.side, error)  # the fit's sides

@@ -43,7 +43,7 @@ from medbias.simlab import (
 )
 from medbias.simlab.cli import main as cli_main
 from medbias.simlab.dgps import sample_design
-from medbias.simlab import kinds, seeds
+from medbias.simlab import engine, kinds, seeds
 from medbias.simlab.seeds import chunk_generators
 from medbias.simlab.kinds import KINDS, _check_loss_argmin, default_bracket, resolve_estimator
 from medbias import Bracket, CheckLoss, minimize_convex
@@ -733,6 +733,17 @@ _OVERFLOWING = {
                       "params": {"family_name": "normal_location",
                                  "family_params": {"sigma": 6e307}}},
         "grids": {"n": [50], "eps": [1e300]}},
+    # finite draws whose lp(1e4) terms overflow to inf of both signs, so the
+    # subgradient is NaN: unchecked, the solver bisected on it and stopped
+    # in the summary, or reported numbers
+    "lp_1e4_convex": {"estimator": {"kind": "lp", "params": {"p": 1e4}}, "grids": {"n": [20]}},
+    "lp_1e4_z_equality": {"kind": "z_estimator_equality",
+                          "estimator": {"kind": "lp", "params": {"p": 1e4}},
+                          "grids": {"n": [20]}},
+    "lp_1e4_nondiff": {"kind": "nondiff_profile", "estimator": {"kind": "lp", "params": {"p": 1e4}},
+                       "grids": {"n": [20], "eps": [0.5, 0.1]}},
+    "lp_1e4_hulc": {"kind": "hulc_coverage", "estimator": {"kind": "lp", "params": {"p": 1e4}},
+                    "grids": {"n": [20]}},
 }
 
 
@@ -743,9 +754,10 @@ _REGRESSION_KINDS = {"plm_rate_dichotomy", "partialled_dominance", "dimension_sc
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(_OVERFLOWING))
 def test_overflowing_draws_name_their_replication(case):
-    # finite params whose draws overflow pass validation; the chunk names the
-    # kind, the grid point and the replication, instead of a bare "values
-    # must be finite" from the summary or the row of a fit block
+    # finite params whose draws or fits overflow pass validation; the
+    # engine's chunk names the kind, the grid point, the replication and each
+    # stream's seed, instead of a bare "values must be finite" from the
+    # summary or the row of a fit block
     from medbias.simlab.config import validate_config
     from medbias.simlab.kinds import grid_label
 
@@ -754,12 +766,11 @@ def test_overflowing_draws_name_their_replication(case):
     label = grid_label(config.kind, point)
     assert label.startswith(f"{config.kind}|")
     prefix = f"grid point {label}, replication "
-    run_chunk = KINDS[config.kind].run_chunk
 
     def failure(start, stop):
         """The replication a chunk's error names, or None when the chunk runs."""
         try:
-            run_chunk(config, prepared, point, start, stop)
+            engine.run_chunk(config, prepared, point, start, stop)
         except ValueError as err:
             assert str(err).startswith(prefix), str(err)
             return int(str(err)[len(prefix):].split(":")[0])
@@ -770,13 +781,15 @@ def test_overflowing_draws_name_their_replication(case):
     assert failure(CHUNK_SIZE, config.reps) == failing
     with pytest.raises(ValueError, match=re.escape(prefix)) as raised:
         run_experiment(config)
-    # the draws also name each stream and its seed, which reproduces the
-    # failing replication on its own
+    # the error also names each stream and its seed, which reproduces the
+    # failing replication on its own: run alone, it raises the same message
     index, named = re.search(r"replication (\d+): ((?:stream '\w+' \(seed \d+\)(?:, )?)+): ",
                              str(raised.value)).groups()
     index, seeds = int(index), dict(re.findall(r"stream '(\w+)' \(seed (\d+)\)", named))
-    expected = {"plm_rate_dichotomy": ["data", "split"]}.get(config.kind)
-    assert expected is None or list(seeds) == expected, seeds
+    assert list(seeds) == list(KINDS[config.kind].streams), seeds
+    with pytest.raises(type(raised.value)) as alone:
+        engine._finite_chunk(config, prepared, point, index, index + 1)
+    assert str(raised.value) == f"{prefix}{index}: {named}: {alone.value}"
     rngs = {}
     for stream, seed in seeds.items():
         stream_label = f"{label}|{stream}"
@@ -806,18 +819,21 @@ def test_overflowing_draws_name_their_replication(case):
     elif config.kind == "mle_llr_consistency":
         draw = prepared.family.sample(rngs["data"], prepared.theta0, n)
     else:
-        (stream, rng), = rngs.items()
-        draw = prepared.dgp.sample(rng, n)
-        if "solver bracket" in str(raised.value):
-            # finite draws whose bracket is not valid: the replayed draws are
-            # finite, and the bracket of the rows the estimator gets is not
+        draw = np.concatenate([prepared.dgp.sample(rng, n) for rng in rngs.values()])
+        if np.isfinite(draw).all():
+            # finite draws whose estimate fails: a solver bracket past the
+            # float range or rounded flat, or lp(1e4)'s NaN subgradient.  The
+            # first stream's replayed sample, estimated alone as the kind
+            # estimates it, raises the message the run gave
             assert case in ("laplace_scale_bracket", "hulc_laplace_scale_bracket",
-                            "uniform_n1_bracket")
-            assert np.isfinite(draw).all()
-            if config.kind == "hulc_coverage":
-                draw = kinds.hulc_batches(draw, prepared.batches)
-            with pytest.raises(ValueError, match="must be finite|need lo < hi"):
-                kinds.default_bracket(draw)
+                            "uniform_n1_bracket") or case.startswith("lp_1e4_"), case
+            estimate = functools.partial(estimate_location, prepared.estimator)
+            with pytest.raises(ValueError) as alone:
+                if config.kind == "hulc_coverage":
+                    hulc_interval(draw[:n], prepared.alpha, estimate)
+                else:
+                    estimate(draw[:n])
+            assert str(raised.value).endswith(f"{named}: {alone.value}")
             return
     assert not np.isfinite(draw).all()
 
@@ -880,6 +896,76 @@ def test_run_experiment_reproducible_across_workers():
     assert serial.rows == parallel.rows
     again = run_experiment(config, workers=1)
     assert serial.rows == again.rows
+
+
+#: One small config per kind, run by the chunk-size test: solver, closed-form,
+#: scan and one-pass paths, a biweight HulC point, and a dimension_scaling
+#: point with both certified and fallback fits (2 of 100 rows fall back).
+_CHUNKING = {
+    "convex_dominance": {"dgp": {"name": "laplace"},
+                         "estimator": {"kind": "lp", "params": {"p": 1.5}}, "grids": {"n": [7]}},
+    "z_estimator_equality": {"kind": "z_estimator_equality"},
+    "nondiff_profile": {"kind": "nondiff_profile", "estimator": {"kind": "lp", "params": {"p": 3}},
+                        "grids": {"n": [5], "eps": [1.0, 0.5]}},
+    "mle_llr_consistency": {"kind": "mle_llr_consistency",
+                            "estimator": {"kind": "neg_loglik",
+                                          "params": {"family_name": "normal_location"}},
+                            "grids": {"n": [10], "eps": [0.5]}},
+    "nonconvex_dominance": {"kind": "nonconvex_dominance",
+                            "estimator": {"kind": "biweight", "params": {"c": 2.0}},
+                            "grids": {"n": [20], "delta": [0.5, 1.0]},
+                            "params": {"scan_points": 301}},
+    "partialled_dominance": {"kind": "partialled_dominance", "dgp": {"name": "gaussian"},
+                             "estimator": {}, "grids": {"n": [50], "d": [2]}},
+    "dimension_scaling": {"kind": "dimension_scaling", "estimator": {},
+                          "dgp": {"name": "leverage_mix",
+                                  "params": {"scale_hi": 3e3, "scale_lo": 1e-3}},
+                          "grids": {"n": [100], "d_schedules": ["quarter_pow"],
+                                    "seed_labels": [0]}},
+    "plm_rate_dichotomy": {"kind": "plm_rate_dichotomy", "estimator": {},
+                           "dgp": {"name": "smooth_default", "params": {"d": 3}},
+                           "grids": {"n": [100], "rate_schedules": ["constant"]}},
+    "hulc_coverage": {"kind": "hulc_coverage", "grids": {"n": [60]}},
+    "hulc_coverage_biweight": {"kind": "hulc_coverage", "dgp": {"name": "logistic"},
+                               "estimator": {"kind": "biweight", "params": {"c": 4.685}},
+                               "grids": {"n": [30]}},
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_chunk_size_changes_no_value_and_no_failure(monkeypatch, tmp_path):
+    # seeds are per replication, so the chunk size changes no CSV byte and
+    # no JSON profile, and a failing replication is named the same way at
+    # any chunk size and worker count (the engine replays a failing chunk
+    # one replication at a time)
+    assert {raw.get("kind", "convex_dominance") for raw in _CHUNKING.values()} == set(KINDS)
+    profiles = {}
+    for name, raw in _CHUNKING.items():
+        config = ExperimentConfig.from_dict(_minimal_config(**raw, reps=100))
+        outputs = []
+        for size in (1, 37, 512, config.reps + 1):
+            monkeypatch.setattr(engine, "CHUNK_SIZE", size)
+            result = run_experiment(config)
+            write_csv(tmp_path / "rows.csv", result.rows)
+            outputs.append(((tmp_path / "rows.csv").read_bytes(), result.profiles))
+        assert all(output == outputs[0] for output in outputs), name
+        profiles[name] = outputs[0][1]
+    fits, = (profile["fits"] for profile in profiles["dimension_scaling"].values())
+    assert fits == {"certified": 98, "fallback": 2}
+
+    # lp(700)'s terms overflow at replication 67 (inside the second chunk
+    # of 37), whose score is then -inf; replications 0 to 66 run
+    config = ExperimentConfig.from_dict(_minimal_config(
+        estimator={"kind": "lp", "params": {"p": 700.0}}, reps=200, master_seed=3))
+    seed = derive_seed(3, 67, "convex_dominance|n=5|data")
+    expected = (f"grid point convex_dominance|n=5, replication 67: stream 'data' (seed {seed}): "
+                "score is not finite: -inf")
+    for size in (1, 37, 512, config.reps + 1):
+        monkeypatch.setattr(engine, "CHUNK_SIZE", size)
+        for workers in (1, 2):
+            with pytest.raises(ValueError) as raised:
+                run_experiment(config, workers=workers)
+            assert str(raised.value) == expected, (size, workers)
 
 
 def test_prepare_runs_once_per_run(monkeypatch):
@@ -1109,6 +1195,46 @@ def test_dimension_scaling_sides_do_not_depend_on_the_block(monkeypatch):
         assert np.array_equal(arrays["side"], expected) and arrays["certified"].all()
 
 
+def _inject_design_faults(monkeypatch, config, faults) -> list:
+    """Apply each ``fault(y, t, x, row)`` of ``faults``, a list of ``(fault, index)``,
+    to the design of replication ``index`` wherever a chunk draws it.
+
+    Faults are keyed by replication, not by block row, because the engine
+    redraws a failing chunk's replications one at a time.  Returns the list
+    of ``(first replication, rows)`` of every block drawn, in order.
+    """
+    impl, real, drawn, following = KINDS[config.kind], kinds.sample_design, [], [0]
+
+    def run_chunk(cfg, prep, point, start, stop):
+        following[0] = start
+        return impl.run_chunk(cfg, prep, point, start, stop)
+
+    def sample(name, rngs, y, t, x, theta0, **params):
+        real(name, rngs, y, t, x, theta0, **params)
+        first = following[0]
+        following[0] += len(y)
+        drawn.append((first, len(y)))
+        for fault, index in faults:
+            if first <= index < first + len(y):
+                fault(y, t, x, index - first)
+
+    monkeypatch.setitem(KINDS, config.kind, dataclasses.replace(impl, run_chunk=run_chunk))
+    monkeypatch.setattr(kinds, "sample_design", sample)
+    return drawn
+
+
+def _design_alone(config, prepared, point, index, fault=None):
+    """Replication ``index``'s design drawn alone, with ``fault`` applied, as one sample."""
+    n, d = point["n"], point["d"]
+    y, t, x = np.empty((1, n)), np.empty((1, n)), np.empty((1, n, d))
+    label = f"{kinds.grid_label(config.kind, point)}|data"
+    sample_design(prepared.design, [replication_rng(config.master_seed, index, label)], y, t, x,
+                  prepared.theta0, **prepared.design_params)
+    if fault is not None:
+        fault(y, t, x, 0)
+    return kinds.RegressionData(y=y[0], t=t[0], x=x[0])
+
+
 def test_dimension_scaling_collinear_draw_names_its_replication(monkeypatch):
     # a rank-deficient design at replication 37 (row 37 of its 46-row block)
     # raises the full fit's CollinearityError, naming the replication and its
@@ -1121,31 +1247,23 @@ def test_dimension_scaling_collinear_draw_names_its_replication(monkeypatch):
         grids={"n": [100], "d_schedules": ["half_sqrt"], "seed_labels": [0]},
         params={"theta0": 0.5}, reps=200))
     prepared, (point,) = validate_config(config)
-    drawn = []
-    real = kinds.sample_design
-
-    def collinear_at_37(name, rngs, y, t, x, theta0, **params):
-        real(name, rngs, y, t, x, theta0, **params)
-        if sum(drawn) <= 37 < sum(drawn) + len(y):
-            row = 37 - sum(drawn)
-            x[row, :, 0] = t[row]
-        drawn.append(len(y))
-
-    monkeypatch.setattr(kinds, "sample_design", collinear_at_37)
+    drawn = _inject_design_faults(monkeypatch, config, [(_collinear, 37)])
     with pytest.raises(CollinearityError) as raised:
-        KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
-    assert drawn == [46]
-    n, d = point["n"], point["d"]
-    label = kinds.grid_label(config.kind, point)
-    y, t, x = np.empty((1, n)), np.empty((1, n)), np.empty((1, n, d))
-    real(prepared.design, [replication_rng(config.master_seed, 37, f"{label}|data")], y, t, x,
-         0.5)
-    x[0, :, 0] = t[0]
+        engine.run_chunk(config, prepared, point, 0, 200)
+    # the first block fails, and replications 0..37 are then drawn alone
+    assert drawn == [(0, 46)] + [(i, 1) for i in range(38)]
     with pytest.raises(CollinearityError) as alone:
-        kinds.fwl_estimate(kinds.RegressionData(y=y[0], t=t[0], x=x[0]))
+        kinds.fwl_estimate(_design_alone(config, prepared, point, 37, _collinear))
+    label = kinds.grid_label(config.kind, point)
     seed = derive_seed(config.master_seed, 37, f"{label}|data")
     assert str(raised.value) == (f"grid point {label}, replication 37: stream 'data' "
                                  f"(seed {seed}): {alone.value}")
+
+
+def _huge(y, t, x, row):
+    # finite entries whose residual inner products overflow into a NaN slope
+    for a in (y, t, x):
+        a[row] *= 1e160
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -1160,20 +1278,13 @@ def test_partialled_overflowing_fit_names_its_replication(monkeypatch):
         kind="partialled_dominance", dgp={"name": "gaussian"}, estimator={},
         grids={"n": [40], "d": [3]}, reps=200))
     prepared, (point,) = validate_config(config)
-    real = kinds.sample_design
-
-    def huge_at_12(name, rngs, y, t, x, theta0, **params):
-        real(name, rngs, y, t, x, theta0, **params)
-        for a in (y, t, x):
-            a[12] *= 1e160
-
-    monkeypatch.setattr(kinds, "sample_design", huge_at_12)
+    _inject_design_faults(monkeypatch, config, [(_huge, 12)])
     label = kinds.grid_label(config.kind, point)
     seed = derive_seed(config.master_seed, 12, f"{label}|data")
     with pytest.raises(ValueError, match=re.escape(
             f"grid point {label}, replication 12: stream 'data' (seed {seed}): the residuals' "
             "inner products overflow")):
-        KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
+        engine.run_chunk(config, prepared, point, 0, 200)
 
 
 def _overflow_slope(y, t, x, row):
@@ -1219,7 +1330,6 @@ def test_partialled_chunk_names_a_blocks_first_failure(monkeypatch, kind):
     config = ExperimentConfig.from_dict(_minimal_config(**raw))
     prepared, (point,) = validate_config(config)
     label = kinds.grid_label(config.kind, point)
-    real = kinds.sample_design
     cases = [((_overflow_slope, 12), (_non_finite_y, 30)),
              ((_overflow_slope, 30), (_non_finite_y, 12)),
              ((_overflow_slope, 0), (_non_finite_y, 1)),
@@ -1228,23 +1338,16 @@ def test_partialled_chunk_names_a_blocks_first_failure(monkeypatch, kind):
              ((_collinear, 5), (_overflow_slope, 2))]
     for faults in cases:
         first_fault, first = min(faults, key=lambda fault: fault[1])
-        alone = {}
-
-        def sample(name, rngs, y, t, x, theta0, **params):
-            real(name, rngs, y, t, x, theta0, **params)
-            for fault, row in faults:
-                fault(y, t, x, row)
-            with pytest.raises(ValueError) as fit:
-                kinds.fwl_estimate(kinds.RegressionData(y=y[first], t=t[first], x=x[first]))
-            alone["fit"] = str(fit.value)
-
-        monkeypatch.setattr(kinds, "sample_design", sample)
-        with pytest.raises(ValueError) as raised:
-            KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
-        assert re.fullmatch(_BLOCK_FAULTS[first_fault], alone["fit"]), alone["fit"]
+        with monkeypatch.context() as patch:
+            _inject_design_faults(patch, config, list(faults))
+            with pytest.raises(ValueError) as raised:
+                engine.run_chunk(config, prepared, point, 0, 200)
+        with pytest.raises(ValueError) as fit:
+            kinds.fwl_estimate(_design_alone(config, prepared, point, first, first_fault))
+        assert re.fullmatch(_BLOCK_FAULTS[first_fault], str(fit.value)), str(fit.value)
         seed = derive_seed(config.master_seed, first, f"{label}|data")
         assert str(raised.value) == (f"grid point {label}, replication {first}: stream 'data' "
-                                     f"(seed {seed}): {alone['fit']}")
+                                     f"(seed {seed}): {fit.value}")
 
 
 def test_partialled_chunk_peak_memory():

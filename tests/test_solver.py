@@ -408,9 +408,46 @@ def test_a_reversal_only_the_upper_bisection_probes_names_its_probe():
     with pytest.raises(NonConvexityError) as err:
         minimize_convex(_ReversedOnAWindow(rows), bracket)
     assert str(err.value) == f"row 1: {message}"
+    # a 1-row matrix fails as its sample alone, naming no row
+    with pytest.raises(NonConvexityError) as err:
+        minimize_convex(_ReversedOnAWindow(rows[1:2]), bracket)
+    assert str(err.value) == message
     for i in (0, 2):
         assert (minimize_convex(_ReversedOnAWindow(rows[i]), bracket)
                 == minimize_convex(AbsoluteDeviation(rows[i]), bracket))
+
+
+class _NaNOnAWindow(AbsoluteDeviation):
+    """The absolute deviation with a NaN left subgradient on (0.6, 0.9)."""
+
+    def subgradient(self, theta):
+        left, right = super().subgradient(theta)
+        inside = (0.6 < np.asarray(theta)) & (np.asarray(theta) < 0.9)
+        return self._interval(np.where(inside, np.nan, left), right)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_nan_subgradient_names_its_probe():
+    # the probes of the reversal test above: only row 1's upper bisection
+    # reaches the window, at 0.8125, where a NaN left subgradient used to
+    # read as "not > 0" and the solve went on
+    rows = np.array([[-1.5, -1.0], [0.0, 1.0], [2.0, 2.5]])
+    message = "subgradient is NaN at theta=0.8125: left=nan, right=0.0"
+    bracket = Bracket(-2.0, 3.0)
+    for data, expected in ((rows[1], message), (rows[1:2], message),
+                           (rows, f"row 1: {message}")):
+        with pytest.raises(ValueError) as err:
+            minimize_convex(_NaNOnAWindow(data), bracket)
+        assert type(err.value) is ValueError and str(err.value) == expected
+    for i in (0, 2):
+        assert (minimize_convex(_NaNOnAWindow(rows[i]), bracket)
+                == minimize_convex(AbsoluteDeviation(rows[i]), bracket))
+    # an infinite subgradient keeps its sign: lp(1e4) overflows to -inf
+    # and +inf away from the data, and still solves
+    data = np.array([[1.5, 1.6, 1.7], [-0.2, 0.0, 0.3]])
+    assert np.isinf(PowerLoss(data, p=1e4).subgradient(-3.0)).all()
+    theta = minimize_convex(PowerLoss(data, p=1e4), Bracket(-3.0, 3.0))
+    assert theta == pytest.approx([1.6, 0.05], abs=1e-6)
 
 
 def _first_violation_by_lexsort(probes, slack):
@@ -422,7 +459,9 @@ def _first_violation_by_lexsort(probes, slack):
                          & (right[:-1] > left[1:] + slack[rows[1:]]))
     if bad.size:
         i = bad[0]
-        return (f"row {rows[i]}: subgradient sign not monotone: g_right({theta[i]})="
+        # a matrix of one row names no row
+        row = f"row {rows[i]}: " if slack.size > 1 else ""
+        return (f"{row}subgradient sign not monotone: g_right({theta[i]})="
                 f"{right[i]} > g_left({theta[i + 1]})={left[i + 1]}")
     return None
 
@@ -435,7 +474,7 @@ def test_per_row_probe_sort_finds_the_lexsort_violation(seed):
     rng = np.random.default_rng(seed)
     count = int(rng.integers(1, 12))
     prober = solver._RowProber(AbsoluteDeviation(np.zeros((count, 2))), np.full(count, -1.0),
-                               np.ones(count), name_rows=True)
+                               np.ones(count))
     probes = []
     for _ in range(int(rng.integers(1, 30))):
         rows = np.flatnonzero(rng.random(count) < 0.6)
