@@ -184,6 +184,9 @@ class LocationObjective:
     """Base class: holds the data and the tolerance anchor."""
 
     is_convex = True
+    #: ``np.errstate`` settings to evaluate the objective under, entered once
+    #: around a batch of evaluations (a solve, a score, a value profile)
+    errstate = {}
 
     def __init__(self, data):
         x = np.asarray(data, dtype=float)
@@ -282,6 +285,10 @@ class PowerLoss(LocationObjective):
     """Sum of |x - theta|**p for 1 <= p <= 2**53; p < 1 is non-convex and rejected."""
 
     kind = "lp"
+    # at large p the terms overflow to +-inf, and their sum can be NaN; the
+    # solver's NaN check and the lab's finite check name what comes out, so
+    # numpy's warnings would only reach stderr
+    errstate = {"over": "ignore", "invalid": "ignore"}
 
     def __init__(self, data, p: float | None = None):
         super().__init__(data)

@@ -10,17 +10,25 @@ bound controls through a threshold on the cross term.
 There is one fit, over a stack of samples; one sample is a 1-row stack.
 A stack of ``rows`` samples holds ``y`` and ``t`` as ``(rows, n)`` and ``x``
 as ``(rows, n, d)``.  The fit factorises each row's ``[x | t | y]`` by one
-stacked QR.  The leading (d+1)-square block of each R factor has the
-singular values of ``[x | t]``, so the rank test is one values-only SVD of
-those blocks; the covariate coefficients of t and y come from one batched
-solve in ``R[:d, :d]``, and the residuals are t and y minus x times them.
-Each row gives the bits its sample alone gives: the stacked QR, SVD and
-solve and ``np.vecdot`` equal their 2-d and 1-d calls, and so do fitted
-values taken as one ``(rows, n, d) @ (rows, d, 1)`` matmul per coefficient
-column (one ``(rows, n, d) @ (rows, d, 2)`` matmul for both columns does
-not).  The experiment lab fits a chunk of replications in blocks of at most
-256 KiB of stack, which keeps a block in cache; a design too large for one
-row in that budget runs 1-row blocks.  An error on a stack of more than
+stacked QR.  The leading (d+1)-square block B of each R factor has the
+singular values of ``[x | t]``, and the rank test asks whether
+sigma_min / sigma_max of B is above 1e-10.  A stack whose rows all have
+kappa = ``||B||_F ||B^-1||_F`` below 1e4 (one batched inverse) is full rank
+by construction: there sigma_min / sigma_max >= 1 / kappa > 1e-4, the
+computed inverse's relative error is about kappa u <= 1e-12, and a values-only
+SVD of B, exact to O(u sigma_max), could not reach 1e-10 (Higham, *Accuracy
+and Stability of Numerical Algorithms*, 2nd ed., ch. 10 and 20).  Any other
+stack runs that SVD, which decides and words the error.  The covariate
+coefficients of t and y come from one batched solve in ``R[:d, :d]``, and
+the residuals are t and y minus x times them.  Each row gives the bits its
+sample alone gives: the stacked QR, inverse, SVD and solve and
+``np.vecdot`` equal their 2-d and 1-d calls, and so do fitted values taken
+as one ``(rows, n, d) @ (rows, d, 1)`` matmul per coefficient column (one
+``(rows, n, d) @ (rows, d, 2)`` matmul for both columns does not).  The
+experiment lab fits a chunk of replications in blocks of at most 256 KiB of
+stack, which keeps a block in cache, and at least 2 rows, which shares a
+block's fixed numpy cost when a design is too large for 2 rows in that
+budget (n = 1600, d = 20).  An error on a stack of more than
 one row names its row; one sample, or a 1-row stack, fails with the same
 message and no row, which is how the lab's engine names a failing
 replication when it runs that replication alone.  ``joint_theta``, the
@@ -81,7 +89,8 @@ from .core import med_bias
 
 _RANK_RTOL = 1e-10
 _IDENTITY_RTOL = 1e-8
-# ``slope_sides``'s certificate; the module docstring derives each one
+# ``slope_sides``'s certificate; the module docstring derives each one.
+# ``_check_rank`` certifies full rank with the same 1 / kappa > _CERTIFY_RTOL
 _UNIT_ROUNDOFF = 2.0 ** -53
 _GRAM_FLOOR = 2.0 ** -900
 _CERTIFY_RTOL = 1e-4
@@ -184,11 +193,29 @@ def _first_bad(cls, failed, message):
     return cls(f"row {row}: {message(row)}" if failed.size > 1 else message(row))
 
 
+def _kappa(block, norm):
+    """kappa = ``norm * ||block^-1||_F`` of each triangular block, with the
+    inverse and its Frobenius norm; ``norm`` is the block's ``||block||_F``.
+
+    kappa bounds the block's condition number sigma_max / sigma_min from
+    above (the 2-norm is at most the Frobenius norm), up to the inverse's
+    relative error of about kappa u.  The batched ``inv`` raises
+    ``LinAlgError`` when a block is exactly singular.
+    """
+    inv = np.linalg.inv(block)
+    inv_norm = np.linalg.norm(inv, axis=(1, 2))
+    return norm * inv_norm, inv, inv_norm
+
+
 def _check_rank(y, t, x) -> np.ndarray:
     """R factors of each row's ``[x | t | y]``, once every design ``[t | x]`` has full column rank.
 
     The leading (d+1)-square block of R has the singular values of ``[x | t]``,
     so the ratio test runs on that small block instead of the n-row design.
+    A stack whose blocks all have ``_CERTIFY_RTOL * kappa < 1`` is full rank
+    by construction (module docstring) and runs no SVD; any other stack,
+    one whose batched inverse raises included, runs the values-only SVD of
+    its blocks, which decides the rank and words the error.
     """
     _, n, d = x.shape
     if d + 1 > n:
@@ -204,6 +231,13 @@ def _check_rank(y, t, x) -> np.ndarray:
     if overflowing.any():
         raise _first_bad(ValueError, overflowing, lambda row: "a column of the design "
                          "[t | x] has a norm past the float range, so its QR factor overflows")
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            kappa = _kappa(block, np.linalg.norm(block, axis=(1, 2)))[0]
+        except np.linalg.LinAlgError:  # an exactly singular block
+            kappa = np.full(block.shape[0], np.inf)
+    if np.all(_CERTIFY_RTOL * kappa < 1.0):
+        return r
     singular = np.linalg.svd(block, compute_uv=False)
     deficient = singular[:, -1] <= _RANK_RTOL * singular[:, 0]
     if deficient.any():
@@ -298,12 +332,10 @@ def _normal_equation_slopes(y, t, x, theta0: float):
         gram[:, p, p] *= 2.0
         try:
             chol = np.linalg.cholesky(gram)
-            inv = np.linalg.inv(chol[:, :p, :p])
+            kappa, inv, inv_norm = _kappa(chol[:, :p, :p], np.sqrt(np.sum(squares[:, :p], axis=1)))
         except np.linalg.LinAlgError:
             return np.full(rows, np.nan), np.full(rows, np.inf)
         theta = chol[:, p, d] / chol[:, d, d]
-        inv_norm = np.linalg.norm(inv, axis=(1, 2))
-        kappa = np.sqrt(np.sum(squares[:, :p], axis=1)) * inv_norm
         m = np.sum(np.abs(inv[:, d]) * np.sqrt(squares[:, :p]), axis=1)  # the docstring's M
         eps = _UNIT_ROUNDOFF * (n * (p + 2) + 2 * p)
         band = _BAND_SAFETY * (4.0 * eps * (1.0 + kappa) ** 2 * np.sqrt(squares[:, p]) * inv_norm

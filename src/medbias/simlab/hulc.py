@@ -38,8 +38,10 @@ def hulc_interval(values, alpha: float, estimator):
     per row.  Batches are consecutive runs of each sample; with n not
     divisible by B the trailing remainder observations are dropped.
     ``estimator`` maps a matrix of batches, one per row, to one estimate per
-    row, and is called once for all the batches.  Returns two floats for one
-    sample and two per-row arrays for a matrix.
+    row, and is called once per batch position, on that batch of every
+    sample; an error it raises is re-raised as the same class with its
+    message prefixed ``batch b: ``.  Returns two floats for one sample and
+    two per-row arrays for a matrix.
     """
     data = np.asarray(values, dtype=float)
     if data.ndim not in (1, 2):
@@ -48,7 +50,12 @@ def hulc_interval(values, alpha: float, estimator):
     size = data.shape[-1] // b
     if size < 1:
         raise ValueError(f"need at least {b} observations for alpha={alpha}, got {data.shape[-1]}")
-    batches = hulc_batches(data, b).reshape(-1, size)
-    estimates = np.asarray(estimator(batches), dtype=float).reshape(data.shape[:-1] + (b,))
+    batches = hulc_batches(np.atleast_2d(data), b)
+    estimates = np.empty(batches.shape[:-1])
+    for k in range(b):
+        try:
+            estimates[:, k] = estimator(np.ascontiguousarray(batches[:, k]))
+        except (ValueError, RuntimeError) as err:
+            raise type(err)(f"batch {k}: {err}") from None
     lo, hi = estimates.min(axis=-1), estimates.max(axis=-1)
-    return (float(lo), float(hi)) if data.ndim == 1 else (lo, hi)
+    return (float(lo[0]), float(hi[0])) if data.ndim == 1 else (lo, hi)

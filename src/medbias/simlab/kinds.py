@@ -187,8 +187,10 @@ def estimate_location(estimator: Estimator, data) -> np.ndarray:
 
 def score_at(estimator: Estimator, data, theta0: float) -> np.ndarray:
     """Score statistic at the target per row: midpoint of the subgradient interval."""
-    left, right = estimator.objective(np.atleast_2d(data)).subgradient(theta0)
-    return 0.5 * (left + right)
+    obj = estimator.objective(np.atleast_2d(data))
+    with np.errstate(**obj.errstate):
+        left, right = obj.subgradient(theta0)
+        return 0.5 * (left + right)
 
 
 def score_zero_tol(estimator: Estimator, scores: np.ndarray) -> float:
@@ -416,10 +418,12 @@ def _chunk_nondiff(config, prep, point, start, stop):
     data, = _sample(config, prep, point, start, stop)
     obj = prep.estimator.objective(data)
     theta0 = prep.theta0
-    return {"theta_hat": estimate_location(prep.estimator, data),
-            "center": obj.value(theta0),
-            "plus": np.stack([obj.value(theta0 + e) for e in prep.eps], axis=1),
-            "minus": np.stack([obj.value(theta0 - e) for e in prep.eps], axis=1)}
+    theta_hat = estimate_location(prep.estimator, data)
+    with np.errstate(**obj.errstate):
+        return {"theta_hat": theta_hat,
+                "center": obj.value(theta0),
+                "plus": np.stack([obj.value(theta0 + e) for e in prep.eps], axis=1),
+                "minus": np.stack([obj.value(theta0 - e) for e in prep.eps], axis=1)}
 
 
 def _summarize_nondiff(config, prep, point, arrays):
@@ -633,20 +637,25 @@ def _points_partialled(config):
 #: Bytes of ``[x | t | y]`` stack per block of partialled fits: small enough
 #: to stay in cache, large enough to share each LAPACK call among many rows.
 _FIT_BLOCK_BYTES = 1 << 18
+#: Rows per block of partialled fits where fewer fit in ``_FIT_BLOCK_BYTES``
+#: (n = 1600, d = 20): two rows share a block's fixed cost of about 15 numpy
+#: calls; four gained little more and raised the peak RSS.
+_FIT_BLOCK_MIN_ROWS = 2
 
 
 def _chunk_partialled(config, prep, point, start, stop):
     """Draw the chunk's designs into block stacks and fit each block at once.
 
     A block holds as many replications as fit in ``_FIT_BLOCK_BYTES`` of
-    ``[x | t | y]`` stack (at least one); a row's fit does not depend on its
-    block, so the values do not depend on the block size or on chunking.
+    ``[x | t | y]`` stack, and at least ``_FIT_BLOCK_MIN_ROWS``; a row's fit
+    does not depend on its block, so the values do not depend on the block
+    size or on chunking.
     Each block's replications draw straight into its rows, the block is
     checked once, as one ``RegressionData``, and ``prep.fit`` returns its
     arrays, which the chunk concatenates.
     """
     n, d, count = point["n"], point["d"], stop - start
-    block = min(count, max(1, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
+    block = min(count, max(_FIT_BLOCK_MIN_ROWS, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
     y, t, x = np.empty((block, n)), np.empty((block, n)), np.empty((block, n, d))
     rngs = (rng for rng, in _replications(config, point, start, stop))
     fits = []

@@ -241,10 +241,12 @@ def minimize_convex(obj: LocationObjective, bracket: Bracket):
     matrix, with a scalar or per-row bracket, gives an array with each row's
     minimizer, the float its row alone would give; an error on more than one
     row also names the row, and a 1-row matrix fails as its sample alone.
+    The solve runs under the objective's ``errstate``.
     """
-    if obj.data.ndim == 2:
-        return _argmin_rows(obj, bracket)
-    return float(_argmin_rows(obj.take(np.newaxis), bracket)[0])
+    with np.errstate(**obj.errstate):
+        if obj.data.ndim == 2:
+            return _argmin_rows(obj, bracket)
+        return float(_argmin_rows(obj.take(np.newaxis), bracket)[0])
 
 
 def slab_rows(points: int, n: int) -> int:

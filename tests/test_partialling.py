@@ -27,6 +27,7 @@ from medbias.partialling import (
     _normal_equation_slopes,
     proposition_profile,
 )
+from medbias import partialling
 from medbias.simlab import kinds, replication_rng, sample_design
 from medbias.simlab.dgps import design_params
 from medbias.simlab.config import ExperimentConfig, validate_config
@@ -309,8 +310,10 @@ def test_fwl_matches_joint_solve(seed):
 
 
 def test_fwl_factorises_once(monkeypatch):
-    # one QR of [x | t | y] per fit; the only SVD is of R's (d+1)-square block,
-    # values only, and no least-squares solve runs
+    # one QR of [x | t | y] per fit, and one inverse of R's (d+1)-square
+    # block, whose kappa certifies full rank; no least-squares solve runs,
+    # and the values-only SVD of the block runs only when kappa does not
+    # certify it
     calls = []
 
     def counted(name):
@@ -321,17 +324,25 @@ def test_fwl_factorises_once(monkeypatch):
             return real(a, *args, **kwargs)
         return wrapper
 
-    for name in ("qr", "svd", "lstsq"):
+    for name in ("qr", "inv", "svd", "lstsq"):
         monkeypatch.setattr(np.linalg, name, counted(name))
     rng = np.random.default_rng(8)
     data, _, _ = _random_instance(rng, 80, 6)
     fwl_estimate(data)
-    assert calls == [("qr", (1, 80, 8), {"mode": "r"}), ("svd", (1, 7, 7), {"compute_uv": False})]
-    # a stack is one QR and one SVD for all of its rows
+    assert calls == [("qr", (1, 80, 8), {"mode": "r"}), ("inv", (1, 7, 7), {})]
+    # a stack is one QR and one inverse for all of its rows
     calls.clear()
     stack, _, _ = _stack([_random_instance(rng, 80, 6) for _ in range(5)])
     fwl_estimate(stack)
-    assert calls == [("qr", (5, 80, 8), {"mode": "r"}), ("svd", (5, 7, 7), {"compute_uv": False})]
+    assert calls == [("qr", (5, 80, 8), {"mode": "r"}), ("inv", (5, 7, 7), {})]
+    # a row 1e-6 from rank deficiency is full rank, but kappa cannot show it:
+    # the whole stack runs the SVD
+    calls.clear()
+    x = stack.x.copy()
+    x[3, :, 0] = stack.t[3] + 1e-6 * rng.standard_normal(80)
+    fwl_estimate(RegressionData(y=stack.y, t=stack.t, x=x))
+    assert calls == [("qr", (5, 80, 8), {"mode": "r"}), ("inv", (5, 7, 7), {}),
+                     ("svd", (5, 7, 7), {"compute_uv": False})]
 
 
 def test_fwl_residuals_orthogonal_to_covariates():
@@ -397,6 +408,103 @@ def test_wide_design_is_rank_deficient():
     # n == d + 1 is still full rank and fits
     square = RegressionData(y=data.y, t=data.t, x=data.x[:, :9])
     assert fwl_estimate(square).theta_hat == pytest.approx(joint_theta(square), rel=1e-8)
+
+
+def _rank_outcomes(monkeypatch, data: RegressionData):
+    """``_check_rank`` of ``data`` and whether it ran the SVD, and the SVD path's
+    outcome (kappa never certifies): each an R factor or the error raised."""
+    real, svds = np.linalg.svd, []
+
+    def svd(a, *args, **kwargs):
+        svds.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    def outcome():
+        try:
+            return partialling._check_rank(*partialling._as_stack(data)[:3])
+        except CollinearityError as err:
+            return err
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    got = outcome()
+    ran_svd = bool(svds)
+    with monkeypatch.context() as patched:
+        patched.setattr(partialling, "_CERTIFY_RTOL", np.inf)
+        return got, ran_svd, outcome()
+
+
+def _assert_same_rank_outcome(got, reference):
+    if isinstance(reference, Exception):
+        assert type(got) is type(reference) and str(got) == str(reference)
+    else:
+        assert np.array_equal(got, reference)
+
+
+def _conditioned_design(rng, n: int, d: int, ratio: float) -> RegressionData:
+    """A sample whose design [x | t] has singular values from 1 down to ``ratio``."""
+    u = np.linalg.qr(rng.standard_normal((n, d + 1)))[0]
+    v = np.linalg.qr(rng.standard_normal((d + 1, d + 1)))[0]
+    design = (u * np.geomspace(1.0, ratio, d + 1)) @ v.T
+    return RegressionData(y=rng.standard_normal(n), t=design[:, d], x=design[:, :d])
+
+
+def test_rank_certificate_decides_as_the_svd(monkeypatch):
+    # kappa = ||R11||_F ||R11^-1||_F < 1e4 proves a singular-value ratio far
+    # above 1e-10, so a certified stack skips the SVD; every other stack runs
+    # it, and gives the SVD path's R, or its error and message
+    rng = np.random.default_rng(27)
+    for _ in range(40):  # random designs: all certified
+        n = int(rng.integers(3, 120))
+        d = int(rng.integers(0, min(12, n - 1) + 1))
+        rows = int(rng.integers(1, 6))
+        data, _, _ = _stack([_random_instance(rng, n, d) for _ in range(rows)])
+        got, ran_svd, reference = _rank_outcomes(monkeypatch, data)
+        assert not ran_svd
+        _assert_same_rank_outcome(got, reference)
+
+    # singular-value ratios across the certificate's 1e-4 and the rank test's
+    # 1e-10 lines: below 1e-4 kappa cannot certify, at 1e-11 and below the
+    # design is rank deficient
+    for ratio in 10.0 ** -np.arange(3.0, 12.5, 0.5):
+        for d in (1, 4, 9):
+            data = _conditioned_design(rng, 50, d, ratio)
+            got, ran_svd, reference = _rank_outcomes(monkeypatch, data)
+            _assert_same_rank_outcome(got, reference)
+            assert ran_svd or ratio > 1e-4
+            assert isinstance(got, CollinearityError) == (ratio < 1e-10) or ratio == 1e-10
+            if ratio < 1e-10:
+                with pytest.raises(CollinearityError) as oracle:
+                    _oracle_check_rank(data)
+                assert str(got) == str(oracle.value)
+
+    # an exact zero column (the batched inverse raises), d = 0 with t zero,
+    # and a stack with one row kappa does not certify, full rank or not
+    base, _, _ = _stack([_random_instance(rng, 30, 3) for _ in range(5)])
+    zero_column = base.x.copy()
+    zero_column[2, :, 1] = 0.0
+    ill, deficient = base.x.copy(), base.x.copy()
+    ill[3, :, 0] = base.t[3] + 1e-6 * rng.standard_normal(30)
+    deficient[1, :, 2] = base.t[1] + 1e-13 * rng.standard_normal(30)
+    zero_t = base.t.copy()
+    zero_t[4] = 0.0
+    cases = [
+        (RegressionData(y=base.y, t=base.t, x=zero_column), r"^row 2: stacked design"),
+        (RegressionData(y=base.y[0], t=np.zeros(30), x=np.empty((30, 0))),
+         r"^stacked design .* \(every singular value is zero\)"),
+        (RegressionData(y=base.y, t=zero_t, x=base.x[..., :0]),
+         r"^row 4: stacked design .* \(every singular value is zero\)"),
+        (RegressionData(y=base.y, t=base.t, x=base.x[..., :0]), None),
+        (RegressionData(y=base.y, t=base.t, x=ill), None),
+        (RegressionData(y=base.y, t=base.t, x=deficient), r"^row 1: stacked design"),
+    ]
+    for data, message in cases:
+        got, ran_svd, reference = _rank_outcomes(monkeypatch, data)
+        _assert_same_rank_outcome(got, reference)
+        if message is None:
+            assert not isinstance(got, Exception)
+        else:
+            assert isinstance(got, CollinearityError) and re.search(message, str(got))
+        assert ran_svd == (message is not None or data.x is ill)
 
 
 def _fit_outcome(data: RegressionData, theta0: float):

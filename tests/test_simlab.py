@@ -749,6 +749,14 @@ _OVERFLOWING = {
 
 _REGRESSION_KINDS = {"plm_rate_dichotomy", "partialled_dominance", "dimension_scaling"}
 
+# a HulC failure names the batch of its replication that failed, after the
+# streams and seeds: the solver's own message names no row of a 1-row matrix
+_HULC_MESSAGES = {
+    "hulc_laplace_scale_bracket": "batch 0: tol must be finite",
+    "lp_1e4_hulc": "batch 0: subgradient is NaN at theta=-0.21196052382181474: "
+                   "left=nan, right=nan",
+}
+
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -787,6 +795,8 @@ def test_overflowing_draws_name_their_replication(case):
                              str(raised.value)).groups()
     index, seeds = int(index), dict(re.findall(r"stream '(\w+)' \(seed (\d+)\)", named))
     assert list(seeds) == list(KINDS[config.kind].streams), seeds
+    if config.kind == "hulc_coverage":
+        assert str(raised.value).endswith(f"{named}: {_HULC_MESSAGES[case]}")
     with pytest.raises(type(raised.value)) as alone:
         engine._finite_chunk(config, prepared, point, index, index + 1)
     assert str(raised.value) == f"{prefix}{index}: {named}: {alone.value}"
@@ -836,6 +846,26 @@ def test_overflowing_draws_name_their_replication(case):
             assert str(raised.value).endswith(f"{named}: {alone.value}")
             return
     assert not np.isfinite(draw).all()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["lp_1e3_hulc"] + [f"lp_1e4_{kind}" for kind in
+                                                    ("convex", "z_equality", "nondiff", "hulc")])
+def test_overflowing_lp_terms_raise_only_the_named_error(case, tmp_path, monkeypatch, capsys):
+    # lp terms past the float range overflow to +-inf and sum to NaN; the
+    # run's one output is the named error, with no numpy warning before it
+    raw = (dict(_OVERFLOWING["lp_1e4_hulc"], estimator={"kind": "lp", "params": {"p": 1e3}})
+           if case == "lp_1e3_hulc" else _OVERFLOWING[case])
+    path = tmp_path / "lp.json"
+    path.write_text(json.dumps(_minimal_config(**raw, reps=600)))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    record = json.loads(err)
+    assert record["error"] == "ValueError" and err.count("\n") == 1
+    assert re.search(r"replication \d+: stream .*: (batch \d+: )?subgradient is NaN at theta=",
+                     record["message"])
+    assert ("batch" in record["message"]) == case.endswith("_hulc")
 
 
 # ---------------------------------------------------------------------------
@@ -1172,8 +1202,9 @@ def test_dimension_scaling_reports_certified_and_fallback_fits(tmp_path):
 
 
 def test_dimension_scaling_sides_do_not_depend_on_the_block(monkeypatch):
-    # 1-row blocks and one block for the whole chunk give each replication
-    # the side of theta0 the full fit of the whole chunk gives it
+    # 1-row blocks, the smallest blocks of the lab's rule and one block for
+    # the whole chunk give each replication the side of theta0 the full fit
+    # of the whole chunk gives it
     from medbias.simlab.config import validate_config
 
     config = ExperimentConfig.from_dict(_minimal_config(
@@ -1189,8 +1220,11 @@ def test_dimension_scaling_sides_do_not_depend_on_the_block(monkeypatch):
     fit = kinds.fwl_estimate(kinds.RegressionData(y=y, t=t, x=x))
     expected = np.sign(fit.theta_hat - 0.5)
     assert 0 < np.count_nonzero(expected > 0) < 300
-    for block_bytes in (1, kinds._FIT_BLOCK_BYTES, 1 << 40):
+    for block_bytes, min_rows in ((1, 1), (1, kinds._FIT_BLOCK_MIN_ROWS),
+                                  (kinds._FIT_BLOCK_BYTES, kinds._FIT_BLOCK_MIN_ROWS),
+                                  (1 << 40, kinds._FIT_BLOCK_MIN_ROWS)):
         monkeypatch.setattr(kinds, "_FIT_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(kinds, "_FIT_BLOCK_MIN_ROWS", min_rows)
         arrays = KINDS[config.kind].run_chunk(config, prepared, point, 0, 300)
         assert np.array_equal(arrays["side"], expected) and arrays["certified"].all()
 
