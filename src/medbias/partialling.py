@@ -287,7 +287,8 @@ def fwl_estimate(data: RegressionData) -> PartialledFit:
     if np.any(denom <= 0.0):
         raise _first_bad(CollinearityError, denom <= 0.0,
                          lambda row: "treatment residuals are identically zero")
-    theta_hat = np.vecdot(r_t, r_y) / denom
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named below
+        theta_hat = np.vecdot(r_t, r_y) / denom
     if not np.isfinite(theta_hat).all():
         def overflow(row):
             slope = "NaN" if np.isnan(theta_hat[row]) else f"{theta_hat[row]:+}"

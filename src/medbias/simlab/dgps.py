@@ -214,9 +214,10 @@ def sample_design(name: str, rngs, y, t, x, theta0: float, **params):
 
     The arrays are filled in place; ``params`` are as ``design_params``
     returns them.  Nothing is checked here: the caller checks the filled
-    block once.
+    block once, so a draw that overflows to inf raises no numpy warning.
     """
-    DESIGNS[name](rngs, y, t, x, theta0, **params)
+    with np.errstate(over="ignore", invalid="ignore"):
+        DESIGNS[name](rngs, y, t, x, theta0, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -479,8 +479,9 @@ def _prepare_mle_llr(config):
 
 
 def _chunk_mle_llr(config, prep, point, start, stop):
-    draws = np.array([prep.family.sample(rng, prep.theta0, point["n"])
-                      for rng, in _replications(config, point, start, stop)])
+    with np.errstate(over="ignore"):  # a draw past the float range is named below
+        draws = np.array([prep.family.sample(rng, prep.theta0, point["n"])
+                          for rng, in _replications(config, point, start, stop)])
     _check_finite([draws], f"family {prep.family.name!r}")
     out = {}
     for k, (e, (plus, minus)) in enumerate(zip(prep.eps, prep.expected)):
@@ -777,9 +778,12 @@ def _chunk_plm(config, prep, point, start, stop):
     n = point["n"]
     m_hat, g_hat = prep.nuisances[point["schedule"], n]
     theta_hat, z_at_theta0 = np.empty(stop - start), np.empty(stop - start)
-    for i, (rng_data, rng_split) in enumerate(_replications(config, point, start, stop)):
-        draws = simulate_plm(prep.dgp, n, rng_data)
-        theta_hat[i], z_at_theta0[i] = plm_split_fit(prep.dgp, draws, m_hat, g_hat, rng_split)
+    # an overflowing draw or fit is named by the engine's finite check alone
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (rng_data, rng_split) in enumerate(_replications(config, point, start, stop)):
+            draws = simulate_plm(prep.dgp, n, rng_data)
+            theta_hat[i], z_at_theta0[i] = plm_split_fit(prep.dgp, draws, m_hat, g_hat,
+                                                         rng_split)
     return {"theta_hat": theta_hat, "z_at_theta0": z_at_theta0}
 
 

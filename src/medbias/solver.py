@@ -10,12 +10,12 @@ so tie-breaking is fixed and reproducible.
 There is one bisection, over the rows of a ``(rows, n)`` data matrix; one
 sample is a 1-row matrix.  All rows still searching share one objective call
 per probe, and a row's result depends only on its own data and bracket.
-Each (row, point) is evaluated once: the bisection for the upper end of the
-minimizer set takes the lower end's values where it probes the same point,
-which away from a zero subgradient is everywhere.  Every probe is checked
-for convexity and for a NaN subgradient, so a failure names its probe
-points, and also its row when the matrix has more than one row: one row
-fails with the message its sample alone gives.
+Each row is bisected once: away from a zero subgradient the bisection for
+the upper end of the minimizer set would walk the lower end's path, so it
+runs only for the rows whose lower bisection met a zero.  Every probe is
+checked for convexity and for a NaN subgradient, so a failure names its
+probe points, and also its row when the matrix has more than one row: one
+row fails with the message its sample alone gives.
 
 The redescending biweight objective is minimized by a grid scan that skips
 blocks of the grid whose lower bound shows they cannot hold the minimum.
@@ -94,34 +94,6 @@ class _RowProber:
         self.probes.append((rows, theta, left, right))
         return left, right
 
-    def left_reusing(self, steps):
-        """Left subgradients at each step of a bisection, looked up in ``steps`` first.
-
-        ``steps`` are this prober's records of an earlier bisection, one per
-        step; the k-th call looks its rows up in the k-th record.  A row probed
-        there at the same theta, bit for bit, keeps its recorded left
-        subgradient and is not recorded again: the same probe gives the same
-        values, and ``check_monotone`` never compares equal thetas.  The other
-        rows are evaluated, recorded and checked as usual, in one call or none.
-        """
-        steps = iter(steps)
-
-        def left(rows, theta):
-            step = next(steps, None)
-            if step is None:
-                return self(rows, theta)[0]
-            done_rows, done_theta, done_left, _ = step
-            at = np.minimum(np.searchsorted(done_rows, rows), done_rows.size - 1)
-            # thetas compared as bits, where -0.0 == 0.0 would not tell them apart
-            todo = ((done_rows[at] != rows)
-                    | (done_theta[at].view(np.int64) != theta.view(np.int64)))
-            values = done_left[at]
-            if todo.any():
-                values[todo] = self(rows[todo], theta[todo])[0]
-            return values
-
-        return left
-
     def check_monotone(self):
         """Consume the probes, checking each row's subgradients are monotone across its probes.
 
@@ -160,25 +132,28 @@ def _bisect_rows(predicate, rows, lo, hi, tol):
 
     ``lo``, ``hi`` and ``tol`` hold every row of the solve.  A row also stops
     when its midpoint is not strictly inside (the bracket is below float
-    resolution).  All open rows share one predicate call a step.
+    resolution).  All open rows share one predicate call a step.  The open
+    rows' brackets are updated in place, and gathered only when a row stops.
     """
     count = lo.size
-    lo, hi, tol = lo[rows], hi[rows], tol[rows]
-    live = np.arange(rows.size)
+    ends_lo, ends_hi = lo[rows], hi[rows]
+    at = np.arange(rows.size)  # each open row's place in ends_lo and ends_hi
+    lo, hi, tol = ends_lo.copy(), ends_hi.copy(), tol[rows]
     for _ in range(_MAX_ITER):
-        mid = 0.5 * (lo[live] + hi[live])
-        go = (hi[live] - lo[live] > tol[live]) & (mid > lo[live]) & (mid < hi[live])
-        live, mid = live[go], mid[go]
-        if not live.size:
-            return lo, hi
-        up = predicate(rows[live], mid)
-        hi[live[up]] = mid[up]
-        lo[live[~up]] = mid[~up]
-    i = live[0]
-    where = f" in row {rows[i]}" if count > 1 else ""
+        mid = 0.5 * (lo + hi)
+        go = (hi - lo > tol) & (mid > lo) & (mid < hi)
+        if not go.all():
+            ends_lo[at], ends_hi[at] = lo, hi
+            at, rows, lo, hi, tol, mid = (a[go] for a in (at, rows, lo, hi, tol, mid))
+        if not rows.size:
+            return ends_lo, ends_hi
+        up = predicate(rows, mid)
+        np.copyto(hi, mid, where=up)
+        np.copyto(lo, mid, where=~up)
+    where = f" in row {rows[0]}" if count > 1 else ""
     raise ConvergenceError(
         f"bisection did not converge within {_MAX_ITER} iterations{where} "
-        f"on [{lo[i]}, {hi[i]}]"
+        f"on [{lo[0]}, {hi[0]}]"
     )
 
 
@@ -191,10 +166,14 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
     left subgradient is positive at lo returns lo.  The seven interior
     probes cost a few evaluations and let the monotonicity check see sign
     reversals that bisection alone would skip (redescending objectives are
-    flat at distant endpoints).  The two ends are bisected one after the
-    other, the upper end reusing the lower end's probes
-    (``_RowProber.left_reusing``), so errors arise in the order they would
-    if every probe were evaluated.
+    flat at distant endpoints).  The lower end is bisected first.  The upper
+    end's bisection starts from the same bracket, so a row whose two
+    predicates agree at each of its lower probes would walk the same path
+    to the same last bracket: that bracket's lo is its upper end.  Only the
+    rows whose lower bisection met a zero (or a reversal within the slack),
+    or did not run, are bisected again.  Their probes before the paths part
+    give the same values again, and ``check_monotone`` never compares equal
+    thetas, so errors arise as if each probe were evaluated once.
     """
     count = obj.data.shape[0]
     lo, hi, tol = (np.broadcast_to(np.asarray(f, dtype=float), count)
@@ -210,17 +189,25 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
     at_hi = right_hi < 0.0
     at_lo = ~at_hi & (left_lo > 0.0)
     inside = ~(at_hi | at_lo)
+    again = inside & (left_hi > 0.0)  # the rows whose upper end is bisected
+    split = np.zeros(count, dtype=bool)  # rows where the two predicates part
 
-    lower = lo.copy()
+    def right_nonneg(rows, theta):
+        left, right = probe(rows, theta)
+        up = right >= 0.0
+        parted = up != (left > 0.0)
+        if parted.any():
+            split[rows[parted]] = True
+        return up
+
+    lower, upper = lo.copy(), hi.copy()
     rows = np.flatnonzero(inside & (right_lo < 0.0))
-    first = len(probe.probes)
-    lower[rows] = _bisect_rows(lambda r, t: probe(r, t)[1] >= 0.0, rows, lo, hi, tol)[1]
-    # the same brackets and tolerances, and predicates that agree wherever the
-    # subgradient is not 0: the upper bisection mostly repeats the lower's probes
-    left = probe.left_reusing(probe.probes[first:])
-    upper = hi.copy()
-    rows = np.flatnonzero(inside & (left_hi > 0.0))
-    upper[rows] = _bisect_rows(lambda r, t: left(r, t) > 0.0, rows, lo, hi, tol)[0]
+    ends, lower[rows] = _bisect_rows(right_nonneg, rows, lo, hi, tol)
+    shared = again[rows] & ~split[rows]
+    upper[rows[shared]] = ends[shared]
+    again[rows[shared]] = False
+    rows = np.flatnonzero(again)
+    upper[rows] = _bisect_rows(lambda r, t: probe(r, t)[0] > 0.0, rows, lo, hi, tol)[0]
 
     probe.check_monotone()
     bad = np.flatnonzero(inside & (lower > upper + 2.0 * tol))

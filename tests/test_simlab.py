@@ -848,6 +848,22 @@ def test_overflowing_draws_name_their_replication(case):
     assert not np.isfinite(draw).all()
 
 
+def _only_error_record(raw, tmp_path, monkeypatch, capsys) -> str:
+    """The message of ``medbias run`` on ``raw``, whose one output must be a ValueError record.
+
+    Run under a filter that turns warnings into errors, so a numpy warning
+    printed before the record fails the run.
+    """
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_minimal_config(**raw, reps=600)))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    record = json.loads(err)
+    assert record["error"] == "ValueError" and err.count("\n") == 1
+    return record["message"]
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", ["lp_1e3_hulc"] + [f"lp_1e4_{kind}" for kind in
                                                     ("convex", "z_equality", "nondiff", "hulc")])
@@ -856,16 +872,21 @@ def test_overflowing_lp_terms_raise_only_the_named_error(case, tmp_path, monkeyp
     # run's one output is the named error, with no numpy warning before it
     raw = (dict(_OVERFLOWING["lp_1e4_hulc"], estimator={"kind": "lp", "params": {"p": 1e3}})
            if case == "lp_1e3_hulc" else _OVERFLOWING[case])
-    path = tmp_path / "lp.json"
-    path.write_text(json.dumps(_minimal_config(**raw, reps=600)))
-    monkeypatch.chdir(tmp_path)
-    assert cli_main(["run", str(path)]) == 1
-    err = capsys.readouterr().err
-    record = json.loads(err)
-    assert record["error"] == "ValueError" and err.count("\n") == 1
+    message = _only_error_record(raw, tmp_path, monkeypatch, capsys)
     assert re.search(r"replication \d+: stream .*: (batch \d+: )?subgradient is NaN at theta=",
-                     record["message"])
-    assert ("batch" in record["message"]) == case.endswith("_hulc")
+                     message)
+    assert ("batch" in message) == case.endswith("_hulc")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", ["plm_sigma_v", "scaling_theta0", "scaling_theta0_some_rows",
+                                  "leverage_scale_hi", "llr_normal_sigma",
+                                  "llr_normal_sigma_some_rows"])
+def test_overflowing_draws_raise_only_the_named_error(case, tmp_path, monkeypatch, capsys):
+    # draws, or a fit on them, past the float range: the run's one output
+    # is the error naming the replication, with no numpy warning before it
+    message = _only_error_record(_OVERFLOWING[case], tmp_path, monkeypatch, capsys)
+    assert re.match(r"grid point .*, replication \d+: stream ", message), message
 
 
 # ---------------------------------------------------------------------------

@@ -339,44 +339,95 @@ def test_batched_solver_matches_scalar_bit_for_bit(kind):
             assert (left[i], right[i]) == factory(row).subgradient(float(probes[i])), (kind, i)
 
 
-@pytest.mark.parametrize("kind", ["lp(1.5)", "neg_loglik(logistic)"])
-def test_upper_bisection_reuses_the_lower_probes(kind, monkeypatch):
-    # away from a zero subgradient the two bisections probe the same points:
-    # the lower one evaluates them and the upper one evaluates none, so a
-    # solve costs the nine fixed probes plus one call per lower step
-    factory = CONVEX_KINDS[kind]
-    data = np.random.default_rng(41).standard_normal((40, 15))
-    obj = factory(data)
-    calls = []
+def _count_bisections(obj, monkeypatch):
+    """Count ``obj``'s subgradient calls and each ``_bisect_rows`` call's rows, steps and calls.
+
+    Returns the list of call sizes and the list of (rows, steps, calls), one
+    per bisection, both filled as the solve runs.
+    """
+    calls, phases = [], []
     subgradient = type(obj).subgradient
 
     def counted_subgradient(self, theta):
         calls.append(np.size(theta))
         return subgradient(self, theta)
 
-    phases = []
     bisect = solver._bisect_rows
 
-    def counted_bisect(predicate, *args):
+    def counted_bisect(predicate, rows, *args):
         steps, before = [], len(calls)
 
-        def step(rows, theta):
-            steps.append(rows.size)
-            return predicate(rows, theta)
+        def step(r, theta):
+            steps.append(r.size)
+            return predicate(r, theta)
 
-        ends = bisect(step, *args)
-        phases.append((len(steps), len(calls) - before))
+        ends = bisect(step, rows, *args)
+        phases.append((rows, len(steps), len(calls) - before))
         return ends
 
     monkeypatch.setattr(type(obj), "subgradient", counted_subgradient)
     monkeypatch.setattr(solver, "_bisect_rows", counted_bisect)
+    return calls, phases
+
+
+@pytest.mark.parametrize("kind", ["lp(1.5)", "neg_loglik(logistic)"])
+def test_rows_without_a_zero_subgradient_are_bisected_once(kind, monkeypatch):
+    # away from a zero subgradient the upper bisection would walk the lower
+    # one's path to the same last bracket, so every row takes its upper end
+    # from there and the upper bisection gets no row: a solve costs the nine
+    # fixed probes plus one call per lower step
+    factory = CONVEX_KINDS[kind]
+    data = np.random.default_rng(41).standard_normal((40, 15))
+    obj = factory(data)
+    calls, phases = _count_bisections(obj, monkeypatch)
     lo, hi = data.min(axis=1) - 1.0, data.max(axis=1) + 1.0
     theta = minimize_convex(obj, Bracket(lo, hi))
-    (lower_steps, lower_calls), (upper_steps, upper_calls) = phases
-    assert lower_calls == lower_steps == upper_steps > 30
-    assert upper_calls == 0
+    (_, lower_steps, lower_calls), (upper_rows, upper_steps, upper_calls) = phases
+    assert lower_calls == lower_steps > 30
+    assert upper_rows.size == upper_steps == upper_calls == 0
     assert len(calls) == 9 + lower_steps
     monkeypatch.undo()
+    for i, row in enumerate(data):
+        assert theta[i] == _argmin_interval(factory(row), Bracket(lo[i], hi[i])), i
+
+
+def test_only_a_row_whose_lower_bisection_meets_a_zero_is_bisected_again(monkeypatch):
+    # row 2 = (-1, 1) has lp(1.5) subgradient exactly 0 at the shared first
+    # midpoint 0 of [-3, 3], where the lower bisection steps down and the
+    # upper one would step up; the generic rows never meet a zero
+    factory = CONVEX_KINDS["lp(1.5)"]
+    data = 0.5 * np.random.default_rng(43).standard_normal((6, 2))
+    data[2] = [-1.0, 1.0]
+    bracket = Bracket(-3.0, 3.0)
+    assert factory(data[2]).subgradient(0.0) == (0.0, 0.0)
+    obj = factory(data)
+    _, phases = _count_bisections(obj, monkeypatch)
+    theta = minimize_convex(obj, bracket)
+    (lower_rows, lower_steps, _), (upper_rows, upper_steps, _) = phases
+    assert lower_rows.tolist() == list(range(6)) and lower_steps > 30
+    assert upper_rows.tolist() == [2] and upper_steps > 30
+    monkeypatch.undo()
+    assert theta[2] == 0.0
+    for i, row in enumerate(data):
+        assert theta[i] == _argmin_interval(factory(row), bracket), i
+
+
+@pytest.mark.parametrize("kind", ["lp(1.5)", "abs_dev"])
+def test_rows_at_a_bracket_end_run_no_bisection_step(kind, monkeypatch):
+    # each bracket lies wholly above or below its row's data, so every row
+    # returns an end from the nine fixed probes
+    factory = CONVEX_KINDS[kind]
+    data = np.random.default_rng(47).standard_normal((8, 5))
+    above = np.resize([True, False], len(data))
+    lo = np.where(above, data.max(axis=1) + 1.0, data.min(axis=1) - 4.0)
+    hi = lo + 3.0
+    obj = factory(data)
+    calls, phases = _count_bisections(obj, monkeypatch)
+    theta = minimize_convex(obj, Bracket(lo, hi))
+    assert [(rows.size, steps, count) for rows, steps, count in phases] == [(0, 0, 0)] * 2
+    assert len(calls) == 9
+    monkeypatch.undo()
+    assert (theta == np.where(above, lo, hi)).all()
     for i, row in enumerate(data):
         assert theta[i] == _argmin_interval(factory(row), Bracket(lo[i], hi[i])), i
 
