@@ -73,8 +73,8 @@ def sign_probabilities(statistic_draws, zero_tol: float = 0.0) -> SignProbabilit
         raise ValueError("statistic_draws must be non-empty")
     if not np.all(np.isfinite(draws)):
         raise ValueError("statistic_draws must be finite")
-    if zero_tol < 0.0:
-        raise ValueError("zero_tol must be >= 0")
+    if not 0.0 <= zero_tol < math.inf:  # a NaN would count every draw as positive
+        raise ValueError("zero_tol must be >= 0" if zero_tol < 0.0 else "zero_tol must be finite")
     n = draws.size
     n_neg = int(np.count_nonzero(draws < -zero_tol))
     n_zero = int(np.count_nonzero(np.abs(draws) <= zero_tol))

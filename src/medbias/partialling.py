@@ -446,8 +446,8 @@ def proposition_profile(s_n_draws, correction_draws, eta_grid):
     etas = np.asarray(eta_grid, dtype=float)
     if etas.size == 0:
         raise ValueError("eta grid must be non-empty")
-    if np.any(etas <= 0.0):
-        raise ValueError("eta grid must be positive")
+    if not np.all((etas > 0.0) & (etas < np.inf)):  # NaN or inf would give a row of 0.5
+        raise ValueError(f"eta grid must be {'positive' if np.any(etas <= 0.0) else 'finite'}")
     reps = s.size
     rows = []
     for eta in etas:

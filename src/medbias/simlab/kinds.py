@@ -60,7 +60,7 @@ from ..plm import (
     plm_split_fit,
     simulate_plm,
 )
-from ..solver import Bracket, minimize_convex, minimize_scan, slab_rows
+from ..solver import Bracket, minimize_convex, minimize_scan, scan_grid, slab_rows
 from .dgps import design_params, is_int, is_real, make_dgp, make_plm_dgp, read_params, sample_design
 from .hulc import batch_count, hulc_interval, miss_bound
 from .onepass import LAWS, draw_chunk
@@ -157,20 +157,14 @@ def resolve_estimator(estimator: dict) -> Estimator:
                      functools.partial(_symmetry_center, kind))
 
 
-#: Rows per biweight scan of ``estimate_location``: their ``(rows, 2001)``
-#: grid takes 4 MiB, where a 512-replication HulC chunk's 3,072 rows at once
-#: took 49 MB; fewer rows per scan cost more in per-call work than they save.
-_SCAN_ROWS = 256
-
-
 def estimate_location(estimator: Estimator, data) -> np.ndarray:
     """The estimate on each row of a ``(rows, n)`` matrix (a 1-d array is one row).
 
     The closed form where the estimator has one, else the batched convex
     solver, else the biweight scan over 2001 points of each row's bracket,
-    ``_SCAN_ROWS`` rows at a time (a row's scan depends only on its own data
-    and grid).  Closed forms share the solver's midpoint tie-break, and the
-    routes are cross-checked in the test suite.
+    in one call: the scan works out only the grid points it visits.  Closed
+    forms share the solver's midpoint tie-break, and the routes are
+    cross-checked in the test suite.
     """
     data = np.ascontiguousarray(np.atleast_2d(data), dtype=float)
     if estimator.closed_form is not None:
@@ -178,11 +172,7 @@ def estimate_location(estimator: Estimator, data) -> np.ndarray:
     bracket = default_bracket(data)
     if estimator.probe.is_convex:
         return minimize_convex(estimator.objective(data), bracket)
-    slabs = [slice(first, first + _SCAN_ROWS) for first in range(0, data.shape[0], _SCAN_ROWS)]
-    return np.concatenate([
-        minimize_scan(data[rows], estimator.probe.c,
-                      np.linspace(bracket.lo[rows], bracket.hi[rows], 2001, axis=-1))
-        for rows in slabs])
+    return minimize_scan(data, estimator.probe.c, bracket, 2001)
 
 
 def score_at(estimator: Estimator, data, theta0: float) -> np.ndarray:
@@ -352,9 +342,12 @@ def _points_per_n(config):
 
 
 def _chunk_convex(config, prep, point, start, stop):
-    data, = _sample(config, prep, point, start, stop)
-    return {"theta_hat": estimate_location(prep.estimator, data),
-            "score": score_at(prep.estimator, data, prep.theta0)}
+    """The estimate on the first stream's draws and the score on the last's: the
+    one stream of ``convex_dominance``, or the two independent streams of
+    ``z_estimator_equality``."""
+    streams = _sample(config, prep, point, start, stop)
+    return {"theta_hat": estimate_location(prep.estimator, streams[0]),
+            "score": score_at(prep.estimator, streams[-1], prep.theta0)}
 
 
 def _summarize_convex(config, prep, point, arrays):
@@ -374,12 +367,6 @@ def _summarize_convex(config, prep, point, arrays):
 # ---------------------------------------------------------------------------
 # Kind: z_estimator_equality -- the Z-estimator identity, with the two sides
 # estimated from independent replication streams.
-
-
-def _chunk_z_equality(config, prep, point, start, stop):
-    lhs, rhs = _sample(config, prep, point, start, stop)
-    return {"theta_hat": estimate_location(prep.estimator, lhs),
-            "score": score_at(prep.estimator, rhs, prep.theta0)}
 
 
 def _summarize_z_equality(config, prep, point, arrays):
@@ -522,10 +509,14 @@ def _prepare_nonconvex(config):
              f"params.scan_points must be an integer >= 3, got {prep.scan_points!r}")
     _require(prep.window_points >= 2,
              f"params.window_points must be an integer >= 2, got {prep.window_points!r}")
-    prep.c = prep.estimator.probe.c
+    try:
+        prep.scan = Bracket(scan_lo, scan_hi)
+        scan_grid(prep.scan, prep.scan_points)
+    except ValueError as err:
+        raise ValueError(f"params.scan_lo={scan_lo} and params.scan_hi={scan_hi} give no "
+                         f"{prep.scan_points}-point scan grid: {err}") from None
     _positive_grid(config, "delta")
     prep.deltas = [float(d) for d in config.grids["delta"]]
-    prep.scan_grid = np.linspace(scan_lo, scan_hi, prep.scan_points)
     prep.windows = np.array([theta0 + np.linspace(-delta, delta, prep.window_points)
                              for delta in prep.deltas])
     return prep
@@ -535,10 +526,10 @@ def _chunk_nonconvex(config, prep, point, start, stop):
     """The scan estimate, the score, and per delta whether the objective's
     curvature is >= 0 at every point of its window: the windows' points are
     evaluated together, one slab of rows at a time."""
-    c_tune = prep.c
+    c_tune = prep.estimator.probe.c
     data, = _sample(config, prep, point, start, stop)
     count = stop - start
-    theta_hat = minimize_scan(data, c_tune, prep.scan_grid)
+    theta_hat = minimize_scan(data, c_tune, prep.scan, prep.scan_points)
     score = score_at(prep.estimator, data, prep.theta0)
 
     points = prep.windows.ravel()
@@ -550,10 +541,9 @@ def _chunk_nonconvex(config, prep, point, start, stop):
         rows = slice(first, first + size)
         curv = biweight_ddrho(data[rows, None, :] - points[:, None], c_tune).sum(axis=2)
         curv_min[rows] = curv.reshape(-1, *prep.windows.shape).min(axis=2)
-    out = {"theta_hat": theta_hat, "score": score}
-    for k in range(len(prep.windows)):
-        out[f"convex_{k}"] = (curv_min[:, k] >= 0.0).astype(float)
-    return out
+    return {"theta_hat": theta_hat, "score": score,
+            **{f"convex_{k}": (curv_min[:, k] >= 0.0).astype(float)
+               for k in range(len(prep.windows))}}
 
 
 def _summarize_nonconvex(config, prep, point, arrays):
@@ -887,7 +877,7 @@ KINDS = {
             "z_estimator_equality",
             "Z-estimator median bias vs the weak-sign score value, independent streams",
             ("n",), functools.partial(_prepare_univariate, convex=True), _points_per_n,
-            _chunk_z_equality, _summarize_z_equality, streams=("lhs", "rhs"),
+            _chunk_convex, _summarize_z_equality, streams=("lhs", "rhs"),
         ),
         KindImpl(
             "nondiff_profile",

@@ -241,74 +241,85 @@ def slab_rows(points: int, n: int) -> int:
     return max(1, _SLAB_BYTES // (8 * points * n))
 
 
-def _block_bounds(data, c: float, grid) -> np.ndarray:
-    """A lower bound on the summed biweight loss over each ``_SCAN_BLOCK`` of each row's grid.
+def scan_grid(bracket: Bracket, points: int, rows: int = 1):
+    """Each row's ``np.linspace(bracket.lo, bracket.hi, points)`` as ``at(cols,
+    part)``, columns ``cols`` of rows ``part``, bit for bit: column k is
+    ``k * step + lo`` and the last ``hi``.  Fewer than 2 points, or a row where
+    rounding puts two points together, raise ``ValueError``; that needs a step
+    within a few float spacings of the bracket's magnitude, so only such rows
+    are built to be checked.
+    """
+    if not points >= 2:
+        raise ValueError(f"scan grid needs at least 2 points, got {points}")
+    lo, hi = (np.broadcast_to(np.asarray(f, dtype=float), rows)[:, np.newaxis]
+              for f in (bracket.lo, bracket.hi))
+
+    def at(cols, part=slice(None)):
+        return np.where(cols == points - 1, hi[part], cols * step[part] + lo[part])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (hi - lo) / (points - 1)
+        close = ~(step > 8.0 * np.spacing(np.maximum(abs(lo), abs(hi)))) | (step == np.inf)
+        grid = at(np.arange(points), np.flatnonzero(close))
+        if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid, axis=-1) > 0.0)):
+            raise ValueError("scan grid must be finite and strictly increasing along each row")
+    return at
+
+
+def _block_bounds(data, c: float, at, points: int) -> np.ndarray:
+    """A lower bound on the summed biweight loss over each ``_SCAN_BLOCK`` of
+    each row's grid (``at``, from ``scan_grid``).
 
     The loss is non-decreasing in |u|, so over a block [a, b] of grid points
     no value is below the sum over the data of rho(max(a - x, x - b, 0)):
     one loss per observation, however many points the block holds.  The
-    ``(rows, blocks, n)`` distances are formed in slabs of ``slab_rows``
-    rows, through one reused buffer.
+    ``(rows, n)`` distances are formed one block at a time.
     """
-    rows, n = data.shape
-    points = grid.shape[1]
     starts = np.arange(0, points, _SCAN_BLOCK)
-    lo = grid[:, starts, None]
-    hi = grid[:, np.minimum(starts + _SCAN_BLOCK, points) - 1, None]
-    x = data[:, None, :]
-    size = slab_rows(starts.size, n)
-    dist = np.empty((min(rows, size), starts.size, n))
-    bounds = np.empty((rows, starts.size))
-    for first in range(0, rows, size):
-        part = slice(first, first + size)
-        u = np.subtract(lo[part], x[part], out=dist[:min(size, rows - first)])
-        np.maximum(u, x[part] - hi[part], out=u)
-        np.maximum(u, 0.0, out=u)
-        bounds[part] = biweight_rho(u, c).sum(axis=2)
+    lo, hi = at(starts), at(np.minimum(starts + _SCAN_BLOCK, points) - 1)
+    bounds = np.empty((data.shape[0], starts.size))
+    for k in range(starts.size):
+        u = np.maximum(np.maximum(lo[:, k, None] - data, data - hi[:, k, None]), 0.0)
+        bounds[:, k] = biweight_rho(u, c).sum(axis=1)
     return bounds
 
 
-def minimize_scan(data, c: float, grid) -> np.ndarray:
+def minimize_scan(data, c: float, bracket: Bracket, points: int) -> np.ndarray:
     """Global minimizer of the biweight objective, row by row, by scan and polish.
 
-    ``data`` is a finite ``(rows, n)`` matrix (a 1-d array is one row) and
-    ``grid`` an equally spaced, strictly increasing grid, shared by every row
-    (1-d) or one per row (``(rows, points)``); anything else raises
-    ``ValueError``.  The grid is cut into blocks of ``_SCAN_BLOCK`` points,
-    and each block's summed loss is bounded below by ``_block_bounds``.  Each
-    row visits its blocks in increasing order of their bound and evaluates
-    every point of a visited block; it skips the rest once a block's bound,
-    less a rounding slack of ``1e-9 * n * c**2 / 6``, exceeds the row's best
-    value so far, since no point there can reach it.  A value replaces the
-    best when it is smaller, or equal at a smaller theta, so the first
-    minimum along the grid wins, and values and minimizer are those of
-    evaluating every point.  When the slope goes from negative at
-    best - step to positive at best + step (a grid endpoint included), 50
-    halvings of that cell polish the point, which is kept only if its value
-    is no larger.  The blocks are evaluated in slabs of ``slab_rows`` rows
-    (about ``_SLAB_BYTES``) through one reused difference buffer; each loss
-    is elementwise and each sum one reduction over a row's n values at one
-    point, so the bits are those of one array per block, at a few MiB of
-    memory.  Subgradient bisection does not apply to this redescending
-    objective; the scan is its one estimation path.
+    ``data`` is a finite ``(rows, n)`` matrix (a 1-d array is one row), ``c``
+    finite and > 0, and each row's grid ``np.linspace(bracket.lo, bracket.hi,
+    points)`` for a shared or per-row bracket, of which ``scan_grid`` works
+    out only the points visited.  The grid is cut into blocks of
+    ``_SCAN_BLOCK`` points, whose summed loss ``_block_bounds`` bounds below.
+    Each row visits its blocks in increasing order of their bound and
+    evaluates every point of a visited block; it skips the rest once a
+    block's bound, less a rounding slack of ``1e-9 * n * c**2 / 6``, exceeds
+    the row's best value so far.  A value replaces the best when it is
+    smaller, or equal at a smaller theta, so values and minimizer are those
+    of evaluating every point, where the first minimum along the grid wins.
+    When the slope goes from negative at best - step to positive at best +
+    step (a grid endpoint included), 50 halvings of that cell polish the
+    point, which is kept only if its value is no larger.  Blocks are
+    evaluated in slabs of ``slab_rows`` rows through one reused difference
+    buffer; each loss is elementwise and each sum one reduction over a row's
+    n values at one point, so the bits are those of one array per block.
+    Subgradient bisection does not apply to this redescending objective; the
+    scan is its one estimation path.
     """
+    if not 0.0 < c < np.inf:
+        raise ValueError(f"biweight needs a finite params.c > 0, got {c!r}")
     data = np.atleast_2d(np.asarray(data, dtype=float))
     rows, n = data.shape
-    grid = np.asarray(grid, dtype=float)
-    points = grid.shape[-1]
-    if points < 2:
-        raise ValueError(f"scan grid needs at least 2 points, got {points}")
-    if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid, axis=-1) > 0.0)):
-        raise ValueError("scan grid must be finite and strictly increasing along each row")
+    at = scan_grid(bracket, points, rows)
     if not np.all(np.isfinite(data)):
         raise ValueError("scan data must be finite")
-    grid = np.broadcast_to(grid, (rows, points))
 
-    bounds = _block_bounds(data, c, grid)
+    bounds = _block_bounds(data, c, at, points)
     order = np.argsort(bounds, axis=1, kind="stable")
     bounds = np.take_along_axis(bounds, order, axis=1) - 1e-9 * n * c * c / 6.0
     best_val = np.full(rows, np.inf)
-    best_theta = grid[:, 0].copy()
+    best_theta = at(0)[:, 0]
     offsets = np.arange(_SCAN_BLOCK)
     size = slab_rows(_SCAN_BLOCK, n)
     diff = np.empty((min(rows, size), _SCAN_BLOCK, n))
@@ -322,24 +333,22 @@ def minimize_scan(data, c: float, grid) -> np.ndarray:
         for first in range(0, live.size, size):
             part = live[first:first + size]
             cols = order[part, k, None] * _SCAN_BLOCK + offsets
-            thetas = grid[part[:, None], np.minimum(cols, points - 1)]
+            thetas = at(np.minimum(cols, points - 1), part)
             u = np.subtract(data[part, None, :], thetas[:, :, None], out=diff[:part.size])
             vals = biweight_rho(u, c).sum(axis=2)
             vals[cols >= points] = np.inf
-            idx = np.argmin(vals, axis=1)
-            at = np.arange(part.size)
-            cand, cand_theta = vals[at, idx], thetas[at, idx]
+            idx = np.argmin(vals, axis=1)[:, None]
+            cand, cand_theta = (np.take_along_axis(a, idx, 1)[:, 0] for a in (vals, thetas))
             better = (cand < best_val[part]) | ((cand == best_val[part])
                                                 & (cand_theta < best_theta[part]))
             best_val[part[better]] = cand[better]
             best_theta[part[better]] = cand_theta[better]
 
-    def slope(at):
-        return -biweight_drho(data - at[:, None], c).sum(axis=1)
+    def slope(theta):
+        return -biweight_drho(data - theta[:, None], c).sum(axis=1)
 
-    step = grid[:, 1] - grid[:, 0]
-    lo = best_theta - step
-    hi = best_theta + step
+    step = at(1)[:, 0] - at(0)[:, 0]
+    lo, hi = best_theta - step, best_theta + step
     active = (slope(lo) < 0.0) & (slope(hi) > 0.0)
     for _ in range(50):
         mid = 0.5 * (lo + hi)

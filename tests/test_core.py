@@ -75,6 +75,16 @@ def test_sign_probabilities_rejects_empty_and_nan():
         sign_probabilities([math.nan])
 
 
+def test_sign_probabilities_rejects_a_deadband_that_is_not_finite():
+    # a NaN deadband fails both comparisons and used to count every draw as positive
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^zero_tol must be finite$"):
+            sign_probabilities([-1.0, 0.0, 1.0], zero_tol=tol)
+    for tol in (-1.0, -math.inf):
+        with pytest.raises(ValueError, match="^zero_tol must be >= 0$"):
+            sign_probabilities([-1.0, 0.0, 1.0], zero_tol=tol)
+
+
 def test_sign_probabilities_median_score_matches_binomial():
     # score of the absolute-deviation objective at the population median,
     # n = 3 iid continuous: counts follow Binom(3, 1/2), so the probability

@@ -884,6 +884,15 @@ def test_proposition_validation():
         proposition_profile([1.0], [1.0], [-0.5])
 
 
+def test_proposition_rejects_a_threshold_that_is_not_finite():
+    # NaN or inf used to give a row of value 0.5 and no error
+    for eta in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^eta grid must be finite$"):
+            proposition_profile([1.0, -1.0], [0.0, 0.0], [0.5, eta])
+    with pytest.raises(ValueError, match="^eta grid must be positive$"):
+        proposition_profile([1.0, -1.0], [0.0, 0.0], [math.nan, -math.inf])
+
+
 def test_default_eta_grid_shape():
     rng = np.random.default_rng(18)
     s = 2.5 * rng.standard_normal(1000)

@@ -373,10 +373,21 @@ def test_hulc_coverage_runs_biweight():
     assert detail["coverage"] >= target - 3 * math.sqrt(target * (1 - target) / raw["reps"])
 
 
+def test_biweight_estimates_of_many_rows_are_each_row_alone():
+    # 600 rows in one call, several of the scan's slabs of rows: each row's
+    # estimate is the one its row alone gives
+    data = np.random.default_rng(44).standard_t(3.0, size=(600, 12))
+    estimator = resolve_estimator({"kind": "biweight", "params": {"c": 2.0}})
+    batch = estimate_location(estimator, data)
+    assert batch.shape == (600,)
+    assert batch.tobytes() == np.concatenate([estimate_location(estimator, row)
+                                              for row in data]).tobytes()
+
+
 def test_biweight_hulc_chunk_scans_in_slabs_of_rows(tmp_path):
-    # a 512-replication chunk at n = 60 scans 3,072 batch rows; their 2001-point
-    # grids, built kinds._SCAN_ROWS rows at a time, peak at a few MiB (100 MiB
-    # when built at once), with the bytes recorded from the one-shot scan
+    # a 512-replication chunk at n = 60 scans 3,072 batch rows in one call;
+    # their 2001-point grids are never built, so the scan's slabs of rows
+    # peak at about 3 MiB, with the bytes recorded from the one-shot scan
     from medbias.simlab.config import validate_config
 
     config = ExperimentConfig.from_dict(_minimal_config(
@@ -389,7 +400,7 @@ def test_biweight_hulc_chunk_scans_in_slabs_of_rows(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20, peak / 2**20
+    assert peak <= 6 * 2**20, peak / 2**20
     path = tmp_path / "hulc.csv"
     write_csv(path, run_experiment(config).rows)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
@@ -573,6 +584,13 @@ def test_config_rejects_unknown_field():
         ({"scan_points": 1}, "params.scan_points must be an integer >= 3, got 1"),
         ({"scan_lo": 1.0, "scan_hi": -1.0}, "params.scan_lo=1.0 must be below scan_hi=-1.0"),
         ({"scan_lo": "low"}, "params.scan_lo must be a number"),
+        # a window whose width overflows, and one whose 1201 points round
+        # together, are config errors, not failures at replication 0
+        ({"scan_lo": -1e308, "scan_hi": 1e308},
+         r"params\.scan_lo=-1e\+308 and params\.scan_hi=1e\+308 give no 1201-point scan grid"),
+        ({"scan_lo": 1e16, "scan_hi": 1e16 + 64},
+         r"params\.scan_lo=1e\+16 and params\.scan_hi=1\.0000000000000064e\+16 give no "
+         r"1201-point scan grid: scan grid must be finite and strictly increasing along each row"),
     ):
         with pytest.raises(ConfigError, match=cause):
             ExperimentConfig.from_dict({**nonconvex, "params": params})
@@ -1600,7 +1618,7 @@ def test_nonconvex_kind_matches_minimize_scan():
     label = grid_label(config.kind, {"n": 20})
     draws = np.stack([rrng(config.master_seed, i, label + "|data").standard_normal(20)
                       for i in range(config.reps)])
-    theta_hat = minimize_scan(draws, 2.0, np.linspace(-3.0, 3.0, 301))
+    theta_hat = minimize_scan(draws, 2.0, Bracket(-3.0, 3.0), 301)
     prepared, points = validate_config(config)
     arrays = KINDS[config.kind].run_chunk(config, prepared, points[0], 0, config.reps)
     assert np.array_equal(arrays["theta_hat"], theta_hat)

@@ -563,18 +563,18 @@ def test_power_loss_sums_only_nonzero_terms_at_a_tie():
 
 def test_minimize_scan_finds_global_minimum():
     data = np.array([-5.0, -4.9, -5.1, 4.0, 5.0])
-    grid = np.linspace(-8, 8, 4001)
-    theta = minimize_scan(data, 2.0, grid)
+    window = Bracket(-8.0, 8.0)
+    theta = minimize_scan(data, 2.0, window, 4001)
     oracle = grid_argmin(BiweightLocation(data, c=2.0), -6.0, -4.0, step=1e-5)
     assert theta.shape == (1,)
     assert theta[0] == pytest.approx(oracle, abs=1e-4)
     # rows are independent: a batch returns each row's own minimizer
-    batch = minimize_scan(np.stack([data, -data]), 2.0, grid)
+    batch = minimize_scan(np.stack([data, -data]), 2.0, window, 4001)
     assert batch[0] == theta[0]
-    assert batch[1] == minimize_scan(-data, 2.0, grid)[0]
+    assert batch[1] == minimize_scan(-data, 2.0, window, 4001)[0]
     # on a flat stretch the first minimum wins: data farther than c from
     # every grid point leave the objective constant, and no polish applies
-    assert minimize_scan(data + 100.0, 2.0, grid)[0] == grid[0]
+    assert minimize_scan(data + 100.0, 2.0, window, 4001)[0] == -8.0
 
 
 def test_minimize_scan_agrees_with_bisection_on_convex():
@@ -583,24 +583,29 @@ def test_minimize_scan_agrees_with_bisection_on_convex():
     rng = np.random.default_rng(17)
     data = 0.3 * rng.standard_normal((8, 10))
     bracket = Bracket(-1.0, 1.0)
-    scan = minimize_scan(data, 4.0, np.linspace(bracket.lo, bracket.hi, 2001))
+    scan = minimize_scan(data, 4.0, bracket, 2001)
     for row, theta in zip(data, scan):
         exact = minimize_convex(BiweightLocation(row, c=4.0), bracket)
         assert theta == pytest.approx(exact, abs=1e-9)
 
 
 def test_minimize_scan_per_row_grid_matches_row_scans():
-    # a (rows, points) grid scans each row over its own grid, bit for bit
+    # a per-row bracket scans each row over its own grid, bit for bit
     rng = np.random.default_rng(41)
     data = rng.standard_normal((6, 10))
-    grids = np.linspace(data.min(axis=1) - 1.0, data.max(axis=1) + 1.0, 301, axis=-1)
-    batch = minimize_scan(data, 2.0, grids)
-    assert [float(t) for t in batch] == [minimize_scan(row, 2.0, grid)[0]
-                                         for row, grid in zip(data, grids)]
+    lo, hi = data.min(axis=1) - 1.0, data.max(axis=1) + 1.0
+    batch = minimize_scan(data, 2.0, Bracket(lo, hi), 301)
+    assert [float(t) for t in batch] == [minimize_scan(row, 2.0, Bracket(a, b), 301)[0]
+                                         for row, a, b in zip(data, lo, hi)]
 
 
 # The scan that evaluates every grid point of every row, block by block from
 # the left: the reference that the branch-and-bound scan must reproduce.
+
+
+def _linspace(bracket, points):
+    """Each row's grid, materialised: the grid ``minimize_scan`` must scan."""
+    return np.linspace(bracket.lo, bracket.hi, points, axis=-1)
 
 
 def _exhaustive_scan(data, c: float, grid) -> np.ndarray:
@@ -643,7 +648,8 @@ _SLABBED_ROWS, _SLABBED_POINTS = (300, 700), 601
 
 
 def _scan_cases():
-    """(data, c, grid): tied, skewed, heavy-tailed, per-row-grid and many-row inputs."""
+    """(data, c, bracket, points): tied, skewed, heavy-tailed, per-row-bracket and
+    many-row inputs."""
     rng = np.random.default_rng(12)
     for case in range(120):
         n = int(rng.integers(3, 81))
@@ -663,18 +669,17 @@ def _scan_cases():
         # a length that is a multiple of the block, and two that are not
         points = (2 * _SCAN_BLOCK, 301, 1201)[case % 3]
         if case % 2:
-            grid = np.linspace(data.min(axis=1) - 1.0, data.max(axis=1) + 1.0, points, axis=-1)
+            bracket = Bracket(data.min(axis=1) - 1.0, data.max(axis=1) + 1.0)
         elif law == 0:
-            grid = np.linspace(-4.0, 4.0, 321)  # holds every half-integer
+            bracket, points = Bracket(-4.0, 4.0), 321  # holds every half-integer
         else:
-            grid = np.linspace(-3.0, 3.0, points)
-        yield data, c, grid
-    # several slabs of rows, the last one partial, on a shared and a per-row grid
+            bracket = Bracket(-3.0, 3.0)
+        yield data, c, bracket, points
+    # several slabs of rows, the last one partial, on a shared and a per-row bracket
     for rows in _SLABBED_ROWS:
         data = rng.standard_normal((rows, 50))
-        yield data, 2.0, np.linspace(-3.0, 3.0, _SLABBED_POINTS)
-        yield data, 2.0, np.linspace(data.min(axis=1) - 1.0, data.max(axis=1) + 1.0,
-                                     _SLABBED_POINTS, axis=-1)
+        yield data, 2.0, Bracket(-3.0, 3.0), _SLABBED_POINTS
+        yield data, 2.0, Bracket(data.min(axis=1) - 1.0, data.max(axis=1) + 1.0), _SLABBED_POINTS
 
 
 def _tied_blocks():
@@ -683,28 +688,67 @@ def _tied_blocks():
     The block holding 3 reaches to -2, within c of -3, so its bound is the
     lower one and it is visited first; the block holding -3 ties it later.
     """
-    step = 8.0 / _SCAN_BLOCK
-    grid = np.arange(-10.0 / step, 10.0 / step + 1.0) * step
-    return np.array([-3.0, 3.0]), 2.0, grid
+    return np.array([-3.0, 3.0]), 2.0, Bracket(-10.0, 10.0), 20 * _SCAN_BLOCK // 8 + 1
+
+
+def _bounds_and_grid(data, c, bracket, points):
+    """``_block_bounds`` of each row, and each row's materialised grid."""
+    data = np.atleast_2d(data)
+    at = solver.scan_grid(bracket, points, data.shape[0])
+    grid = np.broadcast_to(_linspace(bracket, points), (data.shape[0], points))
+    return data, _block_bounds(data, c, at, points), grid
 
 
 def test_minimize_scan_matches_exhaustive_bit_for_bit():
-    for data, c, grid in [*_scan_cases(), _tied_blocks()]:
-        assert np.array_equal(minimize_scan(data, c, grid), _exhaustive_scan(data, c, grid))
+    for data, c, bracket, points in [*_scan_cases(), _tied_blocks()]:
+        assert np.array_equal(minimize_scan(data, c, bracket, points),
+                              _exhaustive_scan(data, c, _linspace(bracket, points)))
     # of the two tied blocks, the first minimum along the grid wins
-    data, c, grid = _tied_blocks()
+    data, c, bracket, points = _tied_blocks()
+    _, bounds, grid = _bounds_and_grid(data, c, bracket, points)
+    grid, bounds = grid[0], bounds[0]
     assert grid.size % _SCAN_BLOCK and np.array_equal(grid, -grid[::-1])
-    bounds = _block_bounds(np.atleast_2d(data), c, np.atleast_2d(grid))[0]
+    assert np.array_equal(grid, np.arange(grid.size) * (8.0 / _SCAN_BLOCK) - 10.0)
     assert bounds[np.searchsorted(grid, 3.0) // _SCAN_BLOCK] < bounds[0]
-    assert minimize_scan(data, c, grid)[0] == pytest.approx(-3.0, abs=1e-12)
+    assert minimize_scan(data, c, bracket, points)[0] == pytest.approx(-3.0, abs=1e-12)
+
+
+_POINT_COUNTS = (2, 3, 5, 63, 64, 65, 66, 129, 257, 1201, 2001, 2049)
+
+
+def test_minimize_scan_matches_exhaustive_at_every_point_count():
+    # grids of one point, one block, a block and a point, and many blocks,
+    # on shared and per-row brackets, some of them reaching -0.0
+    rng = np.random.default_rng(29)
+    for k, points in enumerate(_POINT_COUNTS * 3):
+        data = rng.standard_t(3.0, size=(int(rng.integers(1, 12)), int(rng.integers(1, 30))))
+        c = (0.5, 2.0, 4.685)[k % 3]
+        for bracket in (Bracket(-float(rng.uniform(0.5, 4.0)), float(rng.uniform(0.5, 4.0))),
+                        Bracket(-0.0, 2.5),
+                        Bracket(data.min(axis=1) - rng.uniform(0.0, 2.0),
+                                data.max(axis=1) + rng.uniform(0.0, 2.0))):
+            assert np.array_equal(minimize_scan(data, c, bracket, points),
+                                  _exhaustive_scan(data, c, _linspace(bracket, points)))
+
+
+def test_scan_grid_is_linspace_bit_for_bit():
+    # every column of every row, and the signs of its zeros
+    rng = np.random.default_rng(30)
+    for points in _POINT_COUNTS:
+        lo = -(10.0 ** rng.uniform(-6.0, 6.0, 7))
+        hi = lo + 10.0 ** rng.uniform(-3.0, 8.0, 7)
+        for bracket, rows in ((Bracket(lo, hi), 7), (Bracket(float(lo[0]), float(hi[0])), 1),
+                              (Bracket(-0.0, 1.0), 3)):
+            grid = solver.scan_grid(bracket, points, rows)(np.arange(points))
+            want = np.broadcast_to(_linspace(bracket, points), (rows, points))
+            assert grid.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 def test_scan_block_bounds_are_below_each_block():
     # with no rounding slack, no block's bound exceeds its smallest value
-    for data, c, grid in [*_scan_cases(), _tied_blocks()]:
-        data = np.atleast_2d(data)
-        grid = np.broadcast_to(grid, (data.shape[0], grid.shape[-1]))
-        bounds = _block_bounds(data, c, grid)
+    for case in [*_scan_cases(), _tied_blocks()]:
+        data, bounds, grid = _bounds_and_grid(*case)
+        c = case[1]
         for k in range(bounds.shape[1]):
             block = grid[:, k * _SCAN_BLOCK:(k + 1) * _SCAN_BLOCK]
             values = biweight_rho(data[:, None, :] - block[:, :, None], c).sum(axis=2)
@@ -712,7 +756,7 @@ def test_scan_block_bounds_are_below_each_block():
 
 
 def _one_shot_block_bounds(data, c: float, grid) -> np.ndarray:
-    """``_block_bounds`` as one ``(rows, blocks, n)`` array: the reference for its slabs."""
+    """``_block_bounds`` as one ``(rows, blocks, n)`` array: the reference for its blocks."""
     points = grid.shape[1]
     starts = np.arange(0, points, _SCAN_BLOCK)
     lo = grid[:, starts, None]
@@ -722,17 +766,15 @@ def _one_shot_block_bounds(data, c: float, grid) -> np.ndarray:
 
 
 def test_scan_slabs_keep_the_bits():
-    # the many-row cases span several slabs and end in a partial one, both
-    # in the scan's blocks and in the bounds
-    blocks = -(-_SLABBED_POINTS // _SCAN_BLOCK)
+    # the many-row cases span several slabs of the scan's blocks and end in
+    # a partial one; the bounds, formed one block at a time over every row,
+    # are those of one (rows, blocks, n) array
     for rows in _SLABBED_ROWS:
-        for size in (solver.slab_rows(_SCAN_BLOCK, 50), solver.slab_rows(blocks, 50)):
-            assert rows > size and rows % size
-    for data, c, grid in [*_scan_cases(), _tied_blocks()]:
-        data = np.atleast_2d(data)
-        grid = np.broadcast_to(grid, (data.shape[0], grid.shape[-1]))
-        assert np.array_equal(_block_bounds(data, c, grid),
-                              _one_shot_block_bounds(data, c, grid))
+        size = solver.slab_rows(_SCAN_BLOCK, 50)
+        assert rows > size and rows % size
+    for case in [*_scan_cases(), _tied_blocks()]:
+        data, bounds, grid = _bounds_and_grid(*case)
+        assert np.array_equal(bounds, _one_shot_block_bounds(data, case[1], grid))
 
 
 def _old_biweight_rho(u, c: float):
@@ -782,33 +824,57 @@ def test_minimize_scan_absorbs_a_bound_overstated_by_rounding(monkeypatch):
     # pow that is not monotone, may exceed them by rounding, and the slack
     # keeps such a block visited (here the left one of the tied blocks)
     exact = solver._block_bounds
-    monkeypatch.setattr(solver, "_block_bounds", lambda data, c, grid: (
-        exact(data, c, grid) * (1.0 + data.shape[1] * 2.0**-52)))
-    for data, c, grid in [*_scan_cases(), _tied_blocks()]:
-        assert np.array_equal(minimize_scan(data, c, grid), _exhaustive_scan(data, c, grid))
+    monkeypatch.setattr(solver, "_block_bounds", lambda data, c, at, points: (
+        exact(data, c, at, points) * (1.0 + data.shape[1] * 2.0**-52)))
+    for data, c, bracket, points in [*_scan_cases(), _tied_blocks()]:
+        assert np.array_equal(minimize_scan(data, c, bracket, points),
+                              _exhaustive_scan(data, c, _linspace(bracket, points)))
 
 
 def test_minimize_scan_rejects_what_the_bound_cannot_handle():
     data = np.array([0.0, 1.0, 2.5])
-    grid = np.linspace(-3.0, 3.0, 101)
-    for bad in (grid[::-1], np.concatenate([grid[:50], grid[49:]]),
-                np.stack([grid, grid[::-1]]), np.where(grid > 2.0, np.nan, grid)):
-        with pytest.raises(ValueError, match="scan grid must be finite and strictly increasing"):
-            minimize_scan(np.stack([data, data]), 2.0, bad)
+    window = Bracket(-3.0, 3.0)
+    # too few points, and grids where rounding puts two points together:
+    # near 1e16 the float spacing is 2, so 2001 points over 64 cannot all
+    # differ; one row of a per-row bracket is enough
+    for bracket, points, cause in (
+        (window, 1, "scan grid needs at least 2 points, got 1"),
+        (window, 0, "scan grid needs at least 2 points, got 0"),
+        (Bracket(1e16, 1e16 + 64.0), 2001,
+         "scan grid must be finite and strictly increasing along each row"),
+        (Bracket(np.array([-3.0, 1e16]), np.array([3.0, 1e16 + 64.0])), 2001,
+         "scan grid must be finite and strictly increasing along each row"),
+        (Bracket(0.0, 5e-324), 3,
+         "scan grid must be finite and strictly increasing along each row"),
+        # the width overflows, so the step is infinite
+        (Bracket(-1e308, 1e308, tol=1.0), 11,
+         "scan grid must be finite and strictly increasing along each row"),
+    ):
+        with pytest.raises(ValueError, match=f"^{cause}$"):
+            minimize_scan(np.stack([data, data]), 2.0, bracket, points)
+    # the same spacing, with points far enough apart, scans
+    assert minimize_scan(data + 1e16, 2.0, Bracket(1e16 - 4096.0, 1e16 + 4096.0), 2001)[0] > 0.0
+    # a tuning constant that is not finite and > 0, in BiweightLocation's words
+    for c in (0.0, -2.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"^biweight needs a finite params\.c > 0, got "):
+            minimize_scan(data, c, window, 101)
+        with pytest.raises(ValueError, match=r"^biweight needs a finite params\.c > 0, got "):
+            BiweightLocation(data, c=c)
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="scan data must be finite"):
-            minimize_scan(np.array([[0.0, 1.0], [bad, 2.0]]), 2.0, grid)
+            minimize_scan(np.array([[0.0, 1.0], [bad, 2.0]]), 2.0, window, 101)
 
 
 def test_minimize_scan_peak_memory_matches_the_exhaustive_scan():
     # the bounds and the visiting order add well under 1 MiB to the block
     # evaluation both scans share; a buffer kept through the loop shows here
     data = np.random.default_rng(5).standard_normal((512, 50))
-    grid = np.linspace(-3.0, 3.0, 1201)
+    window = Bracket(-3.0, 3.0)
     peaks = []
-    for scan in (_exhaustive_scan, minimize_scan):
+    for scan in (lambda: _exhaustive_scan(data, 2.0, _linspace(window, 1201)),
+                 lambda: minimize_scan(data, 2.0, window, 1201)):
         tracemalloc.start()
-        scan(data, 2.0, grid)
+        scan()
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert peaks[1] <= peaks[0] + 2**20
@@ -818,9 +884,8 @@ def test_minimize_scan_peak_memory_is_a_few_slabs():
     # a slab of rows at a time: the block values, their distances and the
     # bounds stay a few MiB, where one array per block took 51 MiB at 512 rows
     data = np.random.default_rng(5).standard_normal((512, 50))
-    grid = np.linspace(-3.0, 3.0, 1201)
     tracemalloc.start()
-    minimize_scan(data, 2.0, grid)
+    minimize_scan(data, 2.0, Bracket(-3.0, 3.0), 1201)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 8 * 2**20
