@@ -403,6 +403,7 @@ class BiweightLocation(LocationObjective):
 
     kind = "biweight"
     is_convex = False
+    errstate = {"over": "ignore"}  # (u / c)**2 overflows only far outside c, where rho is flat
 
     def __init__(self, data, c: float = 2.0):
         super().__init__(data)

@@ -172,12 +172,11 @@ def estimate_location(estimator: Estimator, data) -> np.ndarray:
     bracket = default_bracket(data)
     if estimator.probe.is_convex:
         return minimize_convex(estimator.objective(data), bracket)
-    return minimize_scan(data, estimator.probe.c, bracket, 2001)
+    return minimize_scan(estimator.objective(data), bracket, 2001)
 
 
-def score_at(estimator: Estimator, data, theta0: float) -> np.ndarray:
+def score_at(obj: LocationObjective, theta0: float) -> np.ndarray:
     """Score statistic at the target per row: midpoint of the subgradient interval."""
-    obj = estimator.objective(np.atleast_2d(data))
     with np.errstate(**obj.errstate):
         left, right = obj.subgradient(theta0)
         return 0.5 * (left + right)
@@ -347,7 +346,7 @@ def _chunk_convex(config, prep, point, start, stop):
     ``z_estimator_equality``."""
     streams = _sample(config, prep, point, start, stop)
     return {"theta_hat": estimate_location(prep.estimator, streams[0]),
-            "score": score_at(prep.estimator, streams[-1], prep.theta0)}
+            "score": score_at(prep.estimator.objective(streams[-1]), prep.theta0)}
 
 
 def _summarize_convex(config, prep, point, arrays):
@@ -526,21 +525,20 @@ def _chunk_nonconvex(config, prep, point, start, stop):
     """The scan estimate, the score, and per delta whether the objective's
     curvature is >= 0 at every point of its window: the windows' points are
     evaluated together, one slab of rows at a time."""
-    c_tune = prep.estimator.probe.c
     data, = _sample(config, prep, point, start, stop)
-    count = stop - start
-    theta_hat = minimize_scan(data, c_tune, prep.scan, prep.scan_points)
-    score = score_at(prep.estimator, data, prep.theta0)
-
+    obj = prep.estimator.objective(data)
     points = prep.windows.ravel()
     # three (rows, points, n) arrays are live at once: the differences and
     # biweight_ddrho's two
     size = slab_rows(3 * points.size, point["n"])
-    curv_min = np.empty((count, len(prep.windows)))
-    for first in range(0, count, size):
-        rows = slice(first, first + size)
-        curv = biweight_ddrho(data[rows, None, :] - points[:, None], c_tune).sum(axis=2)
-        curv_min[rows] = curv.reshape(-1, *prep.windows.shape).min(axis=2)
+    curv_min = np.empty((len(data), len(prep.windows)))
+    with np.errstate(**obj.errstate):
+        theta_hat = minimize_scan(obj, prep.scan, prep.scan_points)
+        score = score_at(obj, prep.theta0)
+        for first in range(0, len(data), size):
+            rows = slice(first, first + size)
+            curv = biweight_ddrho(data[rows, None, :] - points[:, None], obj.c).sum(axis=2)
+            curv_min[rows] = curv.reshape(-1, *prep.windows.shape).min(axis=2)
     return {"theta_hat": theta_hat, "score": score,
             **{f"convex_{k}": (curv_min[:, k] >= 0.0).astype(float)
                for k in range(len(prep.windows))}}

@@ -17,15 +17,15 @@ checked for convexity and for a NaN subgradient, so a failure names its
 probe points, and also its row when the matrix has more than one row: one
 row fails with the message its sample alone gives.
 
-The redescending biweight objective is minimized by a grid scan that skips
-blocks of the grid whose lower bound shows they cannot hold the minimum.
+The redescending biweight objective goes to a grid scan, which takes it as the
+bisection takes its own and skips blocks whose lower bound rules out the minimum.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .objectives import LocationObjective, biweight_drho, biweight_rho
+from .objectives import BiweightLocation, LocationObjective, biweight_rho
 
 _MAX_ITER = 200
 _SCAN_BLOCK = 64  # grid points per block of the biweight scan
@@ -64,6 +64,9 @@ class Bracket:
             raise ValueError("tol must be finite")
         if np.any(self.tol <= 0.0):
             raise ValueError("tol must be positive")
+        # the midpoints and the probes' tolerance anchor add |lo| and |hi|
+        if not np.all(np.abs(self.lo) <= np.finfo(float).max - np.abs(self.hi)):
+            raise ValueError(f"bracket |lo| + |hi| must be finite, got [{self.lo}, {self.hi}]")
 
 
 class _RowProber:
@@ -284,77 +287,73 @@ def _block_bounds(data, c: float, at, points: int) -> np.ndarray:
     return bounds
 
 
-def minimize_scan(data, c: float, bracket: Bracket, points: int) -> np.ndarray:
-    """Global minimizer of the biweight objective, row by row, by scan and polish.
+def minimize_scan(obj: BiweightLocation, bracket: Bracket, points: int):
+    """Global minimizer of the biweight objective ``obj``, by scan and polish.
 
-    ``data`` is a finite ``(rows, n)`` matrix (a 1-d array is one row), ``c``
-    finite and > 0, and each row's grid ``np.linspace(bracket.lo, bracket.hi,
-    points)`` for a shared or per-row bracket, of which ``scan_grid`` works
-    out only the points visited.  The grid is cut into blocks of
-    ``_SCAN_BLOCK`` points, whose summed loss ``_block_bounds`` bounds below.
-    Each row visits its blocks in increasing order of their bound and
-    evaluates every point of a visited block; it skips the rest once a
-    block's bound, less a rounding slack of ``1e-9 * n * c**2 / 6``, exceeds
-    the row's best value so far.  A value replaces the best when it is
-    smaller, or equal at a smaller theta, so values and minimizer are those
-    of evaluating every point, where the first minimum along the grid wins.
-    When the slope goes from negative at best - step to positive at best +
-    step (a grid endpoint included), 50 halvings of that cell polish the
-    point, which is kept only if its value is no larger.  Blocks are
-    evaluated in slabs of ``slab_rows`` rows through one reused difference
-    buffer; each loss is elementwise and each sum one reduction over a row's
-    n values at one point, so the bits are those of one array per block.
-    Subgradient bisection does not apply to this redescending objective; the
-    scan is its one estimation path.
+    Shaped as ``minimize_convex``: one sample gives a Python float, a
+    ``(rows, n)`` objective each row's minimizer on a shared or per-row
+    bracket, and the scan runs under the objective's ``errstate``.  Each
+    row's grid is ``np.linspace(bracket.lo, bracket.hi, points)``, in blocks
+    of ``_SCAN_BLOCK`` points, of which ``scan_grid`` works out only those
+    visited.  A row visits its blocks in increasing order of their
+    ``_block_bounds`` lower bound and evaluates each visited block whole,
+    until a bound less a rounding slack of ``1e-9 * n * c**2 / 6`` exceeds
+    its best value; a value replaces the best when it is smaller, or equal
+    at a smaller theta, so the first minimum along the grid wins, as when
+    every point is evaluated.  When the objective's slope goes from negative
+    at best - step to positive at best + step (a grid endpoint included), 50
+    halvings of that cell polish the point, kept only if its value is no
+    larger.  Blocks are evaluated in slabs of ``slab_rows`` rows through one
+    reused buffer, one sum over n values per row and point, so the bits are
+    those of one array per block.  The block bound holds for the biweight
+    loss alone: another objective raises ``TypeError``.
     """
-    if not 0.0 < c < np.inf:
-        raise ValueError(f"biweight needs a finite params.c > 0, got {c!r}")
-    data = np.atleast_2d(np.asarray(data, dtype=float))
-    rows, n = data.shape
-    at = scan_grid(bracket, points, rows)
-    if not np.all(np.isfinite(data)):
-        raise ValueError("scan data must be finite")
+    if not isinstance(obj, BiweightLocation):
+        raise TypeError(f"minimize_scan minimizes a biweight objective, got {obj.kind!r}")
+    if obj.data.ndim == 1:
+        return float(minimize_scan(obj.take(np.newaxis), bracket, points)[0])
+    with np.errstate(**obj.errstate):
+        data, c = obj.data, obj.c
+        rows, n = data.shape
+        at = scan_grid(bracket, points, rows)
 
-    bounds = _block_bounds(data, c, at, points)
-    order = np.argsort(bounds, axis=1, kind="stable")
-    bounds = np.take_along_axis(bounds, order, axis=1) - 1e-9 * n * c * c / 6.0
-    best_val = np.full(rows, np.inf)
-    best_theta = at(0)[:, 0]
-    offsets = np.arange(_SCAN_BLOCK)
-    size = slab_rows(_SCAN_BLOCK, n)
-    diff = np.empty((min(rows, size), _SCAN_BLOCK, n))
-    live = np.arange(rows)
-    for k in range(order.shape[1]):
-        # bounds rise along k and best values only fall, so a row once
-        # skipped stays skipped
-        live = live[bounds[live, k] <= best_val[live]]
-        if not live.size:
-            break
-        for first in range(0, live.size, size):
-            part = live[first:first + size]
-            cols = order[part, k, None] * _SCAN_BLOCK + offsets
-            thetas = at(np.minimum(cols, points - 1), part)
-            u = np.subtract(data[part, None, :], thetas[:, :, None], out=diff[:part.size])
-            vals = biweight_rho(u, c).sum(axis=2)
-            vals[cols >= points] = np.inf
-            idx = np.argmin(vals, axis=1)[:, None]
-            cand, cand_theta = (np.take_along_axis(a, idx, 1)[:, 0] for a in (vals, thetas))
-            better = (cand < best_val[part]) | ((cand == best_val[part])
-                                                & (cand_theta < best_theta[part]))
-            best_val[part[better]] = cand[better]
-            best_theta[part[better]] = cand_theta[better]
+        bounds = _block_bounds(data, c, at, points)
+        order = np.argsort(bounds, axis=1, kind="stable")
+        bounds = np.take_along_axis(bounds, order, axis=1) - 1e-9 * n * c * c / 6.0
+        best_val = np.full(rows, np.inf)
+        best_theta = at(0)[:, 0]
+        offsets = np.arange(_SCAN_BLOCK)
+        size = slab_rows(_SCAN_BLOCK, n)
+        diff = np.empty((min(rows, size), _SCAN_BLOCK, n))
+        live = np.arange(rows)
+        for k in range(order.shape[1]):
+            # bounds rise along k and best values only fall, so a row once
+            # skipped stays skipped
+            live = live[bounds[live, k] <= best_val[live]]
+            if not live.size:
+                break
+            for first in range(0, live.size, size):
+                part = live[first:first + size]
+                cols = order[part, k, None] * _SCAN_BLOCK + offsets
+                thetas = at(np.minimum(cols, points - 1), part)
+                u = np.subtract(data[part, None, :], thetas[:, :, None], out=diff[:part.size])
+                vals = biweight_rho(u, c).sum(axis=2)
+                vals[cols >= points] = np.inf
+                idx = np.argmin(vals, axis=1)[:, None]
+                cand, cand_theta = (np.take_along_axis(a, idx, 1)[:, 0] for a in (vals, thetas))
+                better = (cand < best_val[part]) | ((cand == best_val[part])
+                                                    & (cand_theta < best_theta[part]))
+                best_val[part[better]] = cand[better]
+                best_theta[part[better]] = cand_theta[better]
 
-    def slope(theta):
-        return -biweight_drho(data - theta[:, None], c).sum(axis=1)
-
-    step = at(1)[:, 0] - at(0)[:, 0]
-    lo, hi = best_theta - step, best_theta + step
-    active = (slope(lo) < 0.0) & (slope(hi) > 0.0)
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        up = slope(mid) >= 0.0
-        hi = np.where(active & up, mid, hi)
-        lo = np.where(active & ~up, mid, lo)
-    polished = 0.5 * (lo + hi)
-    keep = active & (biweight_rho(data - polished[:, None], c).sum(axis=1) <= best_val)
-    return np.where(keep, polished, best_theta)
+        step = at(1)[:, 0] - at(0)[:, 0]
+        lo, hi = best_theta - step, best_theta + step
+        active = (obj.subgradient(lo).left < 0.0) & (obj.subgradient(hi).left > 0.0)
+        for _ in range(50):
+            mid = 0.5 * (lo + hi)
+            up = obj.subgradient(mid).left >= 0.0
+            hi = np.where(active & up, mid, hi)
+            lo = np.where(active & ~up, mid, lo)
+        polished = 0.5 * (lo + hi)
+        keep = active & (obj.value(polished) <= best_val)
+        return np.where(keep, polished, best_theta)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from medbias import (
+    BiweightLocation,
     EstimatorDraws,
     NormalLocation,
     mc_med_bias,
@@ -907,6 +908,23 @@ def test_overflowing_draws_raise_only_the_named_error(case, tmp_path, monkeypatc
     assert re.match(r"grid point .*, replication \d+: stream ", message), message
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind, grids", [("hulc_coverage", {"n": [12]}),
+                                         ("nonconvex_dominance", {"n": [12], "delta": [0.5]})])
+def test_biweight_on_huge_draws_runs_with_a_clean_stderr(kind, grids, tmp_path, monkeypatch,
+                                                         capsys):
+    # draws past about 1e154 square past the float range in the biweight's
+    # (u / c)**2, where the loss is flat and its derivatives 0: the run
+    # succeeds and numpy has nothing to warn about
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(_minimal_config(
+        kind=kind, dgp={"name": "laplace", "params": {"scale": 1e200}},
+        estimator={"kind": "biweight", "params": {"c": 2.0}}, grids=grids, reps=100)))
+    monkeypatch.chdir(tmp_path)
+    assert cli_main(["run", str(path)]) == 0
+    assert capsys.readouterr().err == ""
+
+
 # ---------------------------------------------------------------------------
 # Estimator plumbing: closed forms against the solver.
 
@@ -1618,7 +1636,7 @@ def test_nonconvex_kind_matches_minimize_scan():
     label = grid_label(config.kind, {"n": 20})
     draws = np.stack([rrng(config.master_seed, i, label + "|data").standard_normal(20)
                       for i in range(config.reps)])
-    theta_hat = minimize_scan(draws, 2.0, Bracket(-3.0, 3.0), 301)
+    theta_hat = minimize_scan(BiweightLocation(draws, 2.0), Bracket(-3.0, 3.0), 301)
     prepared, points = validate_config(config)
     arrays = KINDS[config.kind].run_chunk(config, prepared, points[0], 0, config.reps)
     assert np.array_equal(arrays["theta_hat"], theta_hat)

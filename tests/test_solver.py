@@ -51,6 +51,15 @@ def test_bracket_validation():
             Bracket(np.zeros(2), np.ones(2), tol=tol)
     with pytest.raises(ValueError, match="tol must be finite"):
         minimize_convex(PowerLoss([0.3, 0.5, 2.0], p=1.5), Bracket(-1.0, 1.0, tol=np.nan))
+    # ends whose magnitudes sum past the float range: the default tol
+    # overflows, and with an explicit tol the midpoints and the probes'
+    # tolerance anchor would, so convex data gave a reversed minimizer interval
+    with pytest.raises(ValueError, match="^tol must be finite$"):
+        Bracket(1e308, 1.7e308)
+    for lo, hi in ((1e308, 1.7e308), (-1e308, 1e308),
+                   (np.array([0.0, 1e308]), np.array([1.0, 1.7e308]))):
+        with pytest.raises(ValueError, match=r"^bracket \|lo\| \+ \|hi\| must be finite, got "):
+            Bracket(lo, hi, tol=1e290)
     b = Bracket(-2.0, 3.0)
     assert b.tol == pytest.approx(1e-10 * 6.0)
 
@@ -564,17 +573,20 @@ def test_power_loss_sums_only_nonzero_terms_at_a_tie():
 def test_minimize_scan_finds_global_minimum():
     data = np.array([-5.0, -4.9, -5.1, 4.0, 5.0])
     window = Bracket(-8.0, 8.0)
-    theta = minimize_scan(data, 2.0, window, 4001)
+    theta = minimize_scan(BiweightLocation(data, c=2.0), window, 4001)
     oracle = grid_argmin(BiweightLocation(data, c=2.0), -6.0, -4.0, step=1e-5)
-    assert theta.shape == (1,)
-    assert theta[0] == pytest.approx(oracle, abs=1e-4)
+    # one sample gives a Python float, the float of its 1-row matrix
+    assert type(theta) is float
+    assert theta == pytest.approx(oracle, abs=1e-4)
+    one_row = minimize_scan(BiweightLocation(data[np.newaxis], c=2.0), window, 4001)
+    assert one_row.shape == (1,) and one_row[0] == theta
     # rows are independent: a batch returns each row's own minimizer
-    batch = minimize_scan(np.stack([data, -data]), 2.0, window, 4001)
-    assert batch[0] == theta[0]
-    assert batch[1] == minimize_scan(-data, 2.0, window, 4001)[0]
+    batch = minimize_scan(BiweightLocation(np.stack([data, -data]), c=2.0), window, 4001)
+    assert batch[0] == theta
+    assert batch[1] == minimize_scan(BiweightLocation(-data, c=2.0), window, 4001)
     # on a flat stretch the first minimum wins: data farther than c from
     # every grid point leave the objective constant, and no polish applies
-    assert minimize_scan(data + 100.0, 2.0, window, 4001)[0] == -8.0
+    assert minimize_scan(BiweightLocation(data + 100.0, c=2.0), window, 4001) == -8.0
 
 
 def test_minimize_scan_agrees_with_bisection_on_convex():
@@ -583,7 +595,7 @@ def test_minimize_scan_agrees_with_bisection_on_convex():
     rng = np.random.default_rng(17)
     data = 0.3 * rng.standard_normal((8, 10))
     bracket = Bracket(-1.0, 1.0)
-    scan = minimize_scan(data, 4.0, bracket, 2001)
+    scan = minimize_scan(BiweightLocation(data, c=4.0), bracket, 2001)
     for row, theta in zip(data, scan):
         exact = minimize_convex(BiweightLocation(row, c=4.0), bracket)
         assert theta == pytest.approx(exact, abs=1e-9)
@@ -594,8 +606,9 @@ def test_minimize_scan_per_row_grid_matches_row_scans():
     rng = np.random.default_rng(41)
     data = rng.standard_normal((6, 10))
     lo, hi = data.min(axis=1) - 1.0, data.max(axis=1) + 1.0
-    batch = minimize_scan(data, 2.0, Bracket(lo, hi), 301)
-    assert [float(t) for t in batch] == [minimize_scan(row, 2.0, Bracket(a, b), 301)[0]
+    batch = minimize_scan(BiweightLocation(data, c=2.0), Bracket(lo, hi), 301)
+    assert [float(t) for t in batch] == [minimize_scan(BiweightLocation(row, c=2.0),
+                                                       Bracket(a, b), 301)
                                          for row, a, b in zip(data, lo, hi)]
 
 
@@ -606,6 +619,11 @@ def test_minimize_scan_per_row_grid_matches_row_scans():
 def _linspace(bracket, points):
     """Each row's grid, materialised: the grid ``minimize_scan`` must scan."""
     return np.linspace(bracket.lo, bracket.hi, points, axis=-1)
+
+
+def _scan(data, c: float, bracket, points) -> np.ndarray:
+    """``minimize_scan`` of the biweight objective on the rows of ``data`` (1-d is one row)."""
+    return minimize_scan(BiweightLocation(np.atleast_2d(data), c), bracket, points)
 
 
 def _exhaustive_scan(data, c: float, grid) -> np.ndarray:
@@ -701,7 +719,7 @@ def _bounds_and_grid(data, c, bracket, points):
 
 def test_minimize_scan_matches_exhaustive_bit_for_bit():
     for data, c, bracket, points in [*_scan_cases(), _tied_blocks()]:
-        assert np.array_equal(minimize_scan(data, c, bracket, points),
+        assert np.array_equal(_scan(data, c, bracket, points),
                               _exhaustive_scan(data, c, _linspace(bracket, points)))
     # of the two tied blocks, the first minimum along the grid wins
     data, c, bracket, points = _tied_blocks()
@@ -710,7 +728,8 @@ def test_minimize_scan_matches_exhaustive_bit_for_bit():
     assert grid.size % _SCAN_BLOCK and np.array_equal(grid, -grid[::-1])
     assert np.array_equal(grid, np.arange(grid.size) * (8.0 / _SCAN_BLOCK) - 10.0)
     assert bounds[np.searchsorted(grid, 3.0) // _SCAN_BLOCK] < bounds[0]
-    assert minimize_scan(data, c, bracket, points)[0] == pytest.approx(-3.0, abs=1e-12)
+    theta = minimize_scan(BiweightLocation(data, c), bracket, points)
+    assert theta == pytest.approx(-3.0, abs=1e-12)
 
 
 _POINT_COUNTS = (2, 3, 5, 63, 64, 65, 66, 129, 257, 1201, 2001, 2049)
@@ -727,7 +746,7 @@ def test_minimize_scan_matches_exhaustive_at_every_point_count():
                         Bracket(-0.0, 2.5),
                         Bracket(data.min(axis=1) - rng.uniform(0.0, 2.0),
                                 data.max(axis=1) + rng.uniform(0.0, 2.0))):
-            assert np.array_equal(minimize_scan(data, c, bracket, points),
+            assert np.array_equal(_scan(data, c, bracket, points),
                                   _exhaustive_scan(data, c, _linspace(bracket, points)))
 
 
@@ -827,7 +846,7 @@ def test_minimize_scan_absorbs_a_bound_overstated_by_rounding(monkeypatch):
     monkeypatch.setattr(solver, "_block_bounds", lambda data, c, at, points: (
         exact(data, c, at, points) * (1.0 + data.shape[1] * 2.0**-52)))
     for data, c, bracket, points in [*_scan_cases(), _tied_blocks()]:
-        assert np.array_equal(minimize_scan(data, c, bracket, points),
+        assert np.array_equal(_scan(data, c, bracket, points),
                               _exhaustive_scan(data, c, _linspace(bracket, points)))
 
 
@@ -846,23 +865,24 @@ def test_minimize_scan_rejects_what_the_bound_cannot_handle():
          "scan grid must be finite and strictly increasing along each row"),
         (Bracket(0.0, 5e-324), 3,
          "scan grid must be finite and strictly increasing along each row"),
-        # the width overflows, so the step is infinite
-        (Bracket(-1e308, 1e308, tol=1.0), 11,
-         "scan grid must be finite and strictly increasing along each row"),
     ):
         with pytest.raises(ValueError, match=f"^{cause}$"):
-            minimize_scan(np.stack([data, data]), 2.0, bracket, points)
+            minimize_scan(BiweightLocation(np.stack([data, data]), 2.0), bracket, points)
     # the same spacing, with points far enough apart, scans
-    assert minimize_scan(data + 1e16, 2.0, Bracket(1e16 - 4096.0, 1e16 + 4096.0), 2001)[0] > 0.0
-    # a tuning constant that is not finite and > 0, in BiweightLocation's words
+    assert minimize_scan(BiweightLocation(data + 1e16, 2.0),
+                         Bracket(1e16 - 4096.0, 1e16 + 4096.0), 2001) > 0.0
+    # the objective checks its tuning constant and its data
     for c in (0.0, -2.0, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"^biweight needs a finite params\.c > 0, got "):
-            minimize_scan(data, c, window, 101)
         with pytest.raises(ValueError, match=r"^biweight needs a finite params\.c > 0, got "):
             BiweightLocation(data, c=c)
     for bad in (np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match="scan data must be finite"):
-            minimize_scan(np.array([[0.0, 1.0], [bad, 2.0]]), 2.0, window, 101)
+        with pytest.raises(ValueError, match="^data must be finite$"):
+            BiweightLocation(np.array([[0.0, 1.0], [bad, 2.0]]), 2.0)
+    # the scan's block bound holds for the biweight loss alone
+    for obj in (PowerLoss(data, p=1.5), AbsoluteDeviation(np.stack([data, data]))):
+        with pytest.raises(TypeError, match=f"^minimize_scan minimizes a biweight objective, "
+                                            f"got {obj.kind!r}$"):
+            minimize_scan(obj, window, 101)
 
 
 def test_minimize_scan_peak_memory_matches_the_exhaustive_scan():
@@ -872,7 +892,7 @@ def test_minimize_scan_peak_memory_matches_the_exhaustive_scan():
     window = Bracket(-3.0, 3.0)
     peaks = []
     for scan in (lambda: _exhaustive_scan(data, 2.0, _linspace(window, 1201)),
-                 lambda: minimize_scan(data, 2.0, window, 1201)):
+                 lambda: _scan(data, 2.0, window, 1201)):
         tracemalloc.start()
         scan()
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -885,7 +905,7 @@ def test_minimize_scan_peak_memory_is_a_few_slabs():
     # bounds stay a few MiB, where one array per block took 51 MiB at 512 rows
     data = np.random.default_rng(5).standard_normal((512, 50))
     tracemalloc.start()
-    minimize_scan(data, 2.0, Bracket(-3.0, 3.0), 1201)
+    _scan(data, 2.0, Bracket(-3.0, 3.0), 1201)
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak < 8 * 2**20
