@@ -101,9 +101,9 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """Run every grid point of an experiment and fold the rows.
 
     The config is resolved once; every chunk of every grid point goes
-    through one ordered map, in this process at ``workers=1`` and through
-    one process pool otherwise.  ``workers`` only distributes fixed chunks
-    of replications; it cannot change any reported value.
+    through one ordered map, in this process at ``workers=1`` and else through
+    one process pool of at most one worker per chunk.  ``workers`` only
+    distributes fixed chunks of replications; it cannot change any reported value.
     """
     prepared, points = validate_config(config)
     if workers < 1:
@@ -117,7 +117,7 @@ def run_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResu
     if workers == 1:
         _fold(result, prepared, points, map(_chunk_task, payloads), len(spans))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             _fold(result, prepared, points, pool.map(_chunk_task, payloads), len(spans))
     result.wall_time_s = time.perf_counter() - started
     return result

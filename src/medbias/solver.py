@@ -12,10 +12,10 @@ sample is a 1-row matrix.  All rows still searching share one objective call
 per probe, and a row's result depends only on its own data and bracket.
 Each row is bisected once: away from a zero subgradient the bisection for
 the upper end of the minimizer set would walk the lower end's path, so it
-runs only for the rows whose lower bisection met a zero.  Every probe is
-checked for convexity and for a NaN subgradient, so a failure names its
-probe points, and also its row when the matrix has more than one row: one
-row fails with the message its sample alone gives.
+runs only for the rows whose lower bisection met a zero.  Each probe is
+checked as it lands, for a NaN subgradient and against its nearest earlier
+probes for convexity, so a failure names its probe points, and also its row
+when the matrix has more than one row, with the message its sample alone gives.
 
 The redescending biweight objective goes to a grid scan, which takes it as the
 bisection takes its own and skips blocks whose lower bound rules out the minimum.
@@ -59,7 +59,8 @@ class Bracket:
         if not np.all(self.lo < self.hi):
             raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
         if self.tol is None:
-            object.__setattr__(self, "tol", 1e-10 * (1.0 + abs(self.lo) + abs(self.hi)))
+            with np.errstate(over="ignore"):
+                object.__setattr__(self, "tol", 1e-10 * (1.0 + abs(self.lo) + abs(self.hi)))
         if not np.all(np.isfinite(self.tol)):
             raise ValueError("tol must be finite")
         if np.any(self.tol <= 0.0):
@@ -70,16 +71,20 @@ class Bracket:
 
 
 class _RowProber:
-    """Subgradients of chosen rows, with each row's probes recorded and checked for convexity."""
+    """Subgradients of chosen rows, each checked for a NaN and a reversed interval."""
 
     def __init__(self, obj: LocationObjective, lo, hi):
         self.obj = obj
         self.slack = 1e-9 * np.maximum(obj.scale_at(lo), obj.scale_at(hi))
-        self.probes = []  # (rows, theta, g_left, g_right) arrays, in evaluation order
 
     def error(self, row, message, cls=NonConvexityError):
         """``cls`` with ``message``, naming ``row`` when the matrix has more than one row."""
         return cls(f"row {row}: {message}" if self.slack.size > 1 else message)
+
+    def not_monotone(self, row, theta, later, right, left):
+        """The error for g_right(theta) > g_left(later), where theta < later."""
+        return self.error(row, f"subgradient sign not monotone: g_right({theta})={right} "
+                               f"> g_left({later})={left}")
 
     def __call__(self, rows, theta):
         # rows are increasing, so as many rows as the matrix has are all of them
@@ -94,65 +99,53 @@ class _RowProber:
                                           f"left={left[i]}, right={right[i]}", ValueError)
             raise self.error(rows[i], f"subgradient interval reversed at theta={theta[i]}: "
                                       f"left={left[i]} > right={right[i]}")
-        self.probes.append((rows, theta, left, right))
         return left, right
 
-    def check_monotone(self):
-        """Consume the probes, checking each row's subgradients are monotone across its probes.
 
-        Each row's probes fill one row of a ``(rows, probes)`` array in
-        evaluation order, padded with theta = left = right = +inf, which a
-        stable sort by theta then orders as a sort of all probes by (row,
-        theta) would.
-        """
-        counts = np.zeros(self.slack.size, dtype=np.intp)
-        for rows, *_ in self.probes:
-            counts[rows] += 1
-        laid = [np.full((counts.size, counts.max()), np.inf) for _ in range(3)]
-        counts[:] = 0
-        for rows, *values in self.probes:
-            at = counts[rows]
-            for array, value in zip(laid, values):
-                array[rows, at] = value
-            counts[rows] += 1
-        self.probes = []
-        order = np.argsort(laid[0], axis=1, kind="stable")
-        # one sorted copy at a time
-        for k in range(3):
-            laid[k] = np.take_along_axis(laid[k], order, axis=1)
-        theta, left, right = laid
-        bad = np.flatnonzero((theta[:, 1:] > theta[:, :-1])
-                             & (right[:, :-1] > left[:, 1:] + self.slack[:, np.newaxis]))
-        if bad.size:
-            row, i = divmod(bad[0], theta.shape[1] - 1)
-            raise self.error(row, f"subgradient sign not monotone: g_right({theta[row, i]})="
-                             f"{right[row, i]} > g_left({theta[row, i + 1]})={left[row, i + 1]}")
+def _bisect_rows(predicate, rows, lo, hi, tol, probe, tree):
+    """Shrink the [lo, hi] of each of ``rows`` to width <= tol, keeping
+    ``predicate(rows, left, right)`` of the subgradients False at lo, True at
+    hi, and return the ends of ``rows``.
 
-
-def _bisect_rows(predicate, rows, lo, hi, tol):
-    """Shrink the [lo, hi] of each of ``rows`` to width <= tol, keeping predicate
-    False at lo, True at hi, and return the ends of ``rows``.
-
-    ``lo``, ``hi`` and ``tol`` hold every row of the solve.  A row also stops
-    when its midpoint is not strictly inside (the bracket is below float
-    resolution).  All open rows share one predicate call a step.  The open
-    rows' brackets are updated in place, and gathered only when a row stops.
+    ``lo``, ``hi`` and ``tol`` hold every row of the solve, and ``tree`` the
+    subgradients of the nine fixed probes, from which the first three steps
+    read theirs.  A later midpoint lies strictly inside its bracket, whose
+    ends are its nearest earlier probes: it goes through ``probe`` and is
+    checked against the right subgradient at lo and the left one at hi,
+    carried alongside.  A row also stops when its midpoint is not strictly
+    inside (the bracket is below float resolution).  All open rows share one
+    objective call a later step, and a row's bracket is gathered when it stops.
     """
     count = lo.size
     ends_lo, ends_hi = lo[rows], hi[rows]
     at = np.arange(rows.size)  # each open row's place in ends_lo and ends_hi
-    lo, hi, tol = ends_lo.copy(), ends_hi.copy(), tol[rows]
+    lo, hi, tol, slack = ends_lo, ends_hi, tol[rows], probe.slack[rows]
+    g_lo, g_hi = tree[1, 0, rows], tree[0, 8, rows]
+    node, half = np.full(rows.size, 4), 4  # each midpoint's place among the nine probes
     for _ in range(_MAX_ITER):
         mid = 0.5 * (lo + hi)
         go = (hi - lo > tol) & (mid > lo) & (mid < hi)
         if not go.all():
             ends_lo[at], ends_hi[at] = lo, hi
-            at, rows, lo, hi, tol, mid = (a[go] for a in (at, rows, lo, hi, tol, mid))
+            at, rows, lo, hi, tol, slack, g_lo, g_hi, node, mid = (
+                a[go] for a in (at, rows, lo, hi, tol, slack, g_lo, g_hi, node, mid))
         if not rows.size:
             return ends_lo, ends_hi
-        up = predicate(rows, mid)
-        np.copyto(hi, mid, where=up)
-        np.copyto(lo, mid, where=~up)
+        if half:
+            left, right = tree[:, node, rows]
+        else:
+            left, right = probe(rows, mid)
+            low, high = g_lo > left + slack, right > g_hi + slack
+            if (low | high).any():
+                i = (low | high).argmax()
+                raise probe.not_monotone(rows[i], *((lo[i], mid[i], g_lo[i], left[i]) if low[i]
+                                                    else (mid[i], hi[i], right[i], g_hi[i])))
+        up = predicate(rows, left, right)
+        lo, g_lo = np.where(up, lo, mid), np.where(up, g_lo, right)
+        hi, g_hi = np.where(up, mid, hi), np.where(up, left, g_hi)
+        if half:
+            half //= 2
+            node += np.where(up, -half, half)
     where = f" in row {rows[0]}" if count > 1 else ""
     raise ConvergenceError(
         f"bisection did not converge within {_MAX_ITER} iterations{where} "
@@ -167,36 +160,43 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
     >= 0 to the rightmost point where the left subgradient is <= 0.  A row
     whose right subgradient is negative at hi returns hi; else one whose
     left subgradient is positive at lo returns lo.  The seven interior
-    probes cost a few evaluations and let the monotonicity check see sign
-    reversals that bisection alone would skip (redescending objectives are
-    flat at distant endpoints).  The lower end is bisected first.  The upper
-    end's bisection starts from the same bracket, so a row whose two
-    predicates agree at each of its lower probes would walk the same path
-    to the same last bracket: that bracket's lo is its upper end.  Only the
-    rows whose lower bisection met a zero (or a reversal within the slack),
-    or did not run, are bisected again.  Their probes before the paths part
-    give the same values again, and ``check_monotone`` never compares equal
-    thetas, so errors arise as if each probe were evaluated once.
+    probes, evaluated after the ends, are the first three levels of each
+    row's bisection tree, which the bisection reads back; the adjacent pairs
+    of the nine are checked once.  They let the check see sign reversals
+    that bisection alone would skip (redescending objectives are flat at
+    distant endpoints).  The lower end is bisected first.  The upper end's
+    bisection starts from the same bracket, so a row whose two predicates
+    agree at each of its lower probes would walk the same path to the same
+    last bracket: that bracket's lo is its upper end.  Only the rows whose
+    lower bisection met a zero (or a reversal within the slack), or did not
+    run, are bisected again; their probes before the paths part give the
+    same values and pass the same checks again.
     """
     count = obj.data.shape[0]
     lo, hi, tol = (np.broadcast_to(np.asarray(f, dtype=float), count)
                    for f in (bracket.lo, bracket.hi, bracket.tol))
     probe = _RowProber(obj, lo, hi)
-    every = np.arange(count)
 
-    left_lo, right_lo = probe(every, lo)
-    left_hi, right_hi = probe(every, hi)
-    for t in np.linspace(lo, hi, 9)[1:-1]:
-        probe(every, t)
+    theta = np.empty((9, count))
+    theta[0], theta[8] = lo, hi
+    for half in (4, 2, 1):  # the midpoints _bisect_rows takes, bit for bit
+        theta[half::2 * half] = 0.5 * (theta[:-half:2 * half] + theta[2 * half::2 * half])
+    tree = np.empty((2, 9, count))
+    for k in (0, 8, 1, 2, 3, 4, 5, 6, 7):
+        tree[:, k] = probe(np.arange(count), theta[k])
+    left, right = tree
+    bad = (theta[1:] > theta[:-1]) & (right[:-1] > left[1:] + probe.slack)
+    if bad.any():
+        row, k = divmod(bad.T.argmax(), 8)  # the first by (row, theta)
+        raise probe.not_monotone(row, *theta[k:k + 2, row], right[k, row], left[k + 1, row])
 
-    at_hi = right_hi < 0.0
-    at_lo = ~at_hi & (left_lo > 0.0)
+    at_hi = right[8] < 0.0
+    at_lo = ~at_hi & (left[0] > 0.0)
     inside = ~(at_hi | at_lo)
-    again = inside & (left_hi > 0.0)  # the rows whose upper end is bisected
+    again = inside & (left[8] > 0.0)  # the rows whose upper end is bisected
     split = np.zeros(count, dtype=bool)  # rows where the two predicates part
 
-    def right_nonneg(rows, theta):
-        left, right = probe(rows, theta)
+    def right_nonneg(rows, left, right):
         up = right >= 0.0
         parted = up != (left > 0.0)
         if parted.any():
@@ -204,15 +204,14 @@ def _argmin_rows(obj: LocationObjective, bracket: Bracket) -> np.ndarray:
         return up
 
     lower, upper = lo.copy(), hi.copy()
-    rows = np.flatnonzero(inside & (right_lo < 0.0))
-    ends, lower[rows] = _bisect_rows(right_nonneg, rows, lo, hi, tol)
+    rows = np.flatnonzero(inside & (right[0] < 0.0))
+    ends, lower[rows] = _bisect_rows(right_nonneg, rows, lo, hi, tol, probe, tree)
     shared = again[rows] & ~split[rows]
     upper[rows[shared]] = ends[shared]
     again[rows[shared]] = False
     rows = np.flatnonzero(again)
-    upper[rows] = _bisect_rows(lambda r, t: probe(r, t)[0] > 0.0, rows, lo, hi, tol)[0]
+    upper[rows] = _bisect_rows(lambda r, left, _: left > 0.0, rows, lo, hi, tol, probe, tree)[0]
 
-    probe.check_monotone()
     bad = np.flatnonzero(inside & (lower > upper + 2.0 * tol))
     if bad.size:
         i = bad[0]
@@ -262,7 +261,7 @@ def scan_grid(bracket: Bracket, points: int, rows: int = 1):
 
     with np.errstate(over="ignore", invalid="ignore"):
         step = (hi - lo) / (points - 1)
-        close = ~(step > 8.0 * np.spacing(np.maximum(abs(lo), abs(hi)))) | (step == np.inf)
+        close = ~(step > 8.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
         grid = at(np.arange(points), np.flatnonzero(close))
         if not (np.all(np.isfinite(grid)) and np.all(np.diff(grid, axis=-1) > 0.0)):
             raise ValueError("scan grid must be finite and strictly increasing along each row")

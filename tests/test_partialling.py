@@ -668,8 +668,6 @@ def test_fit_raises_on_overflowing_residual_products():
         fwl_estimate(RegressionData(y=y, t=t, x=x))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 def test_fit_names_an_overflowing_qr_factor():
     # a finite covariate of +-1e308 whose column norm leaves the float range:
     # the rank test names the row before its SVD sees the non-finite factor,

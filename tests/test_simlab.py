@@ -772,7 +772,7 @@ _REGRESSION_KINDS = {"plm_rate_dichotomy", "partialled_dominance", "dimension_sc
 # streams and seeds: the solver's own message names no row of a 1-row matrix
 _HULC_MESSAGES = {
     "hulc_laplace_scale_bracket": "batch 0: tol must be finite",
-    "lp_1e4_hulc": "batch 0: subgradient is NaN at theta=-0.21196052382181474: "
+    "lp_1e4_hulc": "batch 0: subgradient is NaN at theta=-0.2119605238218143: "
                    "left=nan, right=nan",
 }
 
@@ -985,6 +985,29 @@ def test_run_experiment_reproducible_across_workers():
     assert serial.rows == again.rows
 
 
+def test_the_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # one grid point of two chunks, asked for 64 workers, gets a pool of 2;
+    # the stub maps in this process and starts no worker
+    config = ExperimentConfig.from_dict(_minimal_config(reps=3 * CHUNK_SIZE // 2))
+    sizes = []
+
+    class RecordedPool:
+        map = staticmethod(map)
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordedPool)
+    assert run_experiment(config, workers=64).rows == run_experiment(config, workers=1).rows
+    assert sizes == [2]
+
+
 #: One small config per kind, run by the chunk-size test: solver, closed-form,
 #: scan and one-pass paths, a biweight HulC point, and a dimension_scaling
 #: point with both certified and fallback fits (2 of 100 rows fall back).
@@ -1019,7 +1042,6 @@ _CHUNKING = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_chunk_size_changes_no_value_and_no_failure(monkeypatch, tmp_path):
     # seeds are per replication, so the chunk size changes no CSV byte and
     # no JSON profile, and a failing replication is named the same way at
@@ -1404,8 +1426,6 @@ _BLOCK_FAULTS = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("kind", ["partialled_dominance", "dimension_scaling"])
 def test_partialled_chunk_names_a_blocks_first_failure(monkeypatch, kind):
     # two failing replications in one block: a fit that overflows (an

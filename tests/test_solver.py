@@ -54,8 +54,9 @@ def test_bracket_validation():
     # ends whose magnitudes sum past the float range: the default tol
     # overflows, and with an explicit tol the midpoints and the probes'
     # tolerance anchor would, so convex data gave a reversed minimizer interval
-    with pytest.raises(ValueError, match="^tol must be finite$"):
-        Bracket(1e308, 1.7e308)
+    for lo, hi in ((1e308, 1.7e308), (np.array([0.0, 1e308]), np.array([1.0, 1.7e308]))):
+        with pytest.raises(ValueError, match="^tol must be finite$"):
+            Bracket(lo, hi)
     for lo, hi in ((1e308, 1.7e308), (-1e308, 1e308),
                    (np.array([0.0, 1e308]), np.array([1.0, 1.7e308]))):
         with pytest.raises(ValueError, match=r"^bracket \|lo\| \+ \|hi\| must be finite, got "):
@@ -366,9 +367,9 @@ def _count_bisections(obj, monkeypatch):
     def counted_bisect(predicate, rows, *args):
         steps, before = [], len(calls)
 
-        def step(r, theta):
+        def step(r, *subgradients):
             steps.append(r.size)
-            return predicate(r, theta)
+            return predicate(r, *subgradients)
 
         ends = bisect(step, rows, *args)
         phases.append((rows, len(steps), len(calls) - before))
@@ -384,7 +385,8 @@ def test_rows_without_a_zero_subgradient_are_bisected_once(kind, monkeypatch):
     # away from a zero subgradient the upper bisection would walk the lower
     # one's path to the same last bracket, so every row takes its upper end
     # from there and the upper bisection gets no row: a solve costs the nine
-    # fixed probes plus one call per lower step
+    # fixed probes plus one call per lower step after the first three, which
+    # read the fixed probes back
     factory = CONVEX_KINDS[kind]
     data = np.random.default_rng(41).standard_normal((40, 15))
     obj = factory(data)
@@ -392,9 +394,9 @@ def test_rows_without_a_zero_subgradient_are_bisected_once(kind, monkeypatch):
     lo, hi = data.min(axis=1) - 1.0, data.max(axis=1) + 1.0
     theta = minimize_convex(obj, Bracket(lo, hi))
     (_, lower_steps, lower_calls), (upper_rows, upper_steps, upper_calls) = phases
-    assert lower_calls == lower_steps > 30
+    assert lower_calls == lower_steps - 3 and lower_steps > 30
     assert upper_rows.size == upper_steps == upper_calls == 0
-    assert len(calls) == 9 + lower_steps
+    assert len(calls) == 9 + lower_steps - 3
     monkeypatch.undo()
     for i, row in enumerate(data):
         assert theta[i] == _argmin_interval(factory(row), Bracket(lo[i], hi[i])), i
@@ -403,18 +405,21 @@ def test_rows_without_a_zero_subgradient_are_bisected_once(kind, monkeypatch):
 def test_only_a_row_whose_lower_bisection_meets_a_zero_is_bisected_again(monkeypatch):
     # row 2 = (-1, 1) has lp(1.5) subgradient exactly 0 at the shared first
     # midpoint 0 of [-3, 3], where the lower bisection steps down and the
-    # upper one would step up; the generic rows never meet a zero
+    # upper one would step up; the generic rows never meet a zero, and
+    # neither bisection calls the objective in its first three steps
     factory = CONVEX_KINDS["lp(1.5)"]
     data = 0.5 * np.random.default_rng(43).standard_normal((6, 2))
     data[2] = [-1.0, 1.0]
     bracket = Bracket(-3.0, 3.0)
     assert factory(data[2]).subgradient(0.0) == (0.0, 0.0)
     obj = factory(data)
-    _, phases = _count_bisections(obj, monkeypatch)
+    calls, phases = _count_bisections(obj, monkeypatch)
     theta = minimize_convex(obj, bracket)
-    (lower_rows, lower_steps, _), (upper_rows, upper_steps, _) = phases
+    (lower_rows, lower_steps, lower_calls), (upper_rows, upper_steps, upper_calls) = phases
     assert lower_rows.tolist() == list(range(6)) and lower_steps > 30
     assert upper_rows.tolist() == [2] and upper_steps > 30
+    assert (lower_calls, upper_calls) == (lower_steps - 3, upper_steps - 3)
+    assert len(calls) == 9 + lower_steps + upper_steps - 6
     monkeypatch.undo()
     assert theta[2] == 0.0
     for i, row in enumerate(data):
@@ -526,33 +531,60 @@ def _first_violation_by_lexsort(probes, slack):
     return None
 
 
+def _solve_error(obj, bracket):
+    """The message of the error that ``minimize_convex`` raises, or None."""
+    try:
+        minimize_convex(obj, bracket)
+    except (NonConvexityError, ValueError) as err:
+        return str(err)
+    return None
+
+
 @pytest.mark.parametrize("seed", range(40))
-def test_per_row_probe_sort_finds_the_lexsort_violation(seed):
-    # probes on a coarse theta grid, so rows repeat thetas, with values that
-    # break monotonicity in some rows and not others; equal thetas keep
-    # their evaluation order in both sorts
+def test_a_solve_raises_the_lexsort_violation_among_its_probes(seed, monkeypatch):
+    # biweight rows spread far past c are not convex on their data range,
+    # and some break monotonicity only between later bisection probes, on
+    # either side of a probe once the bracket reaches past c beyond the
+    # data; the clustered rows are convex there, and every fourth seed takes
+    # a convex objective instead.  A row solved alone raises a monotonicity
+    # error exactly when one sort of the probes it evaluated finds a
+    # violation, and a batched solve names a row whose solve alone raises the
+    # same message, also once the rows it named are dropped
     rng = np.random.default_rng(seed)
-    count = int(rng.integers(1, 12))
-    prober = solver._RowProber(AbsoluteDeviation(np.zeros((count, 2))), np.full(count, -1.0),
-                               np.ones(count))
+    count, n = int(rng.integers(2, 10)), int(rng.integers(2, 8))
+    spread = np.where(rng.random(count) < 0.5, 10.0, 0.1)
+    data = spread[:, np.newaxis] * rng.standard_normal((count, n))
+    lo = data.min(axis=1) - rng.uniform(0.0, 2.0, count)
+    hi = data.max(axis=1) + rng.uniform(0.0, 2.0, count)
+    factory = (list(CONVEX_KINDS.values())[seed // 4 % len(CONVEX_KINDS)] if seed % 4 == 0
+               else lambda d: BiweightLocation(d, c=1.0))
+    kind = type(factory(data[0]))
+    subgradient = kind.subgradient
     probes = []
-    for _ in range(int(rng.integers(1, 30))):
-        rows = np.flatnonzero(rng.random(count) < 0.6)
-        if rows.size:
-            theta = rng.integers(-4, 5, rows.size) / 4.0
-            jitter = rng.integers(-2, 3, rows.size) * (rng.random(rows.size) < 0.05)
-            left = 4.0 * theta + jitter
-            probes.append((rows, theta, left, left + rng.integers(0, 2, rows.size)))
-    if not probes:
-        probes.append((np.arange(count), np.zeros(count), np.zeros(count), np.zeros(count)))
-    expected = _first_violation_by_lexsort(probes, prober.slack)
-    prober.probes = list(probes)
-    if expected is None:
-        prober.check_monotone()
-    else:
-        with pytest.raises(NonConvexityError) as err:
-            prober.check_monotone()
-        assert str(err.value) == expected
+
+    def recorded(self, theta):
+        left, right = subgradient(self, theta)
+        probes.append((np.zeros(np.size(theta), dtype=np.intp), np.atleast_1d(theta),
+                       np.atleast_1d(left), np.atleast_1d(right)))
+        return left, right
+
+    monkeypatch.setattr(kind, "subgradient", recorded)
+    alone = []
+    for i, row in enumerate(data):
+        obj = factory(row)
+        probes.clear()
+        alone.append(_solve_error(obj, Bracket(lo[i], hi[i])))
+        slack = np.atleast_1d(1e-9 * max(obj.scale_at(lo[i]), obj.scale_at(hi[i])))
+        expected = _first_violation_by_lexsort(probes, slack)
+        monotone = alone[i] is not None and "subgradient sign not monotone" in alone[i]
+        assert monotone == (expected is not None), (i, alone[i], expected)
+    rows = list(range(count))
+    while rows and (batched := _solve_error(factory(data[rows]),
+                                            Bracket(lo[rows], hi[rows]))) is not None:
+        # a 1-row matrix names no row
+        named, message = batched.split(": ", 1) if len(rows) > 1 else ("row 0", batched)
+        assert alone[rows.pop(int(named.removeprefix("row ")))] == message, rows
+    assert all(alone[i] is None for i in rows)
 
 
 def test_power_loss_sums_only_nonzero_terms_at_a_tie():
