@@ -609,6 +609,25 @@ def _fit_sides(data, theta0: float) -> dict:
     return slope_sides(data, theta0)._asdict()
 
 
+#: Bytes of ``[x | t | y]`` stack per block, by block fit: large enough to
+#: share each block's fixed cost (about 120 us at n = 400) among many rows.
+#: The QR fit holds about 2.1 more stacks of temporaries per block (the Gram
+#: fit 0.15 to 0.57, tracemalloc), and 640 KiB blocks made ``regression`` no
+#: faster and raised its peak RSS by 1.15 MiB, so it keeps 256 KiB.  640 KiB
+#: is the largest Gram block whose ``dimension_scaling`` chunk at n = 100
+#: keeps its tracemalloc peak within 1.19 MiB (1.03 MiB; 768 KiB gives 1.22).
+_FIT_BLOCK_BYTES = {_fit_decomposed: 256 << 10, _fit_sides: 640 << 10}
+#: Rows per block of partialled fits where fewer fit in the fit's budget
+#: (n = 1600, d = 20): two rows share a block's fixed cost of about 15 numpy
+#: calls; four gained little more and raised the peak RSS.
+_FIT_BLOCK_MIN_ROWS = 2
+
+
+def fit_block_rows(fit: Callable, n: int, d: int) -> int:
+    """Replications per block of ``fit`` on ``n``-row designs with ``d`` covariates."""
+    return max(_FIT_BLOCK_MIN_ROWS, _FIT_BLOCK_BYTES[fit] // (8 * n * (d + 2)))
+
+
 def _full_rank(points):
     """``points``, once every design [t | x] has at least as many rows as columns."""
     wide = [(point["n"], point["d"]) for point in points if point["d"] + 1 > point["n"]]
@@ -623,28 +642,20 @@ def _points_partialled(config):
                        for n in config.grids["n"] for d in config.grids["d"]])
 
 
-#: Bytes of ``[x | t | y]`` stack per block of partialled fits: small enough
-#: to stay in cache, large enough to share each LAPACK call among many rows.
-_FIT_BLOCK_BYTES = 1 << 18
-#: Rows per block of partialled fits where fewer fit in ``_FIT_BLOCK_BYTES``
-#: (n = 1600, d = 20): two rows share a block's fixed cost of about 15 numpy
-#: calls; four gained little more and raised the peak RSS.
-_FIT_BLOCK_MIN_ROWS = 2
-
-
 def _chunk_partialled(config, prep, point, start, stop):
     """Draw the chunk's designs into block stacks and fit each block at once.
 
-    A block holds as many replications as fit in ``_FIT_BLOCK_BYTES`` of
-    ``[x | t | y]`` stack, and at least ``_FIT_BLOCK_MIN_ROWS``; a row's fit
-    does not depend on its block, so the values do not depend on the block
-    size or on chunking.
+    A block holds ``fit_block_rows(prep.fit, n, d)`` replications (as many
+    as fit in the fit's ``_FIT_BLOCK_BYTES`` of ``[x | t | y]`` stack, and at
+    least ``_FIT_BLOCK_MIN_ROWS``), or the whole chunk if it is shorter; a
+    row's fit does not depend on its block, so the values do not depend on
+    the block size or on chunking.
     Each block's replications draw straight into its rows, the block is
     checked once, as one ``RegressionData``, and ``prep.fit`` returns its
     arrays, which the chunk concatenates.
     """
     n, d, count = point["n"], point["d"], stop - start
-    block = min(count, max(_FIT_BLOCK_MIN_ROWS, _FIT_BLOCK_BYTES // (8 * n * (d + 2))))
+    block = min(count, fit_block_rows(prep.fit, n, d))
     y, t, x = np.empty((block, n)), np.empty((block, n)), np.empty((block, n, d))
     rngs = (rng for rng, in _replications(config, point, start, stop))
     fits = []
@@ -711,8 +722,9 @@ def _summarize_dim_scaling(config, prep, point, arrays):
     row, _ = _lhs_row(config, point, arrays["side"], 0.0)
     row["detail"] = {"theta0": prep.theta0}
     # per row, except that a block whose batched Cholesky raises counts every
-    # row as a fallback: blocks follow the chunk size, so such a count is
-    # outside the chunk-size contract (the sides are not)
+    # row as a fallback: blocks follow the chunk size and the fit's block
+    # budget (``fit_block_rows``), so such a count is outside the chunk-size
+    # contract (the sides are not)
     certified = int(np.count_nonzero(arrays["certified"]))
     return [row], {"fits": {"certified": certified, "fallback": config.reps - certified}}
 

@@ -265,7 +265,7 @@ def test_stacked_fit_matches_oracle_bit_for_bit():
             "estimator": {}, "grids": {"n": [60], "d": [4]}, "params": {"theta0": theta0},
             "reps": 200, "master_seed": 3})
         prepared, (point,) = validate_config(config)
-        block = kinds._FIT_BLOCK_BYTES // (8 * 60 * 6)
+        block = kinds.fit_block_rows(prepared.fit, 60, 4)
         assert 1 < block < 200 and 200 % block
         arrays = kinds.KINDS[config.kind].run_chunk(config, prepared, point, 0, 200)
         label = f"{kinds.grid_label(config.kind, point)}|data"

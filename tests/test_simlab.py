@@ -1281,31 +1281,47 @@ def test_dimension_scaling_reports_certified_and_fallback_fits(tmp_path):
 
 
 def test_dimension_scaling_sides_do_not_depend_on_the_block(monkeypatch):
-    # 1-row blocks, the smallest blocks of the lab's rule and one block for
-    # the whole chunk give each replication the side of theta0 the full fit
-    # of the whole chunk gives it
+    # 1-row blocks, the smallest blocks of the lab's rule, the lab's blocks
+    # and one block for the whole chunk give each replication the bits of
+    # the whole chunk fitted as one stack: its side of theta0 from the Gram
+    # certificate (dimension_scaling), and its slope and score decomposition
+    # from the QR fit (partialled_dominance)
     from medbias.simlab.config import validate_config
 
-    config = ExperimentConfig.from_dict(_minimal_config(
-        kind="dimension_scaling", dgp={"name": "leverage_mix"}, estimator={},
-        grids={"n": [100], "d_schedules": ["half_sqrt"], "seed_labels": [3]},
-        params={"theta0": 0.5}, reps=300))
-    prepared, (point,) = validate_config(config)
-    n, d = point["n"], point["d"]
-    y, t, x = np.empty((300, n)), np.empty((300, n)), np.empty((300, n, d))
-    label = f"{kinds.grid_label(config.kind, point)}|data"
-    sample_design(prepared.design, (replication_rng(config.master_seed, i, label)
-                                    for i in range(300)), y, t, x, 0.5)
-    fit = kinds.fwl_estimate(kinds.RegressionData(y=y, t=t, x=x))
-    expected = np.sign(fit.theta_hat - 0.5)
-    assert 0 < np.count_nonzero(expected > 0) < 300
-    for block_bytes, min_rows in ((1, 1), (1, kinds._FIT_BLOCK_MIN_ROWS),
-                                  (kinds._FIT_BLOCK_BYTES, kinds._FIT_BLOCK_MIN_ROWS),
-                                  (1 << 40, kinds._FIT_BLOCK_MIN_ROWS)):
-        monkeypatch.setattr(kinds, "_FIT_BLOCK_BYTES", block_bytes)
-        monkeypatch.setattr(kinds, "_FIT_BLOCK_MIN_ROWS", min_rows)
-        arrays = KINDS[config.kind].run_chunk(config, prepared, point, 0, 300)
-        assert np.array_equal(arrays["side"], expected) and arrays["certified"].all()
+    for kind, grids in (("dimension_scaling",
+                         {"n": [100], "d_schedules": ["half_sqrt"], "seed_labels": [3]}),
+                        ("partialled_dominance", {"n": [100], "d": [5]})):
+        config = ExperimentConfig.from_dict(_minimal_config(
+            kind=kind, dgp={"name": "leverage_mix"}, estimator={}, grids=grids,
+            params={"theta0": 0.5}, reps=300))
+        prepared, (point,) = validate_config(config)
+        n, d = point["n"], point["d"]
+        y, t, x = np.empty((300, n)), np.empty((300, n)), np.empty((300, n, d))
+        label = f"{kinds.grid_label(config.kind, point)}|data"
+        sample_design(prepared.design, (replication_rng(config.master_seed, i, label)
+                                        for i in range(300)), y, t, x, 0.5,
+                      **prepared.design_params)
+        data = kinds.RegressionData(y=y, t=t, x=x)
+        if kind == "dimension_scaling":
+            sides = np.sign(kinds.fwl_estimate(data).theta_hat - 0.5)
+            assert 0 < np.count_nonzero(sides > 0) < 300
+            expected = {"side": sides, "certified": np.ones(300, dtype=bool)}
+        else:
+            expected = kinds._fit_decomposed(data, 0.5)
+        # the lab's rule splits this chunk into blocks, the last one short
+        assert 300 % kinds.fit_block_rows(prepared.fit, n, d)
+        for block_bytes, min_rows in ((1, 1), (1, kinds._FIT_BLOCK_MIN_ROWS),
+                                      (None, kinds._FIT_BLOCK_MIN_ROWS),
+                                      (1 << 40, kinds._FIT_BLOCK_MIN_ROWS)):
+            with monkeypatch.context() as patch:
+                if block_bytes is not None:
+                    patch.setattr(kinds, "_FIT_BLOCK_BYTES",
+                                  dict.fromkeys(kinds._FIT_BLOCK_BYTES, block_bytes))
+                patch.setattr(kinds, "_FIT_BLOCK_MIN_ROWS", min_rows)
+                arrays = KINDS[config.kind].run_chunk(config, prepared, point, 0, 300)
+            assert arrays.keys() == expected.keys()
+            for key, value in expected.items():
+                assert np.array_equal(arrays[key], value), (kind, block_bytes, min_rows, key)
 
 
 def _inject_design_faults(monkeypatch, config, faults) -> list:
@@ -1349,9 +1365,10 @@ def _design_alone(config, prepared, point, index, fault=None):
 
 
 def test_dimension_scaling_collinear_draw_names_its_replication(monkeypatch):
-    # a rank-deficient design at replication 37 (row 37 of its 46-row block)
-    # raises the full fit's CollinearityError, naming the replication and its
-    # seed, with the message of that design fitted alone
+    # a rank-deficient design at replication 37 (row 37 of its block, the
+    # first of the lab's blocks) raises the full fit's CollinearityError,
+    # naming the replication and its seed, with the message of that design
+    # fitted alone
     from medbias.partialling import CollinearityError
     from medbias.simlab.config import validate_config
 
@@ -1360,11 +1377,13 @@ def test_dimension_scaling_collinear_draw_names_its_replication(monkeypatch):
         grids={"n": [100], "d_schedules": ["half_sqrt"], "seed_labels": [0]},
         params={"theta0": 0.5}, reps=200))
     prepared, (point,) = validate_config(config)
+    block = kinds.fit_block_rows(prepared.fit, point["n"], point["d"])
+    assert 37 < block < 200
     drawn = _inject_design_faults(monkeypatch, config, [(_collinear, 37)])
     with pytest.raises(CollinearityError) as raised:
         engine.run_chunk(config, prepared, point, 0, 200)
     # the first block fails, and replications 0..37 are then drawn alone
-    assert drawn == [(0, 46)] + [(i, 1) for i in range(38)]
+    assert drawn == [(0, block)] + [(i, 1) for i in range(38)]
     with pytest.raises(CollinearityError) as alone:
         kinds.fwl_estimate(_design_alone(config, prepared, point, 37, _collinear))
     label = kinds.grid_label(config.kind, point)
@@ -1484,6 +1503,30 @@ def test_partialled_chunk_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= (before_mib + 1.0) * 2**20, (n, peak / 2**20)
+
+
+def test_partialled_qr_chunk_peak_memory():
+    # tracemalloc peak of one 512-replication partialled_dominance chunk (the
+    # QR fit, at the regression benchmark's n = 200, d = 2 and 20) at most
+    # 0.25 MiB above its peak with 256 KiB blocks: 0.83 and 0.86 MiB (numpy
+    # 2.4.6).  The QR fit holds about 2.1 more stacks per block, so a larger
+    # block budget shows here first
+    from medbias.simlab.config import validate_config
+
+    for d, before_mib in ((2, 0.83), (20, 0.86)):
+        config = ExperimentConfig.from_dict(_minimal_config(
+            kind="partialled_dominance", dgp={"name": "leverage_mix"}, estimator={},
+            grids={"n": [200], "d": [d]}, params={"theta0": 0.5}, reps=512))
+        prepared, (point,) = validate_config(config)
+        run_chunk = KINDS[config.kind].run_chunk
+        run_chunk(config, prepared, point, 0, 2)  # first use: seeding self-check
+        tracemalloc.start()
+        try:
+            run_chunk(config, prepared, point, 0, 512)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (before_mib + 0.25) * 2**20, (d, peak / 2**20)
 
 
 def test_biweight_csv_bytes_pinned(tmp_path):
